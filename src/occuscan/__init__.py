@@ -13,19 +13,17 @@ from .detectors import (
     DETECTOR_ACF1,
     DETECTOR_CDIST,
     DETECTOR_ED,
+    DETECTOR_TABLE,
     DETECTORS,
     AcfVector,
-    Decision,
     DetectorConfig,
     acf,
-    acf1_decide,
     acf1_statistic,
     acf_vector,
+    block_statistics,
     calibrate_ed_threshold,
     calibrate_reference,
     correlation_distance,
-    distance_decide,
-    energy_decide,
     energy_statistic,
     load_reference,
     save_reference,
@@ -43,6 +41,7 @@ from .errors import (
     SampleDataError,
     ScenarioError,
     TruncationError,
+    UsageError,
 )
 from .iq import ComplexFrame, RecordingMeta, read_meta, read_recording, write_meta, write_recording
 from .report import OccupancyCell, aggregate, report_matrix, write_occupancy_csv

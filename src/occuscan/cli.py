@@ -9,33 +9,51 @@ fixed order).
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from .channels import Channel
 from .detectors import (
     DETECTORS,
-    acf_vector,
+    block_statistics,
     calibrate_ed_threshold,
     calibrate_reference,
-    raw_correlation_distance,
     save_reference,
 )
-from .errors import OccuscanError
+from .errors import OccuscanError, UsageError
 from .evaluate import measure_pd_pfa, roc_curve, write_eval_csv
-from .iq import read_recording
+from .iq import stream_recording
 from .report import aggregate, channel_slug, report_matrix, write_occupancy_csv, write_plot_data
 from .scan import (
-    TruthRecord,
-    record_sort_key,
-    scan_channel,
+    band_positions,
+    block_records,
+    check_tuning,
+    merge_sweep,
+    scan_timeline,
     write_plan_csv,
     write_records_csv,
     write_truth_csv,
 )
 from .scenario import Scenario
 from .synth import gen_channel_timeline, gen_noise_frame, gen_signal_frame, mix_at_snr
+
+def _check_options(args) -> None:
+    """Reject out-of-range numeric options before any work starts."""
+    seed = getattr(args, "seed", None)
+    if seed is not None and not 0 <= seed <= 2**64 - 1:
+        raise UsageError(f"--seed: must lie in [0, 2**64 - 1], got {seed}")
+    workers = getattr(args, "workers", 1)
+    if workers < 1:
+        raise UsageError(f"--workers: must be >= 1, got {workers}")
+    bins = getattr(args, "bins", 1.0)
+    if not (math.isfinite(bins) and bins > 0):
+        raise UsageError(f"--bins: must be a finite number > 0, got {bins}")
 
 
 def _load_scenario(args) -> Scenario:
@@ -61,14 +79,11 @@ def cmd_calibrate(args) -> int:
     out = _out_dir(args)
     n = scenario.frame_len()
 
-    training = []
-    for i in range(cal["reference_frames"]):
-        sig = gen_signal_frame(n, cal["signal"], i)
-        noise = gen_noise_frame(n, cal["noise"], i)
-        training.append(
-            mix_at_snr(sig, noise, cal["snr_db"], cal["signal"].nominal_power,
-                       cal["noise"].total_power)
-        )
+    training = (
+        mix_at_snr(gen_signal_frame(n, cal["signal"], i), gen_noise_frame(n, cal["noise"], i),
+                   cal["snr_db"], cal["signal"].nominal_power, cal["noise"].total_power)
+        for i in range(cal["reference_frames"])
+    )
     reference = calibrate_reference(training, cal["acf_lags"])
     ref_path = out / "reference.txt"
     save_reference(reference, ref_path)
@@ -96,12 +111,7 @@ def _simulate_channel(task):
         n, interval, total,
         sample_rate_hz=rate, center_freq_hz=channel.center_freq_hz, start_time=start,
     )
-    records = []
-    truths = []
-    for frame, label in timeline:
-        records.extend(scan_channel(frame, channel, config))
-        truths.append((frame.capture_time, channel, label))
-    return records, truths
+    return scan_timeline(timeline, channel, config)
 
 
 def cmd_simulate(args) -> int:
@@ -113,9 +123,7 @@ def cmd_simulate(args) -> int:
     interval = scenario.frame_interval_s()
     total = scenario.total_s()
 
-    band_pos = {}
-    for c in plan:
-        band_pos.setdefault(c.band, len(band_pos))
+    band_pos = band_positions(plan)
     tasks = [
         (
             c,
@@ -136,15 +144,7 @@ def cmd_simulate(args) -> int:
     else:
         results = [_simulate_channel(t) for t in tasks]
 
-    records = [r for recs, _ in results for r in recs]
-    records.sort(key=record_sort_key(plan))
-    truths = [
-        TruthRecord(t, c, bool(lab))
-        for _, trs in results
-        for t, c, lab in trs
-    ]
-    truths.sort(key=lambda tr: (tr.capture_time, band_pos[tr.channel.band],
-                                tr.channel.index_in_band))
+    records, truths = merge_sweep(plan, results)
 
     write_plan_csv(plan, out / "plan.csv")
     write_records_csv(records, out / "records.csv")
@@ -155,35 +155,46 @@ def cmd_simulate(args) -> int:
 
 # --- analyze -----------------------------------------------------------------
 
+@contextmanager
+def _replace_on_success(path: Path):
+    """Yield a temporary sibling path; it replaces ``path`` only if the block succeeds."""
+    part = path.with_name(path.name + ".part")
+    try:
+        yield part
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
+
+
 def cmd_analyze(args) -> int:
     scenario = _load_scenario(args)
     out = _out_dir(args)
     config = scenario.detector_config()
     n = scenario.frame_len()
 
-    frames, discarded = read_recording(args.iq, args.meta, n)
+    meta, discarded, blocks = stream_recording(args.iq, args.meta, n)
     channel = Channel("recording", 0, args.center_mhz)
-    records = []
-    for frame in frames:
-        recs = scan_channel(frame, channel, config, freq_tol_mhz=args.freq_tol_mhz)
-        records.extend(recs)
-        if args.verbose:
-            by_det = {r.detector: r for r in recs}
-            raw = ""
-            if not by_det["cdist"].degenerate:
-                raw_d = raw_correlation_distance(
-                    config.reference, acf_vector(frame, config.acf_lags)
-                )
-                raw = f" raw_dist={raw_d:.9g}"
-            print(
-                f"t={frame.capture_time:.6f} ed={by_det['ed'].statistic:.9g} "
-                f"acf1={by_det['acf1'].statistic:.9g} "
-                f"cdist={by_det['cdist'].statistic:.9g}{raw}"
-            )
+    frames = 0
 
-    write_records_csv(records, out / "records.csv")
-    print(f"analyzed {len(frames)} frames ({discarded} samples discarded), "
-          f"wrote {len(records)} records")
+    def records():
+        nonlocal frames
+        for block in blocks:
+            check_tuning(meta.center_freq_hz, channel, args.freq_tol_mhz)
+            k = np.arange(frames, frames + len(block))
+            times = (meta.start_time + k * n / meta.sample_rate_hz).tolist()
+            stats = block_statistics(block, config.reference)
+            yield from block_records(times, channel, stats, config)
+            if args.verbose:
+                for t, (ed, acf1, cdist) in zip(times, stats.tolist()):
+                    # the unscaled distance, cdist * sqrt(L); absent for a zero-energy frame
+                    raw = f" raw_dist={cdist * math.sqrt(config.acf_lags):.9g}" if ed else ""
+                    print(f"t={t:.6f} ed={ed:.9g} acf1={acf1:.9g} cdist={cdist:.9g}{raw}")
+            frames += len(block)
+
+    with _replace_on_success(out / "records.csv") as part:
+        write_records_csv(records(), part)
+    print(f"analyzed {frames} frames ({discarded} samples discarded), "
+          f"wrote {len(DETECTORS) * frames} records")
     return 0
 
 
@@ -289,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--freq-tol-mhz", type=float, default=1.0, dest="freq_tol_mhz")
     p_ana.add_argument("--verbose", action="store_true",
                        help="print per-frame statistics incl. the raw (unscaled) "
-                       "correlation distance")
+                       "correlation distance raw_dist = cdist * sqrt(acf_lags)")
     p_ana.set_defaults(func=cmd_analyze)
 
     p_rep = sub.add_parser("report", help="aggregate a record CSV into occupancy "
@@ -312,6 +323,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
     except (OccuscanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""The three sensing statistics and their threshold decision rules.
+"""The three sensing statistics, their block kernel and the detector table.
 
 Energy detection
     T = (1/N) * sum |y(n)|^2, present when T exceeds a fixed threshold.
@@ -13,6 +13,12 @@ Correlation distance
     a SMALL distance means signal-like correlation structure, so the decision
     is present when distance < gamma.
 
+``block_statistics`` computes all three for a (frames x N) block from one
+ACF pass over lags 0..L-1; every command feeds it blocks of at most
+BLOCK_FRAMES (32) frames. Its row sums are the per-frame functions' dot
+products, so both give identical bits. Every decision goes through
+DETECTOR_TABLE (statistic column, threshold field, direction).
+
 All autocorrelations use the linear (non-circular) convention: terms whose
 lagged index would fall before the frame start are omitted. Ties on every
 threshold resolve to absent.
@@ -21,26 +27,49 @@ threshold resolve to absent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby, islice
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CalibrationError, DegenerateFrameError
-from .iq import ComplexFrame
+from .iq import BLOCK_FRAMES, ComplexFrame
 
 DETECTOR_ED = "ed"
 DETECTOR_ACF1 = "acf1"
 DETECTOR_CDIST = "cdist"
+
+
+class Detector(NamedTuple):
+    """One detector: its statistic column, threshold field and test direction."""
+
+    name: str
+    column: int  # column of block_statistics output
+    threshold_field: str  # DetectorConfig attribute
+    direction: str  # ">": present above the threshold, "<": present below
+
+    def threshold(self, config: DetectorConfig) -> float:
+        return getattr(config, self.threshold_field)
+
+    def decide(self, statistic, threshold):
+        """Vectorized decision; a statistic equal to the threshold decides absent."""
+        statistic = np.asarray(statistic)
+        return statistic < threshold if self.direction == "<" else statistic > threshold
+
+
 # canonical order: energy, lag-1 ACF, correlation distance
-DETECTORS = (DETECTOR_ED, DETECTOR_ACF1, DETECTOR_CDIST)
+DETECTOR_TABLE = (
+    Detector(DETECTOR_ED, 0, "lambda_ed", ">"),
+    Detector(DETECTOR_ACF1, 1, "lambda_acf", ">"),
+    Detector(DETECTOR_CDIST, 2, "gamma", "<"),
+)
+DETECTORS = tuple(d.name for d in DETECTOR_TABLE)
+DETECTOR_BY_NAME = {d.name: d for d in DETECTOR_TABLE}
 
 
-@dataclass(frozen=True)
-class Decision:
-    """Outcome of one detector on one frame."""
-
-    statistic: float
-    threshold: float
-    present: bool
+def decides_present(name: str, statistic, threshold: float):
+    """Vectorized decision rule: > threshold for ed/acf1, < threshold for cdist."""
+    return DETECTOR_BY_NAME[name].decide(statistic, threshold)
 
 
 @dataclass(frozen=True)
@@ -97,17 +126,67 @@ class DetectorConfig:
             )
 
 
+def _acf_block(block: np.ndarray, lags: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ACF(0) and |ACF(l)| / ACF(0), l = 0..lags-1, of a (frames x N) block.
+
+    Row sums are BLAS dot products and magnitudes use hypot, as np.vdot,
+    np.dot and abs() do on one frame. Cauchy-Schwarz bounds the ratios by 1;
+    the clip guards roundoff. Zero-energy rows give NaN ratios.
+    """
+    n = block.shape[1]
+    if not 1 <= lags <= n:
+        raise ValueError(f"lags must lie in [2, {n}], got {lags}")
+    conj = block.conj()
+    energy = np.matmul(block[:, None, :], conj[:, :, None])[:, 0, 0].real
+    ratios = np.empty((len(block), lags))
+    ratios[:, 0] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lag in range(1, lags):
+            c = np.matmul(block[:, None, lag:], conj[:, :-lag, None])[:, 0, 0]
+            np.minimum(np.hypot(c.real, c.imag) / energy, 1.0, out=ratios[:, lag])
+    return energy, ratios
+
+
+def block_statistics(block: np.ndarray, reference: AcfVector) -> np.ndarray:
+    """The ed, acf1 and cdist columns (DETECTOR_TABLE order) of a (frames x N) block.
+
+    A zero-energy row (dead channel) gets the no-signal sentinels acf1 = 0 and
+    cdist = 1, which every valid threshold decides absent.
+    """
+    energy, ratios = _acf_block(block, len(reference))
+    diff = reference.values - ratios
+    stats = np.column_stack(
+        (energy / block.shape[1], ratios[:, 1], np.sqrt(np.mean(diff * diff, axis=1)))
+    )
+    stats[stats[:, 0] == 0.0, 1:] = (0.0, 1.0)
+    return stats
+
+
+def decide_block(stats: np.ndarray, config: DetectorConfig) -> np.ndarray:
+    """(frames x 3) presence decisions for a block_statistics result."""
+    return np.column_stack(
+        [d.decide(stats[:, d.column], d.threshold(config)) for d in DETECTOR_TABLE]
+    )
+
+
+def frame_blocks(frames):
+    """(frames, stacked samples) of at most BLOCK_FRAMES consecutive equal-length frames."""
+    for _, same_len in groupby(frames, key=len):
+        while chunk := list(islice(same_len, BLOCK_FRAMES)):
+            yield chunk, np.stack([f.samples for f in chunk])
+
+
+def _frame_acf(frame: ComplexFrame, lags: int) -> np.ndarray:
+    energy, ratios = _acf_block(frame.samples[None, :], lags)
+    if energy[0] == 0.0:
+        raise DegenerateFrameError("zero-energy frame: normalized ACF undefined")
+    return ratios[0]
+
+
 def energy_statistic(frame: ComplexFrame) -> float:
     """Mean sample power (1/N) * sum |y(n)|^2."""
-    # vdot accumulates re^2 + im^2 without the |.|^2 = sqrt()^2 round trip
-    return float(np.vdot(frame.samples, frame.samples).real) / len(frame)
-
-
-def energy_decide(statistic: float, lambda_ed: float) -> Decision:
-    """Present iff statistic > lambda_ed; equality decides absent."""
-    if not lambda_ed > 0:
-        raise ValueError("lambda_ed must be > 0")
-    return Decision(statistic, lambda_ed, statistic > lambda_ed)
+    energy, _ = _acf_block(frame.samples[None, :], 1)
+    return float(energy[0]) / len(frame)
 
 
 def acf(frame: ComplexFrame, lag: int) -> complex:
@@ -127,43 +206,21 @@ def acf(frame: ComplexFrame, lag: int) -> complex:
     return complex(np.dot(x[lag:], np.conj(x[:-lag])))
 
 
-def _acf0(frame: ComplexFrame) -> float:
-    e = float(np.vdot(frame.samples, frame.samples).real)
-    if e == 0.0:
-        raise DegenerateFrameError("zero-energy frame: normalized ACF undefined")
-    return e
-
-
 def acf1_statistic(frame: ComplexFrame) -> float:
     """Normalized lag-1 coefficient |ACF(1)| / ACF(0), in [0, 1].
 
     Invariant under global amplitude scaling and phase rotation of the frame.
     Raises DegenerateFrameError for a zero-energy frame.
     """
-    a0 = _acf0(frame)
-    if len(frame) == 1:
-        return 0.0
-    return min(abs(acf(frame, 1)) / a0, 1.0)
-
-
-def acf1_decide(statistic: float, lambda_acf: float) -> Decision:
-    """Present iff statistic > lambda_acf; equality decides absent."""
-    if not 0.0 < lambda_acf < 1.0:
-        raise ValueError("lambda_acf must lie in (0, 1)")
-    return Decision(statistic, lambda_acf, statistic > lambda_acf)
+    ratios = _frame_acf(frame, min(2, len(frame)))
+    return float(ratios[1]) if ratios.size > 1 else 0.0
 
 
 def acf_vector(frame: ComplexFrame, lags: int) -> AcfVector:
     """Magnitude-normalized ACF at lags 0..lags-1 (values[0] forced to 1)."""
     if not 2 <= lags <= len(frame):
         raise ValueError(f"lags must lie in [2, {len(frame)}], got {lags}")
-    a0 = _acf0(frame)
-    values = np.empty(lags, dtype=np.float64)
-    values[0] = 1.0
-    for l in range(1, lags):
-        # Cauchy-Schwarz bounds the ratio by 1; min() guards float roundoff
-        values[l] = min(abs(acf(frame, l)) / a0, 1.0)
-    return AcfVector(values)
+    return AcfVector(_frame_acf(frame, lags))
 
 
 def calibrate_reference(training, lags: int) -> AcfVector:
@@ -172,11 +229,15 @@ def calibrate_reference(training, lags: int) -> AcfVector:
     Training frames should be known-present captures (high-SNR or clean
     synthetic signal); values[0] is forced back to exactly 1 after averaging.
     """
-    frames = list(training)
-    if not frames:
+    vectors = []
+    for _, block in frame_blocks(training):
+        energy, ratios = _acf_block(block, lags)
+        if np.any(energy == 0.0):
+            raise DegenerateFrameError("zero-energy frame: normalized ACF undefined")
+        vectors.append(ratios)
+    if not vectors:
         raise CalibrationError("reference calibration needs at least 1 training frame")
-    stack = np.stack([acf_vector(f, lags).values for f in frames])
-    mean = stack.mean(axis=0)
+    mean = np.concatenate(vectors).mean(axis=0)
     mean[0] = 1.0
     np.clip(mean, 0.0, 1.0, out=mean)
     return AcfVector(mean)
@@ -192,23 +253,6 @@ def correlation_distance(reference: AcfVector, observed: AcfVector) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def raw_correlation_distance(reference: AcfVector, observed: AcfVector) -> float:
-    """Unnormalized Euclidean distance (the 1/sqrt(L)-free value), for verbose output."""
-    if len(reference) != len(observed):
-        raise ValueError(
-            f"vector lengths differ: {len(reference)} vs {len(observed)}"
-        )
-    diff = reference.values - observed.values
-    return float(np.sqrt(np.sum(diff * diff)))
-
-
-def distance_decide(d: float, gamma: float) -> Decision:
-    """Present iff d < gamma (small distance = signal-like); equality decides absent."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    return Decision(d, gamma, d < gamma)
-
-
 def calibrate_ed_threshold(noise_frames, target_pfa: float) -> float:
     """Empirical (1 - target_pfa) quantile of the energy statistic over noise.
 
@@ -217,7 +261,8 @@ def calibrate_ed_threshold(noise_frames, target_pfa: float) -> float:
     """
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must lie in (0, 1)")
-    stats = np.array([energy_statistic(f) for f in noise_frames])
+    stats = np.array([e / b.shape[1] for _, b in frame_blocks(noise_frames)
+                      for e in _acf_block(b, 1)[0]])
     if stats.size < 100:
         raise CalibrationError(
             f"threshold calibration needs >= 100 noise frames, got {stats.size}"

@@ -52,3 +52,7 @@ class ScenarioError(OccuscanError):
 
 class CsvParseError(OccuscanError):
     """A CSV input row could not be parsed; message carries the line number."""
+
+
+class UsageError(OccuscanError):
+    """A command-line option is out of range; the message names the option."""

@@ -16,18 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import (
-    DETECTOR_ACF1,
-    DETECTOR_CDIST,
-    DETECTOR_ED,
+    BLOCK_FRAMES,
+    DETECTOR_BY_NAME,
     DETECTORS,
     DetectorConfig,
-    acf1_statistic,
-    acf_vector,
-    correlation_distance,
-    energy_statistic,
+    block_statistics,
+    decides_present,
+    frame_blocks,
 )
-from .errors import ConfigurationError
-from .iq import ComplexFrame
 from .scan import _fmt
 from .synth import (
     NoiseSpec,
@@ -62,26 +58,6 @@ class OperatingPoint:
             raise ValueError("pd and pfa must lie in [0, 1]")
 
 
-def _statistic_fn(detector: str, config: DetectorConfig):
-    if detector == DETECTOR_ED:
-        return energy_statistic
-    if detector == DETECTOR_ACF1:
-        return acf1_statistic
-    if detector == DETECTOR_CDIST:
-        return lambda frame: correlation_distance(
-            config.reference, acf_vector(frame, config.acf_lags)
-        )
-    raise ConfigurationError(f"unknown detector {detector!r}")
-
-
-def decides_present(detector: str, statistic, threshold: float):
-    """Vectorized decision rule: > threshold for ed/acf1, < threshold for cdist."""
-    statistic = np.asarray(statistic)
-    if detector == DETECTOR_CDIST:
-        return statistic < threshold
-    return statistic > threshold
-
-
 def trial_statistics(
     detector: str,
     config: DetectorConfig,
@@ -94,11 +70,12 @@ def trial_statistics(
     """Statistic arrays (signal-absent, signal-present) over paired trials.
 
     Trial i uses noise frame i under both hypotheses; the present-hypothesis
-    frame adds signal frame i scaled to snr_db.
+    frame adds signal frame i scaled to snr_db. Trials go through the
+    detector kernel BLOCK_FRAMES at a time.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    stat = _statistic_fn(detector, config)
+    column = DETECTOR_BY_NAME[detector].column
     alpha = (
         snr_scale(signal_spec.nominal_power, noise_spec.total_power, snr_db)
         if signal_spec.kind != "none"
@@ -106,20 +83,13 @@ def trial_statistics(
     )
     h0 = np.empty(trials)
     h1 = np.empty(trials)
-    for i in range(trials):
-        noise = gen_noise_frame(n, noise_spec, i)
-        h0[i] = stat(noise)
-        if alpha == 0.0:
-            h1[i] = h0[i]
-        else:
-            sig = gen_signal_frame(n, signal_spec, i)
-            mixed = ComplexFrame(
-                alpha * sig.samples + noise.samples,
-                noise.sample_rate_hz,
-                noise.center_freq_hz,
-                noise.capture_time,
-            )
-            h1[i] = stat(mixed)
+    for start in range(0, trials, BLOCK_FRAMES):
+        idx = range(start, min(start + BLOCK_FRAMES, trials))
+        noise = np.stack([gen_noise_frame(n, noise_spec, i).samples for i in idx])
+        h0[idx] = h1[idx] = block_statistics(noise, config.reference)[:, column]
+        if alpha != 0.0:
+            sig = np.stack([gen_signal_frame(n, signal_spec, i).samples for i in idx])
+            h1[idx] = block_statistics(alpha * sig + noise, config.reference)[:, column]
     return h0, h1
 
 
@@ -133,20 +103,9 @@ def measure_pd_pfa(
     trials: int,
 ) -> OperatingPoint:
     """Monte Carlo (pd, pfa) at the detector's configured threshold."""
-    threshold = {
-        DETECTOR_ED: config.lambda_ed,
-        DETECTOR_ACF1: config.lambda_acf,
-        DETECTOR_CDIST: config.gamma,
-    }[detector]
     h0, h1 = trial_statistics(detector, config, signal_spec, noise_spec, snr_db, n, trials)
-    return OperatingPoint(
-        detector=detector,
-        snr_db=snr_db,
-        threshold=threshold,
-        pd=float(np.mean(decides_present(detector, h1, threshold))),
-        pfa=float(np.mean(decides_present(detector, h0, threshold))),
-        trials=trials,
-    )
+    threshold = DETECTOR_BY_NAME[detector].threshold(config)
+    return _operating_points(detector, snr_db, h0, h1, [threshold])[0]
 
 
 def roc_curve(
@@ -171,6 +130,10 @@ def roc_curve(
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be strictly increasing")
     h0, h1 = trial_statistics(detector, config, signal_spec, noise_spec, snr_db, n, trials)
+    return _operating_points(detector, snr_db, h0, h1, thresholds)
+
+
+def _operating_points(detector: str, snr_db: float, h0, h1, thresholds) -> list[OperatingPoint]:
     return [
         OperatingPoint(
             detector=detector,
@@ -178,7 +141,7 @@ def roc_curve(
             threshold=thr,
             pd=float(np.mean(decides_present(detector, h1, thr))),
             pfa=float(np.mean(decides_present(detector, h0, thr))),
-            trials=trials,
+            trials=h0.size,
         )
         for thr in thresholds
     ]
@@ -196,9 +159,8 @@ def tune_threshold_for_pfa(detector: str, h0_statistics, target_pfa: float) -> f
     h0 = np.asarray(h0_statistics, dtype=np.float64)
     if h0.size < 1:
         raise ValueError("need at least one H0 statistic")
-    if detector == DETECTOR_CDIST:
-        return float(np.quantile(h0, target_pfa))
-    return float(np.quantile(h0, 1.0 - target_pfa))
+    below = DETECTOR_BY_NAME[detector].direction == "<"
+    return float(np.quantile(h0, target_pfa if below else 1.0 - target_pfa))
 
 
 @dataclass(frozen=True)
@@ -225,21 +187,16 @@ def occupancy_recovery(
     present decisions (occupancy over all scans) to the schedule's duty
     cycle.
     """
-    stat = _statistic_fn(detector, config)
-    threshold = {
-        DETECTOR_ED: config.lambda_ed,
-        DETECTOR_ACF1: config.lambda_acf,
-        DETECTOR_CDIST: config.gamma,
-    }[detector]
+    row = DETECTOR_BY_NAME[detector]
     timeline = gen_channel_timeline(
         schedule, signal_spec, noise_spec, snr_db, frame_len, frame_interval_s, total_s
     )
     if not timeline:
         raise ValueError("scenario produced no scans")
-    decisions = [
-        bool(decides_present(detector, stat(frame), threshold)) for frame, _ in timeline
-    ]
-    measured = sum(decisions) / len(decisions)
+    blocks = frame_blocks(frame for frame, _ in timeline)
+    stats = np.concatenate([block_statistics(b, config.reference) for _, b in blocks])
+    decisions = row.decide(stats[:, row.column], row.threshold(config))
+    measured = int(np.count_nonzero(decisions)) / len(decisions)
     true_duty = schedule.duty_cycle
     return RecoveryResult(true_duty, measured, abs(measured - true_duty))
 

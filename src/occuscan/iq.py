@@ -11,12 +11,18 @@ Frames hold samples as a read-only complex128 array so detector math runs in
 double precision; the payload precision is float32, so round trips are
 bit-exact exactly when the sample values are float32-representable (which
 includes everything read from an .iq file).
+
+``stream_recording`` reads a payload in blocks of at most BLOCK_FRAMES (32)
+frames, as (frames x N) complex128 arrays, so memory does not
+grow with the file; ``read_recording`` collects the same blocks into
+ComplexFrames.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +32,11 @@ from .errors import (
     SampleDataError,
     TruncationError,
 )
+
+# Frames per block, for streamed reading and for every detector-kernel call:
+# large enough to amortize per-call overhead, small enough that a block's
+# working set adds only a few MB of peak memory.
+BLOCK_FRAMES = 32
 
 _META_KEYS = ("sample_rate_hz", "center_freq_hz", "start_time_unix", "num_samples")
 
@@ -116,54 +127,63 @@ def write_meta(meta: RecordingMeta, meta_path) -> None:
         fh.write(f"num_samples={int(meta.num_samples)}\n")
 
 
-def read_recording(payload_path, meta_path, frame_len: int) -> tuple[list[ComplexFrame], int]:
-    """Read an .iq payload into frames of ``frame_len`` samples.
+def stream_recording(payload_path, meta_path, frame_len: int):
+    """Open an .iq recording for reading in blocks: returns (meta, discarded, blocks).
 
-    Frames are returned in capture order; successive frames are treated as
-    contiguous in time, so frame k starts at
-    ``start_time + k * frame_len / sample_rate``. A trailing partial block is
-    discarded, not zero-padded (padding would bias the energy statistic
-    downward); the discarded sample count is the second return value.
+    ``blocks`` yields (<= BLOCK_FRAMES, frame_len) complex128 arrays in
+    capture order; frame k starts at ``start_time + k * frame_len /
+    sample_rate``. A trailing partial frame is discarded, not zero-padded
+    (padding would bias the energy statistic downward); ``discarded`` is its
+    sample count.
 
     Raises:
-        MetaFormatError: malformed sidecar.
+        MetaFormatError: malformed sidecar, or num_samples disagrees with the payload.
         TruncationError: payload byte length not a multiple of 8.
-        SampleDataError: NaN/Inf sample, message names its index.
+        SampleDataError: from ``blocks``, on a NaN/Inf sample (discarded ones
+            included); the message names its index in the recording.
     """
     if frame_len < 1:
         raise ValueError("frame_len must be >= 1")
     meta = read_meta(meta_path)
-
-    raw = np.fromfile(payload_path, dtype=np.uint8)
-    if raw.size % 8 != 0:
+    size = os.path.getsize(payload_path)
+    if size % 8 != 0:
         raise TruncationError(
-            f"{payload_path}: {raw.size} bytes is not a whole number of float32 I/Q pairs"
+            f"{payload_path}: {size} bytes is not a whole number of float32 I/Q pairs"
         )
-    flat = raw.view("<f4")
-    n = flat.size // 2
-    if n != meta.num_samples:
+    if size // 8 != meta.num_samples:
         raise MetaFormatError(
-            f"{meta_path}: num_samples={meta.num_samples} but payload holds {n} samples"
+            f"{meta_path}: num_samples={meta.num_samples} but payload holds {size // 8} samples"
         )
-    nonfinite = np.flatnonzero(~np.isfinite(flat))
-    if nonfinite.size:
-        raise SampleDataError(f"{payload_path}: non-finite sample at index {int(nonfinite[0]) // 2}")
+    return meta, meta.num_samples % frame_len, _read_blocks(payload_path, meta.num_samples,
+                                                            frame_len)
 
-    samples = flat[0::2].astype(np.float64) + 1j * flat[1::2].astype(np.float64)
-    n_frames = n // frame_len
-    discarded = n - n_frames * frame_len
-    frames = []
-    for k in range(n_frames):
-        block = samples[k * frame_len : (k + 1) * frame_len]
-        frames.append(
-            ComplexFrame(
-                samples=block,
-                sample_rate_hz=meta.sample_rate_hz,
-                center_freq_hz=meta.center_freq_hz,
-                capture_time=meta.start_time + k * frame_len / meta.sample_rate_hz,
-            )
-        )
-    return frames, discarded
+
+def _read_blocks(payload_path, n: int, frame_len: int):
+    step = BLOCK_FRAMES * frame_len  # only the last read can end in a partial frame
+    with open(payload_path, "rb") as fh:
+        for start in range(0, n, step):
+            raw = np.fromfile(fh, dtype="<c8", count=min(step, n - start))
+            if raw.size != min(step, n - start):
+                raise TruncationError(f"{payload_path}: payload shrank while being read")
+            bad = np.flatnonzero(~np.isfinite(raw))
+            if bad.size:
+                raise SampleDataError(
+                    f"{payload_path}: non-finite sample at index {start + int(bad[0])}"
+                )
+            frames = raw.size // frame_len
+            if frames:
+                yield raw[: frames * frame_len].astype(np.complex128).reshape(frames, frame_len)
+
+
+def read_recording(payload_path, meta_path, frame_len: int) -> tuple[list[ComplexFrame], int]:
+    """All frames of ``stream_recording`` as ComplexFrames, with the discarded count."""
+    meta, discarded, blocks = stream_recording(payload_path, meta_path, frame_len)
+    rows = [row for block in blocks for row in block]
+    return [
+        ComplexFrame(row, meta.sample_rate_hz, meta.center_freq_hz,
+                     meta.start_time + k * frame_len / meta.sample_rate_hz)
+        for k, row in enumerate(rows)
+    ], discarded
 
 
 def write_recording(frames, payload_path, meta_path) -> None:

@@ -1,9 +1,11 @@
-"""Sequential three-detector scanning and the append-only record log.
+"""Three-detector scanning and the append-only record log.
 
 Every scan of a frame produces exactly three ScanRecords (energy, lag-1 ACF,
 correlation distance), all computed on the identical frame so the detectors
-are directly comparable. Records sort canonically by (capture_time, band
-position in the plan, channel index, detector position), which makes
+are directly comparable. Frames go through the detector kernel in blocks of
+at most BLOCK_FRAMES (``scan_frames``); ``scan_channel`` is the one-frame
+form of the public API. Records sort canonically by (capture_time,
+band position in the plan, channel index, detector position), which makes
 concurrent per-channel scanning merge to the same log as a sequential run.
 """
 
@@ -14,18 +16,13 @@ from dataclasses import dataclass
 
 from .channels import Channel, local_spacing_mhz
 from .detectors import (
-    DETECTOR_ACF1,
-    DETECTOR_CDIST,
     DETECTOR_ED,
+    DETECTOR_TABLE,
     DETECTORS,
     DetectorConfig,
-    acf1_decide,
-    acf1_statistic,
-    acf_vector,
-    correlation_distance,
-    distance_decide,
-    energy_decide,
-    energy_statistic,
+    block_statistics,
+    decide_block,
+    frame_blocks,
 )
 from .errors import ConfigurationError, CsvParseError, RoutingError
 from .iq import ComplexFrame
@@ -65,6 +62,53 @@ class TruthRecord:
     present: bool
 
 
+def check_tuning(center_freq_hz: float, channel: Channel, freq_tol_mhz: float) -> None:
+    """Raise RoutingError unless a capture at center_freq_hz is tuned to channel."""
+    offset_mhz = abs(center_freq_hz / 1e6 - channel.center_freq_mhz)
+    if offset_mhz > freq_tol_mhz:
+        raise RoutingError(
+            f"frame at {center_freq_hz / 1e6} MHz does not match channel "
+            f"{channel.band}[{channel.index_in_band}] at {channel.center_freq_mhz} MHz "
+            f"(tolerance {freq_tol_mhz} MHz)"
+        )
+
+
+def block_records(times, channel: Channel, stats, config: DetectorConfig) -> list[ScanRecord]:
+    """[ed, acf1, cdist] records of each row of a block_statistics result, in row order."""
+    thresholds = [d.threshold(config) for d in DETECTOR_TABLE]
+    records = []
+    for t, row, present in zip(times, stats.tolist(), decide_block(stats, config).tolist()):
+        dead = row[0] == 0.0
+        records.extend(
+            ScanRecord(t, channel, d.name, row[d.column], thr, present[d.column],
+                       degenerate=dead and d.name != DETECTOR_ED)
+            for d, thr in zip(DETECTOR_TABLE, thresholds)
+        )
+    return records
+
+
+def scan_frames(
+    frames,
+    channel: Channel,
+    config: DetectorConfig,
+    freq_tol_mhz: float = 1.0,
+) -> list[ScanRecord]:
+    """Run all three detectors on each frame; [ed, acf1, cdist] records per frame.
+
+    Every frame must be tuned to the channel within freq_tol_mhz. A
+    zero-energy frame (dead channel) is not an error: the energy record is
+    normal (statistic 0) and the ACF-based records decide absent with the
+    degenerate marker set.
+    """
+    records = []
+    for chunk, block in frame_blocks(frames):
+        for frame in chunk:
+            check_tuning(frame.center_freq_hz, channel, freq_tol_mhz)
+        stats = block_statistics(block, config.reference)
+        records.extend(block_records([f.capture_time for f in chunk], channel, stats, config))
+    return records
+
+
 def scan_channel(
     frame: ComplexFrame,
     channel: Channel,
@@ -73,51 +117,22 @@ def scan_channel(
 ) -> list[ScanRecord]:
     """Run all three detectors on one frame; returns [ed, acf1, cdist] records.
 
-    The frame must be tuned to the channel within freq_tol_mhz. A zero-energy
-    frame (dead channel) is not an error: the energy record is normal
-    (statistic 0) and the ACF-based records decide absent with the degenerate
-    marker set.
+    The one-frame form of ``scan_frames``, which scans many frames faster.
     """
-    offset_mhz = abs(frame.center_freq_hz / 1e6 - channel.center_freq_mhz)
-    if offset_mhz > freq_tol_mhz:
-        raise RoutingError(
-            f"frame at {frame.center_freq_hz / 1e6} MHz does not match channel "
-            f"{channel.band}[{channel.index_in_band}] at {channel.center_freq_mhz} MHz "
-            f"(tolerance {freq_tol_mhz} MHz)"
-        )
-    t = frame.capture_time
+    return scan_frames([frame], channel, config, freq_tol_mhz)
 
-    e_stat = energy_statistic(frame)
-    ed = energy_decide(e_stat, config.lambda_ed)
-    records = [
-        ScanRecord(t, channel, DETECTOR_ED, ed.statistic, ed.threshold, ed.present)
-    ]
 
-    if e_stat == 0.0:
-        records.append(
-            ScanRecord(t, channel, DETECTOR_ACF1, 0.0, config.lambda_acf, False, degenerate=True)
-        )
-        records.append(
-            ScanRecord(t, channel, DETECTOR_CDIST, 1.0, config.gamma, False, degenerate=True)
-        )
-        return records
-
-    a = acf1_decide(acf1_statistic(frame), config.lambda_acf)
-    records.append(ScanRecord(t, channel, DETECTOR_ACF1, a.statistic, a.threshold, a.present))
-
-    d = distance_decide(
-        correlation_distance(config.reference, acf_vector(frame, config.acf_lags)),
-        config.gamma,
-    )
-    records.append(ScanRecord(t, channel, DETECTOR_CDIST, d.statistic, d.threshold, d.present))
-    return records
+def band_positions(plan) -> dict:
+    """Position of each band in the plan, in order of first appearance."""
+    band_pos = {}
+    for c in plan:
+        band_pos.setdefault(c.band, len(band_pos))
+    return band_pos
 
 
 def record_sort_key(plan):
     """Canonical record ordering for a given plan."""
-    band_pos = {}
-    for c in plan:
-        band_pos.setdefault(c.band, len(band_pos))
+    band_pos = band_positions(plan)
     det_pos = {d: i for i, d in enumerate(DETECTORS)}
 
     def key(rec: ScanRecord):
@@ -129,6 +144,24 @@ def record_sort_key(plan):
         )
 
     return key
+
+
+def merge_sweep(plan, results) -> tuple[list[ScanRecord], list[TruthRecord]]:
+    """Merge per-channel (records, [(time, channel, label)]) results in canonical order."""
+    records = [r for recs, _ in results for r in recs]
+    records.sort(key=record_sort_key(plan))
+    band_pos = band_positions(plan)
+    truths = [TruthRecord(t, c, bool(label)) for _, trs in results for t, c, label in trs]
+    truths.sort(key=lambda tr: (tr.capture_time, band_pos[tr.channel.band],
+                                tr.channel.index_in_band))
+    return records, truths
+
+
+def scan_timeline(timeline, channel: Channel, config: DetectorConfig, freq_tol_mhz=1.0):
+    """Scan one channel's (frame, truth_label) pairs: (records, [(time, channel, label)])."""
+    pairs = list(timeline)
+    records = scan_frames([frame for frame, _ in pairs], channel, config, freq_tol_mhz)
+    return records, [(frame.capture_time, channel, label) for frame, label in pairs]
 
 
 def run_sweep(timelines, config: DetectorConfig, plan) -> tuple[list[ScanRecord], list[TruthRecord]]:
@@ -144,21 +177,9 @@ def run_sweep(timelines, config: DetectorConfig, plan) -> tuple[list[ScanRecord]
             raise ConfigurationError(
                 f"no frame source for channel {channel.band}[{channel.index_in_band}]"
             )
-    records: list[ScanRecord] = []
-    truths: list[TruthRecord] = []
-    for channel in plan:
-        tol = local_spacing_mhz(plan, channel) / 2.0
-        for frame, label in timelines[channel]:
-            records.extend(scan_channel(frame, channel, config, freq_tol_mhz=tol))
-            truths.append(TruthRecord(frame.capture_time, channel, bool(label)))
-    records.sort(key=record_sort_key(plan))
-    band_pos = {}
-    for c in plan:
-        band_pos.setdefault(c.band, len(band_pos))
-    truths.sort(
-        key=lambda tr: (tr.capture_time, band_pos[tr.channel.band], tr.channel.index_in_band)
-    )
-    return records, truths
+    return merge_sweep(plan, [
+        scan_timeline(timelines[c], c, config, local_spacing_mhz(plan, c) / 2.0) for c in plan
+    ])
 
 
 # --- CSV surfaces -----------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from .channels import BUILTIN_BANDS, BandSpec, Channel, build_channel_plan
-from .detectors import DetectorConfig, load_reference
+from .detectors import DETECTORS, DetectorConfig, load_reference
 from .errors import ScenarioError
 from .synth import NoiseSpec, OccupancySchedule, SignalSpec
 
@@ -149,6 +149,16 @@ class Scenario:
         self.sample_rate_hz = _get(data, "sample_rate_hz", "scenario", float, False, 1e6)
         self.start_time_unix = _get(data, "start_time_unix", "scenario", float, False, 0.0)
         self.bin_len_s = _get(data, "bin_len_s", "scenario", float, False, 3600.0)
+        if not 0 <= self.master_seed <= 2**64 - 1:
+            raise ScenarioError("master_seed: must fit in an unsigned 64-bit integer")
+        # every frame must hold all the ACF lags the detectors use
+        lags = self.acf_lags()
+        if "frame_len" in data and self.frame_len() < lags:
+            raise ScenarioError(f"frame_len: must be >= detector.acf_lags ({lags})")
+        ev = data.get("eval")
+        eval_len = _get(ev, "frame_len", "eval", int, False) if isinstance(ev, dict) else None
+        if eval_len and eval_len < lags:
+            raise ScenarioError(f"eval.frame_len: must be >= detector.acf_lags ({lags})")
         # cross-check override keys early so typos fail loudly
         if "channels" in data:
             plan_keys = {f"{c.band}:{c.index_in_band}" for c in self.plan()}
@@ -272,6 +282,13 @@ class Scenario:
             return p
         return self.path.parent / p
 
+    def acf_lags(self) -> int:
+        d = _get(self.data, "detector", "scenario", dict, False, {})
+        lags = _get(d, "acf_lags", "detector", int, False, 8)
+        if lags < 2:
+            raise ScenarioError("detector.acf_lags: must be >= 2")
+        return lags
+
     def detector_config(self, reference_override=None) -> DetectorConfig:
         d = _get(self.data, "detector", "scenario", dict)
         ref_path = reference_override
@@ -286,7 +303,7 @@ class Scenario:
                 lambda_ed=_get(d, "lambda_ed", "detector", float),
                 lambda_acf=_get(d, "lambda_acf", "detector", float),
                 gamma=_get(d, "gamma", "detector", float),
-                acf_lags=_get(d, "acf_lags", "detector", int, False, 8),
+                acf_lags=self.acf_lags(),
                 reference=reference,
             )
         except ValueError as exc:
@@ -316,10 +333,7 @@ class Scenario:
             "reference_frames": _get(c, "reference_frames", "calibration", int, False, 100),
             "threshold_frames": _get(c, "threshold_frames", "calibration", int, False, 10000),
             "target_pfa": _get(c, "target_pfa", "calibration", float, False, 0.05),
-            "acf_lags": _get(
-                _get(self.data, "detector", "scenario", dict, False, {}),
-                "acf_lags", "detector", int, False, 8,
-            ),
+            "acf_lags": self.acf_lags(),
         }
 
     # --- eval ---------------------------------------------------------------
@@ -333,8 +347,11 @@ class Scenario:
             raise ScenarioError("eval.signal: required (directly or via defaults.signal)")
         points = _get(e, "snr_db_points", "eval", list, False, [0.0, 5.0, 10.0, 20.0])
         roc = _get(e, "roc_thresholds", "eval", dict, False, {})
+        trials = _get(e, "trials", "eval", int, False, 10000)
+        if trials < 1:
+            raise ScenarioError("eval.trials: must be >= 1")
         for det, thrs in roc.items():
-            if det not in ("ed", "acf1", "cdist"):
+            if det not in DETECTORS:
                 raise ScenarioError(f"eval.roc_thresholds.{det}: unknown detector")
             if not isinstance(thrs, list) or len(thrs) < 2:
                 raise ScenarioError(
@@ -347,7 +364,7 @@ class Scenario:
             "noise": _parse_noise(
                 noise_map, "eval.noise", derive_seed(self.master_seed, SEED_EVAL_NOISE)
             ),
-            "trials": _get(e, "trials", "eval", int, False, 10000),
+            "trials": trials,
             "frame_len": _get(e, "frame_len", "eval", int, False) or self.frame_len(),
             "snr_db_points": [float(p) for p in points],
             "roc_snr_db": _get(e, "roc_snr_db", "eval", float, False, 5.0),

@@ -253,10 +253,8 @@ def gen_channel_timeline(
                 frame_len, signal, k,
                 sample_rate_hz=sample_rate_hz, center_freq_hz=center_freq_hz, capture_time=t,
             )
-            frame = ComplexFrame(
-                alpha * sig_frame.samples + noise_frame.samples,
-                sample_rate_hz, center_freq_hz, t,
-            )
+            frame = mix_at_snr(sig_frame, noise_frame, snr_db, signal.nominal_power,
+                               noise.total_power)
         else:
             frame = noise_frame
         out.append((frame, present))

@@ -1,12 +1,19 @@
 """End-to-end command behavior through the argparse entry point."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from occuscan import ComplexFrame, write_recording
+from occuscan.channels import Channel
 from occuscan.cli import main
 from occuscan.report import OCCUPANCY_CSV_HEADER
-from occuscan.scan import RECORD_CSV_HEADER, TRUTH_CSV_HEADER
+from occuscan.scan import RECORD_CSV_HEADER, TRUTH_CSV_HEADER, scan_channel, write_records_csv
+from occuscan.scenario import Scenario
 
 SCENARIO = """\
 name: cli-test
@@ -208,6 +215,140 @@ class TestAnalyze:
         ])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestStreamedAnalyze:
+    """analyze reads the payload in blocks of 32 frames; results match frame-by-frame scanning."""
+
+    FRAMES, N, TAIL = 70, 256, 37  # three blocks, the last partial, plus a partial frame
+
+    def _write(self, workspace, bad_index=None):
+        rng = np.random.default_rng(11)
+        n = self.FRAMES * self.N + self.TAIL
+        iq = (rng.standard_normal((n, 2)) * np.sqrt(0.5)).astype("<f4")
+        iq[np.arange(n) // self.N % 3 == 0] += np.float32(2.0)  # a DC "signal" on every third frame
+        iq[5 * self.N:6 * self.N] = 0.0  # a dead frame
+        if bad_index is not None:
+            iq[bad_index, 1] = np.nan
+        iq.tofile(workspace / "big.iq")
+        (workspace / "big.iq.meta").write_text(
+            "sample_rate_hz=2000000.0\ncenter_freq_hz=2412000000.0\n"
+            f"start_time_unix=1700000000.5\nnum_samples={n}\n"
+        )
+        return iq[:, 0].astype(np.float64) + 1j * iq[:, 1].astype(np.float64)
+
+    def _analyze(self, workspace, out):
+        return main([
+            "analyze", "--scenario", str(workspace / "scn.yaml"), "--out", str(out),
+            "--iq", str(workspace / "big.iq"), "--meta", str(workspace / "big.iq.meta"),
+            "--center-mhz", "2412",
+        ])
+
+    def test_blocks_match_frame_by_frame(self, workspace, capsys):
+        samples = self._write(workspace)
+        out = workspace / "stream"
+        assert self._analyze(workspace, out) == 0
+        assert f"analyzed {self.FRAMES} frames ({self.TAIL} samples discarded)" in \
+            capsys.readouterr().out
+
+        config = Scenario.load(workspace / "scn.yaml").detector_config()
+        channel = Channel("recording", 0, 2412.0)
+        records = []
+        for k in range(self.FRAMES):
+            frame = ComplexFrame(samples[k * self.N:(k + 1) * self.N], 2e6, 2412e6,
+                                 1700000000.5 + k * self.N / 2e6)
+            records.extend(scan_channel(frame, channel, config))
+        write_records_csv(records, workspace / "expected.csv")
+        assert (out / "records.csv").read_bytes() == (workspace / "expected.csv").read_bytes()
+
+    @pytest.mark.parametrize("bad_index", [40 * 256 + 17, 70 * 256 + 5])
+    def test_nonfinite_sample_names_global_index(self, workspace, capsys, bad_index):
+        # one NaN in the second block, or in the discarded trailing samples
+        self._write(workspace, bad_index)
+        out = workspace / "bad"
+        assert self._analyze(workspace, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"non-finite sample at index {bad_index}" in err
+        assert sorted(p.name for p in out.iterdir()) == []  # no partial records.csv
+
+    def test_error_keeps_previous_records(self, workspace):
+        self._write(workspace)
+        out = workspace / "keep"
+        assert self._analyze(workspace, out) == 0
+        before = (out / "records.csv").read_bytes()
+        self._write(workspace, 40 * 256)
+        assert self._analyze(workspace, out) == 1
+        assert (out / "records.csv").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["records.csv"]
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
+    def test_peak_memory_does_not_grow_with_recording(self, workspace):
+        # the child reports its own high-water mark; ru_maxrss would include pytest's
+        probe = ("import sys\nfrom occuscan.cli import main\nassert main(sys.argv[1:]) == 0\n"
+                 "print([ln for ln in open('/proc/self/status') if 'VmHWM' in ln][0].strip())")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        peaks = []
+        for frames in (64, 4096):  # 131 kB and 8.4 MB payloads
+            rng = np.random.default_rng(frames)
+            rng.standard_normal(2 * frames * self.N).astype("<f4").tofile(workspace / "m.iq")
+            (workspace / "m.iq.meta").write_text(
+                "sample_rate_hz=1e6\ncenter_freq_hz=2412e6\nstart_time_unix=0.0\n"
+                f"num_samples={frames * self.N}\n"
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", probe, "analyze", "--scenario", str(workspace / "scn.yaml"),
+                 "--out", str(workspace / "mem"), "--iq", str(workspace / "m.iq"),
+                 "--meta", str(workspace / "m.iq.meta"), "--center-mhz", "2412"],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            peaks.append(int(out.splitlines()[-1].split()[1]))  # kB
+        assert peaks[1] - peaks[0] < 5 * 1024
+
+
+class TestBadInputs:
+    """Every bad input ends in "error: <field>: <reason>" and exit code 1."""
+
+    def _fails_with(self, capsys, argv, field):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: "), err
+        assert "Traceback" not in err
+
+    def test_eval_zero_trials(self, workspace, capsys):
+        scn = workspace / "zero-trials.yaml"
+        scn.write_text(SCENARIO.replace("trials: 200", "trials: 0"))
+        self._fails_with(capsys, ["eval", "--scenario", str(scn), "--out",
+                                  str(workspace / "o")], "eval.trials")
+
+    def test_frame_shorter_than_acf_lags(self, workspace, capsys):
+        scn = workspace / "short.yaml"
+        scn.write_text(SCENARIO.replace("frame_len: 256", "frame_len: 4"))
+        for cmd in ("calibrate", "simulate"):
+            self._fails_with(capsys, [cmd, "--scenario", str(scn), "--out",
+                                      str(workspace / "o")], "frame_len")
+        assert not (workspace / "o").exists()
+
+    @pytest.mark.parametrize("bins", ["0", "-1", "nan", "inf"])
+    def test_report_bad_bins(self, workspace, capsys, bins):
+        self._fails_with(capsys, ["report", "--records", str(workspace / "r.csv"),
+                                  "--out", str(workspace / "o"), "--bins", bins], "--bins")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range(self, workspace, capsys, seed):
+        self._fails_with(capsys, ["simulate", "--scenario", str(workspace / "scn.yaml"),
+                                  "--out", str(workspace / "o"), "--seed", seed], "--seed")
+
+    @pytest.mark.parametrize("cmd", ["simulate", "eval"])
+    def test_zero_workers(self, workspace, capsys, cmd):
+        self._fails_with(capsys, [cmd, "--scenario", str(workspace / "scn.yaml"),
+                                  "--out", str(workspace / "o"), "--workers", "0"], "--workers")
+
+    def test_scenario_seed_out_of_range(self, workspace, capsys):
+        scn = workspace / "neg.yaml"
+        scn.write_text(SCENARIO.replace("master_seed: 42", "master_seed: -3"))
+        self._fails_with(capsys, ["calibrate", "--scenario", str(scn), "--out",
+                                  str(workspace / "o")], "master_seed")
 
 
 class TestReport:

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occuscan import (
+    DETECTOR_TABLE,
+    DETECTORS,
     AcfVector,
     CalibrationError,
     DegenerateFrameError,
@@ -15,22 +17,24 @@ from occuscan import (
     NoiseSpec,
     SignalSpec,
     acf,
-    acf1_decide,
     acf1_statistic,
     acf_vector,
+    block_statistics,
     calibrate_ed_threshold,
     calibrate_reference,
     correlation_distance,
-    distance_decide,
-    energy_decide,
     energy_statistic,
     gen_noise_frame,
     gen_signal_frame,
     load_reference,
     save_reference,
 )
-from occuscan.detectors import raw_correlation_distance
+from occuscan.detectors import BLOCK_FRAMES, decide_block, decides_present, frame_blocks
 from conftest import make_frame
+
+
+def _ref(lags=8):
+    return AcfVector(np.array([1.0] + [0.5] * (lags - 1)))
 
 
 class TestEnergy:
@@ -49,13 +53,14 @@ class TestEnergy:
         assert energy_statistic(make_frame([3j])) == 9.0
 
     def test_decide_strict_inequality(self):
-        assert energy_decide(1.1, 1.0).present
-        assert not energy_decide(0.9, 1.0).present
-        assert not energy_decide(1.0, 1.0).present  # tie resolves absent
+        assert decides_present("ed", 1.1, 1.0)
+        assert not decides_present("ed", 0.9, 1.0)
+        assert not decides_present("ed", 1.0, 1.0)  # tie resolves absent
 
     def test_decide_bad_threshold(self):
-        with pytest.raises(ValueError):
-            energy_decide(1.0, 0.0)
+        for lam in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                DetectorConfig(lam, 0.25, 0.6, 8, _ref())
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6))
@@ -129,10 +134,10 @@ class TestAcf1:
         assert 0.0 <= acf1_statistic(f) <= 1.0
 
     def test_decide(self):
-        assert acf1_decide(0.3, 0.25).present
-        assert not acf1_decide(0.25, 0.25).present
+        assert decides_present("acf1", 0.3, 0.25)
+        assert not decides_present("acf1", 0.25, 0.25)
         with pytest.raises(ValueError):
-            acf1_decide(0.1, 1.0)
+            DetectorConfig(1.05, 1.0, 0.6, 8, _ref())
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -249,9 +254,8 @@ class TestCorrelationDistance:
     def test_raw_is_sqrt_l_times_normalized(self):
         a = AcfVector(np.array([1.0, 0.9, 0.3, 0.1]))
         b = AcfVector(np.array([1.0, 0.2, 0.8, 0.4]))
-        assert raw_correlation_distance(a, b) == pytest.approx(
-            2.0 * correlation_distance(a, b), rel=1e-15
-        )
+        raw = float(np.linalg.norm(a.values - b.values))
+        assert 2.0 * correlation_distance(a, b) == pytest.approx(raw, rel=1e-15)
 
     def test_length_mismatch(self):
         a = AcfVector(np.array([1.0, 0.5]))
@@ -260,11 +264,11 @@ class TestCorrelationDistance:
             correlation_distance(a, b)
 
     def test_decide_small_distance_is_present(self):
-        assert distance_decide(0.1, 0.5).present
-        assert not distance_decide(0.9, 0.5).present
-        assert not distance_decide(0.5, 0.5).present  # tie resolves absent
+        assert decides_present("cdist", 0.1, 0.5)
+        assert not decides_present("cdist", 0.9, 0.5)
+        assert not decides_present("cdist", 0.5, 0.5)  # tie resolves absent
         with pytest.raises(ValueError):
-            distance_decide(0.1, 1.0)
+            DetectorConfig(1.05, 0.25, 1.0, 8, _ref())
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -394,3 +398,79 @@ class TestReferenceFile:
         p.write_text("lags=2\n1.0\npotato\n")
         with pytest.raises(CalibrationError):
             load_reference(p)
+
+
+def _per_frame_oracle(x, reference):
+    """(ed, acf1, cdist) by the original one-frame formulas: np.vdot / np.dot per lag."""
+    e0 = float(np.vdot(x, x).real)
+    ed = e0 / x.size
+    if ed == 0.0:
+        return ed, 0.0, 1.0
+    v = np.empty(reference.size)
+    v[0] = 1.0
+    for lag in range(1, reference.size):
+        v[lag] = min(abs(complex(np.dot(x[lag:], np.conj(x[:-lag])))) / e0, 1.0)
+    diff = reference - v
+    return ed, float(v[1]), float(np.sqrt(np.mean(diff * diff)))
+
+
+class TestBlockKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        frames=st.integers(1, 33),
+        lags=st.integers(2, 8),
+        extra=st.integers(0, 62),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+        dead=st.sets(st.integers(0, 32), max_size=4),
+    )
+    def test_matches_per_frame_oracle(self, frames, lags, extra, log_scale, seed, dead):
+        n = min(lags + extra, 64)
+        rng = np.random.default_rng(seed)
+        block = 10.0**log_scale * (
+            rng.standard_normal((frames, n)) + 1j * rng.standard_normal((frames, n))
+        )
+        block[[i for i in dead if i < frames]] = 0.0
+        reference = AcfVector(np.concatenate([[1.0], rng.uniform(0.0, 1.0, lags - 1)]))
+        stats = block_statistics(block, reference)
+        want = np.array([_per_frame_oracle(x, reference.values) for x in block])
+        np.testing.assert_allclose(stats, want, rtol=1e-12, atol=0.0)
+
+        config = DetectorConfig(1.0, 0.25, 0.6, lags, reference)
+        present = decide_block(stats, config)
+        assert not present[[i for i in dead if i < frames]].any()
+
+    def test_ties_decide_absent(self):
+        f = gen_signal_frame(64, SignalSpec(kind="tone", normalized_freq=0.1), 0)
+        noise = gen_noise_frame(64, NoiseSpec(1.0, seed=5), 0)
+        reference = acf_vector(f, 8)
+        stats = block_statistics(np.stack([noise.samples, 0.3 * f.samples]), reference)
+        ed, acf1, cdist = stats[0]
+        config = DetectorConfig(ed, acf1, cdist, 8, reference)
+        present = decide_block(stats, config)
+        np.testing.assert_array_equal(present[0], [False, False, False])
+        for d in DETECTOR_TABLE:
+            assert not d.decide(stats[0, d.column], d.threshold(config))
+
+    def test_table_matches_config_fields(self):
+        config = DetectorConfig(1.05, 0.25, 0.6, 8, _ref())
+        assert [d.name for d in DETECTOR_TABLE] == list(DETECTORS)
+        assert [d.threshold(config) for d in DETECTOR_TABLE] == [1.05, 0.25, 0.6]
+        assert [d.column for d in DETECTOR_TABLE] == [0, 1, 2]
+
+    def test_lags_longer_than_frame_rejected(self):
+        with pytest.raises(ValueError):
+            block_statistics(np.ones((2, 4), dtype=np.complex128), _ref(8))
+
+    @pytest.mark.parametrize("size", [1, 31, 32, 33, 70])
+    def test_frame_blocks_bounded_and_ordered(self, size):
+        frames = [make_frame(np.full(4, k + 1.0)) for k in range(size)]
+        blocks = list(frame_blocks(frames))
+        assert all(1 <= len(chunk) <= BLOCK_FRAMES for chunk, _ in blocks)
+        assert [f for chunk, _ in blocks for f in chunk] == frames
+        for chunk, block in blocks:
+            np.testing.assert_array_equal(block, [f.samples for f in chunk])
+
+    def test_frame_blocks_split_on_length_change(self):
+        frames = [make_frame(np.ones(4)), make_frame(np.ones(4)), make_frame(np.ones(6))]
+        assert [b.shape for _, b in frame_blocks(frames)] == [(2, 4), (1, 6)]
