@@ -13,9 +13,8 @@ bit-exact exactly when the sample values are float32-representable (which
 includes everything read from an .iq file).
 
 ``stream_recording`` reads a payload in blocks of at most BLOCK_FRAMES (32)
-frames, as (frames x N) complex128 arrays, so memory does not
-grow with the file; ``read_recording`` collects the same blocks into
-ComplexFrames.
+frames, as (frames x N) complex128 arrays, so memory does not grow with the
+file; ``read_recording`` collects the same blocks into ComplexFrames.
 """
 
 from __future__ import annotations
