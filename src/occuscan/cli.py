@@ -1,9 +1,9 @@
 """Command-line surface: calibrate, simulate, analyze, report, eval.
 
 Every command is deterministic given its inputs and the master seed; CSV
-outputs are byte-identical across repeated runs and across --workers counts
-(channels and eval tasks are pure functions of derived seeds, merged in a
-fixed order).
+outputs are byte-identical across repeated runs and across --workers counts.
+``simulate`` parallelizes over channels and ``eval`` over chunks of trial
+indices; both are pure functions of derived seeds, merged in a fixed order.
 """
 
 from __future__ import annotations
@@ -14,20 +14,22 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .channels import Channel
 from .detectors import (
-    DETECTORS,
+    BLOCK_FRAMES,
+    DETECTOR_TABLE,
     block_statistics,
     calibrate_ed_threshold,
     calibrate_reference,
     save_reference,
 )
 from .errors import OccuscanError, UsageError
-from .evaluate import measure_pd_pfa, roc_curve, write_eval_csv
+from .evaluate import operating_points, shared_trial_statistics, write_eval_csv
 from .iq import stream_recording
 from .report import aggregate, channel_slug, report_matrix, write_occupancy_csv, write_plot_data
 from .scan import (
@@ -194,7 +196,7 @@ def cmd_analyze(args) -> int:
     with _replace_on_success(out / "records.csv") as part:
         write_records_csv(records(), part)
     print(f"analyzed {frames} frames ({discarded} samples discarded), "
-          f"wrote {len(DETECTORS) * frames} records")
+          f"wrote {len(DETECTOR_TABLE) * frames} records")
     return 0
 
 
@@ -223,40 +225,34 @@ def cmd_report(args) -> int:
 
 # --- eval --------------------------------------------------------------------
 
-def _eval_task(task):
-    kind, detector, config, signal, noise, snr_db, n, trials, thresholds = task
-    if kind == "point":
-        return [measure_pd_pfa(detector, config, signal, noise, snr_db, n, trials)]
-    return roc_curve(detector, config, signal, noise, snr_db, n, trials, thresholds)
-
-
 def cmd_eval(args) -> int:
     scenario = _load_scenario(args)
     out = _out_dir(args)
     config = scenario.detector_config()
     ev = scenario.eval_settings()
 
-    tasks = []
-    labels = []
-    for det in DETECTORS:
-        for snr_db in ev["snr_db_points"]:
-            tasks.append(("point", det, config, ev["signal"], ev["noise"],
-                          snr_db, ev["frame_len"], ev["trials"], None))
-            labels.append("point")
-    for det in DETECTORS:
-        thrs = ev["roc_thresholds"].get(det)
-        if thrs:
-            tasks.append(("roc", det, config, ev["signal"], ev["noise"],
-                          ev["roc_snr_db"], ev["frame_len"], ev["trials"], thrs))
-            labels.append("roc")
-
+    points, roc_snr_db = ev["snr_db_points"], ev["roc_snr_db"]
+    snrs = list(dict.fromkeys([*points, roc_snr_db]))
+    run = partial(shared_trial_statistics, config, ev["signal"], ev["noise"], snrs,
+                  ev["frame_len"])
+    # BLOCK_FRAMES-aligned chunks hold the same kernel blocks as one pass
+    step = -(-ev["trials"] // (BLOCK_FRAMES * args.workers)) * BLOCK_FRAMES
+    chunks = [range(i, min(i + step, ev["trials"])) for i in range(0, ev["trials"], step)]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_eval_task, tasks))
+            parts = list(pool.map(run, chunks))
     else:
-        results = [_eval_task(t) for t in tasks]
+        parts = [run(c) for c in chunks]
+    stats = np.concatenate(parts, axis=1)
 
-    rows = [(label, op) for label, ops in zip(labels, results) for op in ops]
+    def ops(d, snr_db, thresholds):
+        h1 = stats[1 + snrs.index(snr_db), :, d.column]
+        return operating_points(d.name, snr_db, stats[0, :, d.column], h1, thresholds)
+
+    rows = [("point", op) for d in DETECTOR_TABLE for snr_db in points
+            for op in ops(d, snr_db, [d.threshold(config)])]
+    rows += [("roc", op) for d in DETECTOR_TABLE if d.name in ev["roc_thresholds"]
+             for op in ops(d, roc_snr_db, ev["roc_thresholds"][d.name])]
     write_eval_csv(rows, out / "eval.csv")
     print(f"wrote {len(rows)} operating points to {out / 'eval.csv'}")
     return 0
@@ -314,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev = sub.add_parser("eval", help="Monte Carlo Pd/Pfa measurement and ROC curves")
     common(p_ev)
     p_ev.add_argument("--workers", type=int, default=1,
-                      help="parallel eval workers (output is identical for any count)")
+                      help="parallel trial-chunk workers (output is identical for any count)")
     p_ev.set_defaults(func=cmd_eval)
     return parser
 

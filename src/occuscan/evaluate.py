@@ -1,11 +1,10 @@
 """Monte Carlo detector quality measurement: Pd, Pfa, ROC, recovery error.
 
-Trials are paired: trial i's noise draw is shared between the signal-absent
-and signal-present hypotheses, and statistic arrays are computed once per
-trial set so every threshold (and every detector) sees the same randomness.
-That makes ROC curves monotone by construction and detector comparisons
-meaningful at matched false-alarm rates. Trial i derives all its randomness
-from (spec seed, i), so results are independent of execution order.
+Trials are paired: trial i's noise frame serves the signal-absent and every
+signal-present hypothesis, and one generation pass scores every detector at
+every SNR, so all thresholds, SNRs and detectors see the same randomness (ROC
+curves are monotone by construction; detectors compare at matched pfa). Trial
+i draws from (spec seed, i) only, so results depend on neither order nor chunks.
 """
 
 from __future__ import annotations
@@ -58,6 +57,37 @@ class OperatingPoint:
             raise ValueError("pd and pfa must lie in [0, 1]")
 
 
+def shared_trial_statistics(
+    config: DetectorConfig,
+    signal_spec: SignalSpec,
+    noise_spec: NoiseSpec,
+    snr_dbs,
+    n: int,
+    trials: range,
+) -> np.ndarray:
+    """Statistics of the trials in ``trials`` under H0 and under H1 at each SNR.
+
+    Returns a (1 + len(snr_dbs), len(trials), 3) array: [0] is H0, [1 + k] is
+    H1 at snr_dbs[k] (noise frame i plus signal frame i at that SNR; H0 where
+    the scale is 0), columns in DETECTOR_TABLE order. Frames are made once per
+    trial, BLOCK_FRAMES trials at a time, and only one block is held at once.
+    """
+    powers = (signal_spec.nominal_power, noise_spec.total_power)
+    alphas = [snr_scale(*powers, s) if signal_spec.kind != "none" else 0.0 for s in snr_dbs]
+    out = np.empty((1 + len(alphas), len(trials), 3))
+    for start in range(0, len(trials), BLOCK_FRAMES):
+        idx = trials[start:start + BLOCK_FRAMES]
+        rows = slice(start, start + len(idx))
+        noise = np.stack([gen_noise_frame(n, noise_spec, i).samples for i in idx])
+        out[:, rows] = block_statistics(noise, config.reference)
+        if any(alphas):
+            sig = np.stack([gen_signal_frame(n, signal_spec, i).samples for i in idx])
+            for k, alpha in enumerate(alphas, 1):
+                if alpha != 0.0:
+                    out[k, rows] = block_statistics(alpha * sig + noise, config.reference)
+    return out
+
+
 def trial_statistics(
     detector: str,
     config: DetectorConfig,
@@ -67,30 +97,12 @@ def trial_statistics(
     n: int,
     trials: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Statistic arrays (signal-absent, signal-present) over paired trials.
-
-    Trial i uses noise frame i under both hypotheses; the present-hypothesis
-    frame adds signal frame i scaled to snr_db. Trials go through the
-    detector kernel BLOCK_FRAMES at a time.
-    """
+    """One detector's statistic arrays (signal-absent, signal-present) over paired trials."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    stats = shared_trial_statistics(config, signal_spec, noise_spec, [snr_db], n, range(trials))
     column = DETECTOR_BY_NAME[detector].column
-    alpha = (
-        snr_scale(signal_spec.nominal_power, noise_spec.total_power, snr_db)
-        if signal_spec.kind != "none"
-        else 0.0
-    )
-    h0 = np.empty(trials)
-    h1 = np.empty(trials)
-    for start in range(0, trials, BLOCK_FRAMES):
-        idx = range(start, min(start + BLOCK_FRAMES, trials))
-        noise = np.stack([gen_noise_frame(n, noise_spec, i).samples for i in idx])
-        h0[idx] = h1[idx] = block_statistics(noise, config.reference)[:, column]
-        if alpha != 0.0:
-            sig = np.stack([gen_signal_frame(n, signal_spec, i).samples for i in idx])
-            h1[idx] = block_statistics(alpha * sig + noise, config.reference)[:, column]
-    return h0, h1
+    return stats[0, :, column], stats[1, :, column]
 
 
 def measure_pd_pfa(
@@ -105,7 +117,7 @@ def measure_pd_pfa(
     """Monte Carlo (pd, pfa) at the detector's configured threshold."""
     h0, h1 = trial_statistics(detector, config, signal_spec, noise_spec, snr_db, n, trials)
     threshold = DETECTOR_BY_NAME[detector].threshold(config)
-    return _operating_points(detector, snr_db, h0, h1, [threshold])[0]
+    return operating_points(detector, snr_db, h0, h1, [threshold])[0]
 
 
 def roc_curve(
@@ -130,10 +142,11 @@ def roc_curve(
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be strictly increasing")
     h0, h1 = trial_statistics(detector, config, signal_spec, noise_spec, snr_db, n, trials)
-    return _operating_points(detector, snr_db, h0, h1, thresholds)
+    return operating_points(detector, snr_db, h0, h1, thresholds)
 
 
-def _operating_points(detector: str, snr_db: float, h0, h1, thresholds) -> list[OperatingPoint]:
+def operating_points(detector: str, snr_db: float, h0, h1, thresholds) -> list[OperatingPoint]:
+    """Measured (pd, pfa) at each threshold from one detector's H0 and H1 statistics."""
     return [
         OperatingPoint(
             detector=detector,

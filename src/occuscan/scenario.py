@@ -64,6 +64,10 @@ def _type_name(value) -> str:
     return type(value).__name__
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _get(mapping, key, path, kind, required=True, default=None):
     if not isinstance(mapping, dict):
         raise ScenarioError(f"{path}: expected a mapping, got {_type_name(mapping)}")
@@ -73,7 +77,7 @@ def _get(mapping, key, path, kind, required=True, default=None):
         return default
     value = mapping[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise ScenarioError(f"{path}.{key}: expected a number, got {_type_name(value)}")
         return float(value)
     if kind is int:
@@ -85,6 +89,14 @@ def _get(mapping, key, path, kind, required=True, default=None):
             f"{path}.{key}: expected {kind.__name__}, got {_type_name(value)}"
         )
     return value
+
+
+def _numbers(values: list, path: str) -> list[float]:
+    """The entries of a YAML list as floats; a non-number is named by its index."""
+    for i, value in enumerate(values):
+        if not _is_number(value):
+            raise ScenarioError(f"{path}[{i}]: expected a number, got {_type_name(value)}")
+    return [float(v) for v in values]
 
 
 def _parse_signal(mapping, path, seed_default: int) -> SignalSpec:
@@ -157,7 +169,7 @@ class Scenario:
             raise ScenarioError(f"frame_len: must be >= detector.acf_lags ({lags})")
         ev = data.get("eval")
         eval_len = _get(ev, "frame_len", "eval", int, False) if isinstance(ev, dict) else None
-        if eval_len and eval_len < lags:
+        if eval_len is not None and eval_len < lags:
             raise ScenarioError(f"eval.frame_len: must be >= detector.acf_lags ({lags})")
         # cross-check override keys early so typos fail loudly
         if "channels" in data:
@@ -320,6 +332,9 @@ class Scenario:
             raise ScenarioError(
                 "calibration.signal: required (directly or via defaults.signal)"
             )
+        target_pfa = _get(c, "target_pfa", "calibration", float, False, 0.05)
+        if not 0.0 < target_pfa < 1.0:
+            raise ScenarioError("calibration.target_pfa: must lie in (0, 1)")
         return {
             "signal": _parse_signal(
                 signal_map, "calibration.signal",
@@ -332,7 +347,7 @@ class Scenario:
             "snr_db": _get(c, "snr_db", "calibration", float, False, 20.0),
             "reference_frames": _get(c, "reference_frames", "calibration", int, False, 100),
             "threshold_frames": _get(c, "threshold_frames", "calibration", int, False, 10000),
-            "target_pfa": _get(c, "target_pfa", "calibration", float, False, 0.05),
+            "target_pfa": target_pfa,
             "acf_lags": self.acf_lags(),
         }
 
@@ -345,18 +360,25 @@ class Scenario:
         noise_map = e.get("noise", defaults.get("noise", {}))
         if signal_map is None:
             raise ScenarioError("eval.signal: required (directly or via defaults.signal)")
-        points = _get(e, "snr_db_points", "eval", list, False, [0.0, 5.0, 10.0, 20.0])
+        points = _numbers(
+            _get(e, "snr_db_points", "eval", list, False, [0.0, 5.0, 10.0, 20.0]),
+            "eval.snr_db_points",
+        )
         roc = _get(e, "roc_thresholds", "eval", dict, False, {})
         trials = _get(e, "trials", "eval", int, False, 10000)
         if trials < 1:
             raise ScenarioError("eval.trials: must be >= 1")
+        thresholds = {}
         for det, thrs in roc.items():
+            path = f"eval.roc_thresholds.{det}"
             if det not in DETECTORS:
-                raise ScenarioError(f"eval.roc_thresholds.{det}: unknown detector")
+                raise ScenarioError(f"{path}: unknown detector")
             if not isinstance(thrs, list) or len(thrs) < 2:
-                raise ScenarioError(
-                    f"eval.roc_thresholds.{det}: expected a list of >= 2 thresholds"
-                )
+                raise ScenarioError(f"{path}: expected a list of >= 2 thresholds")
+            thresholds[det] = _numbers(thrs, path)
+            if not all(a < b for a, b in zip(thresholds[det], thresholds[det][1:])):
+                raise ScenarioError(f"{path}: must be strictly increasing")
+        frame_len = _get(e, "frame_len", "eval", int, False)
         return {
             "signal": _parse_signal(
                 signal_map, "eval.signal", derive_seed(self.master_seed, SEED_EVAL_SIGNAL)
@@ -365,8 +387,8 @@ class Scenario:
                 noise_map, "eval.noise", derive_seed(self.master_seed, SEED_EVAL_NOISE)
             ),
             "trials": trials,
-            "frame_len": _get(e, "frame_len", "eval", int, False) or self.frame_len(),
-            "snr_db_points": [float(p) for p in points],
+            "frame_len": self.frame_len() if frame_len is None else frame_len,
+            "snr_db_points": points,
             "roc_snr_db": _get(e, "roc_snr_db", "eval", float, False, 5.0),
-            "roc_thresholds": {d: [float(t) for t in thrs] for d, thrs in roc.items()},
+            "roc_thresholds": thresholds,
         }

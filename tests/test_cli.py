@@ -321,6 +321,34 @@ class TestBadInputs:
         self._fails_with(capsys, ["eval", "--scenario", str(scn), "--out",
                                   str(workspace / "o")], "eval.trials")
 
+    def _eval_fails_with(self, capsys, workspace, old, new, field):
+        scn = workspace / "bad-eval.yaml"
+        scn.write_text(SCENARIO.replace(old, new))
+        self._fails_with(capsys, ["eval", "--scenario", str(scn), "--out",
+                                  str(workspace / "o")], field)
+        assert not (workspace / "o" / "eval.csv").exists()
+
+    @pytest.mark.parametrize("thresholds", ["[0.9, 1.1, 1.0, 1.2]", "[0.9, 1.0, 1.0, 1.2]",
+                                            "[0.9, .nan, 1.1]"])
+    def test_eval_roc_thresholds_not_increasing(self, workspace, capsys, thresholds):
+        self._eval_fails_with(capsys, workspace, "ed: [0.9, 1.0, 1.1, 1.2]",
+                              f"ed: {thresholds}", "eval.roc_thresholds.ed")
+
+    def test_eval_snr_point_not_a_number(self, workspace, capsys):
+        self._eval_fails_with(capsys, workspace, "snr_db_points: [0.0, 10.0]",
+                              "snr_db_points: [0.0, ten]", "eval.snr_db_points[1]")
+
+    def test_eval_zero_frame_len(self, workspace, capsys):
+        self._eval_fails_with(capsys, workspace, "eval:\n", "eval:\n  frame_len: 0\n",
+                              "eval.frame_len")
+
+    @pytest.mark.parametrize("pfa", ["0", "1", "1.5", "-0.05", ".nan"])
+    def test_calibration_target_pfa_out_of_range(self, workspace, capsys, pfa):
+        scn = workspace / "bad-pfa.yaml"
+        scn.write_text(SCENARIO.replace("target_pfa: 0.05", f"target_pfa: {pfa}"))
+        self._fails_with(capsys, ["calibrate", "--scenario", str(scn), "--out",
+                                  str(workspace / "o")], "calibration.target_pfa")
+
     def test_frame_shorter_than_acf_lags(self, workspace, capsys):
         scn = workspace / "short.yaml"
         scn.write_text(SCENARIO.replace("frame_len: 256", "frame_len: 4"))

@@ -5,8 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from occuscan import AcfVector, DetectorConfig, NoiseSpec, OccupancySchedule, SignalSpec
-from occuscan.detectors import acf_vector
+from scipy.special import gammaincc
+
+from occuscan import (
+    AcfVector,
+    ComplexFrame,
+    DetectorConfig,
+    NoiseSpec,
+    OccupancySchedule,
+    SignalSpec,
+)
+from occuscan.detectors import (
+    DETECTOR_TABLE,
+    acf1_statistic,
+    acf_vector,
+    correlation_distance,
+    energy_statistic,
+)
 from occuscan.evaluate import (
     EVAL_CSV_HEADER,
     OperatingPoint,
@@ -14,11 +29,12 @@ from occuscan.evaluate import (
     measure_pd_pfa,
     occupancy_recovery,
     roc_curve,
+    shared_trial_statistics,
     trial_statistics,
     tune_threshold_for_pfa,
     write_eval_csv,
 )
-from occuscan.synth import gen_signal_frame
+from occuscan.synth import gen_noise_frame, gen_signal_frame, snr_scale
 
 SIG = SignalSpec(kind="tone", normalized_freq=0.13, seed=5)
 NOISE = NoiseSpec(total_power=1.0, seed=6)
@@ -79,6 +95,72 @@ class TestTrialStatistics:
     def test_bad_trials(self):
         with pytest.raises(ValueError):
             trial_statistics("ed", _config(), SIG, NOISE, 0.0, 128, 0)
+
+
+def _wilson(hits: int, n: int, z: float) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion."""
+    p = hits / n
+    center = (p + z * z / (2 * n)) / (1 + z * z / n)
+    half = z / (1 + z * z / n) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+    return center - half, center + half
+
+
+class TestSharedTrialStatistics:
+    @pytest.mark.parametrize("signal", [
+        SIG,
+        SignalSpec(kind="bpsk", symbol_rate_divisor=4, seed=9),
+        SignalSpec(kind="none"),
+    ], ids=["tone", "bpsk", "none"])
+    def test_columns_equal_trial_statistics(self, signal):
+        cfg = _config()
+        snrs = [-math.inf, 0.0, 10.0]
+        stats = shared_trial_statistics(cfg, signal, NOISE, snrs, 128, range(70))
+        assert stats.shape == (1 + len(snrs), 70, 3)
+        for det in DETECTOR_TABLE:
+            for k, snr_db in enumerate(snrs, 1):
+                h0, h1 = trial_statistics(det.name, cfg, signal, NOISE, snr_db, 128, 70)
+                np.testing.assert_array_equal(stats[0, :, det.column], h0)
+                np.testing.assert_array_equal(stats[k, :, det.column], h1)
+
+    def test_rows_equal_per_frame_statistics(self):
+        """Row i is trial i's per-frame statistics, wherever the trial range starts."""
+        cfg = _config()
+        signal = SignalSpec(kind="bpsk", symbol_rate_divisor=2, seed=3)
+        trials = range(40, 110)
+        stats = shared_trial_statistics(cfg, signal, NOISE, [3.0], 64, trials)
+        alpha = snr_scale(signal.nominal_power, NOISE.total_power, 3.0)
+        for row, i in enumerate(trials):
+            noise = gen_noise_frame(64, NOISE, i)
+            mixed = ComplexFrame(alpha * gen_signal_frame(64, signal, i).samples + noise.samples,
+                                 1.0, 1.0)
+            for h, frame in enumerate((noise, mixed)):
+                expected = [energy_statistic(frame), acf1_statistic(frame),
+                            correlation_distance(cfg.reference, acf_vector(frame, 8))]
+                np.testing.assert_array_equal(stats[h, row], expected)
+
+    @pytest.mark.parametrize("n,lam", [(16, 1.1), (32, 1.3), (64, 1.1), (256, 1.1)])
+    def test_ed_pfa_matches_gamma_tail(self, n, lam):
+        """Under H0, N*T_ed/sigma^2 is Gamma(N, 1): pfa = gammaincc(N, N*lam/sigma^2)."""
+        noise = NoiseSpec(total_power=2.0, seed=11)
+        trials = 4000
+        h0 = shared_trial_statistics(_config(), SignalSpec(kind="none"), noise, [], n,
+                                     range(trials))[0, :, 0]
+        lo, hi = _wilson(int(np.count_nonzero(h0 > lam * 2.0)), trials, z=4.0)
+        assert lo <= gammaincc(n, n * lam) <= hi
+
+    @pytest.mark.parametrize("n,pfa", [(32, 0.3), (32, 0.1), (64, 0.3), (64, 0.1)])
+    def test_acf1_pfa_matches_rayleigh_tail(self, n, pfa):
+        """Under H0, P(acf1 > lam) ~ exp(-lam^2 N^2 / (N - 1)) for large N.
+
+        At N >= 32 and these rates the asymptotic error is a few percent of
+        pfa, well inside the interval.
+        """
+        lam = math.sqrt(-math.log(pfa) * (n - 1)) / n
+        trials = 4000
+        h0 = shared_trial_statistics(_config(lags=4), SignalSpec(kind="none"), NOISE, [], n,
+                                     range(trials))[0, :, 1]
+        lo, hi = _wilson(int(np.count_nonzero(h0 > lam)), trials, z=4.0)
+        assert lo <= math.exp(-lam * lam * n * n / (n - 1)) <= hi
 
 
 class TestMeasurePdPfa:

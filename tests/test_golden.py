@@ -86,9 +86,10 @@ def outputs(tmp_path_factory):
          "--bins", "2.0"])
     out["occupancy.csv"] = (rep / "occupancy.csv").read_bytes()
 
-    ev = root / "ev"
-    run(["eval", "--scenario", str(scn), "--out", str(ev)])
-    out["eval.csv"] = (ev / "eval.csv").read_bytes()
+    for workers in (1, 2):
+        ev = root / f"ev-w{workers}"
+        run(["eval", "--scenario", str(scn), "--out", str(ev), "--workers", str(workers)])
+        out["eval.csv", workers] = (ev / "eval.csv").read_bytes()
 
     write_test_recording(root / "cap.iq", root / "cap.iq.meta")
     ana = root / "ana"
@@ -114,7 +115,12 @@ def test_report_golden(outputs):
 
 
 def test_eval_golden(outputs):
-    assert _sha(outputs["eval.csv"]) == GOLDEN["eval.csv"]
+    assert _sha(outputs["eval.csv", 1]) == GOLDEN["eval.csv"]
+
+
+def test_eval_golden_two_workers(outputs):
+    """Two workers score the trial range in two chunks; the bytes must not change."""
+    assert _sha(outputs["eval.csv", 2]) == GOLDEN["eval.csv"]
 
 
 def test_analyze_golden(outputs):
