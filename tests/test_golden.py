@@ -1,4 +1,4 @@
-"""Golden sha256 digests of every command's outputs on the acceptance scenario.
+"""Golden sha256 digests of every command's outputs on the acceptance scenario and a wider sweep.
 
 The determinism tests prove that reruns and worker counts agree with each
 other; these pin the bytes themselves, so any change to an output is visible
@@ -125,3 +125,113 @@ def test_eval_golden_two_workers(outputs):
 
 def test_analyze_golden(outputs):
     assert _sha(outputs["analyze/records.csv"]) == GOLDEN["analyze/records.csv"]
+
+
+# A wider sweep: bands out of alphabetical order (records sort by plan
+# position, `report` by band name), a band name that csv quoting must guard,
+# fractional-MHz channels, a bpsk channel, a kind-none channel, a channel that
+# is never on, and 40 frames per channel (one full 32-frame block and a
+# partial one) starting at a non-zero epoch.
+WIDE_SCENARIO = """\
+name: golden-wide
+master_seed: 8675309
+sample_rate_hz: 2.0e6
+start_time_unix: 1767225600.0
+frame_len: 100
+frame_interval_s: 0.25
+total_s: 10.0
+
+plan:
+  - name: ZULU
+    start_mhz: 900.0
+    stop_mhz: 910.0
+    spacing_mhz: [5]
+    expected_channels: 3
+  - name: "ISM, 433"
+    start_mhz: 433.05
+    stop_mhz: 433.1
+    spacing_mhz: [0.025]
+    expected_channels: 3
+  - name: ALPHA
+    start_mhz: 150.0
+    stop_mhz: 150.0
+    spacing_mhz: [1]
+    expected_channels: 1
+
+defaults:
+  snr_db: 8.0
+  signal:
+    kind: tone
+    normalized_freq: 0.21
+    phase: 0.4
+  noise:
+    total_power: 2.0
+  schedule:
+    period_s: 3.0
+    on_intervals: [[0.0, 1.0], [1.5, 2.25]]
+
+channels:
+  "ZULU:1":
+    snr_db: 4.0
+    signal:
+      kind: bpsk
+      symbol_rate_divisor: 3
+      amplitude: 0.5
+  "ISM, 433:2":
+    signal:
+      kind: none
+  "ALPHA:0":
+    schedule:
+      period_s: 10.0
+      on_intervals: []
+
+detector:
+  reference: reference.txt
+  lambda_ed: 2.2
+  lambda_acf: 0.25
+  gamma: 0.6
+  acf_lags: 8
+
+calibration:
+  reference_frames: 50
+  threshold_frames: 500
+"""
+WIDE_BINS_S = "3.3"
+
+GOLDEN_WIDE = {
+    "plan.csv": "bb3d3e3c0746b34de0281d182e9a671c1c0cd2bbe205e19c7ebbb7f781c6beba",
+    "records.csv": "9b82207de9200327340f18e5b6b570482a66806d56b3441536bc3c0b07393422",
+    "truth.csv": "361b9f18067b9243c48fa20e40f1b15c64627292684f6efc2e36f40866692c25",
+    "occupancy.csv": "e395aff39c2de1c639c6ef7943f94bdbd3b08ee554444bf79187bcc06979d9f9",
+    "plots": "407f807d7d1b342930ca2ef7d0fd8b5ecab230d76e61d524b23dfa808bc0826a",
+}
+
+
+@pytest.fixture(scope="module")
+def wide_outputs(tmp_path_factory):
+    """The wide sweep's output digests, keyed by worker count, then as in GOLDEN_WIDE."""
+    root = tmp_path_factory.mktemp("golden-wide")
+    scn = root / "scn.yaml"
+    scn.write_text(WIDE_SCENARIO)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["calibrate", "--scenario", str(scn), "--out", str(root)]) == 0
+        out = {}
+        for workers in (1, 2):
+            sim = root / f"sim-w{workers}"
+            assert main(["simulate", "--scenario", str(scn), "--out", str(sim),
+                         "--workers", str(workers)]) == 0
+            assert main(["report", "--records", str(sim / "records.csv"), "--out", str(sim),
+                         "--bins", WIDE_BINS_S]) == 0
+            digests = {name: _sha((sim / name).read_bytes())
+                       for name in ("plan.csv", "records.csv", "truth.csv", "occupancy.csv")}
+            plots = hashlib.sha256()
+            for path in sorted((sim / "plots").iterdir()):
+                plots.update(path.name.encode() + b"\0" + path.read_bytes())
+            digests["plots"] = plots.hexdigest()
+            out[workers] = digests
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_wide_sweep_golden(wide_outputs, workers):
+    assert wide_outputs[workers] == GOLDEN_WIDE
