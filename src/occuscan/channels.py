@@ -10,6 +10,7 @@ bands, 123 channels total.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import PlanError
@@ -31,12 +32,14 @@ class BandSpec:
         object.__setattr__(self, "spacing_mhz", tuple(float(s) for s in self.spacing_mhz))
         if not self.name:
             raise ValueError("band name must be non-empty")
-        if not self.spacing_mhz or any(s <= 0 for s in self.spacing_mhz):
-            raise ValueError("spacing_mhz must be a non-empty list of positive steps")
+        if not self.spacing_mhz or not all(0 < s < math.inf for s in self.spacing_mhz):
+            raise ValueError("spacing_mhz must be a non-empty list of finite positive steps")
         if self.expected_channels < 1:
             raise ValueError("expected_channels must be >= 1")
-        if self.stop_mhz < self.start_mhz:
-            raise ValueError("stop_mhz must be >= start_mhz")
+        if not 0 < self.start_mhz < math.inf:
+            raise ValueError("start_mhz must be a finite number > 0")
+        if not self.start_mhz <= self.stop_mhz < math.inf:
+            raise ValueError("stop_mhz must be finite and >= start_mhz")
 
 
 @dataclass(frozen=True)
@@ -59,11 +62,16 @@ class Channel:
 def build_channel_plan(specs) -> list[Channel]:
     """Expand band specs into channels, validating count and stop frequency.
 
-    Raises PlanError naming the offending band when the generated layout does
-    not hit expected_channels or does not end at stop_mhz.
+    Raises PlanError naming the offending band when two bands share a name,
+    or when the generated layout does not hit expected_channels or does not
+    end at stop_mhz.
     """
     plan = []
+    names = set()
     for spec in specs:
+        if spec.name in names:
+            raise PlanError(f"band {spec.name!r}: the plan already has a band of this name")
+        names.add(spec.name)
         freqs = [spec.start_mhz]
         step_i = 0
         while len(freqs) < spec.expected_channels:

@@ -28,22 +28,29 @@ from .detectors import (
     calibrate_reference,
     save_reference,
 )
-from .errors import OccuscanError, UsageError
+from .errors import OccuscanError, SampleDataError, UsageError
 from .evaluate import operating_points, shared_trial_statistics, write_eval_csv
 from .iq import stream_recording
-from .report import aggregate, channel_slug, report_matrix, write_occupancy_csv, write_plot_data
+from .report import (
+    aggregate_table,
+    channel_slug,
+    report_matrix,
+    write_occupancy_csv,
+    write_plot_data,
+)
 from .scan import (
     band_positions,
-    block_records,
     check_tuning,
+    frame_table,
     merge_sweep,
-    scan_timeline,
+    read_record_table,
+    scan_blocks,
     write_plan_csv,
-    write_records_csv,
-    write_truth_csv,
+    write_record_tables,
+    write_truth_columns,
 )
 from .scenario import Scenario
-from .synth import gen_channel_timeline, gen_noise_frame, gen_signal_frame, mix_at_snr
+from .synth import gen_noise_frame, gen_signal_frame, mix_at_snr, timeline_blocks
 
 def _check_options(args) -> None:
     """Reject out-of-range numeric options before any work starts."""
@@ -106,19 +113,18 @@ def cmd_calibrate(args) -> int:
 # --- simulate ----------------------------------------------------------------
 
 def _simulate_channel(task):
-    """Generate one channel's timeline and scan it. Runs in worker processes."""
-    channel, params, config, n, interval, total, rate, start = task
-    timeline = gen_channel_timeline(
-        params.schedule, params.signal, params.noise, params.snr_db,
-        n, interval, total,
-        sample_rate_hz=rate, center_freq_hz=channel.center_freq_hz, start_time=start,
-    )
-    return scan_timeline(timeline, channel, config)
+    """One channel's (times, stats, labels) columns. Runs in worker processes."""
+    channel, params, config, n, interval, total, start = task
+    blocks = timeline_blocks(params.schedule, params.signal, params.noise, params.snr_db,
+                             n, interval, total, start_time=start)
+    try:
+        return scan_blocks(blocks, config)
+    except SampleDataError as exc:
+        raise SampleDataError(f"channel {channel.band}:{channel.index_in_band}: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args)
-    out = _out_dir(args)
     plan = scenario.plan()
     config = scenario.detector_config()
     n = scenario.frame_len()
@@ -127,31 +133,24 @@ def cmd_simulate(args) -> int:
 
     band_pos = band_positions(plan)
     tasks = [
-        (
-            c,
-            scenario.channel_params(c, band_pos[c.band]),
-            config,
-            n,
-            interval,
-            total,
-            scenario.sample_rate_hz,
-            scenario.start_time_unix,
-        )
+        (c, scenario.channel_params(c, band_pos[c.band]), config, n, interval, total,
+         scenario.start_time_unix)
         for c in plan
     ]
 
+    out = _out_dir(args)
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_simulate_channel, tasks))
     else:
         results = [_simulate_channel(t) for t in tasks]
 
-    records, truths = merge_sweep(plan, results)
+    times, chan, stats, labels = merge_sweep(plan, results)
 
     write_plan_csv(plan, out / "plan.csv")
-    write_records_csv(records, out / "records.csv")
-    write_truth_csv(truths, out / "truth.csv")
-    print(f"wrote {len(records)} records for {len(plan)} channels to {out}")
+    write_record_tables([frame_table(plan, times, chan, stats, config)], out / "records.csv")
+    write_truth_columns(plan, times, chan, labels, out / "truth.csv")
+    print(f"wrote {len(DETECTOR_TABLE) * len(times)} records for {len(plan)} channels to {out}")
     return 0
 
 
@@ -175,26 +174,26 @@ def cmd_analyze(args) -> int:
     n = scenario.frame_len()
 
     meta, discarded, blocks = stream_recording(args.iq, args.meta, n)
-    channel = Channel("recording", 0, args.center_mhz)
+    channels = [Channel("recording", 0, args.center_mhz)]
     frames = 0
 
-    def records():
+    def tables():
         nonlocal frames
         for block in blocks:
-            check_tuning(meta.center_freq_hz, channel, args.freq_tol_mhz)
+            check_tuning(meta.center_freq_hz, channels[0], args.freq_tol_mhz)
             k = np.arange(frames, frames + len(block))
-            times = (meta.start_time + k * n / meta.sample_rate_hz).tolist()
+            times = meta.start_time + k * n / meta.sample_rate_hz
             stats = block_statistics(block, config.reference)
-            yield from block_records(times, channel, stats, config)
+            yield frame_table(channels, times, np.zeros(len(block), dtype=np.intp), stats, config)
             if args.verbose:
-                for t, (ed, acf1, cdist) in zip(times, stats.tolist()):
+                for t, (ed, acf1, cdist) in zip(times.tolist(), stats.tolist()):
                     # the unscaled distance, cdist * sqrt(L); absent for a zero-energy frame
                     raw = f" raw_dist={cdist * math.sqrt(config.acf_lags):.9g}" if ed else ""
                     print(f"t={t:.6f} ed={ed:.9g} acf1={acf1:.9g} cdist={cdist:.9g}{raw}")
             frames += len(block)
 
     with _replace_on_success(out / "records.csv") as part:
-        write_records_csv(records(), part)
+        write_record_tables(tables(), part)
     print(f"analyzed {frames} frames ({discarded} samples discarded), "
           f"wrote {len(DETECTOR_TABLE) * frames} records")
     return 0
@@ -203,23 +202,18 @@ def cmd_analyze(args) -> int:
 # --- report ------------------------------------------------------------------
 
 def cmd_report(args) -> int:
-    from .scan import read_records_csv
-
     out = _out_dir(args)
-    records = read_records_csv(args.records)
-    cells = aggregate(records, args.bins)
+    cells = aggregate_table(read_record_table(args.records), args.bins)
     write_occupancy_csv(cells, out / "occupancy.csv")
 
     plots = out / "plots"
     plots.mkdir(exist_ok=True)
-    channels = sorted(
-        {c.channel for c in cells},
-        key=lambda ch: (ch.band, ch.index_in_band),
-    )
-    for channel in channels:
-        matrix = report_matrix(cells, channel)
-        write_plot_data(matrix, plots / f"{channel_slug(channel)}.dat")
-    print(f"wrote {len(cells)} occupancy cells and {len(channels)} plot files to {out}")
+    by_channel: dict = {}
+    for cell in cells:  # cells are sorted by channel, so each channel's cells are in order
+        by_channel.setdefault(cell.channel, []).append(cell)
+    for channel, mine in by_channel.items():
+        write_plot_data(report_matrix(mine, channel), plots / f"{channel_slug(channel)}.dat")
+    print(f"wrote {len(cells)} occupancy cells and {len(by_channel)} plot files to {out}")
     return 0
 
 

@@ -21,17 +21,16 @@ from .detectors import (
     DetectorConfig,
     block_statistics,
     decides_present,
-    frame_blocks,
 )
 from .scan import _fmt
 from .synth import (
     NoiseSpec,
     OccupancySchedule,
     SignalSpec,
-    gen_channel_timeline,
-    gen_noise_frame,
-    gen_signal_frame,
+    noise_rows,
+    signal_rows,
     snr_scale,
+    timeline_blocks,
 )
 
 EVAL_CSV_HEADER = "detector,scenario,snr_db,threshold,trials,pd,pfa"
@@ -78,10 +77,10 @@ def shared_trial_statistics(
     for start in range(0, len(trials), BLOCK_FRAMES):
         idx = trials[start:start + BLOCK_FRAMES]
         rows = slice(start, start + len(idx))
-        noise = np.stack([gen_noise_frame(n, noise_spec, i).samples for i in idx])
+        noise = noise_rows(n, noise_spec, idx)
         out[:, rows] = block_statistics(noise, config.reference)
         if any(alphas):
-            sig = np.stack([gen_signal_frame(n, signal_spec, i).samples for i in idx])
+            sig = signal_rows(n, signal_spec, idx)
             for k, alpha in enumerate(alphas, 1):
                 if alpha != 0.0:
                     out[k, rows] = block_statistics(alpha * sig + noise, config.reference)
@@ -201,13 +200,13 @@ def occupancy_recovery(
     cycle.
     """
     row = DETECTOR_BY_NAME[detector]
-    timeline = gen_channel_timeline(
+    blocks = timeline_blocks(
         schedule, signal_spec, noise_spec, snr_db, frame_len, frame_interval_s, total_s
     )
-    if not timeline:
+    stats = [block_statistics(frames, config.reference) for _, frames, _ in blocks]
+    if not stats:
         raise ValueError("scenario produced no scans")
-    blocks = frame_blocks(frame for frame, _ in timeline)
-    stats = np.concatenate([block_statistics(b, config.reference) for _, b in blocks])
+    stats = np.concatenate(stats)
     decisions = row.decide(stats[:, row.column], row.threshold(config))
     measured = int(np.count_nonzero(decisions)) / len(decisions)
     true_duty = schedule.duty_cycle

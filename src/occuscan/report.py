@@ -5,18 +5,23 @@ present-decided scans to total scans in that bin. Bins are half-open
 [start, start + len) aligned to the epoch, so every record lands in exactly
 one bin; bins with no scans are omitted (no scans is not the same as zero
 occupancy).
+
+Aggregation is columnar: ``aggregate_table`` counts the cells of a record
+table (``scan.RecordTable``) with numpy, and ``aggregate`` is its form for
+ScanRecords.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channels import Channel
 from .detectors import DETECTORS
-from .scan import ScanRecord, _fmt, _fmt_time
+from .scan import RecordTable, _fmt, _fmt_time, record_table
 
 OCCUPANCY_CSV_HEADER = (
     "band,channel_index,center_freq_mhz,detector,bin_start_unix,bin_len_s,"
@@ -48,38 +53,43 @@ class OccupancyCell:
         return self.n_detected / self.n_total
 
 
-def aggregate(records, bin_len_s: float) -> list[OccupancyCell]:
-    """Fold a record log into occupancy cells.
+def aggregate_table(table: RecordTable, bin_len_s: float) -> list[OccupancyCell]:
+    """Fold a record table into occupancy cells.
 
     Grouping key is (channel, detector, floor(time / bin_len_s)); an empty
-    log folds to an empty report. Cells come back sorted by (band, channel
-    index, detector, bin start).
+    table folds to an empty report. Cells come back sorted by (band, channel
+    index, detector, bin start), ties in order of first appearance.
     """
     if not bin_len_s > 0:
         raise ValueError("bin_len_s must be > 0")
-    counts: dict[tuple, list[int]] = {}
-    for r in records:
-        bin_idx = math.floor(r.capture_time / bin_len_s)
-        key = (r.channel, r.detector, bin_idx)
-        pair = counts.setdefault(key, [0, 0])
-        pair[0] += 1 if r.present else 0
-        pair[1] += 1
-    det_pos = {d: i for i, d in enumerate(DETECTORS)}
-    cells = [
-        OccupancyCell(
-            channel=channel,
-            detector=det,
-            bin_start=bin_idx * bin_len_s,
-            bin_len_s=bin_len_s,
-            n_detected=n_det,
-            n_total=n_tot,
+    if not len(table.time):
+        return []
+    if not np.isfinite(table.time).all():
+        raise ValueError("capture times must be finite")
+    bins, bin_id = np.unique(np.floor(table.time / bin_len_s), return_inverse=True)
+    nd, nb = len(DETECTORS), len(bins)
+    keys, first, cell = np.unique((table.chan * nd + table.det) * nb + bin_id,
+                                  return_index=True, return_inverse=True)
+    n_total = np.bincount(cell)
+    n_detected = np.bincount(cell[table.present], minlength=len(keys))
+    chan, det, bin_id = keys // (nd * nb), keys // nb % nd, keys % nb
+    bin_start = bins[bin_id] * bin_len_s
+    band_index = sorted({(c.band, c.index_in_band) for c in table.channels})
+    rank = {key: i for i, key in enumerate(band_index)}
+    chan_rank = np.array([rank[c.band, c.index_in_band] for c in table.channels])
+    order = np.lexsort((first, bin_start, det, chan_rank[chan]))
+    return [
+        OccupancyCell(table.channels[c], DETECTORS[d], b, bin_len_s, n_det, n_tot)
+        for c, d, b, n_det, n_tot in zip(
+            chan[order].tolist(), det[order].tolist(), bin_start[order].tolist(),
+            n_detected[order].tolist(), n_total[order].tolist(),
         )
-        for (channel, det, bin_idx), (n_det, n_tot) in counts.items()
     ]
-    cells.sort(
-        key=lambda c: (c.channel.band, c.channel.index_in_band, det_pos[c.detector], c.bin_start)
-    )
-    return cells
+
+
+def aggregate(records, bin_len_s: float) -> list[OccupancyCell]:
+    """Fold ScanRecords into occupancy cells (see ``aggregate_table``)."""
+    return aggregate_table(record_table(records), bin_len_s)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ regenerated in isolation and no two purposes share a stream. An explicit
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,6 +100,13 @@ def _numbers(values: list, path: str) -> list[float]:
     return [float(v) for v in values]
 
 
+def _snr_db(value, path: str):
+    """An SNR in dB (or None): a number below +inf, where -inf means no signal."""
+    if value is not None and not value < math.inf:
+        raise ScenarioError(f"{path}: must be a number < inf (-.inf for no signal), got {value}")
+    return value
+
+
 def _parse_signal(mapping, path, seed_default: int) -> SignalSpec:
     kind = _get(mapping, "kind", path, str)
     try:
@@ -163,6 +171,10 @@ class Scenario:
         self.bin_len_s = _get(data, "bin_len_s", "scenario", float, False, 3600.0)
         if not 0 <= self.master_seed <= 2**64 - 1:
             raise ScenarioError("master_seed: must fit in an unsigned 64-bit integer")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ScenarioError("sample_rate_hz: must be a finite number > 0")
+        if not math.isfinite(self.start_time_unix):
+            raise ScenarioError("start_time_unix: must be finite")
         # every frame must hold all the ACF lags the detectors use
         lags = self.acf_lags()
         if "frame_len" in data and self.frame_len() < lags:
@@ -171,12 +183,18 @@ class Scenario:
         eval_len = _get(ev, "frame_len", "eval", int, False) if isinstance(ev, dict) else None
         if eval_len is not None and eval_len < lags:
             raise ScenarioError(f"eval.frame_len: must be >= detector.acf_lags ({lags})")
+        defaults = data.get("defaults")
+        if isinstance(defaults, dict):
+            _snr_db(_get(defaults, "snr_db", "defaults", float, False), "defaults.snr_db")
         # cross-check override keys early so typos fail loudly
         if "channels" in data:
             plan_keys = {f"{c.band}:{c.index_in_band}" for c in self.plan()}
-            for key in _get(data, "channels", "scenario", dict):
+            for key, override in _get(data, "channels", "scenario", dict).items():
                 if key not in plan_keys:
                     raise ScenarioError(f"channels.{key}: channel is not in the plan")
+                if isinstance(override, dict):
+                    path = f"channels.{key}"
+                    _snr_db(_get(override, "snr_db", path, float, False), f"{path}.snr_db")
 
     @classmethod
     def load(cls, path) -> "Scenario":
@@ -256,7 +274,7 @@ class Scenario:
         noise_seed = derive_seed(
             self.master_seed, SEED_CHANNEL_NOISE, band_pos, channel.index_in_band
         )
-        snr_db = _get(m, "snr_db", where, float, False)
+        snr_db = _get(m, "snr_db", where, float, False)  # range checked at load
         if snr_db is None:
             raise ScenarioError(f"{where}.snr_db: required field is missing")
         return ChannelParams(
@@ -344,7 +362,8 @@ class Scenario:
                 noise_map, "calibration.noise",
                 derive_seed(self.master_seed, SEED_CAL_NOISE),
             ),
-            "snr_db": _get(c, "snr_db", "calibration", float, False, 20.0),
+            "snr_db": _snr_db(_get(c, "snr_db", "calibration", float, False, 20.0),
+                              "calibration.snr_db"),
             "reference_frames": _get(c, "reference_frames", "calibration", int, False, 100),
             "threshold_frames": _get(c, "threshold_frames", "calibration", int, False, 10000),
             "target_pfa": target_pfa,
@@ -364,6 +383,7 @@ class Scenario:
             _get(e, "snr_db_points", "eval", list, False, [0.0, 5.0, 10.0, 20.0]),
             "eval.snr_db_points",
         )
+        points = [_snr_db(p, f"eval.snr_db_points[{i}]") for i, p in enumerate(points)]
         roc = _get(e, "roc_thresholds", "eval", dict, False, {})
         trials = _get(e, "trials", "eval", int, False, 10000)
         if trials < 1:
@@ -389,6 +409,7 @@ class Scenario:
             "trials": trials,
             "frame_len": self.frame_len() if frame_len is None else frame_len,
             "snr_db_points": points,
-            "roc_snr_db": _get(e, "roc_snr_db", "eval", float, False, 5.0),
+            "roc_snr_db": _snr_db(_get(e, "roc_snr_db", "eval", float, False, 5.0),
+                                  "eval.roc_snr_db"),
             "roc_thresholds": thresholds,
         }

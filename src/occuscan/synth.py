@@ -4,6 +4,14 @@ Everything here is a pure function of its arguments: each frame's randomness
 comes from ``SeedSequence((seed, stream, frame_index))``, so regenerating a
 frame at any index, in any process, gives bit-identical samples.
 
+Frames are plain complex128 rows: ``noise_rows`` and ``signal_rows`` make
+(frames x N) blocks, and ``timeline_blocks`` yields a channel's sweep as
+(times, frames, labels) blocks of at most BLOCK_FRAMES rows; each block
+that mixes in a signal gets one finiteness check (noise alone cannot
+overflow, since its power is finite). ``gen_noise_frame``,
+``gen_signal_frame`` and ``gen_channel_timeline`` wrap the same rows in
+ComplexFrames for the API.
+
 SNR is defined against nominal spec powers (amplitude**2 for signals,
 total_power for noise), not empirical per-frame powers, so threshold and ROC
 results are reproducible across seeds.
@@ -16,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .iq import ComplexFrame
+from .errors import SampleDataError
+from .iq import BLOCK_FRAMES, ComplexFrame
 
 # SeedSequence stream tags; keep noise draws and BPSK symbol draws apart even
 # if a scenario reuses one seed for both.
@@ -42,8 +51,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.total_power > 0:
-            raise ValueError("total_power must be > 0")
+        if not 0 < self.total_power < math.inf:
+            raise ValueError("total_power must be a finite number > 0")
         _check_seed(self.seed)
 
 
@@ -70,8 +79,8 @@ class SignalSpec:
             raise ValueError("normalized_freq must lie in (-0.5, 0.5)")
         if self.symbol_rate_divisor < 1:
             raise ValueError("symbol_rate_divisor must be >= 1")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be >= 0")
+        if not 0 <= self.amplitude < math.inf:
+            raise ValueError("amplitude must be a finite number >= 0")
         _check_seed(self.seed)
 
     @property
@@ -116,6 +125,48 @@ class OccupancySchedule:
         return any(a <= phase < b for a, b in self.on_intervals)
 
 
+def noise_rows(n: int, spec: NoiseSpec, indices) -> np.ndarray:
+    """(len(indices), n) complex Gaussian noise; row i is frame indices[i]'s draw.
+
+    A row is the 2n standard normal draws of (seed, frame index), taken as
+    (re, im) pairs and scaled by sqrt(total_power / 2).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1 (empty frames are not representable)")
+    scale = math.sqrt(spec.total_power / 2.0)
+    out = np.empty((len(indices), n), dtype=np.complex128)
+    for row, k in zip(out, indices):
+        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, _NOISE_STREAM, int(k))))
+        np.multiply(rng.standard_normal(2 * n).view(np.complex128), scale, out=row)
+    return out
+
+
+def signal_rows(n: int, spec: SignalSpec, indices) -> np.ndarray:
+    """(len(indices), n) samples of the spec'd waveform; row i is frame indices[i]'s.
+
+    tone: amplitude * exp(j*(2*pi*normalized_freq*m + phase)), the same for
+    every frame (the rows are a read-only broadcast of one row).
+    bpsk: amplitude * (+/-1) symbols, each held symbol_rate_divisor samples,
+    symbol signs drawn from (seed, frame_index). none: zeros.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1 (empty frames are not representable)")
+    if spec.kind == "tone":
+        m = np.arange(n)
+        row = spec.amplitude * np.exp(1j * (2 * np.pi * spec.normalized_freq * m + spec.phase))
+        return np.broadcast_to(row, (len(indices), n))
+    out = np.zeros((len(indices), n), dtype=np.complex128)
+    if spec.kind == "bpsk":
+        n_sym = -(-n // spec.symbol_rate_divisor)
+        for row, k in zip(out, indices):
+            rng = np.random.default_rng(
+                np.random.SeedSequence((spec.seed, _BPSK_STREAM, int(k)))
+            )
+            symbols = rng.integers(0, 2, size=n_sym) * 2 - 1
+            row[:] = spec.amplitude * np.repeat(symbols, spec.symbol_rate_divisor)[:n]
+    return out
+
+
 def gen_noise_frame(
     n: int,
     spec: NoiseSpec,
@@ -126,15 +177,8 @@ def gen_noise_frame(
     capture_time: float = 0.0,
 ) -> ComplexFrame:
     """Generate n complex Gaussian noise samples, deterministic per (seed, frame_index)."""
-    if n < 1:
-        raise ValueError("n must be >= 1 (empty frames are not representable)")
-    rng = np.random.default_rng(
-        np.random.SeedSequence((spec.seed, _NOISE_STREAM, int(frame_index)))
-    )
-    z = rng.standard_normal(2 * n)
-    scale = math.sqrt(spec.total_power / 2.0)
-    samples = scale * (z[0::2] + 1j * z[1::2])
-    return ComplexFrame(samples, sample_rate_hz, center_freq_hz, capture_time)
+    return ComplexFrame(noise_rows(n, spec, [frame_index])[0], sample_rate_hz, center_freq_hz,
+                        capture_time)
 
 
 def gen_signal_frame(
@@ -146,38 +190,22 @@ def gen_signal_frame(
     center_freq_hz: float = 1.0,
     capture_time: float = 0.0,
 ) -> ComplexFrame:
-    """Generate n samples of the spec'd waveform.
-
-    tone: amplitude * exp(j*(2*pi*normalized_freq*m + phase)).
-    bpsk: amplitude * (+/-1) symbols, each held symbol_rate_divisor samples,
-    symbol signs drawn from (seed, frame_index). none: zeros.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1 (empty frames are not representable)")
-    m = np.arange(n)
-    if spec.kind == "tone":
-        samples = spec.amplitude * np.exp(1j * (2 * np.pi * spec.normalized_freq * m + spec.phase))
-    elif spec.kind == "bpsk":
-        rng = np.random.default_rng(
-            np.random.SeedSequence((spec.seed, _BPSK_STREAM, int(frame_index)))
-        )
-        n_sym = -(-n // spec.symbol_rate_divisor)
-        symbols = rng.integers(0, 2, size=n_sym) * 2 - 1
-        chips = np.repeat(symbols, spec.symbol_rate_divisor)[:n]
-        samples = (spec.amplitude * chips).astype(np.complex128)
-    else:  # none
-        samples = np.zeros(n, dtype=np.complex128)
-    return ComplexFrame(samples, sample_rate_hz, center_freq_hz, capture_time)
+    """Generate n samples of the spec'd waveform (see ``signal_rows``)."""
+    return ComplexFrame(signal_rows(n, spec, [frame_index])[0], sample_rate_hz, center_freq_hz,
+                        capture_time)
 
 
 def snr_scale(signal_power: float, noise_power: float, snr_db: float) -> float:
     """Amplitude factor a with (a^2 * signal_power) / noise_power = 10**(snr_db/10).
 
-    snr_db may be -inf (scale 0, i.e. absent signal). A zero-power signal is
-    only meaningful with snr_db=-inf; any finite target raises ValueError.
+    snr_db may be -inf (scale 0, i.e. absent signal); NaN and +inf raise
+    ValueError. A zero-power signal is only meaningful with snr_db=-inf; any
+    finite target raises ValueError.
     """
     if not noise_power > 0:
         raise ValueError("noise_power must be > 0")
+    if not snr_db < math.inf:
+        raise ValueError(f"snr_db must be a number < inf (-inf for no signal), got {snr_db}")
     if snr_db == -math.inf:
         return 0.0
     if signal_power <= 0:
@@ -210,6 +238,63 @@ def mix_at_snr(
     )
 
 
+def timeline_blocks(
+    schedule: OccupancySchedule,
+    signal: SignalSpec,
+    noise: NoiseSpec,
+    snr_db: float,
+    frame_len: int,
+    frame_interval_s: float,
+    total_s: float,
+    *,
+    start_time: float = 0.0,
+):
+    """Simulate one channel as (times, frames, truth_labels) blocks of <= BLOCK_FRAMES rows.
+
+    Frame k is captured at start_time + k*frame_interval_s for
+    k = 0 .. floor(total_s/frame_interval_s)-1. Present frames are
+    signal+noise at snr_db; absent frames are the same noise draw alone, so a
+    present frame differs from its absent counterpart by exactly the scaled
+    signal. ``frames`` is a (rows x frame_len) complex128 array.
+
+    Raises SampleDataError when a frame holds a non-finite sample (a signal or
+    noise power so large that the mix overflows).
+    """
+    if not frame_interval_s > 0:
+        raise ValueError("frame_interval_s must be > 0")
+    if total_s < 0:
+        raise ValueError("total_s must be >= 0")
+    # tolerance absorbs float division artifacts like 10/0.1 -> 99.999...
+    n_frames = int(math.floor(total_s / frame_interval_s + 1e-9))
+    alpha = snr_scale(signal.nominal_power, noise.total_power, snr_db) \
+        if signal.kind != "none" else 0.0
+    times = start_time + np.arange(n_frames) * frame_interval_s
+    labels = np.array([schedule.is_on(t - start_time) for t in times.tolist()], dtype=bool)
+    # the tone is the same in every frame; an overflowing scale or mix leaves
+    # a non-finite sample, which the block check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        tone = alpha * signal_rows(frame_len, signal, [0]) if signal.kind == "tone" else None
+    for start in range(0, n_frames, BLOCK_FRAMES):
+        rows = slice(start, min(start + BLOCK_FRAMES, n_frames))
+        frames = noise_rows(frame_len, noise, range(rows.start, rows.stop))
+        on = labels[rows]
+        present = np.flatnonzero(on)
+        if alpha != 0.0 and present.size:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sig = tone if tone is not None else \
+                    alpha * signal_rows(frame_len, signal, start + present)
+                # row by row: a boolean-mask assignment of the block is ~10x slower
+                for row, sig_row in zip(present, np.broadcast_to(sig, (present.size, frame_len))):
+                    np.add(sig_row, frames[row], out=frames[row])
+            finite = np.isfinite(frames.view(np.float64))
+            if not finite.all():
+                frame, index = divmod(int(np.argmin(finite)) // 2, frame_len)
+                raise SampleDataError(
+                    f"frame {start + frame}: non-finite sample at index {index}"
+                )
+        yield times[rows], frames, on
+
+
 def gen_channel_timeline(
     schedule: OccupancySchedule,
     signal: SignalSpec,
@@ -223,39 +308,12 @@ def gen_channel_timeline(
     center_freq_hz: float = 1.0,
     start_time: float = 0.0,
 ) -> list[tuple[ComplexFrame, bool]]:
-    """Simulate one channel: one (frame, truth_label) pair per scan interval.
-
-    Frame k is captured at start_time + k*frame_interval_s for
-    k = 0 .. floor(total_s/frame_interval_s)-1. Present frames are
-    signal+noise at snr_db; absent frames are the same noise draw alone, so a
-    present frame differs from its absent counterpart by exactly the scaled
-    signal.
-    """
-    if not frame_interval_s > 0:
-        raise ValueError("frame_interval_s must be > 0")
-    if total_s < 0:
-        raise ValueError("total_s must be >= 0")
-    # tolerance absorbs float division artifacts like 10/0.1 -> 99.999...
-    n_frames = int(math.floor(total_s / frame_interval_s + 1e-9))
-    alpha = snr_scale(signal.nominal_power, noise.total_power, snr_db) \
-        if signal.kind != "none" else 0.0
-
-    out = []
-    for k in range(n_frames):
-        t = start_time + k * frame_interval_s
-        present = schedule.is_on(t - start_time)
-        noise_frame = gen_noise_frame(
-            frame_len, noise, k,
-            sample_rate_hz=sample_rate_hz, center_freq_hz=center_freq_hz, capture_time=t,
+    """``timeline_blocks`` as one (frame, truth_label) pair per scan interval."""
+    return [
+        (ComplexFrame(row, sample_rate_hz, center_freq_hz, t), label)
+        for times, frames, labels in timeline_blocks(
+            schedule, signal, noise, snr_db, frame_len, frame_interval_s, total_s,
+            start_time=start_time,
         )
-        if present and alpha != 0.0:
-            sig_frame = gen_signal_frame(
-                frame_len, signal, k,
-                sample_rate_hz=sample_rate_hz, center_freq_hz=center_freq_hz, capture_time=t,
-            )
-            frame = mix_at_snr(sig_frame, noise_frame, snr_db, signal.nominal_power,
-                               noise.total_power)
-        else:
-            frame = noise_frame
-        out.append((frame, present))
-    return out
+        for t, row, label in zip(times.tolist(), frames, labels.tolist())
+    ]

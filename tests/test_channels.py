@@ -13,6 +13,11 @@ class TestBuildPlan:
         freqs = [c.center_freq_mhz for c in build_channel_plan([spec])]
         assert freqs == [824, 827, 829, 832, 834, 837, 839, 842, 844, 847, 849]
 
+    def test_duplicate_band_name_rejected(self):
+        spec = BandSpec("ISM", 2402.0, 2412.0, (5.0,), 3)
+        with pytest.raises(PlanError, match="'ISM'"):
+            build_channel_plan([spec, BandSpec("ISM", 5725.0, 5725.0, (5.0,), 1)])
+
     def test_flat_spacing(self):
         spec = BandSpec("ISM", 2402.0, 2412.0, (5.0,), 3)
         freqs = [c.center_freq_mhz for c in build_channel_plan([spec])]
@@ -145,3 +150,8 @@ class TestBandSpecValidation:
             BandSpec("X", 2.0, 1.0, (1.0,), 2)
         with pytest.raises(ValueError):
             BandSpec("X", 1.0, 2.0, (1.0,), 0)
+        nan, inf = float("nan"), float("inf")
+        for start, stop, spacing in [(0.0, 2.0, 1.0), (-1.0, 2.0, 1.0), (nan, 2.0, 1.0),
+                                     (1.0, inf, 1.0), (1.0, 2.0, nan), (1.0, 2.0, inf)]:
+            with pytest.raises(ValueError):
+                BandSpec("X", start, stop, (spacing,), 2)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +378,88 @@ class TestBadInputs:
         scn.write_text(SCENARIO.replace("master_seed: 42", "master_seed: -3"))
         self._fails_with(capsys, ["calibrate", "--scenario", str(scn), "--out",
                                   str(workspace / "o")], "master_seed")
+
+    def _cmd_fails_with(self, capsys, workspace, cmd, old, new, field):
+        assert old in SCENARIO
+        scn = workspace / "bad.yaml"
+        scn.write_text(SCENARIO.replace(old, new))
+        self._fails_with(capsys, [cmd, "--scenario", str(scn), "--out", str(workspace / "o")],
+                         field)
+        assert not (workspace / "o").exists()
+
+    @pytest.mark.parametrize("value", [".inf", ".nan"])
+    def test_eval_snr_point_not_below_inf(self, workspace, capsys, value):
+        self._eval_fails_with(capsys, workspace, "snr_db_points: [0.0, 10.0]",
+                              f"snr_db_points: [0.0, {value}]", "eval.snr_db_points[1]")
+
+    @pytest.mark.parametrize("value", [".inf", ".nan"])
+    def test_eval_roc_snr_not_below_inf(self, workspace, capsys, value):
+        self._eval_fails_with(capsys, workspace, "roc_snr_db: 5.0", f"roc_snr_db: {value}",
+                              "eval.roc_snr_db")
+
+    @pytest.mark.parametrize("value", [".inf", ".nan"])
+    def test_default_snr_not_below_inf(self, workspace, capsys, value):
+        self._cmd_fails_with(capsys, workspace, "simulate", "snr_db: 10.0",
+                             f"snr_db: {value}", "defaults.snr_db")
+
+    def test_channel_snr_not_below_inf(self, workspace, capsys):
+        self._cmd_fails_with(capsys, workspace, "simulate", "detector:",
+                             'channels:\n  "TESTBAND:1":\n    snr_db: .inf\n\ndetector:',
+                             "channels.TESTBAND:1.snr_db")
+
+    def test_calibration_snr_not_below_inf(self, workspace, capsys):
+        self._cmd_fails_with(capsys, workspace, "calibrate", "calibration:\n  snr_db: 20.0",
+                             "calibration:\n  snr_db: .nan", "calibration.snr_db")
+
+    @pytest.mark.parametrize("value", [".inf", ".nan"])
+    def test_noise_power_not_finite(self, workspace, capsys, value):
+        self._cmd_fails_with(capsys, workspace, "simulate", "total_power: 1.0",
+                             f"total_power: {value}", "channel TESTBAND:0.noise")
+
+    @pytest.mark.parametrize("value", [".inf", ".nan"])
+    def test_signal_amplitude_not_finite(self, workspace, capsys, value):
+        self._cmd_fails_with(capsys, workspace, "simulate", "normalized_freq: 0.125",
+                             f"normalized_freq: 0.125\n    amplitude: {value}",
+                             "channel TESTBAND:0.signal")
+
+    def test_eval_minus_inf_snr_means_no_signal(self, workspace):
+        scn = workspace / "absent.yaml"
+        scn.write_text(SCENARIO.replace("snr_db_points: [0.0, 10.0]",
+                                        "snr_db_points: [-.inf, 10.0]"))
+        assert main(["eval", "--scenario", str(scn), "--out", str(workspace / "o")]) == 0
+        rows = [ln.split(",") for ln in (workspace / "o" / "eval.csv").read_text().splitlines()]
+        absent = [r for r in rows if r[1:3] == ["point", "-inf"]]
+        assert len(absent) == 3 and all(r[5] == r[6] for r in absent)  # pd == pfa
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_overflowing_mix_fails_without_records(self, workspace, capsys, workers):
+        # a finite noise power whose SNR scale overflows: the mix holds inf/nan samples
+        scn = workspace / "huge.yaml"
+        scn.write_text(SCENARIO.replace("total_power: 1.0", "total_power: 1.0e308"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning may escape either
+            self._fails_with(capsys, ["simulate", "--scenario", str(scn), "--out",
+                                      str(workspace / "o"), "--workers", workers],
+                             "channel TESTBAND:0")
+        assert not (workspace / "o" / "records.csv").exists()
+
+    def test_sample_rate_not_positive(self, workspace, capsys):
+        self._cmd_fails_with(capsys, workspace, "simulate", "sample_rate_hz: 1.0e6",
+                             "sample_rate_hz: 0.0", "sample_rate_hz")
+
+    def test_start_time_not_finite(self, workspace, capsys):
+        self._cmd_fails_with(capsys, workspace, "simulate", "master_seed: 42",
+                             "master_seed: 42\nstart_time_unix: .inf", "start_time_unix")
+
+    def test_plan_frequency_not_positive(self, workspace, capsys):
+        self._cmd_fails_with(capsys, workspace, "simulate",
+                             "start_mhz: 100.0\n    stop_mhz: 110.0",
+                             "start_mhz: -10.0\n    stop_mhz: 0.0", "plan[0]")
+
+    def test_duplicate_band_name(self, workspace, capsys):
+        band = SCENARIO[SCENARIO.index("  - name: TESTBAND"):SCENARIO.index("\ndefaults:")]
+        self._cmd_fails_with(capsys, workspace, "simulate", band, band + band,
+                             "band 'TESTBAND'")
 
 
 class TestReport:

@@ -1,17 +1,22 @@
 """Occupancy aggregation, channel matrices, and export formats."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occuscan import Channel, OccupancyCell, ScanRecord, aggregate, report_matrix
+from occuscan.detectors import DETECTORS
 from occuscan.report import (
     OCCUPANCY_CSV_HEADER,
+    aggregate_table,
     channel_slug,
     write_occupancy_csv,
     write_plot_data,
 )
+from occuscan.scan import read_record_table, read_records_csv, write_records_csv
 
 CH_A = Channel("X", 0, 100.0)
 CH_B = Channel("X", 1, 105.0)
@@ -192,3 +197,51 @@ class TestExports:
     def test_channel_slug(self):
         assert channel_slug(Channel("2.4GHz", 5, 2427.0)) == "2.4GHz_ch005"
         assert channel_slug(Channel("GSM 850 UL", 0, 824.0)) == "GSM-850-UL_ch000"
+
+
+def _reference_aggregate(records, bin_len_s):
+    """The dict-and-sort loop that the columnar aggregation replaced: the reference."""
+    counts = {}
+    for r in records:
+        pair = counts.setdefault((r.channel, r.detector, math.floor(r.capture_time / bin_len_s)),
+                                 [0, 0])
+        pair[0] += 1 if r.present else 0
+        pair[1] += 1
+    cells = [OccupancyCell(ch, det, b * bin_len_s, bin_len_s, n_det, n_tot)
+             for (ch, det, b), (n_det, n_tot) in counts.items()]
+    cells.sort(key=lambda c: (c.channel.band, c.channel.index_in_band,
+                              DETECTORS.index(c.detector), c.bin_start))
+    return cells
+
+
+# CH_A's band and index at another frequency: a distinct channel that ties in the sort
+CH_A2 = Channel("X", 0, 101.0)
+
+
+class TestColumnarAggregate:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.floats(-50.0, 1e4), st.sampled_from([CH_A, CH_B, CH_A2,
+                                                                 Channel("W", 3, 7.5)]),
+                      st.sampled_from(DETECTORS), st.booleans()),
+            min_size=0, max_size=80,
+        ),
+        bin_len=st.sampled_from([0.7, 3.0, 60.0, 1e5]),
+    )
+    def test_matches_reference_loop(self, rows, bin_len):
+        records = [_rec(t, present, det, ch) for t, ch, det, present in rows]
+        assert aggregate(records, bin_len) == _reference_aggregate(records, bin_len)
+
+    def test_report_cells_equal_object_path(self, tmp_path):
+        records = [_rec(0.5 * i, i % 3 == 0, DETECTORS[i % 3], [CH_A, CH_B, CH_A2][i // 7 % 3])
+                   for i in range(200)]
+        p = tmp_path / "records.csv"
+        write_records_csv(records, p)
+        cells = aggregate_table(read_record_table(p), 4.0)
+        assert cells == aggregate(read_records_csv(p), 4.0)
+        assert cells == _reference_aggregate(read_records_csv(p), 4.0)
+
+    def test_non_finite_time_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            aggregate([_rec(float("nan"), True)], 1.0)

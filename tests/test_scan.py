@@ -1,5 +1,9 @@
 """Per-frame scanning, sweep merging, and the CSV record log."""
 
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
 
@@ -22,15 +26,24 @@ from occuscan import (
     write_records_csv,
 )
 from occuscan.detectors import DETECTORS
+from occuscan import scan as scan_module
 from occuscan.scan import (
     PLAN_CSV_HEADER,
     RECORD_CSV_HEADER,
     TRUTH_CSV_HEADER,
+    RecordTable,
+    frame_table,
+    merge_sweep,
+    read_record_table,
     read_records_csv,
-    record_sort_key,
+    record_table,
+    scan_blocks,
     write_plan_csv,
+    write_record_tables,
+    write_truth_columns,
     write_truth_csv,
 )
+from occuscan.synth import timeline_blocks
 from occuscan.errors import CsvParseError
 from conftest import make_frame
 
@@ -119,7 +132,13 @@ class TestRunSweep:
     def test_canonical_order(self):
         plan = _plan2()
         records, truths = run_sweep(self._timelines(plan), _config(), plan)
-        key = record_sort_key(plan)
+        # (capture time, band position in the plan, channel index, detector position)
+        band_pos = {"A": 0, "B": 1}
+
+        def key(r):
+            return (r.capture_time, band_pos[r.channel.band], r.channel.index_in_band,
+                    DETECTORS.index(r.detector))
+
         assert [key(r) for r in records] == sorted(key(r) for r in records)
         # first scan cycle: A0, A1, B0 at t=0, three detectors each
         head = [(r.channel.band, r.channel.index_in_band, r.detector) for r in records[:9]]
@@ -260,3 +279,122 @@ class TestRecordCsv:
         assert lines[0] == PLAN_CSV_HEADER
         assert lines[1] == "A,0,100"
         assert lines[-1] == "B,0,200"
+
+
+def _reference_records_csv(records) -> bytes:
+    """The record log as the per-record csv.writer loop wrote it: the byte reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(RECORD_CSV_HEADER.split(","))
+    for r in records:
+        writer.writerow([f"{r.capture_time:.6f}", r.channel.band, r.channel.index_in_band,
+                         f"{r.channel.center_freq_mhz:.9g}", r.detector, f"{r.statistic:.9g}",
+                         f"{r.threshold:.9g}", 1 if r.present else 0])
+    return buf.getvalue().encode()
+
+
+def _reference_truth_csv(truths) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRUTH_CSV_HEADER.split(","))
+    for tr in truths:
+        writer.writerow([f"{tr.capture_time:.6f}", tr.channel.band, tr.channel.index_in_band,
+                         f"{tr.channel.center_freq_mhz:.9g}", 1 if tr.present else 0])
+    return buf.getvalue().encode()
+
+
+class TestColumnarSweep:
+    """The columnar sweep (timeline blocks -> stats columns -> merge -> writer) against
+    run_sweep over ComplexFrame timelines and the per-record csv.writer loop."""
+
+    def _plan(self):
+        # bands out of alphabetical order; a band name csv must quote
+        return build_channel_plan([
+            BandSpec("ZULU", 900.0, 905.0, (5.0,), 2),
+            BandSpec("ISM, 433", 433.05, 433.1, (0.025,), 3),
+            BandSpec("ALPHA", 150.0, 150.0, (1.0,), 1),
+        ])
+
+    def _params(self, plan):
+        on = OccupancySchedule(period_s=3.0, on_intervals=((0.0, 1.0), (1.5, 2.25)))
+        never = OccupancySchedule(period_s=10.0)
+        tone = SignalSpec(kind="tone", normalized_freq=0.21, phase=0.4)
+        bpsk = SignalSpec(kind="bpsk", symbol_rate_divisor=3, amplitude=0.5, seed=8)
+        specs = [(tone, on, 8.0), (bpsk, on, 4.0), (SignalSpec(kind="none"), on, 8.0),
+                 (tone, never, 8.0), (tone, on, -math.inf), (bpsk, on, 12.0)]
+        return [(sig, NoiseSpec(2.0, seed=50 + i), sched, snr)
+                for i, (sig, sched, snr) in enumerate(specs)]
+
+    def test_rows_equal_run_sweep(self, tmp_path):
+        plan, cfg = self._plan(), _config()
+        start, interval, total = 1767225600.0, 0.25, 10.0  # 40 frames: blocks of 32 and 8
+        params = self._params(plan)
+        results = [
+            scan_blocks(timeline_blocks(sched, sig, noise, snr, 64, interval, total,
+                                        start_time=start), cfg)
+            for sig, noise, sched, snr in params
+        ]
+        times, chan, stats, labels = merge_sweep(plan, results)
+        timelines = {
+            c: gen_channel_timeline(sched, sig, noise, snr, 64, interval, total,
+                                    center_freq_hz=c.center_freq_hz, start_time=start)
+            for c, (sig, noise, sched, snr) in zip(plan, params)
+        }
+        records, truths = run_sweep(timelines, cfg, plan)
+
+        table = frame_table(plan, times, chan, stats, cfg)
+        assert len(table.time) == len(records) == 3 * 40 * len(plan)
+        for rec, (t, c, d, stat, thr, present) in zip(records, zip(
+                table.time.tolist(), table.chan.tolist(), table.det.tolist(),
+                table.statistic.tolist(), table.threshold.tolist(), table.present.tolist())):
+            assert (t, plan[c], DETECTORS[d], thr, present) == \
+                (rec.capture_time, rec.channel, rec.detector, rec.threshold, rec.present)
+            assert np.float64(stat).view(np.int64) == np.float64(rec.statistic).view(np.int64)
+        assert labels.tolist() == [tr.present for tr in truths]
+
+        write_record_tables([table], tmp_path / "records.csv")
+        write_truth_columns(plan, times, chan, labels, tmp_path / "truth.csv")
+        assert (tmp_path / "records.csv").read_bytes() == _reference_records_csv(records)
+        assert (tmp_path / "truth.csv").read_bytes() == _reference_truth_csv(truths)
+
+    def test_chunked_writer_matches_reference(self, tmp_path, monkeypatch):
+        """Tables split over several chunks and several tables write the same bytes."""
+        records, _ = TestRecordCsv()._records()
+        monkeypatch.setattr(scan_module, "CSV_CHUNK_ROWS", 7)
+        table = record_table(records)
+        halves = [RecordTable(table.channels, *(col[:20] for col in table[1:])),
+                  RecordTable(table.channels, *(col[20:] for col in table[1:]))]
+        write_record_tables(halves, tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_bytes() == _reference_records_csv(records)
+
+    def test_read_table_round_trip(self, tmp_path):
+        records, _ = TestRecordCsv()._records()
+        p = tmp_path / "r.csv"
+        write_records_csv(records, p)
+        table = read_record_table(p)
+        assert [(t, table.channels[c], DETECTORS[d], present) for t, c, d, present in zip(
+            table.time.tolist(), table.chan.tolist(), table.det.tolist(),
+            table.present.tolist())] == \
+            [(r.capture_time, r.channel, r.detector, r.present) for r in read_records_csv(p)]
+        assert [(r.capture_time, r.channel, r.detector, r.present) for r in read_records_csv(p)] \
+            == [(r.capture_time, r.channel, r.detector, r.present) for r in records]
+
+    @pytest.mark.parametrize("bad_line", [2, 5])
+    @pytest.mark.parametrize("row, reason", [
+        ("0.000000,A,0,100,ed,nope,1.05,1", "could not convert"),
+        ("0.000000,A,0,100,matched,0.5,1.05,1", "unknown detector"),
+        ("0.000000,A,0,100,ed,0.5,1.05,yes", "present must be 0 or 1"),
+        ("0.000000,A,0,100,ed,0.5,1.05", "not enough values"),
+        ("0.000000,A,-1,100,ed,0.5,1.05,1", "index_in_band"),
+        ("nan,A,0,100,ed,0.5,1.05,1", "time_unix must be finite"),
+    ])
+    def test_malformed_row_names_its_line(self, tmp_path, bad_line, row, reason):
+        good = "1.000000,A,0,100,acf1,0.5,0.25,0"
+        lines = [RECORD_CSV_HEADER] + [good] * 5
+        lines[bad_line - 1] = row
+        p = tmp_path / "bad.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CsvParseError, match=f"bad.csv:{bad_line}: .*{reason}"):
+            read_record_table(p)
+        with pytest.raises(CsvParseError, match=f"bad.csv:{bad_line}: "):
+            read_records_csv(p)

@@ -17,6 +17,8 @@ from occuscan import (
     mix_at_snr,
     snr_scale,
 )
+from occuscan.errors import SampleDataError
+from occuscan.synth import noise_rows, signal_rows, timeline_blocks
 
 
 class TestNoise:
@@ -58,6 +60,26 @@ class TestNoise:
             NoiseSpec(total_power=1.0, seed=-1)
         with pytest.raises(ValueError):
             gen_noise_frame(0, NoiseSpec(1.0), 0)
+        for power in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                NoiseSpec(total_power=power)
+
+    def test_matches_legacy_strided_formula(self):
+        """A frame is scale * (z[0::2] + 1j*z[1::2]) of its 2n draws, bit for bit."""
+        spec = NoiseSpec(total_power=2.5, seed=123456789)
+        scale = math.sqrt(spec.total_power / 2.0)
+        for k in range(300):
+            rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 1, k)))
+            z = rng.standard_normal(2 * 100)
+            legacy = scale * (z[0::2] + 1j * z[1::2])
+            samples = gen_noise_frame(100, spec, k).samples
+            assert samples.view(np.int64).tolist() == legacy.view(np.int64).tolist(), k
+
+    def test_rows_are_frames(self):
+        spec = NoiseSpec(total_power=1.0, seed=9)
+        rows = noise_rows(64, spec, [7, 3, 40])
+        for row, k in zip(rows, [7, 3, 40]):
+            np.testing.assert_array_equal(row, gen_noise_frame(64, spec, k).samples)
 
 
 class TestSignal:
@@ -120,8 +142,9 @@ class TestSignal:
             SignalSpec(kind="chirp")
         with pytest.raises(ValueError):
             SignalSpec(kind="tone", normalized_freq=0.5)
-        with pytest.raises(ValueError):
-            SignalSpec(kind="tone", amplitude=-1.0)
+        for amplitude in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                SignalSpec(kind="tone", amplitude=amplitude)
         with pytest.raises(ValueError):
             SignalSpec(kind="bpsk", symbol_rate_divisor=0)
 
@@ -175,6 +198,11 @@ class TestSnrScale:
     def test_bad_noise_power(self):
         with pytest.raises(ValueError):
             snr_scale(1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("snr_db", [math.inf, math.nan])
+    def test_nan_and_plus_inf_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            snr_scale(1.0, 1.0, snr_db)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -260,6 +288,31 @@ class TestTimeline:
         for k, (frame, present) in enumerate(tl):
             noise_k = gen_noise_frame(16, self.NOISE, k)
             np.testing.assert_array_equal(frame.samples, noise_k.samples)
+
+    def test_blocks_match_timeline(self):
+        """40 frames come as a full block of 32 and a partial one, equal to the frames."""
+        for signal in (self.SIGNAL, SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=5)):
+            blocks = list(timeline_blocks(self.SCHEDULE, signal, self.NOISE, 3.0, 16, 0.1, 4.0,
+                                          start_time=50.0))
+            assert [len(frames) for _, frames, _ in blocks] == [32, 8]
+            tl = gen_channel_timeline(self.SCHEDULE, signal, self.NOISE, 3.0, 16, 0.1, 4.0,
+                                      start_time=50.0)
+            times, frames, labels = (np.concatenate(col) for col in zip(*blocks))
+            assert times.tolist() == [f.capture_time for f, _ in tl]
+            assert labels.tolist() == [label for _, label in tl]
+            np.testing.assert_array_equal(frames, np.stack([f.samples for f, _ in tl]))
+
+    def test_signal_rows_are_frames(self):
+        for spec in (self.SIGNAL, SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=5),
+                     SignalSpec(kind="none")):
+            rows = signal_rows(20, spec, [4, 0])
+            np.testing.assert_array_equal(rows[0], gen_signal_frame(20, spec, 4).samples)
+            np.testing.assert_array_equal(rows[1], gen_signal_frame(20, spec, 0).samples)
+
+    def test_overflowing_mix_is_an_error(self):
+        noise = NoiseSpec(total_power=1.0e308, seed=2)
+        with pytest.raises(SampleDataError, match="frame 0: non-finite sample at index 0"):
+            list(timeline_blocks(self.SCHEDULE, self.SIGNAL, noise, 10.0, 16, 0.1, 1.0))
 
     def test_rejects_bad_timing(self):
         with pytest.raises(ValueError):
