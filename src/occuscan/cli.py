@@ -4,6 +4,7 @@ Every command is deterministic given its inputs and the master seed; CSV
 outputs are byte-identical across repeated runs and across --workers counts.
 ``simulate`` parallelizes over channels and ``eval`` over chunks of trial
 indices; both are pure functions of derived seeds, merged in a fixed order.
+The process pool is imported only when --workers > 1.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -24,11 +24,11 @@ from .detectors import (
     BLOCK_FRAMES,
     DETECTOR_TABLE,
     block_statistics,
-    calibrate_ed_threshold,
-    calibrate_reference,
+    calibrate_ed_threshold_blocks,
+    calibrate_reference_blocks,
     save_reference,
 )
-from .errors import OccuscanError, SampleDataError, UsageError
+from .errors import OccuscanError, PlanError, SampleDataError, UsageError
 from .evaluate import operating_points, shared_trial_statistics, write_eval_csv
 from .iq import stream_recording
 from .report import (
@@ -50,7 +50,8 @@ from .scan import (
     write_truth_columns,
 )
 from .scenario import Scenario
-from .synth import gen_noise_frame, gen_signal_frame, mix_at_snr, timeline_blocks
+from .synth import mixed_blocks, snr_scale, timeline_blocks
+
 
 def _check_options(args) -> None:
     """Reject out-of-range numeric options before any work starts."""
@@ -74,6 +75,25 @@ def _load_scenario(args) -> Scenario:
     return scenario
 
 
+def __getattr__(name: str):
+    # the process pool is imported on first use, not at start-up: the import
+    # costs about 20 ms (2-vCPU host), and only --workers > 1 needs it
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _process_pool(workers: int):
+    """A pool of ``workers`` processes, of the class this module's ProcessPoolExecutor names.
+
+    Looked up as a module attribute, so a tool that replaces the attribute
+    (bench/tracer.py traces the pool's tasks that way) has its class used.
+    """
+    return sys.modules[__name__].ProcessPoolExecutor(max_workers=workers)
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -87,23 +107,21 @@ def cmd_calibrate(args) -> int:
     cal = scenario.calibration()
     out = _out_dir(args)
     n = scenario.frame_len()
+    signal, noise, n_ref = cal["signal"], cal["noise"], cal["reference_frames"]
 
-    training = (
-        mix_at_snr(gen_signal_frame(n, cal["signal"], i), gen_noise_frame(n, cal["noise"], i),
-                   cal["snr_db"], cal["signal"].nominal_power, cal["noise"].total_power)
-        for i in range(cal["reference_frames"])
-    )
-    reference = calibrate_reference(training, cal["acf_lags"])
+    alpha = snr_scale(signal.nominal_power, noise.total_power, cal["snr_db"])
+    try:
+        reference = calibrate_reference_blocks(
+            mixed_blocks(signal, noise, alpha, n, range(n_ref)), cal["acf_lags"])
+    except SampleDataError as exc:
+        raise SampleDataError(f"calibration: {exc}") from exc
     ref_path = out / "reference.txt"
     save_reference(reference, ref_path)
 
     # threshold frames are drawn past the reference indices so the quantile
     # never sees the training noise
-    offset = cal["reference_frames"]
-    noise_frames = (
-        gen_noise_frame(n, cal["noise"], offset + i) for i in range(cal["threshold_frames"])
-    )
-    lambda_ed = calibrate_ed_threshold(noise_frames, cal["target_pfa"])
+    noise_only = mixed_blocks(signal, noise, 0.0, n, range(n_ref, n_ref + cal["threshold_frames"]))
+    lambda_ed = calibrate_ed_threshold_blocks(noise_only, cal["target_pfa"])
 
     print(f"reference={ref_path}")
     print(f"lambda_ed={lambda_ed!r}")
@@ -140,7 +158,7 @@ def cmd_simulate(args) -> int:
 
     out = _out_dir(args)
     if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with _process_pool(args.workers) as pool:
             results = list(pool.map(_simulate_channel, tasks))
     else:
         results = [_simulate_channel(t) for t in tasks]
@@ -204,15 +222,22 @@ def cmd_analyze(args) -> int:
 def cmd_report(args) -> int:
     out = _out_dir(args)
     cells = aggregate_table(read_record_table(args.records), args.bins)
+    by_channel: dict = {}
+    for cell in cells:  # cells are sorted by channel, so each channel's cells are in order
+        by_channel.setdefault(cell.channel, []).append(cell)
+    names: dict = {}
+    for channel in by_channel:
+        first = names.setdefault(channel_slug(channel), channel)
+        if first != channel:
+            raise PlanError(f"plots/{channel_slug(channel)}.dat: channels {first.band!r}:"
+                            f"{first.index_in_band} and {channel.band!r}:{channel.index_in_band} "
+                            "would both write this file")
     write_occupancy_csv(cells, out / "occupancy.csv")
 
     plots = out / "plots"
     plots.mkdir(exist_ok=True)
-    by_channel: dict = {}
-    for cell in cells:  # cells are sorted by channel, so each channel's cells are in order
-        by_channel.setdefault(cell.channel, []).append(cell)
-    for channel, mine in by_channel.items():
-        write_plot_data(report_matrix(mine, channel), plots / f"{channel_slug(channel)}.dat")
+    for slug, channel in names.items():
+        write_plot_data(report_matrix(by_channel[channel], channel), plots / f"{slug}.dat")
     print(f"wrote {len(cells)} occupancy cells and {len(by_channel)} plot files to {out}")
     return 0
 
@@ -221,9 +246,9 @@ def cmd_report(args) -> int:
 
 def cmd_eval(args) -> int:
     scenario = _load_scenario(args)
-    out = _out_dir(args)
     config = scenario.detector_config()
     ev = scenario.eval_settings()
+    out = _out_dir(args)
 
     points, roc_snr_db = ev["snr_db_points"], ev["roc_snr_db"]
     snrs = list(dict.fromkeys([*points, roc_snr_db]))
@@ -233,7 +258,7 @@ def cmd_eval(args) -> int:
     step = -(-ev["trials"] // (BLOCK_FRAMES * args.workers)) * BLOCK_FRAMES
     chunks = [range(i, min(i + step, ev["trials"])) for i in range(0, ev["trials"], step)]
     if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with _process_pool(args.workers) as pool:
             parts = list(pool.map(run, chunks))
     else:
         parts = [run(c) for c in chunks]

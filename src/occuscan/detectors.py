@@ -15,9 +15,11 @@ Correlation distance
 
 ``block_statistics`` computes all three for a (frames x N) block from one
 ACF pass over lags 0..L-1; every command feeds it blocks of at most
-BLOCK_FRAMES (32) frames. Its row sums are the per-frame functions' dot
-products, so both give identical bits. Every decision goes through
-DETECTOR_TABLE (statistic column, threshold field, direction).
+BLOCK_FRAMES (32) frames, and ``calibrate`` feeds the same blocks to
+``calibrate_reference_blocks`` and ``calibrate_ed_threshold_blocks``. Row
+sums are the per-frame functions' dot products, so both give identical
+bits. Every decision goes through DETECTOR_TABLE (statistic column,
+threshold field, direction).
 
 All autocorrelations use the linear (non-circular) convention: terms whose
 lagged index would fall before the frame start are omitted. Ties on every
@@ -223,14 +225,14 @@ def acf_vector(frame: ComplexFrame, lags: int) -> AcfVector:
     return AcfVector(_frame_acf(frame, lags))
 
 
-def calibrate_reference(training, lags: int) -> AcfVector:
-    """Entry-wise mean of the training frames' ACF vectors.
+def calibrate_reference_blocks(blocks, lags: int) -> AcfVector:
+    """Entry-wise mean of the ACF vectors of every row of (frames x N) training blocks.
 
     Training frames should be known-present captures (high-SNR or clean
     synthetic signal); values[0] is forced back to exactly 1 after averaging.
     """
     vectors = []
-    for _, block in frame_blocks(training):
+    for block in blocks:
         energy, ratios = _acf_block(block, lags)
         if np.any(energy == 0.0):
             raise DegenerateFrameError("zero-energy frame: normalized ACF undefined")
@@ -243,6 +245,11 @@ def calibrate_reference(training, lags: int) -> AcfVector:
     return AcfVector(mean)
 
 
+def calibrate_reference(training, lags: int) -> AcfVector:
+    """``calibrate_reference_blocks`` over ComplexFrames."""
+    return calibrate_reference_blocks((b for _, b in frame_blocks(training)), lags)
+
+
 def correlation_distance(reference: AcfVector, observed: AcfVector) -> float:
     """Euclidean distance between ACF vectors, scaled by 1/sqrt(L) into [0,1]."""
     if len(reference) != len(observed):
@@ -253,21 +260,25 @@ def correlation_distance(reference: AcfVector, observed: AcfVector) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def calibrate_ed_threshold(noise_frames, target_pfa: float) -> float:
-    """Empirical (1 - target_pfa) quantile of the energy statistic over noise.
+def calibrate_ed_threshold_blocks(blocks, target_pfa: float) -> float:
+    """Empirical (1 - target_pfa) quantile of the energy statistic over (frames x N) noise blocks.
 
     Linear interpolation between order statistics (numpy's default quantile
     method). Needs at least 100 noise-only frames.
     """
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must lie in (0, 1)")
-    stats = np.array([e / b.shape[1] for _, b in frame_blocks(noise_frames)
-                      for e in _acf_block(b, 1)[0]])
+    stats = np.concatenate([np.empty(0)] + [_acf_block(b, 1)[0] / b.shape[1] for b in blocks])
     if stats.size < 100:
         raise CalibrationError(
             f"threshold calibration needs >= 100 noise frames, got {stats.size}"
         )
     return float(np.quantile(stats, 1.0 - target_pfa))
+
+
+def calibrate_ed_threshold(noise_frames, target_pfa: float) -> float:
+    """``calibrate_ed_threshold_blocks`` over ComplexFrames."""
+    return calibrate_ed_threshold_blocks((b for _, b in frame_blocks(noise_frames)), target_pfa)
 
 
 # --- reference-vector file format -------------------------------------------

@@ -16,10 +16,11 @@ includes everything read from an .iq file).
 frames, as (frames x N) complex128 arrays, so memory does not grow with the
 file; ``read_recording`` collects the same blocks into ComplexFrames.
 
-ComplexFrame is the type of the API and .iq edges. In ``simulate``, ``eval``
-and ``analyze``, frames travel as plain (frames x N) arrays, checked once
-where they enter: ``stream_recording`` checks every payload sample, and
-``synth.timeline_blocks`` checks each block that mixes in a signal.
+ComplexFrame is the type of the API and .iq edges. In every command, frames
+travel as plain (frames x N) arrays, checked once where they enter:
+``stream_recording`` checks every payload sample, and
+``synth.timeline_blocks`` and ``synth.mixed_blocks`` check each block that
+mixes in a signal.
 """
 
 from __future__ import annotations

@@ -353,17 +353,19 @@ class Scenario:
         target_pfa = _get(c, "target_pfa", "calibration", float, False, 0.05)
         if not 0.0 < target_pfa < 1.0:
             raise ScenarioError("calibration.target_pfa: must lie in (0, 1)")
+        signal = _parse_signal(signal_map, "calibration.signal",
+                               derive_seed(self.master_seed, SEED_CAL_SIGNAL))
+        noise = _parse_noise(noise_map, "calibration.noise",
+                             derive_seed(self.master_seed, SEED_CAL_NOISE))
+        snr_db = _snr_db(_get(c, "snr_db", "calibration", float, False, 20.0),
+                         "calibration.snr_db")
+        if signal.kind == "none" and snr_db != -math.inf:
+            raise ScenarioError("calibration.signal.kind: 'none' has no power to scale to "
+                                f"calibration.snr_db {snr_db} (use tone or bpsk, or snr_db -.inf)")
         return {
-            "signal": _parse_signal(
-                signal_map, "calibration.signal",
-                derive_seed(self.master_seed, SEED_CAL_SIGNAL),
-            ),
-            "noise": _parse_noise(
-                noise_map, "calibration.noise",
-                derive_seed(self.master_seed, SEED_CAL_NOISE),
-            ),
-            "snr_db": _snr_db(_get(c, "snr_db", "calibration", float, False, 20.0),
-                              "calibration.snr_db"),
+            "signal": signal,
+            "noise": noise,
+            "snr_db": snr_db,
             "reference_frames": _get(c, "reference_frames", "calibration", int, False, 100),
             "threshold_frames": _get(c, "threshold_frames", "calibration", int, False, 10000),
             "target_pfa": target_pfa,

@@ -2,12 +2,16 @@
 
 Everything here is a pure function of its arguments: each frame's randomness
 comes from ``SeedSequence((seed, stream, frame_index))``, so regenerating a
-frame at any index, in any process, gives bit-identical samples.
+frame at any index, in any process, gives bit-identical samples. A block's
+generators are seeded in one pass (``_frame_rngs``): numpy's SeedSequence
+mixing runs once over the whole block, then one reused PCG64 is set to each
+frame's state.
 
 Frames are plain complex128 rows: ``noise_rows`` and ``signal_rows`` make
-(frames x N) blocks, and ``timeline_blocks`` yields a channel's sweep as
-(times, frames, labels) blocks of at most BLOCK_FRAMES rows; each block
-that mixes in a signal gets one finiteness check (noise alone cannot
+(frames x N) blocks, ``timeline_blocks`` yields a channel's sweep as
+(times, frames, labels) blocks of at most BLOCK_FRAMES rows, and
+``mixed_blocks`` yields calibration's ``alpha * signal + noise`` rows; each
+block that mixes in a signal gets one finiteness check (noise alone cannot
 overflow, since its power is finite). ``gen_noise_frame``,
 ``gen_signal_frame`` and ``gen_channel_timeline`` wrap the same rows in
 ComplexFrames for the API.
@@ -33,6 +37,19 @@ _NOISE_STREAM = 1
 _BPSK_STREAM = 2
 
 _U64_MAX = 2**64 - 1
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier. The hash constants run INIT, INIT*MULT, INIT*MULT**2,
+# ... (mod 2**32), as columns: mixing makes at most 4 + 12 + 4 hash calls (seed,
+# stream and frame index take at most 5 words), generate_state(4, uint64) 8.
+_MASK32 = 0xFFFFFFFF
+_U128_MAX = 2**128 - 1
+_HASH_A = np.array([0x43B0D7E5 * pow(0x931E8875, i, 2**32) & _MASK32 for i in range(21)],
+                   np.uint32)[:, None]
+_HASH_B = np.array([0x8B51F9DD * pow(0x58F38DED, i, 2**32) & _MASK32 for i in range(9)],
+                   np.uint32)[:, None]
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 SIGNAL_KINDS = ("tone", "bpsk", "none")
 
@@ -79,8 +96,9 @@ class SignalSpec:
             raise ValueError("normalized_freq must lie in (-0.5, 0.5)")
         if self.symbol_rate_divisor < 1:
             raise ValueError("symbol_rate_divisor must be >= 1")
-        if not 0 <= self.amplitude < math.inf:
-            raise ValueError("amplitude must be a finite number >= 0")
+        # the power amplitude**2 must be finite as well: amplitude < ~1.34e154
+        if not (0 <= self.amplitude and self.amplitude * self.amplitude < math.inf):
+            raise ValueError("amplitude must be a number >= 0 whose square is finite")
         _check_seed(self.seed)
 
     @property
@@ -125,6 +143,72 @@ class OccupancySchedule:
         return any(a <= phase < b for a, b in self.on_intervals)
 
 
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of each row of ``words`` (or of one row, repeated).
+
+    Row i xors consts[i], multiplies by consts[i + 1] and folds the high half
+    into the low half; uint32 arithmetic wraps as SeedSequence's does.
+    """
+    x = (words ^ consts[:-1]) * consts[1:]
+    return x ^ (x >> 16)
+
+
+def _seed_states(entropy: np.ndarray) -> list:
+    """PCG64 (state, inc) of SeedSequence(entropy[:, j]) for each column j of a (words x F) block.
+
+    numpy's mixing, once over all F columns: hash the entropy into a pool of
+    4 words, cross-mix the pool, mix in the words past the pool, draw
+    generate_state(4, uint64), then seed PCG64 with it (pcg64_set_seed).
+    """
+    words, frames = entropy.shape
+    pool = np.zeros((4, frames), np.uint32)
+    pool[:min(words, 4)] = entropy[:4]
+    pool = _hashmix(pool, _HASH_A[:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        h = _hashmix(pool[src], _HASH_A[4 + 3 * src:8 + 3 * src])
+        r = _MIX_L * pool[dst] - _MIX_R * h
+        pool[dst] = r ^ (r >> 16)
+    if words > 4:  # a seed and an index of two words each: one word past the pool
+        r = _MIX_L * pool - _MIX_R * _hashmix(entropy[4], _HASH_A[16:])
+        pool = r ^ (r >> 16)
+    state = np.ascontiguousarray(_hashmix(np.tile(pool, (2, 1)), _HASH_B).T, "<u4")
+    out = []
+    for s_hi, s_lo, i_hi, i_lo in state.view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _U128_MAX
+        out.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _U128_MAX, inc))
+    return out
+
+
+def _frame_rngs(seed: int, stream: int, indices):
+    """Yield one Generator in the state of SeedSequence((seed, stream, k)) for each k in indices.
+
+    The same Generator is reset for every k, so use each draw before taking
+    the next. Indices >= 2**32 take two entropy words, as in SeedSequence, so
+    the frames are seeded in groups by entropy length. Raises ValueError for
+    an index outside [0, 2**64).
+    """
+    k = [int(i) for i in indices]
+    if k and not 0 <= min(k) <= max(k) <= _U64_MAX:
+        raise ValueError("frame indices must lie in [0, 2**64)")
+    k = np.array(k, dtype=np.uint64)
+    lo, hi = k.astype(np.uint32), (k >> 32).astype(np.uint32)
+    head = np.array([seed & _MASK32] + ([seed >> 32] if seed >> 32 else []) + [stream], np.uint32)
+    states = [None] * len(k)
+    # an index below 2**32 is one entropy word, a larger one two (low word first)
+    for rows, words in ((np.flatnonzero(hi == 0), [lo]), (np.flatnonzero(hi), [lo, hi])):
+        if rows.size:
+            entropy = np.vstack([np.tile(head[:, None], rows.size)] + [w[rows] for w in words])
+            for i, state in zip(rows.tolist(), _seed_states(entropy)):
+                states[i] = state
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for state, inc in states:
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
 def noise_rows(n: int, spec: NoiseSpec, indices) -> np.ndarray:
     """(len(indices), n) complex Gaussian noise; row i is frame indices[i]'s draw.
 
@@ -135,8 +219,7 @@ def noise_rows(n: int, spec: NoiseSpec, indices) -> np.ndarray:
         raise ValueError("n must be >= 1 (empty frames are not representable)")
     scale = math.sqrt(spec.total_power / 2.0)
     out = np.empty((len(indices), n), dtype=np.complex128)
-    for row, k in zip(out, indices):
-        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, _NOISE_STREAM, int(k))))
+    for row, rng in zip(out, _frame_rngs(spec.seed, _NOISE_STREAM, indices)):
         np.multiply(rng.standard_normal(2 * n).view(np.complex128), scale, out=row)
     return out
 
@@ -158,10 +241,7 @@ def signal_rows(n: int, spec: SignalSpec, indices) -> np.ndarray:
     out = np.zeros((len(indices), n), dtype=np.complex128)
     if spec.kind == "bpsk":
         n_sym = -(-n // spec.symbol_rate_divisor)
-        for row, k in zip(out, indices):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((spec.seed, _BPSK_STREAM, int(k)))
-            )
+        for row, rng in zip(out, _frame_rngs(spec.seed, _BPSK_STREAM, indices)):
             symbols = rng.integers(0, 2, size=n_sym) * 2 - 1
             row[:] = spec.amplitude * np.repeat(symbols, spec.symbol_rate_divisor)[:n]
     return out
@@ -286,13 +366,33 @@ def timeline_blocks(
                 # row by row: a boolean-mask assignment of the block is ~10x slower
                 for row, sig_row in zip(present, np.broadcast_to(sig, (present.size, frame_len))):
                     np.add(sig_row, frames[row], out=frames[row])
-            finite = np.isfinite(frames.view(np.float64))
-            if not finite.all():
-                frame, index = divmod(int(np.argmin(finite)) // 2, frame_len)
-                raise SampleDataError(
-                    f"frame {start + frame}: non-finite sample at index {index}"
-                )
+            _check_finite(frames, start)
         yield times[rows], frames, on
+
+
+def mixed_blocks(signal: SignalSpec, noise: NoiseSpec, alpha: float, n: int, frames: range):
+    """Yield the ``alpha * signal + noise`` rows of ``frames``, <= BLOCK_FRAMES at a time.
+
+    Each block is a (rows x n) complex128 array, noise alone where alpha is 0.
+    Raises SampleDataError naming the frame when a mixed block holds a
+    non-finite sample.
+    """
+    for start in frames[::BLOCK_FRAMES]:
+        idx = range(start, min(start + BLOCK_FRAMES, frames.stop))
+        rows = noise_rows(n, noise, idx)
+        if alpha != 0.0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = alpha * signal_rows(n, signal, idx) + rows
+            _check_finite(rows, start)
+        yield rows
+
+
+def _check_finite(frames: np.ndarray, start: int) -> None:
+    """Raise SampleDataError at the first non-finite sample; row r is frame start + r."""
+    finite = np.isfinite(frames.view(np.float64))
+    if not finite.all():
+        frame, index = divmod(int(np.argmin(finite)) // 2, frames.shape[1])
+        raise SampleDataError(f"frame {start + frame}: non-finite sample at index {index}")
 
 
 def gen_channel_timeline(

@@ -9,7 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from occuscan import ComplexFrame, write_recording
+from occuscan import (
+    ComplexFrame,
+    calibrate_ed_threshold,
+    calibrate_reference,
+    gen_noise_frame,
+    gen_signal_frame,
+    load_reference,
+    mix_at_snr,
+    write_recording,
+)
 from occuscan.channels import Channel
 from occuscan.cli import main
 from occuscan.report import OCCUPANCY_CSV_HEADER
@@ -91,6 +100,37 @@ class TestCalibrate:
         lam = float(lam_line[0].split("=", 1)[1])
         # N=256 unit-power noise: the 95th percentile sits near 1 + 1.645/16
         assert 1.05 < lam < 1.16
+
+    def test_row_blocks_build_no_frame_and_match_the_frame_api(self, tmp_path, monkeypatch,
+                                                                capsys):
+        scn = tmp_path / "scn.yaml"
+        scn.write_text(SCENARIO)
+
+        def refuse(frame):
+            raise AssertionError("calibrate built a ComplexFrame")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ComplexFrame, "__post_init__", refuse)
+            assert main(["calibrate", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+        lambda_ed = capsys.readouterr().out.splitlines()[1]
+        cal = Scenario.load(scn).calibration()
+        sig, noise, n = cal["signal"], cal["noise"], 256
+        training = (mix_at_snr(gen_signal_frame(n, sig, k), gen_noise_frame(n, noise, k),
+                               cal["snr_db"], sig.nominal_power, noise.total_power)
+                    for k in range(50))
+        reference = calibrate_reference(training, cal["acf_lags"])
+        assert load_reference(tmp_path / "reference.txt").values.tolist() == \
+            reference.values.tolist()
+        threshold = calibrate_ed_threshold(
+            (gen_noise_frame(n, noise, 50 + k) for k in range(500)), cal["target_pfa"])
+        assert lambda_ed == f"lambda_ed={threshold!r}"
+
+    def test_process_pool_is_not_imported_at_start_up(self):
+        code = "import sys, occuscan.cli; print('concurrent.futures.process' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout == "False\n"
 
     def test_seed_override_changes_reference(self, tmp_path, workspace):
         scn = workspace / "scn.yaml"
@@ -421,6 +461,48 @@ class TestBadInputs:
         self._cmd_fails_with(capsys, workspace, "simulate", "normalized_freq: 0.125",
                              f"normalized_freq: 0.125\n    amplitude: {value}",
                              "channel TESTBAND:0.signal")
+
+    @pytest.mark.parametrize("cmd, field", [("calibrate", "calibration.signal"),
+                                            ("simulate", "channel TESTBAND:0.signal"),
+                                            ("eval", "eval.signal")])
+    @pytest.mark.parametrize("value", ["1.0e200", "1.0e300"])
+    def test_signal_power_overflows(self, workspace, capsys, cmd, field, value):
+        # amplitude**2 overflows from about 1.35e154
+        self._cmd_fails_with(capsys, workspace, cmd, "normalized_freq: 0.125",
+                             f"normalized_freq: 0.125\n    amplitude: {value}", field)
+
+    @pytest.mark.parametrize("section, cmd", [("calibration", "calibrate"), ("eval", "eval")])
+    def test_section_signal_power_overflows(self, workspace, capsys, section, cmd):
+        self._cmd_fails_with(capsys, workspace, cmd, f"\n{section}:\n",
+                             f"\n{section}:\n  signal:\n    kind: bpsk\n    amplitude: 1.0e300\n",
+                             f"{section}.signal")
+
+    def test_calibration_signal_kind_none(self, workspace, capsys):
+        self._cmd_fails_with(capsys, workspace, "calibrate", "\ncalibration:\n",
+                             "\ncalibration:\n  signal:\n    kind: none\n",
+                             "calibration.signal.kind")
+
+    def test_overflowing_calibration_mix(self, workspace, capsys):
+        # the noise power is finite, but the scale for 20 dB above it is not
+        scn = workspace / "huge.yaml"
+        scn.write_text(SCENARIO.replace("total_power: 1.0", "total_power: 1.0e308"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning may escape either
+            assert main(["calibrate", "--scenario", str(scn), "--out",
+                         str(workspace / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: calibration: frame 0: non-finite sample at index 0\n"
+        assert not (workspace / "o" / "reference.txt").exists()
+
+    def test_report_plot_file_shared_by_two_channels(self, workspace, capsys):
+        records = workspace / "shared.csv"
+        records.write_text(RECORD_CSV_HEADER + "\n"
+                           '0,"ISM, 433",0,433.05,ed,1.5,1.1,1\n'
+                           "0,ISM 433,0,433.05,ed,0.5,1.1,0\n")
+        assert main(["report", "--records", str(records), "--out", str(workspace / "o")]) == 1
+        assert capsys.readouterr().err == ("error: plots/ISM-433_ch000.dat: channels 'ISM 433':0 "
+                                           "and 'ISM, 433':0 would both write this file\n")
+        assert list((workspace / "o").iterdir()) == []
 
     def test_eval_minus_inf_snr_means_no_signal(self, workspace):
         scn = workspace / "absent.yaml"

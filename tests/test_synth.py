@@ -18,7 +18,7 @@ from occuscan import (
     snr_scale,
 )
 from occuscan.errors import SampleDataError
-from occuscan.synth import noise_rows, signal_rows, timeline_blocks
+from occuscan.synth import _frame_rngs, mixed_blocks, noise_rows, signal_rows, timeline_blocks
 
 
 class TestNoise:
@@ -82,6 +82,43 @@ class TestNoise:
             np.testing.assert_array_equal(row, gen_noise_frame(64, spec, k).samples)
 
 
+class TestBlockSeeder:
+    """One pass seeds a block's generators exactly as per-frame SeedSequences do."""
+
+    @staticmethod
+    def _per_frame(seed, stream, k):
+        return np.random.default_rng(np.random.SeedSequence((seed, stream, k)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+        stream=st.sampled_from([1, 2]),
+        start=st.sampled_from([0, 2**32 - 20, 2**64 - 41]) | st.integers(0, 2**64 - 41),
+        count=st.integers(0, 40),
+    )
+    def test_rows_equal_per_frame_generators(self, seed, stream, start, count):
+        frames = range(start, start + count)  # from 2**32 - 20, the range crosses 2**32
+        for k, rng in zip(frames, _frame_rngs(seed, stream, frames), strict=True):
+            expected = self._per_frame(seed, stream, k)
+            assert rng.bit_generator.state == expected.bit_generator.state, k
+            draws = rng.standard_normal(3), rng.integers(0, 2, size=5)
+            assert draws[0].tolist() == expected.standard_normal(3).tolist()
+            assert draws[1].tolist() == expected.integers(0, 2, size=5).tolist()
+
+    def test_unordered_indices_either_side_of_2_32(self):
+        ks = [2**32 + 1, 0, 2**64 - 1, 2**32 - 1, 7, 2**32]
+        got = [rng.bit_generator.state for rng in _frame_rngs(2**40 + 3, 1, np.array(ks, dtype=np.uint64))]
+        assert got == [self._per_frame(2**40 + 3, 1, k).bit_generator.state for k in ks]
+        spec = SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=2**64 - 1)
+        np.testing.assert_array_equal(signal_rows(20, spec, ks),
+                                      [gen_signal_frame(20, spec, k).samples for k in ks])
+
+    @pytest.mark.parametrize("indices", [[-1], [3, 2**64], [0, -5, 2]])
+    def test_rejects_indices_outside_u64(self, indices):
+        with pytest.raises(ValueError, match="frame indices"):
+            noise_rows(8, NoiseSpec(1.0, seed=1), indices)
+
+
 class TestSignal:
     def test_tone_unit_modulus(self):
         spec = SignalSpec(kind="tone", normalized_freq=0.1, amplitude=2.5)
@@ -136,6 +173,12 @@ class TestSignal:
     def test_nominal_power(self):
         assert SignalSpec(kind="tone", amplitude=2.0).nominal_power == 4.0
         assert SignalSpec(kind="bpsk", amplitude=0.5).nominal_power == 0.25
+
+    def test_amplitude_with_overflowing_power_rejected(self):
+        assert SignalSpec(kind="tone", amplitude=1.0e154).nominal_power == pytest.approx(1e308)
+        for amplitude in (1.35e154, 1.0e200, 1.0e300):
+            with pytest.raises(ValueError, match="square is finite"):
+                SignalSpec(kind="tone", amplitude=amplitude)
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):
@@ -313,6 +356,21 @@ class TestTimeline:
         noise = NoiseSpec(total_power=1.0e308, seed=2)
         with pytest.raises(SampleDataError, match="frame 0: non-finite sample at index 0"):
             list(timeline_blocks(self.SCHEDULE, self.SIGNAL, noise, 10.0, 16, 0.1, 1.0))
+        alpha = snr_scale(1.0, noise.total_power, 10.0)
+        with pytest.raises(SampleDataError, match="frame 5: non-finite sample at index 0"):
+            list(mixed_blocks(self.SIGNAL, noise, alpha, 16, range(5, 50)))
+
+    def test_mixed_blocks_are_mixed_frames(self):
+        """Blocks of 32 + 11 rows equal mix_at_snr of the frames, bit for bit."""
+        for signal in (self.SIGNAL, SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=5)):
+            for snr_db in (7.0, -math.inf):
+                alpha = snr_scale(signal.nominal_power, 1.0, snr_db)
+                blocks = list(mixed_blocks(signal, self.NOISE, alpha, 16, range(60, 103)))
+                assert [len(b) for b in blocks] == [32, 11]
+                frames = [mix_at_snr(gen_signal_frame(16, signal, k),
+                                     gen_noise_frame(16, self.NOISE, k), snr_db,
+                                     signal.nominal_power, 1.0).samples for k in range(60, 103)]
+                np.testing.assert_array_equal(np.concatenate(blocks), frames)
 
     def test_rejects_bad_timing(self):
         with pytest.raises(ValueError):
