@@ -4,58 +4,49 @@ The package simulates or ingests complex-baseband captures for every channel
 in a plan, runs energy, lag-1 autocorrelation and correlation-distance
 detectors on each frame, and aggregates the decisions into time-binned
 occupancy tables.
+
+The names in ``__all__`` are loaded on first use (PEP 562): ``import
+occuscan`` loads neither a submodule nor numpy, so ``occuscan.cli`` can set
+its BLAS thread count before numpy starts, and a library user's environment
+is left alone. ``from occuscan import X`` and ``occuscan.detectors`` work as
+with eager imports.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .channels import BUILTIN_BANDS, BandSpec, Channel, build_channel_plan, builtin_plan
-from .detectors import (
-    DETECTOR_ACF1,
-    DETECTOR_CDIST,
-    DETECTOR_ED,
-    DETECTOR_TABLE,
-    DETECTORS,
-    AcfVector,
-    DetectorConfig,
-    acf,
-    acf1_statistic,
-    acf_vector,
-    block_statistics,
-    calibrate_ed_threshold,
-    calibrate_reference,
-    correlation_distance,
-    energy_statistic,
-    load_reference,
-    save_reference,
-)
-from .errors import (
-    CalibrationError,
-    ConfigurationError,
-    CsvParseError,
-    DegenerateFrameError,
-    FrameConsistencyError,
-    MetaFormatError,
-    OccuscanError,
-    PlanError,
-    RoutingError,
-    SampleDataError,
-    ScenarioError,
-    TruncationError,
-    UsageError,
-)
-from .iq import ComplexFrame, RecordingMeta, read_meta, read_recording, write_meta, write_recording
-from .report import OccupancyCell, aggregate, report_matrix, write_occupancy_csv
-from .scan import ScanRecord, TruthRecord, run_sweep, scan_channel, write_records_csv
-from .scenario import Scenario
-from .synth import (
-    NoiseSpec,
-    OccupancySchedule,
-    SignalSpec,
-    gen_channel_timeline,
-    gen_noise_frame,
-    gen_signal_frame,
-    mix_at_snr,
-    snr_scale,
-)
+# public name -> the submodule that defines it; each submodule's name maps to itself
+_MODULE_OF = {name: module for module, names in {
+    "channels": ("BUILTIN_BANDS", "BandSpec", "Channel", "build_channel_plan", "builtin_plan"),
+    "detectors": ("DETECTOR_ACF1", "DETECTOR_CDIST", "DETECTOR_ED", "DETECTOR_TABLE",
+                  "DETECTORS", "AcfVector", "DetectorConfig", "acf", "acf1_statistic",
+                  "acf_vector", "block_statistics", "calibrate_ed_threshold",
+                  "calibrate_reference", "correlation_distance", "energy_statistic",
+                  "load_reference", "save_reference"),
+    "errors": ("CalibrationError", "ConfigurationError", "CsvParseError", "DegenerateFrameError",
+               "FrameConsistencyError", "MetaFormatError", "OccuscanError", "PlanError",
+               "RoutingError", "SampleDataError", "ScenarioError", "TruncationError",
+               "UsageError"),
+    "iq": ("ComplexFrame", "RecordingMeta", "read_meta", "read_recording", "write_meta",
+           "write_recording"),
+    "report": ("OccupancyCell", "aggregate", "report_matrix", "write_occupancy_csv"),
+    "scan": ("ScanRecord", "TruthRecord", "run_sweep", "scan_channel", "write_records_csv"),
+    "scenario": ("Scenario",),
+    "synth": ("NoiseSpec", "OccupancySchedule", "SignalSpec", "gen_channel_timeline",
+              "gen_noise_frame", "gen_signal_frame", "mix_at_snr", "snr_scale"),
+}.items() for name in (module, *names)}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    mod = import_module(f".{module}", __name__)
+    return mod if name == module else getattr(mod, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -4,7 +4,10 @@ Every command is deterministic given its inputs and the master seed; CSV
 outputs are byte-identical across repeated runs and across --workers counts.
 ``simulate`` parallelizes over channels and ``eval`` over chunks of trial
 indices; both are pure functions of derived seeds, merged in a fixed order.
-The process pool is imported only when --workers > 1.
+Start-up loads only what the command runs: the module sets OpenBLAS to one
+thread before numpy loads, each command imports its own modules (``report``
+loads no YAML parser and no synthesis), and the process pool is imported
+only when --workers > 1.
 """
 
 from __future__ import annotations
@@ -17,40 +20,15 @@ from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread, set before numpy loads and whatever the environment says.
+# The only BLAS call occuscan makes is one frame's dot product (the stacked
+# np.matmul in detectors._acf_block), so a thread pool only adds start-up
+# cost. Above 10,000 samples a threaded dot product also splits the sum and
+# changes its bits: they matched at 1,024 and 8,192 samples and differed at
+# 16,384, 65,536 and 262,144, which would make outputs depend on the host.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .channels import Channel
-from .detectors import (
-    BLOCK_FRAMES,
-    DETECTOR_TABLE,
-    block_statistics,
-    calibrate_ed_threshold_blocks,
-    calibrate_reference_blocks,
-    save_reference,
-)
 from .errors import OccuscanError, PlanError, SampleDataError, UsageError
-from .evaluate import operating_points, shared_trial_statistics, write_eval_csv
-from .iq import stream_recording
-from .report import (
-    aggregate_table,
-    channel_slug,
-    report_matrix,
-    write_occupancy_csv,
-    write_plot_data,
-)
-from .scan import (
-    band_positions,
-    check_tuning,
-    frame_table,
-    merge_sweep,
-    read_record_table,
-    scan_blocks,
-    write_plan_csv,
-    write_record_tables,
-    write_truth_columns,
-)
-from .scenario import Scenario
-from .synth import mixed_blocks, snr_scale, timeline_blocks
 
 
 def _check_options(args) -> None:
@@ -64,9 +42,17 @@ def _check_options(args) -> None:
     bins = getattr(args, "bins", 1.0)
     if not (math.isfinite(bins) and bins > 0):
         raise UsageError(f"--bins: must be a finite number > 0, got {bins}")
+    center = getattr(args, "center_mhz", 1.0)
+    if not (math.isfinite(center) and center > 0):
+        raise UsageError(f"--center-mhz: must be a finite number > 0, got {center}")
+    tol = getattr(args, "freq_tol_mhz", 0.0)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise UsageError(f"--freq-tol-mhz: must be a finite number >= 0, got {tol}")
 
 
-def _load_scenario(args) -> Scenario:
+def _load_scenario(args):
+    from .scenario import Scenario
+
     scenario = Scenario.load(args.scenario)
     if getattr(args, "seed", None) is not None:
         data = dict(scenario.data)
@@ -103,6 +89,10 @@ def _out_dir(args) -> Path:
 # --- calibrate ---------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
+    from .detectors import (calibrate_ed_threshold_blocks, calibrate_reference_blocks,
+                            save_reference)
+    from .synth import mixed_blocks, snr_scale
+
     scenario = _load_scenario(args)
     cal = scenario.calibration()
     out = _out_dir(args)
@@ -110,18 +100,18 @@ def cmd_calibrate(args) -> int:
     signal, noise, n_ref = cal["signal"], cal["noise"], cal["reference_frames"]
 
     alpha = snr_scale(signal.nominal_power, noise.total_power, cal["snr_db"])
+    # threshold frames are drawn past the reference indices so the quantile
+    # never sees the training noise
+    noise_only = range(n_ref, n_ref + cal["threshold_frames"])
     try:
         reference = calibrate_reference_blocks(
             mixed_blocks(signal, noise, alpha, n, range(n_ref)), cal["acf_lags"])
+        lambda_ed = calibrate_ed_threshold_blocks(
+            mixed_blocks(signal, noise, 0.0, n, noise_only), cal["target_pfa"], n_ref)
     except SampleDataError as exc:
         raise SampleDataError(f"calibration: {exc}") from exc
     ref_path = out / "reference.txt"
     save_reference(reference, ref_path)
-
-    # threshold frames are drawn past the reference indices so the quantile
-    # never sees the training noise
-    noise_only = mixed_blocks(signal, noise, 0.0, n, range(n_ref, n_ref + cal["threshold_frames"]))
-    lambda_ed = calibrate_ed_threshold_blocks(noise_only, cal["target_pfa"])
 
     print(f"reference={ref_path}")
     print(f"lambda_ed={lambda_ed!r}")
@@ -132,6 +122,9 @@ def cmd_calibrate(args) -> int:
 
 def _simulate_channel(task):
     """One channel's (times, stats, labels) columns. Runs in worker processes."""
+    from .scan import scan_blocks
+    from .synth import timeline_blocks
+
     channel, params, config, n, interval, total, start = task
     blocks = timeline_blocks(params.schedule, params.signal, params.noise, params.snr_db,
                              n, interval, total, start_time=start)
@@ -142,6 +135,10 @@ def _simulate_channel(task):
 
 
 def cmd_simulate(args) -> int:
+    from .detectors import DETECTOR_TABLE
+    from .scan import (band_positions, frame_table, merge_sweep, write_plan_csv,
+                       write_record_tables, write_truth_columns)
+
     scenario = _load_scenario(args)
     plan = scenario.plan()
     config = scenario.detector_config()
@@ -186,6 +183,13 @@ def _replace_on_success(path: Path):
 
 
 def cmd_analyze(args) -> int:
+    import numpy as np
+
+    from .channels import Channel
+    from .detectors import DETECTOR_TABLE, block_statistics
+    from .iq import stream_recording
+    from .scan import check_tuning, frame_table, write_record_tables
+
     scenario = _load_scenario(args)
     out = _out_dir(args)
     config = scenario.detector_config()
@@ -193,15 +197,15 @@ def cmd_analyze(args) -> int:
 
     meta, discarded, blocks = stream_recording(args.iq, args.meta, n)
     channels = [Channel("recording", 0, args.center_mhz)]
+    check_tuning(meta.center_freq_hz, channels[0], args.freq_tol_mhz)
     frames = 0
 
     def tables():
         nonlocal frames
         for block in blocks:
-            check_tuning(meta.center_freq_hz, channels[0], args.freq_tol_mhz)
             k = np.arange(frames, frames + len(block))
             times = meta.start_time + k * n / meta.sample_rate_hz
-            stats = block_statistics(block, config.reference)
+            stats = block_statistics(block, config.reference, frames)
             yield frame_table(channels, times, np.zeros(len(block), dtype=np.intp), stats, config)
             if args.verbose:
                 for t, (ed, acf1, cdist) in zip(times.tolist(), stats.tolist()):
@@ -220,6 +224,10 @@ def cmd_analyze(args) -> int:
 # --- report ------------------------------------------------------------------
 
 def cmd_report(args) -> int:
+    from .report import (aggregate_table, channel_slug, report_matrix, write_occupancy_csv,
+                         write_plot_data)
+    from .scan import read_record_table
+
     out = _out_dir(args)
     cells = aggregate_table(read_record_table(args.records), args.bins)
     by_channel: dict = {}
@@ -245,6 +253,11 @@ def cmd_report(args) -> int:
 # --- eval --------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
+    import numpy as np
+
+    from .detectors import BLOCK_FRAMES, DETECTOR_TABLE
+    from .evaluate import operating_points, shared_trial_statistics, write_eval_csv
+
     scenario = _load_scenario(args)
     config = scenario.detector_config()
     ev = scenario.eval_settings()
@@ -257,11 +270,14 @@ def cmd_eval(args) -> int:
     # BLOCK_FRAMES-aligned chunks hold the same kernel blocks as one pass
     step = -(-ev["trials"] // (BLOCK_FRAMES * args.workers)) * BLOCK_FRAMES
     chunks = [range(i, min(i + step, ev["trials"])) for i in range(0, ev["trials"], step)]
-    if args.workers > 1:
-        with _process_pool(args.workers) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = [run(c) for c in chunks]
+    try:
+        if args.workers > 1:
+            with _process_pool(args.workers) as pool:
+                parts = list(pool.map(run, chunks))
+        else:
+            parts = [run(c) for c in chunks]
+    except SampleDataError as exc:
+        raise SampleDataError(f"eval: {exc}") from exc
     stats = np.concatenate(parts, axis=1)
 
     def ops(d, snr_db, thresholds):

@@ -18,8 +18,9 @@ ACF pass over lags 0..L-1; every command feeds it blocks of at most
 BLOCK_FRAMES (32) frames, and ``calibrate`` feeds the same blocks to
 ``calibrate_reference_blocks`` and ``calibrate_ed_threshold_blocks``. Row
 sums are the per-frame functions' dot products, so both give identical
-bits. Every decision goes through DETECTOR_TABLE (statistic column,
-threshold field, direction).
+bits. A frame whose energy sum is not finite raises SampleDataError, so no
+NaN statistic reaches an output. Every decision goes through DETECTOR_TABLE
+(statistic column, threshold field, direction).
 
 All autocorrelations use the linear (non-circular) convention: terms whose
 lagged index would fall before the frame start are omitted. Ties on every
@@ -34,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CalibrationError, DegenerateFrameError
+from .errors import CalibrationError, DegenerateFrameError, SampleDataError
 from .iq import BLOCK_FRAMES, ComplexFrame
 
 DETECTOR_ED = "ed"
@@ -79,7 +80,7 @@ class AcfVector:
     """Magnitude-normalized autocorrelation values at lags 0..L-1.
 
     values[0] is exactly 1 (the normalization anchor) and every entry lies
-    in [0, 1].
+    in [0, 1] (so none is NaN).
     """
 
     values: np.ndarray
@@ -90,8 +91,8 @@ class AcfVector:
             raise ValueError("AcfVector needs at least 2 lags")
         if arr[0] != 1.0:
             raise ValueError("values[0] must be exactly 1.0")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("AcfVector entries must lie in [0, 1]")
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):
+            raise ValueError("AcfVector entries must be finite and lie in [0, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -128,18 +129,27 @@ class DetectorConfig:
             )
 
 
-def _acf_block(block: np.ndarray, lags: int) -> tuple[np.ndarray, np.ndarray]:
+def _acf_block(
+    block: np.ndarray, lags: int, start: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-row ACF(0) and |ACF(l)| / ACF(0), l = 0..lags-1, of a (frames x N) block.
 
     Row sums are BLAS dot products and magnitudes use hypot, as np.vdot,
     np.dot and abs() do on one frame. Cauchy-Schwarz bounds the ratios by 1;
-    the clip guards roundoff. Zero-energy rows give NaN ratios.
+    the clip guards roundoff. Zero-energy rows give NaN ratios. A row whose
+    energy is not finite (finite samples whose power sum overflows, or
+    non-finite samples) raises SampleDataError naming frame start + row.
     """
     n = block.shape[1]
     if not 1 <= lags <= n:
         raise ValueError(f"lags must lie in [2, {n}], got {lags}")
     conj = block.conj()
-    energy = np.matmul(block[:, None, :], conj[:, :, None])[:, 0, 0].real
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = np.matmul(block[:, None, :], conj[:, :, None])[:, 0, 0].real
+    finite = np.isfinite(energy)
+    if not finite.all():
+        raise SampleDataError(f"frame {start + int(np.argmin(finite))}: "
+                              "energy is not finite (the sample power sum overflows)")
     ratios = np.empty((len(block), lags))
     ratios[:, 0] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -149,13 +159,14 @@ def _acf_block(block: np.ndarray, lags: int) -> tuple[np.ndarray, np.ndarray]:
     return energy, ratios
 
 
-def block_statistics(block: np.ndarray, reference: AcfVector) -> np.ndarray:
+def block_statistics(block: np.ndarray, reference: AcfVector, start: int = 0) -> np.ndarray:
     """The ed, acf1 and cdist columns (DETECTOR_TABLE order) of a (frames x N) block.
 
     A zero-energy row (dead channel) gets the no-signal sentinels acf1 = 0 and
-    cdist = 1, which every valid threshold decides absent.
+    cdist = 1, which every valid threshold decides absent. A row whose energy
+    is not finite raises SampleDataError naming frame start + row.
     """
-    energy, ratios = _acf_block(block, len(reference))
+    energy, ratios = _acf_block(block, len(reference), start)
     diff = reference.values - ratios
     stats = np.column_stack(
         (energy / block.shape[1], ratios[:, 1], np.sqrt(np.mean(diff * diff, axis=1)))
@@ -231,9 +242,10 @@ def calibrate_reference_blocks(blocks, lags: int) -> AcfVector:
     Training frames should be known-present captures (high-SNR or clean
     synthetic signal); values[0] is forced back to exactly 1 after averaging.
     """
-    vectors = []
+    vectors, start = [], 0
     for block in blocks:
-        energy, ratios = _acf_block(block, lags)
+        energy, ratios = _acf_block(block, lags, start)
+        start += len(block)
         if np.any(energy == 0.0):
             raise DegenerateFrameError("zero-energy frame: normalized ACF undefined")
         vectors.append(ratios)
@@ -260,15 +272,20 @@ def correlation_distance(reference: AcfVector, observed: AcfVector) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def calibrate_ed_threshold_blocks(blocks, target_pfa: float) -> float:
+def calibrate_ed_threshold_blocks(blocks, target_pfa: float, start: int = 0) -> float:
     """Empirical (1 - target_pfa) quantile of the energy statistic over (frames x N) noise blocks.
 
     Linear interpolation between order statistics (numpy's default quantile
-    method). Needs at least 100 noise-only frames.
+    method). Needs at least 100 noise-only frames. Errors number the frames
+    from ``start``.
     """
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must lie in (0, 1)")
-    stats = np.concatenate([np.empty(0)] + [_acf_block(b, 1)[0] / b.shape[1] for b in blocks])
+    stats = [np.empty(0)]
+    for block in blocks:
+        stats.append(_acf_block(block, 1, start)[0] / block.shape[1])
+        start += len(block)
+    stats = np.concatenate(stats)
     if stats.size < 100:
         raise CalibrationError(
             f"threshold calibration needs >= 100 noise frames, got {stats.size}"
@@ -303,4 +320,7 @@ def load_reference(path) -> AcfVector:
         raise CalibrationError(f"{path}: {exc}") from exc
     if len(values) != lags:
         raise CalibrationError(f"{path}: expected {lags} values, found {len(values)}")
-    return AcfVector(np.array(values))
+    try:
+        return AcfVector(np.array(values))
+    except ValueError as exc:
+        raise CalibrationError(f"{path}: {exc}") from exc

@@ -22,7 +22,7 @@ from .detectors import (
     block_statistics,
     decides_present,
 )
-from .scan import _fmt
+from .scan import _fmt, scan_blocks
 from .synth import (
     NoiseSpec,
     OccupancySchedule,
@@ -70,6 +70,8 @@ def shared_trial_statistics(
     H1 at snr_dbs[k] (noise frame i plus signal frame i at that SNR; H0 where
     the scale is 0), columns in DETECTOR_TABLE order. Frames are made once per
     trial, BLOCK_FRAMES trials at a time, and only one block is held at once.
+    A frame whose energy is not finite raises SampleDataError naming its trial
+    index as the frame.
     """
     powers = (signal_spec.nominal_power, noise_spec.total_power)
     alphas = [snr_scale(*powers, s) if signal_spec.kind != "none" else 0.0 for s in snr_dbs]
@@ -78,12 +80,15 @@ def shared_trial_statistics(
         idx = trials[start:start + BLOCK_FRAMES]
         rows = slice(start, start + len(idx))
         noise = noise_rows(n, noise_spec, idx)
-        out[:, rows] = block_statistics(noise, config.reference)
+        out[:, rows] = block_statistics(noise, config.reference, idx[0])
         if any(alphas):
             sig = signal_rows(n, signal_spec, idx)
             for k, alpha in enumerate(alphas, 1):
                 if alpha != 0.0:
-                    out[k, rows] = block_statistics(alpha * sig + noise, config.reference)
+                    # an overflowing mix leaves a non-finite energy, which the kernel reports
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        mixed = alpha * sig + noise
+                    out[k, rows] = block_statistics(mixed, config.reference, idx[0])
     return out
 
 
@@ -203,10 +208,9 @@ def occupancy_recovery(
     blocks = timeline_blocks(
         schedule, signal_spec, noise_spec, snr_db, frame_len, frame_interval_s, total_s
     )
-    stats = [block_statistics(frames, config.reference) for _, frames, _ in blocks]
-    if not stats:
+    _, stats, _ = scan_blocks(blocks, config)
+    if not len(stats):
         raise ValueError("scenario produced no scans")
-    stats = np.concatenate(stats)
     decisions = row.decide(stats[:, row.column], row.threshold(config))
     measured = int(np.count_nonzero(decisions)) / len(decisions)
     true_duty = schedule.duty_cycle

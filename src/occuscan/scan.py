@@ -130,9 +130,17 @@ def _columns(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def scan_blocks(blocks, config: DetectorConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One channel's (times, frames, labels) blocks scanned to (times, stats, labels) columns."""
-    return _columns((np.asarray(t, dtype=float), block_statistics(frames, config.reference),
-                     np.asarray(labels, dtype=bool)) for t, frames, labels in blocks)
+    """One channel's (times, frames, labels) blocks scanned to (times, stats, labels) columns.
+
+    A frame whose energy is not finite raises SampleDataError naming its
+    index in the channel's frame sequence.
+    """
+    parts, start = [], 0
+    for t, frames, labels in blocks:
+        stats = block_statistics(frames, config.reference, start)
+        parts.append((np.asarray(t, dtype=float), stats, np.asarray(labels, dtype=bool)))
+        start += len(frames)
+    return _columns(parts)
 
 
 def band_positions(plan) -> dict:

@@ -362,12 +362,18 @@ class Scenario:
         if signal.kind == "none" and snr_db != -math.inf:
             raise ScenarioError("calibration.signal.kind: 'none' has no power to scale to "
                                 f"calibration.snr_db {snr_db} (use tone or bpsk, or snr_db -.inf)")
+        reference_frames = _get(c, "reference_frames", "calibration", int, False, 100)
+        if reference_frames < 1:
+            raise ScenarioError("calibration.reference_frames: must be >= 1")
+        threshold_frames = _get(c, "threshold_frames", "calibration", int, False, 10000)
+        if threshold_frames < 100:
+            raise ScenarioError("calibration.threshold_frames: must be >= 100")
         return {
             "signal": signal,
             "noise": noise,
             "snr_db": snr_db,
-            "reference_frames": _get(c, "reference_frames", "calibration", int, False, 100),
-            "threshold_frames": _get(c, "threshold_frames", "calibration", int, False, 10000),
+            "reference_frames": reference_frames,
+            "threshold_frames": threshold_frames,
             "target_pfa": target_pfa,
             "acf_lags": self.acf_lags(),
         }

@@ -11,8 +11,9 @@ Frames are plain complex128 rows: ``noise_rows`` and ``signal_rows`` make
 (frames x N) blocks, ``timeline_blocks`` yields a channel's sweep as
 (times, frames, labels) blocks of at most BLOCK_FRAMES rows, and
 ``mixed_blocks`` yields calibration's ``alpha * signal + noise`` rows; each
-block that mixes in a signal gets one finiteness check (noise alone cannot
-overflow, since its power is finite). ``gen_noise_frame``,
+block that mixes in a signal gets one finiteness check. Noise samples are
+finite, since their power is, but a frame's power sum can still overflow:
+``detectors`` checks each frame's energy. ``gen_noise_frame``,
 ``gen_signal_frame`` and ``gen_channel_timeline`` wrap the same rows in
 ComplexFrames for the API.
 

@@ -543,6 +543,88 @@ class TestBadInputs:
         self._cmd_fails_with(capsys, workspace, "simulate", band, band + band,
                              "band 'TESTBAND'")
 
+    # Finite noise whose power sum overflows: every sample is finite, the energy is not.
+    def _energy_overflows(self, capsys, workspace, argv, where, output):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning may escape
+            assert main([*argv, "--out", str(workspace / "o")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {where}: frame 0: energy is not finite (the sample power sum overflows)\n"
+        assert not (workspace / "o" / output).exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_eval_noise_energy_overflows(self, workspace, capsys, workers):
+        scn = workspace / "huge.yaml"
+        scn.write_text(SCENARIO.replace("eval:\n", "eval:\n  noise:\n    total_power: 1.0e308\n"))
+        self._energy_overflows(capsys, workspace, ["eval", "--scenario", str(scn),
+                                                   "--workers", workers], "eval", "eval.csv")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_never_on_channel_energy_overflows(self, workspace, capsys, workers):
+        scn = workspace / "huge.yaml"
+        scn.write_text(SCENARIO.replace("detector:", 'channels:\n  "TESTBAND:1":\n'
+                                        "    noise:\n      total_power: 1.0e308\n"
+                                        "    schedule:\n      period_s: 2.0\n"
+                                        "      on_intervals: []\n\ndetector:"))
+        self._energy_overflows(capsys, workspace, ["simulate", "--scenario", str(scn),
+                                                   "--workers", workers],
+                               "channel TESTBAND:1", "records.csv")
+
+    def test_calibration_noise_energy_overflows(self, workspace, capsys):
+        # at 0 dB the signal's scale is finite too, so only the energy overflows
+        scn = workspace / "huge.yaml"
+        scn.write_text(SCENARIO.replace("calibration:\n  snr_db: 20.0", "calibration:\n"
+                                        "  snr_db: 0.0\n  noise:\n    total_power: 1.0e308"))
+        self._energy_overflows(capsys, workspace, ["calibrate", "--scenario", str(scn)],
+                               "calibration", "reference.txt")
+
+    def test_reference_file_with_nan(self, workspace, capsys):
+        ref = workspace / "reference.txt"
+        ref.write_text("lags=8\n1.0\nnan\n" + "0.5\n" * 6)
+        assert main(["simulate", "--scenario", str(workspace / "scn.yaml"), "--out",
+                     str(workspace / "o")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {ref}: AcfVector entries must be finite and lie in [0, 1]\n"
+
+    @pytest.mark.parametrize("field, value", [("reference_frames", "0"),
+                                              ("reference_frames", "-1"),
+                                              ("threshold_frames", "99"),
+                                              ("threshold_frames", "0")])
+    def test_calibration_frame_count_too_small(self, workspace, capsys, field, value):
+        old = {"reference_frames": "reference_frames: 50",
+               "threshold_frames": "threshold_frames: 500"}[field]
+        self._cmd_fails_with(capsys, workspace, "calibrate", old, f"{field}: {value}",
+                             f"calibration.{field}")
+
+    def _analyze_argv(self, workspace, *options):
+        return ["analyze", "--scenario", str(workspace / "scn.yaml"), "--out",
+                str(workspace / "o"), "--iq", str(workspace / "cap.iq"), "--meta",
+                str(workspace / "cap.iq.meta"), *options]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2412"])
+    def test_analyze_bad_center(self, workspace, capsys, value):
+        self._fails_with(capsys, self._analyze_argv(workspace, f"--center-mhz={value}"),
+                         "--center-mhz")
+        assert not (workspace / "o").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_analyze_bad_freq_tolerance(self, workspace, capsys, value):
+        self._fails_with(capsys, self._analyze_argv(workspace, "--center-mhz", "2412",
+                                                    f"--freq-tol-mhz={value}"),
+                         "--freq-tol-mhz")
+        assert not (workspace / "o").exists()
+
+    @pytest.mark.parametrize("samples", [100, 3 * 256])
+    def test_analyze_mistuned_recording(self, workspace, capsys, samples):
+        # a 915 MHz capture scanned as 2412 MHz, with no whole frame or with three
+        frame = ComplexFrame(np.ones(samples, dtype=np.complex128), 1e6, 915e6, 0.0)
+        write_recording([frame], workspace / "cap.iq", workspace / "cap.iq.meta")
+        assert main(self._analyze_argv(workspace, "--center-mhz", "2412")) == 1
+        assert capsys.readouterr().err == (
+            "error: frame at 915.0 MHz does not match channel recording[0] at 2412.0 MHz "
+            "(tolerance 1.0 MHz)\n")
+        assert list((workspace / "o").iterdir()) == []
+
 
 class TestReport:
     @pytest.fixture
@@ -627,3 +709,75 @@ class TestErrors:
             main(["--help"])
         assert exc.value.code == 0
         assert "calibrate" in capsys.readouterr().out
+
+
+class TestStartUp:
+    """What a fresh interpreter loads, and what the BLAS thread count may change."""
+
+    # occuscan.__all__ as it was when the package imported every submodule eagerly
+    PUBLIC_NAMES = [
+        "AcfVector", "BUILTIN_BANDS", "BandSpec", "CalibrationError", "Channel", "ComplexFrame",
+        "ConfigurationError", "CsvParseError", "DETECTORS", "DETECTOR_ACF1", "DETECTOR_CDIST",
+        "DETECTOR_ED", "DETECTOR_TABLE", "DegenerateFrameError", "DetectorConfig",
+        "FrameConsistencyError", "MetaFormatError", "NoiseSpec", "OccupancyCell",
+        "OccupancySchedule", "OccuscanError", "PlanError", "RecordingMeta", "RoutingError",
+        "SampleDataError", "ScanRecord", "Scenario", "ScenarioError", "SignalSpec",
+        "TruncationError", "TruthRecord", "UsageError", "acf", "acf1_statistic", "acf_vector",
+        "aggregate", "block_statistics", "build_channel_plan", "builtin_plan",
+        "calibrate_ed_threshold", "calibrate_reference", "channels", "correlation_distance",
+        "detectors", "energy_statistic", "errors", "gen_channel_timeline", "gen_noise_frame",
+        "gen_signal_frame", "iq", "load_reference", "mix_at_snr", "read_meta", "read_recording",
+        "report", "report_matrix", "run_sweep", "save_reference", "scan", "scan_channel",
+        "scenario", "snr_scale", "synth", "write_meta", "write_occupancy_csv",
+        "write_recording", "write_records_csv",
+    ]
+
+    def _python(self, *args, **env):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                              check=True).stdout
+
+    def test_import_loads_no_numpy(self):
+        out = self._python("-c", "import sys, occuscan; print('numpy' in sys.modules)")
+        assert out == "False\n"
+
+    def test_public_names_resolve(self):
+        import occuscan
+        from occuscan import detectors, gen_noise_frame
+
+        assert occuscan.__all__ == self.PUBLIC_NAMES
+        assert occuscan.detectors is detectors
+        assert occuscan.gen_noise_frame is gen_noise_frame is sys.modules[
+            "occuscan.synth"].gen_noise_frame
+        assert all(hasattr(occuscan, name) for name in occuscan.__all__)
+        assert set(occuscan.__all__) <= set(dir(occuscan))
+        with pytest.raises(AttributeError):
+            occuscan.no_such_name
+
+    @pytest.mark.parametrize("command, unused", [
+        ("report", ["yaml", "occuscan.scenario", "occuscan.synth", "occuscan.evaluate"]),
+        ("calibrate", ["occuscan.scan", "occuscan.report", "occuscan.evaluate"]),
+    ])
+    def test_command_loads_only_what_it_runs(self, workspace, command, unused):
+        records = workspace / "r.csv"
+        records.write_text(RECORD_CSV_HEADER + "\n0,TESTBAND,0,100,ed,1.5,1.1,1\n")
+        argv = {"report": ["report", "--records", str(records)],
+                "calibrate": ["calibrate", "--scenario", str(workspace / "scn.yaml")]}[command]
+        code = ("import sys\nfrom occuscan.cli import main\nassert main(sys.argv[1:]) == 0\n"
+                f"print([m for m in {unused!r} if m in sys.modules])")
+        out = self._python("-c", code, *argv, "--out", str(workspace / "o"))
+        assert out.splitlines()[-1] == "[]"
+
+    def test_calibrate_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # a threaded BLAS dot product splits sums of 16,384 samples differently
+        scn = tmp_path / "long.yaml"
+        scn.write_text(SCENARIO.replace("frame_len: 256", "frame_len: 16384")
+                       .replace("reference_frames: 50", "reference_frames: 4")
+                       .replace("threshold_frames: 500", "threshold_frames: 100"))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            stdout = self._python("-m", "occuscan.cli", "calibrate", "--scenario", str(scn),
+                                  "--out", str(out), OPENBLAS_NUM_THREADS=threads)
+            outputs.append(((out / "reference.txt").read_bytes(), stdout.splitlines()[1]))
+        assert outputs[0] == outputs[1]

@@ -1,6 +1,7 @@
 """Statistics, decision rules, calibration, and their invariances."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from occuscan import (
     CalibrationError,
     DegenerateFrameError,
     DetectorConfig,
+    SampleDataError,
     NoiseSpec,
     SignalSpec,
     acf,
@@ -29,7 +31,14 @@ from occuscan import (
     load_reference,
     save_reference,
 )
-from occuscan.detectors import BLOCK_FRAMES, decide_block, decides_present, frame_blocks
+from occuscan.detectors import (
+    BLOCK_FRAMES,
+    calibrate_ed_threshold_blocks,
+    calibrate_reference_blocks,
+    decide_block,
+    decides_present,
+    frame_blocks,
+)
 from conftest import make_frame
 
 
@@ -189,6 +198,9 @@ class TestAcfVector:
             AcfVector(np.array([1.0, 1.5]))
         with pytest.raises(ValueError):
             AcfVector(np.array([1.0, -0.1]))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                AcfVector(np.array([1.0, bad]))
 
     def test_read_only_and_copied(self):
         src = np.array([1.0, 0.5])
@@ -399,6 +411,12 @@ class TestReferenceFile:
         with pytest.raises(CalibrationError):
             load_reference(p)
 
+    def test_nan_value(self, tmp_path):
+        p = tmp_path / "ref.txt"
+        p.write_text("lags=3\n1.0\nnan\n0.5\n")
+        with pytest.raises(CalibrationError, match="finite"):
+            load_reference(p)
+
 
 def _per_frame_oracle(x, reference):
     """(ed, acf1, cdist) by the original one-frame formulas: np.vdot / np.dot per lag."""
@@ -457,6 +475,22 @@ class TestBlockKernel:
         assert [d.name for d in DETECTOR_TABLE] == list(DETECTORS)
         assert [d.threshold(config) for d in DETECTOR_TABLE] == [1.05, 0.25, 0.6]
         assert [d.column for d in DETECTOR_TABLE] == [0, 1, 2]
+
+    @pytest.mark.parametrize("start", [0, 64])
+    def test_overflowing_energy_names_the_frame(self, start):
+        # every sample is finite, but frame 3's power sum is not
+        block = np.ones((5, 16), dtype=np.complex128)
+        block[3] = 1.0e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SampleDataError, match=f"^frame {start + 3}: energy is not finite"):
+                block_statistics(block, _ref(8), start)
+            with pytest.raises(SampleDataError, match="^frame 23: "):
+                calibrate_ed_threshold_blocks([np.ones((20, 16)), block], 0.05)
+            with pytest.raises(SampleDataError, match="^frame 3: "):
+                calibrate_reference_blocks([block], 8)
+            with pytest.raises(SampleDataError, match="^frame 0: "):
+                energy_statistic(make_frame(block[3]))
 
     def test_lags_longer_than_frame_rejected(self):
         with pytest.raises(ValueError):
