@@ -22,19 +22,18 @@ _MODULE_OF = {name: module for module, names in {
     "detectors": ("DETECTOR_ACF1", "DETECTOR_CDIST", "DETECTOR_ED", "DETECTOR_TABLE",
                   "DETECTORS", "AcfVector", "DetectorConfig", "acf", "acf1_statistic",
                   "acf_vector", "block_statistics", "calibrate_ed_threshold",
-                  "calibrate_reference", "correlation_distance", "energy_statistic",
-                  "load_reference", "save_reference"),
-    "errors": ("CalibrationError", "ConfigurationError", "CsvParseError", "DegenerateFrameError",
+                  "correlation_distance", "energy_statistic", "load_reference",
+                  "save_reference"),
+    "errors": ("CalibrationError", "CsvParseError", "DegenerateFrameError",
                "FrameConsistencyError", "MetaFormatError", "OccuscanError", "PlanError",
                "RoutingError", "SampleDataError", "ScenarioError", "TruncationError",
                "UsageError"),
-    "iq": ("ComplexFrame", "RecordingMeta", "read_meta", "read_recording", "write_meta",
-           "write_recording"),
-    "report": ("OccupancyCell", "aggregate", "report_matrix", "write_occupancy_csv"),
-    "scan": ("ScanRecord", "TruthRecord", "run_sweep", "scan_channel", "write_records_csv"),
+    "iq": ("ComplexFrame", "RecordingMeta", "read_meta", "write_meta", "write_recording"),
+    "report": ("OccupancyCell", "report_matrix", "write_occupancy_csv"),
+    "scan": ("ScanRecord", "scan_channel"),
     "scenario": ("Scenario",),
     "synth": ("NoiseSpec", "OccupancySchedule", "SignalSpec", "gen_channel_timeline",
-              "gen_noise_frame", "gen_signal_frame", "mix_at_snr", "snr_scale"),
+              "gen_noise_frame", "gen_signal_frame", "snr_scale"),
 }.items() for name in (module, *names)}
 
 __all__ = sorted(_MODULE_OF)

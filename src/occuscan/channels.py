@@ -53,6 +53,8 @@ class Channel:
     def __post_init__(self):
         if self.index_in_band < 0:
             raise ValueError("index_in_band must be >= 0")
+        if not 0 < self.center_freq_mhz < math.inf:
+            raise ValueError("center_freq_mhz must be a finite number > 0")
 
     @property
     def center_freq_hz(self) -> float:
@@ -105,24 +107,3 @@ BUILTIN_BANDS = (
 def builtin_plan() -> list[Channel]:
     """The full builtin channel plan: all six bands, 123 channels."""
     return build_channel_plan(BUILTIN_BANDS)
-
-
-def local_spacing_mhz(plan, channel: Channel) -> float:
-    """Smallest gap between ``channel`` and its in-band neighbors.
-
-    Falls back to 2.0 MHz (the narrowest builtin step) for a band with a
-    single channel.
-    """
-    freqs = sorted(c.center_freq_mhz for c in plan if c.band == channel.band)
-    if len(freqs) < 2:
-        return 2.0
-    gaps = []
-    for i, f in enumerate(freqs):
-        if f == channel.center_freq_mhz:
-            if i > 0:
-                gaps.append(f - freqs[i - 1])
-            if i + 1 < len(freqs):
-                gaps.append(freqs[i + 1] - f)
-    if not gaps:
-        raise KeyError(f"channel {channel} not found in plan")
-    return min(gaps)

@@ -257,11 +257,6 @@ def calibrate_reference_blocks(blocks, lags: int) -> AcfVector:
     return AcfVector(mean)
 
 
-def calibrate_reference(training, lags: int) -> AcfVector:
-    """``calibrate_reference_blocks`` over ComplexFrames."""
-    return calibrate_reference_blocks((b for _, b in frame_blocks(training)), lags)
-
-
 def correlation_distance(reference: AcfVector, observed: AcfVector) -> float:
     """Euclidean distance between ACF vectors, scaled by 1/sqrt(L) into [0,1]."""
     if len(reference) != len(observed):

@@ -42,10 +42,6 @@ class RoutingError(OccuscanError):
     """Frame center frequency does not match the channel being scanned."""
 
 
-class ConfigurationError(OccuscanError):
-    """Sweep or evaluation wiring is incomplete (e.g. channel without a source)."""
-
-
 class ScenarioError(OccuscanError):
     """Scenario file failed to parse or validate; message names the field/line."""
 

@@ -109,46 +109,6 @@ def trial_statistics(
     return stats[0, :, column], stats[1, :, column]
 
 
-def measure_pd_pfa(
-    detector: str,
-    config: DetectorConfig,
-    signal_spec: SignalSpec,
-    noise_spec: NoiseSpec,
-    snr_db: float,
-    n: int,
-    trials: int,
-) -> OperatingPoint:
-    """Monte Carlo (pd, pfa) at the detector's configured threshold."""
-    h0, h1 = trial_statistics(detector, config, signal_spec, noise_spec, snr_db, n, trials)
-    threshold = DETECTOR_BY_NAME[detector].threshold(config)
-    return operating_points(detector, snr_db, h0, h1, [threshold])[0]
-
-
-def roc_curve(
-    detector: str,
-    config: DetectorConfig,
-    signal_spec: SignalSpec,
-    noise_spec: NoiseSpec,
-    snr_db: float,
-    n: int,
-    trials: int,
-    thresholds,
-) -> list[OperatingPoint]:
-    """Operating points over a sorted threshold list on one shared trial set.
-
-    Sharing trials makes pd/pfa exactly non-increasing in threshold for
-    ed/acf1 and non-decreasing for cdist (present means distance below the
-    threshold there).
-    """
-    thresholds = list(thresholds)
-    if len(thresholds) < 2:
-        raise ValueError("roc_curve needs at least 2 thresholds")
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError("thresholds must be strictly increasing")
-    h0, h1 = trial_statistics(detector, config, signal_spec, noise_spec, snr_db, n, trials)
-    return operating_points(detector, snr_db, h0, h1, thresholds)
-
-
 def operating_points(detector: str, snr_db: float, h0, h1, thresholds) -> list[OperatingPoint]:
     """Measured (pd, pfa) at each threshold from one detector's H0 and H1 statistics."""
     return [

@@ -14,11 +14,11 @@ includes everything read from an .iq file).
 
 ``stream_recording`` reads a payload in blocks of at most BLOCK_FRAMES (32)
 frames, as (frames x N) complex128 arrays, so memory does not grow with the
-file; ``read_recording`` collects the same blocks into ComplexFrames.
+file.
 
-ComplexFrame is the type of the API and .iq edges. In every command, frames
-travel as plain (frames x N) arrays, checked once where they enter:
-``stream_recording`` checks every payload sample, and
+ComplexFrame is the type of the one-frame API and of ``write_recording``. In
+every command, frames travel as plain (frames x N) arrays, checked once where
+they enter: ``stream_recording`` checks every payload sample, and
 ``synth.timeline_blocks`` and ``synth.mixed_blocks`` check each block that
 mixes in a signal.
 """
@@ -178,17 +178,6 @@ def _read_blocks(payload_path, n: int, frame_len: int):
             frames = raw.size // frame_len
             if frames:
                 yield raw[: frames * frame_len].astype(np.complex128).reshape(frames, frame_len)
-
-
-def read_recording(payload_path, meta_path, frame_len: int) -> tuple[list[ComplexFrame], int]:
-    """All frames of ``stream_recording`` as ComplexFrames, with the discarded count."""
-    meta, discarded, blocks = stream_recording(payload_path, meta_path, frame_len)
-    rows = [row for block in blocks for row in block]
-    return [
-        ComplexFrame(row, meta.sample_rate_hz, meta.center_freq_hz,
-                     meta.start_time + k * frame_len / meta.sample_rate_hz)
-        for k, row in enumerate(rows)
-    ], discarded
 
 
 def write_recording(frames, payload_path, meta_path) -> None:

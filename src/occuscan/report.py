@@ -7,8 +7,7 @@ one bin; bins with no scans are omitted (no scans is not the same as zero
 occupancy).
 
 Aggregation is columnar: ``aggregate_table`` counts the cells of a record
-table (``scan.RecordTable``) with numpy, and ``aggregate`` is its form for
-ScanRecords.
+table (``scan.RecordTable``) with numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from .channels import Channel
 from .detectors import DETECTORS
-from .scan import RecordTable, _fmt, _fmt_time, record_table
+from .scan import RecordTable, _fmt, _fmt_time
 
 OCCUPANCY_CSV_HEADER = (
     "band,channel_index,center_freq_mhz,detector,bin_start_unix,bin_len_s,"
@@ -87,11 +86,6 @@ def aggregate_table(table: RecordTable, bin_len_s: float) -> list[OccupancyCell]
     ]
 
 
-def aggregate(records, bin_len_s: float) -> list[OccupancyCell]:
-    """Fold ScanRecords into occupancy cells (see ``aggregate_table``)."""
-    return aggregate_table(record_table(records), bin_len_s)
-
-
 @dataclass(frozen=True)
 class ChannelMatrix:
     """Aligned per-detector occupancy series for one channel.
@@ -105,20 +99,14 @@ class ChannelMatrix:
     series: dict  # detector -> tuple of float | None
 
 
-def report_matrix(cells, channel: Channel, plan=None) -> ChannelMatrix:
+def report_matrix(cells, channel: Channel) -> ChannelMatrix:
     """Aligned (bin_start -> occupancy) series for ed/acf1/cdist on one channel.
 
-    When ``plan`` is given, a channel outside it raises LookupError; a plan
-    channel with no cells yields an empty matrix.
+    A channel with no cells raises LookupError.
     """
-    cells = list(cells)
-    if plan is not None:
-        known = set(plan)
-    else:
-        known = {c.channel for c in cells}
-    if channel not in known:
-        raise LookupError(f"unknown channel {channel.band}[{channel.index_in_band}]")
     mine = [c for c in cells if c.channel == channel]
+    if not mine:
+        raise LookupError(f"unknown channel {channel.band}[{channel.index_in_band}]")
     bin_starts = tuple(sorted({c.bin_start for c in mine}))
     pos = {b: i for i, b in enumerate(bin_starts)}
     series = {}

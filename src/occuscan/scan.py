@@ -9,10 +9,9 @@ canonically by (capture_time, band position in the plan, channel index), so
 concurrent per-channel scanning merges to the same log as a sequential run.
 Records within a frame follow DETECTOR_TABLE order.
 
-The record log is read and written as RecordTable columns, in chunks; the
-ScanRecord and TruthRecord objects exist only at the API edges
-(``scan_channel``, ``run_sweep``, ``read_records_csv`` and the
-``write_*_csv`` wrappers).
+The record log is read and written as RecordTable columns, in chunks;
+ScanRecord objects exist only where ``scan_channel`` returns one frame's
+records.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import Channel, local_spacing_mhz
+from .channels import Channel
 from .detectors import (
     DETECTOR_ED,
     DETECTOR_TABLE,
@@ -33,9 +32,8 @@ from .detectors import (
     DetectorConfig,
     block_statistics,
     decide_block,
-    frame_blocks,
 )
-from .errors import ConfigurationError, CsvParseError, RoutingError
+from .errors import CsvParseError, RoutingError
 from .iq import ComplexFrame
 
 RECORD_CSV_HEADER = (
@@ -66,42 +64,15 @@ class ScanRecord:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class TruthRecord:
-    """Ground-truth presence label for one scan of one channel."""
-
-    capture_time: float
-    channel: Channel
-    present: bool
-
-
 def check_tuning(center_freq_hz: float, channel: Channel, freq_tol_mhz: float) -> None:
     """Raise RoutingError unless a capture at center_freq_hz is tuned to channel."""
     offset_mhz = abs(center_freq_hz / 1e6 - channel.center_freq_mhz)
-    if offset_mhz > freq_tol_mhz:
+    if not offset_mhz <= freq_tol_mhz:  # a NaN offset or tolerance fails too
         raise RoutingError(
             f"frame at {center_freq_hz / 1e6} MHz does not match channel "
             f"{channel.band}[{channel.index_in_band}] at {channel.center_freq_mhz} MHz "
             f"(tolerance {freq_tol_mhz} MHz)"
         )
-
-
-def frame_records(times, channels, stats, config: DetectorConfig) -> list[ScanRecord]:
-    """[ed, acf1, cdist] ScanRecords of each block_statistics row, in row order.
-
-    ``times`` and ``channels`` give each row's capture time and Channel.
-    """
-    thresholds = [d.threshold(config) for d in DETECTOR_TABLE]
-    records = []
-    for t, channel, row, present in zip(times, channels, stats.tolist(),
-                                        decide_block(stats, config).tolist()):
-        dead = row[0] == 0.0
-        records.extend(
-            ScanRecord(t, channel, d.name, row[d.column], thr, present[d.column],
-                       degenerate=dead and d.name != DETECTOR_ED)
-            for d, thr in zip(DETECTOR_TABLE, thresholds)
-        )
-    return records
 
 
 def scan_channel(
@@ -119,7 +90,13 @@ def scan_channel(
     """
     check_tuning(frame.center_freq_hz, channel, freq_tol_mhz)
     stats = block_statistics(frame.samples[None, :], config.reference)
-    return frame_records([frame.capture_time], [channel], stats, config)
+    row, present = stats[0].tolist(), decide_block(stats, config)[0].tolist()
+    dead = row[0] == 0.0
+    return [
+        ScanRecord(frame.capture_time, channel, d.name, row[d.column], d.threshold(config),
+                   present[d.column], degenerate=dead and d.name != DETECTOR_ED)
+        for d in DETECTOR_TABLE
+    ]
 
 
 def _columns(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,42 +145,6 @@ def merge_sweep(plan, results):
     return times[order], chan[order], stats[order], labels[order]
 
 
-def _pair_blocks(pairs):
-    """(frame, truth_label) pairs as (times, frames, labels) blocks."""
-    done = 0
-    for chunk, frames in frame_blocks([frame for frame, _ in pairs]):
-        labels = [label for _, label in pairs[done:done + len(chunk)]]
-        yield [f.capture_time for f in chunk], frames, labels
-        done += len(chunk)
-
-
-def run_sweep(timelines, config: DetectorConfig, plan) -> tuple[list[ScanRecord], list[TruthRecord]]:
-    """Scan every plan channel's timeline; returns (record log, truth log).
-
-    ``timelines`` maps each Channel to its sequence of (frame, truth_label)
-    pairs; each frame must be tuned to its channel within half the local
-    channel spacing. Records come back in canonical order; truth records
-    mirror the scan order with one entry per frame.
-    """
-    plan = list(plan)
-    results = []
-    for channel in plan:
-        if channel not in timelines:
-            raise ConfigurationError(
-                f"no frame source for channel {channel.band}[{channel.index_in_band}]"
-            )
-        pairs = list(timelines[channel])
-        tol = local_spacing_mhz(plan, channel) / 2.0
-        for frame, _ in pairs:
-            check_tuning(frame.center_freq_hz, channel, tol)
-        results.append(scan_blocks(_pair_blocks(pairs), config))
-    times, chan, stats, labels = merge_sweep(plan, results)
-    channels = [plan[i] for i in chan.tolist()]
-    truths = [TruthRecord(t, c, label)
-              for t, c, label in zip(times.tolist(), channels, labels.tolist())]
-    return frame_records(times.tolist(), channels, stats, config), truths
-
-
 # --- record columns -----------------------------------------------------------
 
 class RecordTable(NamedTuple):
@@ -232,22 +173,6 @@ def frame_table(channels, times, chan, stats, config: DetectorConfig) -> RecordT
         channels, np.repeat(times, k), np.repeat(chan, k), np.tile(np.arange(k), n),
         stats.ravel(), np.tile([d.threshold(config) for d in DETECTOR_TABLE], n),
         decide_block(stats, config).ravel(),
-    )
-
-
-def record_table(records) -> RecordTable:
-    """ScanRecords as a RecordTable (equal channels share one id)."""
-    records = list(records)
-    ids: dict = {}
-    chan = [ids.setdefault(r.channel, len(ids)) for r in records]
-    return RecordTable(
-        list(ids),
-        np.array([r.capture_time for r in records], dtype=float),
-        np.array(chan, dtype=np.intp),
-        np.array([_DETECTOR_POS[r.detector] for r in records], dtype=np.intp),
-        np.array([r.statistic for r in records], dtype=float),
-        np.array([r.threshold for r in records], dtype=float),
-        np.array([r.present for r in records], dtype=bool),
     )
 
 
@@ -304,11 +229,6 @@ def write_record_tables(tables, path) -> None:
                 ))
 
 
-def write_records_csv(records, path) -> None:
-    """Write ScanRecords as the record log."""
-    write_record_tables([record_table(records)], path)
-
-
 def read_record_table(path) -> RecordTable:
     """Parse a record log into columns. Raises CsvParseError naming path:line."""
     keys: dict = {}  # (band, index, freq) text -> channel id
@@ -344,18 +264,6 @@ def read_record_table(path) -> RecordTable:
                        cols[3], cols[4], cols[5].astype(bool))
 
 
-def read_records_csv(path) -> list[ScanRecord]:
-    """Parse a record log into ScanRecords. Raises CsvParseError naming path:line."""
-    table = read_record_table(path)
-    return [
-        ScanRecord(t, table.channels[c], DETECTORS[d], s, thr, p)
-        for t, c, d, s, thr, p in zip(
-            table.time.tolist(), table.chan.tolist(), table.det.tolist(),
-            table.statistic.tolist(), table.threshold.tolist(), table.present.tolist(),
-        )
-    ]
-
-
 def write_truth_columns(channels, times, chan, labels, path) -> None:
     """Write the truth log: row i is times[i], channels[chan[i]], labels[i]."""
     heads = _channel_fields(channels)
@@ -368,15 +276,6 @@ def write_truth_columns(channels, times, chan, labels, path) -> None:
                     labels[rows].astype(np.uint8).tolist(),
                 )
             ))
-
-
-def write_truth_csv(truths, path) -> None:
-    """Write TruthRecords as the truth log."""
-    truths = list(truths)
-    ids: dict = {}
-    chan = np.array([ids.setdefault(tr.channel, len(ids)) for tr in truths], dtype=np.intp)
-    write_truth_columns(list(ids), np.array([tr.capture_time for tr in truths], dtype=float),
-                        chan, np.array([tr.present for tr in truths], dtype=bool), path)
 
 
 def write_plan_csv(plan, path) -> None:

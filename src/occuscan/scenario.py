@@ -100,10 +100,15 @@ def _numbers(values: list, path: str) -> list[float]:
     return [float(v) for v in values]
 
 
+# 10 ** (snr_db / 10), the SNR's power ratio, overflows a float from about 3082.5 dB
+_SNR_DB_MAX = 3082.0
+
+
 def _snr_db(value, path: str):
-    """An SNR in dB (or None): a number below +inf, where -inf means no signal."""
-    if value is not None and not value < math.inf:
-        raise ScenarioError(f"{path}: must be a number < inf (-.inf for no signal), got {value}")
+    """An SNR in dB (or None): a number below _SNR_DB_MAX, where -inf means no signal."""
+    if value is not None and not value < _SNR_DB_MAX:
+        raise ScenarioError(f"{path}: must be a number < {_SNR_DB_MAX:g} (-.inf for no signal), "
+                            f"got {value}")
     return value
 
 
@@ -139,7 +144,7 @@ def _parse_schedule(mapping, path) -> OccupancySchedule:
     for i, pair in enumerate(intervals):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScenarioError(f"{path}.on_intervals[{i}]: expected [start_s, end_s]")
-        parsed.append((float(pair[0]), float(pair[1])))
+        parsed.append(tuple(_numbers(pair, f"{path}.on_intervals[{i}]")))
     try:
         return OccupancySchedule(period_s=period, on_intervals=tuple(parsed))
     except ValueError as exc:
@@ -294,14 +299,14 @@ class Scenario:
 
     def frame_interval_s(self) -> float:
         v = _get(self.data, "frame_interval_s", "scenario", float)
-        if v <= 0:
-            raise ScenarioError("frame_interval_s: must be > 0")
+        if not 0 < v < math.inf:
+            raise ScenarioError("frame_interval_s: must be a finite number > 0")
         return v
 
     def total_s(self) -> float:
         v = _get(self.data, "total_s", "scenario", float)
-        if v < 0:
-            raise ScenarioError("total_s: must be >= 0")
+        if not 0 <= v < math.inf:
+            raise ScenarioError("total_s: must be a finite number >= 0")
         return v
 
     # --- detector config ----------------------------------------------------
@@ -319,11 +324,9 @@ class Scenario:
             raise ScenarioError("detector.acf_lags: must be >= 2")
         return lags
 
-    def detector_config(self, reference_override=None) -> DetectorConfig:
+    def detector_config(self) -> DetectorConfig:
         d = _get(self.data, "detector", "scenario", dict)
-        ref_path = reference_override
-        if ref_path is None:
-            ref_path = self.resolve_path(_get(d, "reference", "detector", str))
+        ref_path = self.resolve_path(_get(d, "reference", "detector", str))
         try:
             reference = load_reference(ref_path)
         except OSError as exc:

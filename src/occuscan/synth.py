@@ -294,31 +294,6 @@ def snr_scale(signal_power: float, noise_power: float, snr_db: float) -> float:
     return math.sqrt(10 ** (snr_db / 10.0) * noise_power / signal_power)
 
 
-def mix_at_snr(
-    signal: ComplexFrame,
-    noise: ComplexFrame,
-    snr_db: float,
-    signal_power: float,
-    noise_power: float,
-) -> ComplexFrame:
-    """Return scale*signal + noise at the requested nominal SNR.
-
-    Powers are the nominal spec powers, not per-frame empirical ones. The
-    output keeps the noise frame's metadata.
-    """
-    if len(signal) != len(noise):
-        raise ValueError("signal and noise frames must have equal length")
-    alpha = snr_scale(signal_power, noise_power, snr_db)
-    if alpha == 0.0:
-        return noise
-    return ComplexFrame(
-        alpha * signal.samples + noise.samples,
-        noise.sample_rate_hz,
-        noise.center_freq_hz,
-        noise.capture_time,
-    )
-
-
 def timeline_blocks(
     schedule: OccupancySchedule,
     signal: SignalSpec,

@@ -1,9 +1,10 @@
 """Channel plan generation and the builtin band layout."""
 
+import math
+
 import pytest
 
 from occuscan import BUILTIN_BANDS, BandSpec, Channel, build_channel_plan, builtin_plan
-from occuscan.channels import local_spacing_mhz
 from occuscan.errors import PlanError
 
 
@@ -115,27 +116,10 @@ class TestChannel:
         with pytest.raises(ValueError):
             Channel("X", -1, 100.0)
 
-
-class TestLocalSpacing:
-    def test_gsm_mixed_gaps(self):
-        plan = builtin_plan()
-        # 837 sits between 834 (-3) and 839 (+2): local spacing is the min
-        ch = next(c for c in plan if c.center_freq_mhz == 837.0)
-        assert local_spacing_mhz(plan, ch) == 2.0
-
-    def test_band_edge(self):
-        plan = builtin_plan()
-        ch = next(c for c in plan if c.band == "2.4GHz" and c.index_in_band == 0)
-        assert local_spacing_mhz(plan, ch) == 5.0
-
-    def test_singleton_band_fallback(self):
-        plan = build_channel_plan([BandSpec("X", 700.0, 700.0, (1.0,), 1)])
-        assert local_spacing_mhz(plan, plan[0]) == 2.0
-
-    def test_unknown_channel(self):
-        plan = builtin_plan()
-        with pytest.raises(KeyError):
-            local_spacing_mhz(plan, Channel("2.4GHz", 99, 9999.0))
+    @pytest.mark.parametrize("freq", [0.0, -1.0, math.nan, math.inf])
+    def test_frequency_must_be_finite_and_positive(self, freq):
+        with pytest.raises(ValueError, match="center_freq_mhz"):
+            Channel("x", 0, freq)
 
 
 class TestBandSpecValidation:

@@ -1,5 +1,9 @@
 """End-to-end command behavior through the argparse entry point."""
 
+import contextlib
+import copy
+import io
+import math
 import os
 import subprocess
 import sys
@@ -8,21 +12,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occuscan import (
     ComplexFrame,
-    calibrate_ed_threshold,
-    calibrate_reference,
+    acf_vector,
+    energy_statistic,
     gen_noise_frame,
     gen_signal_frame,
     load_reference,
-    mix_at_snr,
+    snr_scale,
     write_recording,
 )
 from occuscan.channels import Channel
 from occuscan.cli import main
 from occuscan.report import OCCUPANCY_CSV_HEADER
-from occuscan.scan import RECORD_CSV_HEADER, TRUTH_CSV_HEADER, scan_channel, write_records_csv
+from occuscan.scan import RECORD_CSV_HEADER, TRUTH_CSV_HEADER, scan_channel
 from occuscan.scenario import Scenario
 
 SCENARIO = """\
@@ -113,16 +120,19 @@ class TestCalibrate:
             patch.setattr(ComplexFrame, "__post_init__", refuse)
             assert main(["calibrate", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
         lambda_ed = capsys.readouterr().out.splitlines()[1]
+        # the reference: per-frame statistics of alpha * signal + noise, averaged in a loop
         cal = Scenario.load(scn).calibration()
         sig, noise, n = cal["signal"], cal["noise"], 256
-        training = (mix_at_snr(gen_signal_frame(n, sig, k), gen_noise_frame(n, noise, k),
-                               cal["snr_db"], sig.nominal_power, noise.total_power)
-                    for k in range(50))
-        reference = calibrate_reference(training, cal["acf_lags"])
+        alpha = snr_scale(sig.nominal_power, noise.total_power, cal["snr_db"])
+        vectors = [acf_vector(ComplexFrame(alpha * gen_signal_frame(n, sig, k).samples
+                                           + gen_noise_frame(n, noise, k).samples, 1.0, 1.0),
+                              cal["acf_lags"]).values for k in range(50)]
+        reference = np.mean(vectors, axis=0)
+        reference[0] = 1.0
         assert load_reference(tmp_path / "reference.txt").values.tolist() == \
-            reference.values.tolist()
-        threshold = calibrate_ed_threshold(
-            (gen_noise_frame(n, noise, 50 + k) for k in range(500)), cal["target_pfa"])
+            np.clip(reference, 0.0, 1.0).tolist()
+        energies = [energy_statistic(gen_noise_frame(n, noise, 50 + k)) for k in range(500)]
+        threshold = float(np.quantile(energies, 1.0 - cal["target_pfa"]))
         assert lambda_ed == f"lambda_ed={threshold!r}"
 
     def test_process_pool_is_not_imported_at_start_up(self):
@@ -294,13 +304,14 @@ class TestStreamedAnalyze:
 
         config = Scenario.load(workspace / "scn.yaml").detector_config()
         channel = Channel("recording", 0, 2412.0)
-        records = []
+        expected = [RECORD_CSV_HEADER]
         for k in range(self.FRAMES):
             frame = ComplexFrame(samples[k * self.N:(k + 1) * self.N], 2e6, 2412e6,
                                  1700000000.5 + k * self.N / 2e6)
-            records.extend(scan_channel(frame, channel, config))
-        write_records_csv(records, workspace / "expected.csv")
-        assert (out / "records.csv").read_bytes() == (workspace / "expected.csv").read_bytes()
+            expected += [f"{r.capture_time:.6f},recording,0,2412,{r.detector},"
+                         f"{r.statistic:.9g},{r.threshold:.9g},{int(r.present)}"
+                         for r in scan_channel(frame, channel, config)]
+        assert (out / "records.csv").read_text() == "\n".join(expected) + "\n"
 
     @pytest.mark.parametrize("bad_index", [40 * 256 + 17, 70 * 256 + 5])
     def test_nonfinite_sample_names_global_index(self, workspace, capsys, bad_index):
@@ -450,6 +461,32 @@ class TestBadInputs:
     def test_calibration_snr_not_below_inf(self, workspace, capsys):
         self._cmd_fails_with(capsys, workspace, "calibrate", "calibration:\n  snr_db: 20.0",
                              "calibration:\n  snr_db: .nan", "calibration.snr_db")
+
+    @pytest.mark.parametrize("cmd, old, new, field", [pytest.param(*case, id=case[3]) for case in [
+        ("simulate", "snr_db: 10.0", "snr_db: 4000.0", "defaults.snr_db"),
+        ("simulate", "detector:", 'channels:\n  "TESTBAND:1":\n    snr_db: 3083.0\n\ndetector:',
+         "channels.TESTBAND:1.snr_db"),
+        ("calibrate", "calibration:\n  snr_db: 20.0", "calibration:\n  snr_db: 4000.0",
+         "calibration.snr_db"),
+        ("eval", "snr_db_points: [0.0, 10.0]", "snr_db_points: [0.0, 4000.0]",
+         "eval.snr_db_points[1]"),
+        ("eval", "roc_snr_db: 5.0", "roc_snr_db: 4000.0", "eval.roc_snr_db"),
+    ]])
+    def test_snr_power_ratio_overflows(self, workspace, capsys, cmd, old, new, field):
+        # 10 ** (snr_db / 10) overflows a float from about 3082.5 dB
+        self._cmd_fails_with(capsys, workspace, cmd, old, new, field)
+
+    @pytest.mark.parametrize("value", ['"x"', "null"])
+    def test_schedule_interval_not_a_number(self, workspace, capsys, value):
+        self._cmd_fails_with(capsys, workspace, "simulate", "on_intervals: [[0.0, 1.0]]",
+                             f"on_intervals: [[0.0, {value}]]",
+                             "channel TESTBAND:0.schedule.on_intervals[0][1]")
+
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    @pytest.mark.parametrize("field, old", [("total_s", "total_s: 5.0"),
+                                            ("frame_interval_s", "frame_interval_s: 0.5")])
+    def test_sweep_timing_not_finite(self, workspace, capsys, field, old, value):
+        self._cmd_fails_with(capsys, workspace, "simulate", old, f"{field}: {value}", field)
 
     @pytest.mark.parametrize("value", [".inf", ".nan"])
     def test_noise_power_not_finite(self, workspace, capsys, value):
@@ -711,25 +748,79 @@ class TestErrors:
         assert "calibrate" in capsys.readouterr().out
 
 
+def _scalar_paths(node, path=()):
+    """The key path of every scalar in a parsed YAML tree."""
+    if not isinstance(node, (dict, list)):
+        yield path
+        return
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield from _scalar_paths(child, (*path, key))
+
+
+class TestScenarioFuzz:
+    """One scenario leaf replaced by a bad value: each command exits 0, or 1 with "error:"."""
+
+    EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example-scenario.yaml"
+    VALUES = [None, "x", [], {}, True, -1, 0, math.nan, math.inf, -math.inf]
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        """The example scenario cut down to one 3-channel band, and its reference file."""
+        data = Scenario.load(self.EXAMPLE).data
+        data["plan"] = [{"name": "2.4GHz", "start_mhz": 2402.0, "stop_mhz": 2412.0,
+                         "spacing_mhz": [5.0], "expected_channels": 3}]
+        data["channels"] = {"2.4GHz:2": data["channels"]["2.4GHz:2"]}
+        data.update(frame_len=64, total_s=3.0)
+        data["calibration"].update(reference_frames=10, threshold_frames=100)
+        data["eval"]["trials"] = 40
+        root = tmp_path_factory.mktemp("fuzz")
+        (root / "scn.yaml").write_text(yaml.safe_dump(data))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["calibrate", "--scenario", str(root / "scn.yaml"), "--out",
+                         str(root)]) == 0
+        return data, (root / "reference.txt").read_text(), root
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bad_leaf_fails_cleanly(self, base, data):
+        scenario, reference, root = base
+        path = data.draw(st.sampled_from(sorted(_scalar_paths(scenario), key=repr)))
+        value = data.draw(st.sampled_from(self.VALUES))
+        scenario = copy.deepcopy(scenario)
+        node = scenario
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        (root / "reference.txt").write_text(reference)
+        (root / "scn.yaml").write_text(yaml.safe_dump(scenario))
+        for cmd in ("calibrate", "simulate", "eval"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main([cmd, "--scenario", str(root / "scn.yaml"), "--out",
+                           str(root / "out")])
+            assert rc == 0 or (rc == 1 and err.getvalue().startswith("error:")), \
+                (cmd, path, value, rc, err.getvalue())
+
+
 class TestStartUp:
     """What a fresh interpreter loads, and what the BLAS thread count may change."""
 
-    # occuscan.__all__ as it was when the package imported every submodule eagerly
+    # occuscan.__all__ as it was when the package imported every submodule eagerly, less
+    # the object-form functions and classes removed since
     PUBLIC_NAMES = [
         "AcfVector", "BUILTIN_BANDS", "BandSpec", "CalibrationError", "Channel", "ComplexFrame",
-        "ConfigurationError", "CsvParseError", "DETECTORS", "DETECTOR_ACF1", "DETECTOR_CDIST",
+        "CsvParseError", "DETECTORS", "DETECTOR_ACF1", "DETECTOR_CDIST",
         "DETECTOR_ED", "DETECTOR_TABLE", "DegenerateFrameError", "DetectorConfig",
         "FrameConsistencyError", "MetaFormatError", "NoiseSpec", "OccupancyCell",
         "OccupancySchedule", "OccuscanError", "PlanError", "RecordingMeta", "RoutingError",
         "SampleDataError", "ScanRecord", "Scenario", "ScenarioError", "SignalSpec",
-        "TruncationError", "TruthRecord", "UsageError", "acf", "acf1_statistic", "acf_vector",
-        "aggregate", "block_statistics", "build_channel_plan", "builtin_plan",
-        "calibrate_ed_threshold", "calibrate_reference", "channels", "correlation_distance",
-        "detectors", "energy_statistic", "errors", "gen_channel_timeline", "gen_noise_frame",
-        "gen_signal_frame", "iq", "load_reference", "mix_at_snr", "read_meta", "read_recording",
-        "report", "report_matrix", "run_sweep", "save_reference", "scan", "scan_channel",
+        "TruncationError", "UsageError", "acf", "acf1_statistic", "acf_vector",
+        "block_statistics", "build_channel_plan", "builtin_plan", "calibrate_ed_threshold",
+        "channels", "correlation_distance", "detectors", "energy_statistic", "errors",
+        "gen_channel_timeline", "gen_noise_frame", "gen_signal_frame", "iq", "load_reference",
+        "read_meta", "report", "report_matrix", "save_reference", "scan", "scan_channel",
         "scenario", "snr_scale", "synth", "write_meta", "write_occupancy_csv",
-        "write_recording", "write_records_csv",
+        "write_recording",
     ]
 
     def _python(self, *args, **env):

@@ -23,7 +23,6 @@ from occuscan import (
     acf_vector,
     block_statistics,
     calibrate_ed_threshold,
-    calibrate_reference,
     correlation_distance,
     energy_statistic,
     gen_noise_frame,
@@ -39,6 +38,7 @@ from occuscan.detectors import (
     decides_present,
     frame_blocks,
 )
+from occuscan.synth import mixed_blocks
 from conftest import make_frame
 
 
@@ -226,31 +226,26 @@ class TestAcfVector:
 class TestCalibrateReference:
     def test_single_frame_is_its_own_vector(self):
         f = gen_signal_frame(128, SignalSpec(kind="tone", normalized_freq=0.1), 0)
-        ref = calibrate_reference([f], 8)
+        ref = calibrate_reference_blocks([f.samples[None, :]], 8)
         np.testing.assert_array_equal(ref.values, acf_vector(f, 8).values)
 
     def test_repeated_frame_idempotent(self):
         f = gen_signal_frame(128, SignalSpec(kind="tone", normalized_freq=0.1), 0)
-        ref1 = calibrate_reference([f], 8)
-        ref3 = calibrate_reference([f, f, f], 8)
+        ref1 = calibrate_reference_blocks([f.samples[None, :]], 8)
+        ref3 = calibrate_reference_blocks([np.stack([f.samples] * 2), f.samples[None, :]], 8)
         np.testing.assert_allclose(ref3.values, ref1.values, atol=1e-15)
 
     def test_high_snr_training_close_to_clean(self):
         sig = SignalSpec(kind="tone", normalized_freq=0.13)
         noise = NoiseSpec(total_power=1.0, seed=23)
         alpha = math.sqrt(10 ** (20 / 10))  # 20 dB over unit powers
-        frames = []
-        for k in range(100):
-            s = gen_signal_frame(1024, sig, k)
-            w = gen_noise_frame(1024, noise, k)
-            frames.append(make_frame(alpha * s.samples + w.samples))
-        ref = calibrate_reference(frames, 8)
+        ref = calibrate_reference_blocks(mixed_blocks(sig, noise, alpha, 1024, range(100)), 8)
         clean = acf_vector(gen_signal_frame(1024, sig, 0), 8)
         np.testing.assert_allclose(ref.values, clean.values, atol=0.05)
 
     def test_empty_training_rejected(self):
         with pytest.raises(CalibrationError):
-            calibrate_reference([], 8)
+            calibrate_reference_blocks([], 8)
 
 
 class TestCorrelationDistance:

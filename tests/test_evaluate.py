@@ -26,9 +26,8 @@ from occuscan.evaluate import (
     EVAL_CSV_HEADER,
     OperatingPoint,
     decides_present,
-    measure_pd_pfa,
     occupancy_recovery,
-    roc_curve,
+    operating_points,
     shared_trial_statistics,
     trial_statistics,
     tune_threshold_for_pfa,
@@ -163,6 +162,15 @@ class TestSharedTrialStatistics:
         assert lo <= math.exp(-lam * lam * n * n / (n - 1)) <= hi
 
 
+def _points(detector, cfg, snr_db, n, trials, thresholds=None):
+    """One detector's operating points as eval measures them (shared_trial_statistics, then
+    operating_points), at its configured threshold unless ``thresholds`` are given."""
+    d = next(d for d in DETECTOR_TABLE if d.name == detector)
+    stats = shared_trial_statistics(cfg, SIG, NOISE, [snr_db], n, range(trials))
+    return operating_points(detector, snr_db, stats[0, :, d.column], stats[1, :, d.column],
+                            [d.threshold(cfg)] if thresholds is None else thresholds)
+
+
 class TestMeasurePdPfa:
     def test_calibrated_ed_pfa_in_band(self):
         """lambda_ed from the N=1024 5% quantile should measure pfa near 5%."""
@@ -174,31 +182,31 @@ class TestMeasurePdPfa:
             (gen_noise_frame(1024, cal_noise, k) for k in range(10000)), 0.05
         )
         cfg = _config(lambda_ed=lam)
-        op = measure_pd_pfa("ed", cfg, SIG, NOISE, 10.0, 1024, 10000)
+        [op] = _points("ed", cfg, 10.0, 1024, 10000)
         assert 0.04 <= op.pfa <= 0.06
         assert op.pd == 1.0
 
     def test_high_snr_all_detectors_detect(self):
         cfg = _config()
         for det in ("ed", "acf1", "cdist"):
-            op = measure_pd_pfa(det, cfg, SIG, NOISE, 20.0, 1024, 300)
+            [op] = _points(det, cfg, 20.0, 1024, 300)
             assert op.pd >= 0.999, det
 
     def test_near_zero_threshold_ed_fires_always(self):
         cfg = _config(lambda_ed=1e-12)
-        op = measure_pd_pfa("ed", cfg, SIG, NOISE, 0.0, 256, 200)
+        [op] = _points("ed", cfg, 0.0, 256, 200)
         assert op.pd == 1.0 and op.pfa == 1.0
 
     def test_near_one_gamma_cdist_fires_always(self):
         # every normalized distance is < 1 - 1e-12 in practice
         cfg = _config(gamma=1.0 - 1e-12)
-        op = measure_pd_pfa("cdist", cfg, SIG, NOISE, 10.0, 256, 200)
+        [op] = _points("cdist", cfg, 10.0, 256, 200)
         assert op.pd == 1.0 and op.pfa == 1.0
 
     def test_deterministic(self):
         cfg = _config()
-        a = measure_pd_pfa("acf1", cfg, SIG, NOISE, 5.0, 512, 100)
-        b = measure_pd_pfa("acf1", cfg, SIG, NOISE, 5.0, 512, 100)
+        a = _points("acf1", cfg, 5.0, 512, 100)
+        b = _points("acf1", cfg, 5.0, 512, 100)
         assert a == b
 
 
@@ -206,7 +214,7 @@ class TestRocCurve:
     def test_endpoints_and_monotonicity(self):
         cfg = _config()
         thresholds = [0.85, 0.95, 1.0, 1.05, 1.15, 1.3]
-        ops = roc_curve("ed", cfg, SIG, NOISE, 5.0, 1024, 400, thresholds)
+        ops = _points("ed", cfg, 5.0, 1024, 400, thresholds)
         pds = [op.pd for op in ops]
         pfas = [op.pfa for op in ops]
         # shared trials: exactly non-increasing as the threshold rises
@@ -217,20 +225,12 @@ class TestRocCurve:
 
     def test_cdist_direction_flips(self):
         cfg = _config()
-        ops = roc_curve("cdist", cfg, SIG, NOISE, 5.0, 512, 200,
-                        [0.05, 0.3, 0.6, 0.95])
+        ops = _points("cdist", cfg, 5.0, 512, 200, [0.05, 0.3, 0.6, 0.95])
         pds = [op.pd for op in ops]
         pfas = [op.pfa for op in ops]
         # present means distance BELOW threshold: rates rise with threshold
         assert all(a <= b for a, b in zip(pds, pds[1:]))
         assert all(a <= b for a, b in zip(pfas, pfas[1:]))
-
-    def test_threshold_validation(self):
-        cfg = _config()
-        with pytest.raises(ValueError):
-            roc_curve("ed", cfg, SIG, NOISE, 5.0, 64, 10, [1.0])
-        with pytest.raises(ValueError):
-            roc_curve("ed", cfg, SIG, NOISE, 5.0, 64, 10, [1.0, 0.9])
 
     def test_cdist_beats_acf1_at_matched_pfa(self):
         """At 5 dB and pfa 0.05 on shared trials, cdist detects at least as often."""

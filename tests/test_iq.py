@@ -15,10 +15,10 @@ from occuscan import (
     SampleDataError,
     TruncationError,
     read_meta,
-    read_recording,
     write_meta,
     write_recording,
 )
+from occuscan.iq import BLOCK_FRAMES, stream_recording
 from conftest import make_frame
 
 
@@ -113,67 +113,74 @@ def _write_pair(tmp_path, payload: bytes, num_samples: int, rate=1e6, freq=100e6
     return iq, meta
 
 
+def _read(iq, meta, frame_len):
+    """stream_recording's meta, every frame as one (frames x frame_len) array, and the
+    discarded sample count; also checks that no block holds more than BLOCK_FRAMES frames."""
+    meta, discarded, blocks = stream_recording(iq, meta, frame_len)
+    blocks = list(blocks)
+    assert all(1 <= len(b) <= BLOCK_FRAMES for b in blocks)
+    return meta, np.concatenate([np.empty((0, frame_len), np.complex128), *blocks]), discarded
+
+
 class TestReadRecording:
     def test_byte_layout_oracle(self, tmp_path):
         # [1+1j, 2-1j] interleaves to little-endian f32: 1, 1, 2, -1
         payload = struct.pack("<4f", 1.0, 1.0, 2.0, -1.0)
         iq, meta = _write_pair(tmp_path, payload, 2)
-        frames, discarded = read_recording(iq, meta, frame_len=2)
+        _, frames, discarded = _read(iq, meta, frame_len=2)
         assert discarded == 0
-        assert len(frames) == 1
-        np.testing.assert_array_equal(frames[0].samples, [1 + 1j, 2 - 1j])
+        np.testing.assert_array_equal(frames, [[1 + 1j, 2 - 1j]])
 
     def test_framing_8192_samples(self, tmp_path):
         rng = np.random.default_rng(0)
         vals = rng.standard_normal(2 * 8192).astype(np.float32)
         iq, meta = _write_pair(tmp_path, vals.tobytes(), 8192, rate=1e6, start=5.0)
-        frames, discarded = read_recording(iq, meta, frame_len=1024)
-        assert len(frames) == 8
+        m, frames, discarded = _read(iq, meta, frame_len=1024)
+        assert frames.shape == (8, 1024)
         assert discarded == 0
-        # contiguous capture times: start + k * frame_len / rate
-        for k, f in enumerate(frames):
-            assert f.capture_time == pytest.approx(5.0 + k * 1024 / 1e6, abs=0)
-        assert all(len(f) == 1024 for f in frames)
+        # contiguous frames: frame k holds samples k * frame_len .. (k + 1) * frame_len - 1
+        np.testing.assert_array_equal(frames.ravel(), vals[0::2] + 1j * vals[1::2].astype(float))
+        assert (m.start_time, m.sample_rate_hz) == (5.0, 1e6)
 
     def test_short_capture_all_discarded(self, tmp_path):
         vals = np.zeros(2 * 1000, dtype=np.float32)
         iq, meta = _write_pair(tmp_path, vals.tobytes(), 1000)
-        frames, discarded = read_recording(iq, meta, frame_len=1024)
-        assert frames == []
+        _, frames, discarded = _read(iq, meta, frame_len=1024)
+        assert len(frames) == 0
         assert discarded == 1000
 
     def test_partial_trailing_frame_discarded(self, tmp_path):
         vals = np.ones(2 * 10, dtype=np.float32)
         iq, meta = _write_pair(tmp_path, vals.tobytes(), 10)
-        frames, discarded = read_recording(iq, meta, frame_len=4)
+        _, frames, discarded = _read(iq, meta, frame_len=4)
         assert len(frames) == 2
         assert discarded == 2
 
     def test_empty_payload(self, tmp_path):
         iq, meta = _write_pair(tmp_path, b"", 0)
-        frames, discarded = read_recording(iq, meta, frame_len=16)
-        assert frames == [] and discarded == 0
+        _, frames, discarded = _read(iq, meta, frame_len=16)
+        assert len(frames) == 0 and discarded == 0
 
     def test_truncated_payload(self, tmp_path):
         iq, meta = _write_pair(tmp_path, b"\x00" * 13, 1)
         with pytest.raises(TruncationError, match="13 bytes"):
-            read_recording(iq, meta, frame_len=1)
+            _read(iq, meta, frame_len=1)
 
     def test_num_samples_mismatch(self, tmp_path):
         iq, meta = _write_pair(tmp_path, struct.pack("<4f", 0, 0, 0, 0), 7)
         with pytest.raises(MetaFormatError, match="num_samples=7"):
-            read_recording(iq, meta, frame_len=1)
+            _read(iq, meta, frame_len=1)
 
     def test_nonfinite_sample_names_index(self, tmp_path):
         payload = struct.pack("<6f", 0, 0, 1, float("nan"), 2, 2)
         iq, meta = _write_pair(tmp_path, payload, 3)
         with pytest.raises(SampleDataError, match="index 1"):
-            read_recording(iq, meta, frame_len=1)
+            _read(iq, meta, frame_len=1)
 
     def test_bad_frame_len(self, tmp_path):
         iq, meta = _write_pair(tmp_path, b"", 0)
         with pytest.raises(ValueError):
-            read_recording(iq, meta, frame_len=0)
+            _read(iq, meta, frame_len=0)
 
 
 class TestWriteRecording:
@@ -192,12 +199,10 @@ class TestWriteRecording:
         iq = tmp_path / "w.iq"
         meta = tmp_path / "w.iq.meta"
         write_recording(frames, iq, meta)
-        back, discarded = read_recording(iq, meta, frame_len=4)
+        m, back, discarded = _read(iq, meta, frame_len=4)
         assert discarded == 0
-        assert len(back) == 3
-        for orig, rt in zip(frames, back):
-            np.testing.assert_array_equal(orig.samples, rt.samples)
-            assert rt.capture_time == orig.capture_time
+        np.testing.assert_array_equal(back, [f.samples for f in frames])
+        assert (m.start_time, m.sample_rate_hz, m.center_freq_hz) == (7.0, 1e3, 1e6)
 
     def test_payload_bytes_exact(self, tmp_path):
         frames = [make_frame([1 + 1j, 2 - 1j])]
@@ -236,6 +241,6 @@ def test_round_trip_property(tmp_path_factory, data):
     samples = np.array([re + 1j * im for re, im in data], dtype=np.complex128)
     frame = ComplexFrame(samples, 48e3, 900e6, 3.25)
     write_recording([frame], tmp / "f.iq", tmp / "f.iq.meta")
-    back, discarded = read_recording(tmp / "f.iq", tmp / "f.iq.meta", frame_len=len(data))
+    _, back, discarded = _read(tmp / "f.iq", tmp / "f.iq.meta", frame_len=len(data))
     assert discarded == 0
-    np.testing.assert_array_equal(back[0].samples, samples)
+    np.testing.assert_array_equal(back, [samples])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occuscan import Channel, OccupancyCell, ScanRecord, aggregate, report_matrix
+from occuscan import Channel, OccupancyCell, report_matrix
 from occuscan.detectors import DETECTORS
 from occuscan.report import (
     OCCUPANCY_CSV_HEADER,
@@ -16,20 +16,25 @@ from occuscan.report import (
     write_occupancy_csv,
     write_plot_data,
 )
-from occuscan.scan import read_record_table, read_records_csv, write_records_csv
+from occuscan.scan import RecordTable, read_record_table, write_record_tables
 
 CH_A = Channel("X", 0, 100.0)
 CH_B = Channel("X", 1, 105.0)
 
 
-def _rec(t, present, detector="ed", channel=CH_A):
-    return ScanRecord(
-        capture_time=t,
-        channel=channel,
-        detector=detector,
-        statistic=1.0,
-        threshold=0.5,
-        present=present,
+def _table(rows) -> RecordTable:
+    """(time, present[, detector[, channel]]) rows as a RecordTable; ed on CH_A by default."""
+    rows = [(t, present, *rest) + ("ed", CH_A)[len(rest):] for t, present, *rest in rows]
+    ids: dict = {}
+    chan = [ids.setdefault(c, len(ids)) for _, _, _, c in rows]
+    return RecordTable(
+        list(ids),
+        np.array([t for t, *_ in rows], dtype=float),
+        np.array(chan, dtype=np.intp),
+        np.array([DETECTORS.index(d) for _, _, d, _ in rows], dtype=np.intp),
+        np.ones(len(rows)),
+        np.full(len(rows), 0.5),
+        np.array([p for _, p, _, _ in rows], dtype=bool),
     )
 
 
@@ -53,8 +58,8 @@ class TestOccupancyCell:
 
 class TestAggregate:
     def test_known_ratio(self):
-        records = [_rec(float(i), i % 5 == 0) for i in range(180)]
-        cells = aggregate(records, 1000.0)
+        records = [(float(i), i % 5 == 0) for i in range(180)]
+        cells = aggregate_table(_table(records), 1000.0)
         assert len(cells) == 1
         assert cells[0].n_detected == 36
         assert cells[0].n_total == 180
@@ -62,51 +67,51 @@ class TestAggregate:
 
     def test_bin_split(self):
         # 10 scans at t=0..9, bin length 3: bins [0,3) [3,6) [6,9) [9,12)
-        records = [_rec(float(i), True) for i in range(10)]
-        cells = aggregate(records, 3.0)
+        records = [(float(i), True) for i in range(10)]
+        cells = aggregate_table(_table(records), 3.0)
         assert [(c.bin_start, c.n_total) for c in cells] == [
             (0.0, 3), (3.0, 3), (6.0, 3), (9.0, 1),
         ]
 
     def test_half_open_bin_edges(self):
-        records = [_rec(0.0, True), _rec(3.0, True)]
-        cells = aggregate(records, 3.0)
+        records = [(0.0, True), (3.0, True)]
+        cells = aggregate_table(_table(records), 3.0)
         assert [(c.bin_start, c.n_total) for c in cells] == [(0.0, 1), (3.0, 1)]
 
     def test_empty_log(self):
-        assert aggregate([], 10.0) == []
+        assert aggregate_table(_table([]), 10.0) == []
 
     def test_groups_by_channel_and_detector(self):
         records = [
-            _rec(0.0, True, "ed", CH_A),
-            _rec(0.0, False, "acf1", CH_A),
-            _rec(0.0, True, "ed", CH_B),
+            (0.0, True, "ed", CH_A),
+            (0.0, False, "acf1", CH_A),
+            (0.0, True, "ed", CH_B),
         ]
-        cells = aggregate(records, 10.0)
+        cells = aggregate_table(_table(records), 10.0)
         keys = [(c.channel.index_in_band, c.detector) for c in cells]
         assert keys == [(0, "ed"), (0, "acf1"), (1, "ed")]
 
     def test_sorted_detector_canonical_not_alphabetical(self):
         records = [
-            _rec(0.0, True, "cdist"),
-            _rec(0.0, True, "acf1"),
-            _rec(0.0, True, "ed"),
+            (0.0, True, "cdist"),
+            (0.0, True, "acf1"),
+            (0.0, True, "ed"),
         ]
-        cells = aggregate(records, 10.0)
+        cells = aggregate_table(_table(records), 10.0)
         assert [c.detector for c in cells] == ["ed", "acf1", "cdist"]
 
     def test_conservation_across_bins(self):
         rng = np.random.default_rng(0)
         times = rng.uniform(0.0, 100.0, size=500)
         flags = rng.integers(0, 2, size=500).astype(bool)
-        records = [_rec(float(t), bool(p)) for t, p in zip(times, flags)]
-        cells = aggregate(records, 7.0)
+        records = [(float(t), bool(p)) for t, p in zip(times, flags)]
+        cells = aggregate_table(_table(records), 7.0)
         assert sum(c.n_total for c in cells) == 500
         assert sum(c.n_detected for c in cells) == int(flags.sum())
 
     def test_bad_bin_len(self):
         with pytest.raises(ValueError):
-            aggregate([], 0.0)
+            aggregate_table(_table([]), 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -115,10 +120,10 @@ class TestAggregate:
     )
     def test_bin_refinement_consistency(self, times, coarse):
         """Counts in a coarse bin equal the sum over its aligned finer bins."""
-        records = [_rec(t, int(t) % 2 == 0) for t in times]
+        records = [(t, int(t) % 2 == 0) for t in times]
         fine = 10.0
-        cells_fine = aggregate(records, fine)
-        cells_coarse = aggregate(records, fine * coarse)
+        cells_fine = aggregate_table(_table(records), fine)
+        cells_coarse = aggregate_table(_table(records), fine * coarse)
         for cc in cells_coarse:
             members = [
                 fc
@@ -133,9 +138,9 @@ class TestReportMatrix:
     def _cells(self):
         records = []
         for i in range(6):
-            records.append(_rec(float(i), i < 3, "ed"))
-            records.append(_rec(float(i), i % 2 == 0, "acf1"))
-        return aggregate(records, 3.0)
+            records.append((float(i), i < 3, "ed"))
+            records.append((float(i), i % 2 == 0, "acf1"))
+        return aggregate_table(_table(records), 3.0)
 
     def test_alignment(self):
         m = report_matrix(self._cells(), CH_A)
@@ -151,23 +156,11 @@ class TestReportMatrix:
         with pytest.raises(LookupError):
             report_matrix(self._cells(), Channel("Y", 0, 1.0))
 
-    def test_plan_overrides_known_set(self):
-        plan = [CH_A, CH_B]
-        m = report_matrix(self._cells(), CH_B, plan=plan)
-        assert m.bin_starts == ()
-        with pytest.raises(LookupError):
-            report_matrix(self._cells(), Channel("Y", 0, 1.0), plan=plan)
-
-    def test_empty_cells_with_plan(self):
-        m = report_matrix([], CH_A, plan=[CH_A])
-        assert m.bin_starts == ()
-        assert m.series["ed"] == ()
-
 
 class TestExports:
     def test_occupancy_csv_shape(self, tmp_path):
-        records = [_rec(float(i), i % 5 == 0) for i in range(180)]
-        cells = aggregate(records, 1000.0)
+        records = [(float(i), i % 5 == 0) for i in range(180)]
+        cells = aggregate_table(_table(records), 1000.0)
         p = tmp_path / "occ.csv"
         write_occupancy_csv(cells, p)
         lines = p.read_text().splitlines()
@@ -178,8 +171,8 @@ class TestExports:
         records = []
         for i in range(4):
             for det in ("ed", "acf1", "cdist"):
-                records.append(_rec(float(i), True, det))
-        m = report_matrix(aggregate(records, 2.0), CH_A)
+                records.append((float(i), True, det))
+        m = report_matrix(aggregate_table(_table(records), 2.0), CH_A)
         p = tmp_path / "plot.dat"
         write_plot_data(m, p)
         lines = p.read_text().splitlines()
@@ -188,8 +181,8 @@ class TestExports:
         assert len(lines) == 3
 
     def test_plot_data_gap_is_nan(self, tmp_path):
-        records = [_rec(0.0, True, "ed")]
-        m = report_matrix(aggregate(records, 2.0), CH_A)
+        records = [(0.0, True, "ed")]
+        m = report_matrix(aggregate_table(_table(records), 2.0), CH_A)
         p = tmp_path / "plot.dat"
         write_plot_data(m, p)
         assert p.read_text().splitlines()[1] == "0.000000 1 nan nan"
@@ -199,13 +192,15 @@ class TestExports:
         assert channel_slug(Channel("GSM 850 UL", 0, 824.0)) == "GSM-850-UL_ch000"
 
 
-def _reference_aggregate(records, bin_len_s):
-    """The dict-and-sort loop that the columnar aggregation replaced: the reference."""
+def _reference_aggregate(rows, bin_len_s):
+    """The dict-and-sort loop that the columnar aggregation replaced: the reference.
+
+    ``rows`` are (time, present, detector, channel) tuples.
+    """
     counts = {}
-    for r in records:
-        pair = counts.setdefault((r.channel, r.detector, math.floor(r.capture_time / bin_len_s)),
-                                 [0, 0])
-        pair[0] += 1 if r.present else 0
+    for t, present, det, channel in rows:
+        pair = counts.setdefault((channel, det, math.floor(t / bin_len_s)), [0, 0])
+        pair[0] += 1 if present else 0
         pair[1] += 1
     cells = [OccupancyCell(ch, det, b * bin_len_s, bin_len_s, n_det, n_tot)
              for (ch, det, b), (n_det, n_tot) in counts.items()]
@@ -230,18 +225,17 @@ class TestColumnarAggregate:
         bin_len=st.sampled_from([0.7, 3.0, 60.0, 1e5]),
     )
     def test_matches_reference_loop(self, rows, bin_len):
-        records = [_rec(t, present, det, ch) for t, ch, det, present in rows]
-        assert aggregate(records, bin_len) == _reference_aggregate(records, bin_len)
+        records = [(t, present, det, ch) for t, ch, det, present in rows]
+        assert aggregate_table(_table(records), bin_len) == _reference_aggregate(records, bin_len)
 
     def test_report_cells_equal_object_path(self, tmp_path):
-        records = [_rec(0.5 * i, i % 3 == 0, DETECTORS[i % 3], [CH_A, CH_B, CH_A2][i // 7 % 3])
+        """Cells of a written and re-read record log equal the reference loop's."""
+        records = [(0.5 * i, i % 3 == 0, DETECTORS[i % 3], [CH_A, CH_B, CH_A2][i // 7 % 3])
                    for i in range(200)]
         p = tmp_path / "records.csv"
-        write_records_csv(records, p)
-        cells = aggregate_table(read_record_table(p), 4.0)
-        assert cells == aggregate(read_records_csv(p), 4.0)
-        assert cells == _reference_aggregate(read_records_csv(p), 4.0)
+        write_record_tables([_table(records)], p)
+        assert aggregate_table(read_record_table(p), 4.0) == _reference_aggregate(records, 4.0)
 
     def test_non_finite_time_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            aggregate([_rec(float("nan"), True)], 1.0)
+            aggregate_table(_table([(float("nan"), True)]), 1.0)

@@ -1,6 +1,5 @@
 """Scenario YAML parsing, validation messages, and seed derivation."""
 
-import numpy as np
 import pytest
 
 from occuscan import Scenario, ScenarioError
@@ -216,16 +215,6 @@ class TestDetectorConfig:
         s = Scenario.load(_write(tmp_path, MINIMAL, with_ref=False))
         with pytest.raises(ScenarioError, match="reference"):
             s.detector_config()
-
-    def test_reference_override_path(self, tmp_path):
-        s = Scenario.load(_write(tmp_path, MINIMAL))
-        alt = tmp_path / "alt.txt"
-        ref = acf_vector(
-            gen_signal_frame(64, SignalSpec(kind="tone", normalized_freq=0.2), 0), 8
-        )
-        save_reference(ref, alt)
-        cfg = s.detector_config(reference_override=alt)
-        np.testing.assert_array_equal(cfg.reference.values, ref.values)
 
 
 class TestCalibrationAndEval:

@@ -14,7 +14,6 @@ from occuscan import (
     gen_channel_timeline,
     gen_noise_frame,
     gen_signal_frame,
-    mix_at_snr,
     snr_scale,
 )
 from occuscan.errors import SampleDataError
@@ -260,24 +259,17 @@ class TestSnrScale:
 
 class TestMix:
     def test_mix_is_exact_linear_combination(self):
-        sig = gen_signal_frame(128, SignalSpec(kind="tone", normalized_freq=0.1), 0)
-        noise = gen_noise_frame(128, NoiseSpec(1.0, seed=4), 0)
-        mixed = mix_at_snr(sig, noise, 6.0, 1.0, 1.0)
+        tone, noise = SignalSpec(kind="tone", normalized_freq=0.1), NoiseSpec(1.0, seed=4)
         alpha = snr_scale(1.0, 1.0, 6.0)
-        np.testing.assert_array_equal(mixed.samples, alpha * sig.samples + noise.samples)
-        assert mixed.capture_time == noise.capture_time
+        [mixed] = mixed_blocks(tone, noise, alpha, 128, range(5, 6))
+        np.testing.assert_array_equal(
+            mixed, [alpha * gen_signal_frame(128, tone, 5).samples
+                    + gen_noise_frame(128, noise, 5).samples])
 
     def test_minus_inf_returns_noise(self):
-        sig = gen_signal_frame(8, SignalSpec(kind="tone"), 0)
-        noise = gen_noise_frame(8, NoiseSpec(1.0), 0)
-        mixed = mix_at_snr(sig, noise, -math.inf, 1.0, 1.0)
-        np.testing.assert_array_equal(mixed.samples, noise.samples)
-
-    def test_length_mismatch(self):
-        sig = gen_signal_frame(8, SignalSpec(kind="tone"), 0)
-        noise = gen_noise_frame(16, NoiseSpec(1.0), 0)
-        with pytest.raises(ValueError):
-            mix_at_snr(sig, noise, 0.0, 1.0, 1.0)
+        alpha = snr_scale(1.0, 1.0, -math.inf)
+        [mixed] = mixed_blocks(SignalSpec(kind="tone"), NoiseSpec(1.0), alpha, 8, range(1))
+        np.testing.assert_array_equal(mixed, [gen_noise_frame(8, NoiseSpec(1.0), 0).samples])
 
 
 class TestTimeline:
@@ -361,15 +353,14 @@ class TestTimeline:
             list(mixed_blocks(self.SIGNAL, noise, alpha, 16, range(5, 50)))
 
     def test_mixed_blocks_are_mixed_frames(self):
-        """Blocks of 32 + 11 rows equal mix_at_snr of the frames, bit for bit."""
+        """Blocks of 32 + 11 rows equal alpha * signal + noise of the frames, bit for bit."""
         for signal in (self.SIGNAL, SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=5)):
             for snr_db in (7.0, -math.inf):
                 alpha = snr_scale(signal.nominal_power, 1.0, snr_db)
                 blocks = list(mixed_blocks(signal, self.NOISE, alpha, 16, range(60, 103)))
                 assert [len(b) for b in blocks] == [32, 11]
-                frames = [mix_at_snr(gen_signal_frame(16, signal, k),
-                                     gen_noise_frame(16, self.NOISE, k), snr_db,
-                                     signal.nominal_power, 1.0).samples for k in range(60, 103)]
+                frames = [alpha * gen_signal_frame(16, signal, k).samples
+                          + gen_noise_frame(16, self.NOISE, k).samples for k in range(60, 103)]
                 np.testing.assert_array_equal(np.concatenate(blocks), frames)
 
     def test_rejects_bad_timing(self):
