@@ -29,7 +29,7 @@ _MODULE_OF = {name: module for module, names in {
                "RoutingError", "SampleDataError", "ScenarioError", "TruncationError",
                "UsageError"),
     "iq": ("ComplexFrame", "RecordingMeta", "read_meta", "write_meta", "write_recording"),
-    "report": ("OccupancyCell", "report_matrix", "write_occupancy_csv"),
+    "report": ("write_occupancy_csv",),
     "scan": ("ScanRecord", "scan_channel"),
     "scenario": ("Scenario",),
     "synth": ("NoiseSpec", "OccupancySchedule", "SignalSpec", "gen_channel_timeline",

@@ -224,29 +224,26 @@ def cmd_analyze(args) -> int:
 # --- report ------------------------------------------------------------------
 
 def cmd_report(args) -> int:
-    from .report import (aggregate_table, channel_slug, report_matrix, write_occupancy_csv,
-                         write_plot_data)
+    from .report import aggregate_table, channel_slug, write_occupancy_csv, write_plot_data
     from .scan import read_record_table
 
     out = _out_dir(args)
     cells = aggregate_table(read_record_table(args.records), args.bins)
-    by_channel: dict = {}
-    for cell in cells:  # cells are sorted by channel, so each channel's cells are in order
-        by_channel.setdefault(cell.channel, []).append(cell)
-    names: dict = {}
-    for channel in by_channel:
-        first = names.setdefault(channel_slug(channel), channel)
-        if first != channel:
-            raise PlanError(f"plots/{channel_slug(channel)}.dat: channels {first.band!r}:"
-                            f"{first.index_in_band} and {channel.band!r}:{channel.index_in_band} "
+    names: dict = {}  # plot file name -> channel id, channels in cell order
+    for c in dict.fromkeys(cells.chan.tolist()):
+        first = names.setdefault(channel_slug(cells.channels[c]), c)
+        if first != c:
+            a, b = cells.channels[first], cells.channels[c]
+            raise PlanError(f"plots/{channel_slug(b)}.dat: channels {a.band!r}:"
+                            f"{a.index_in_band} and {b.band!r}:{b.index_in_band} "
                             "would both write this file")
-    write_occupancy_csv(cells, out / "occupancy.csv")
+    write_occupancy_csv(cells, args.bins, out / "occupancy.csv")
 
     plots = out / "plots"
     plots.mkdir(exist_ok=True)
-    for slug, channel in names.items():
-        write_plot_data(report_matrix(by_channel[channel], channel), plots / f"{slug}.dat")
-    print(f"wrote {len(cells)} occupancy cells and {len(by_channel)} plot files to {out}")
+    for slug, c in names.items():
+        write_plot_data(cells, c, plots / f"{slug}.dat")
+    print(f"wrote {len(cells.chan)} occupancy cells and {len(names)} plot files to {out}")
     return 0
 
 
@@ -280,14 +277,16 @@ def cmd_eval(args) -> int:
         raise SampleDataError(f"eval: {exc}") from exc
     stats = np.concatenate(parts, axis=1)
 
-    def ops(d, snr_db, thresholds):
+    def ops(label, d, snr_db, thresholds):
         h1 = stats[1 + snrs.index(snr_db), :, d.column]
-        return operating_points(d.name, snr_db, stats[0, :, d.column], h1, thresholds)
+        pd, pfa = operating_points(d.name, stats[0, :, d.column], h1, thresholds)
+        return [(d.name, label, snr_db, thr, stats.shape[1], p, f)
+                for thr, p, f in zip(thresholds, pd.tolist(), pfa.tolist())]
 
-    rows = [("point", op) for d in DETECTOR_TABLE for snr_db in points
-            for op in ops(d, snr_db, [d.threshold(config)])]
-    rows += [("roc", op) for d in DETECTOR_TABLE if d.name in ev["roc_thresholds"]
-             for op in ops(d, roc_snr_db, ev["roc_thresholds"][d.name])]
+    rows = [op for d in DETECTOR_TABLE for snr_db in points
+            for op in ops("point", d, snr_db, [d.threshold(config)])]
+    rows += [op for d in DETECTOR_TABLE if d.name in ev["roc_thresholds"]
+             for op in ops("roc", d, roc_snr_db, ev["roc_thresholds"][d.name])]
     write_eval_csv(rows, out / "eval.csv")
     print(f"wrote {len(rows)} operating points to {out / 'eval.csv'}")
     return 0

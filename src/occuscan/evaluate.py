@@ -5,11 +5,12 @@ signal-present hypothesis, and one generation pass scores every detector at
 every SNR, so all thresholds, SNRs and detectors see the same randomness (ROC
 curves are monotone by construction; detectors compare at matched pfa). Trial
 i draws from (spec seed, i) only, so results depend on neither order nor chunks.
+Results stay arrays: ``operating_points`` gives pd and pfa over a threshold
+list, and ``write_eval_csv`` renders plain row tuples.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +18,11 @@ import numpy as np
 from .detectors import (
     BLOCK_FRAMES,
     DETECTOR_BY_NAME,
-    DETECTORS,
     DetectorConfig,
     block_statistics,
     decides_present,
 )
-from .scan import _fmt, scan_blocks
+from .scan import _FLOAT, scan_blocks
 from .synth import (
     NoiseSpec,
     OccupancySchedule,
@@ -34,26 +34,6 @@ from .synth import (
 )
 
 EVAL_CSV_HEADER = "detector,scenario,snr_db,threshold,trials,pd,pfa"
-
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    """Measured (pd, pfa) for one detector at one threshold and SNR."""
-
-    detector: str
-    snr_db: float
-    threshold: float
-    pd: float
-    pfa: float
-    trials: int
-
-    def __post_init__(self):
-        if self.detector not in DETECTORS:
-            raise ValueError(f"unknown detector {self.detector!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not (0.0 <= self.pd <= 1.0 and 0.0 <= self.pfa <= 1.0):
-            raise ValueError("pd and pfa must lie in [0, 1]")
 
 
 def shared_trial_statistics(
@@ -109,19 +89,11 @@ def trial_statistics(
     return stats[0, :, column], stats[1, :, column]
 
 
-def operating_points(detector: str, snr_db: float, h0, h1, thresholds) -> list[OperatingPoint]:
-    """Measured (pd, pfa) at each threshold from one detector's H0 and H1 statistics."""
-    return [
-        OperatingPoint(
-            detector=detector,
-            snr_db=snr_db,
-            threshold=thr,
-            pd=float(np.mean(decides_present(detector, h1, thr))),
-            pfa=float(np.mean(decides_present(detector, h0, thr))),
-            trials=h0.size,
-        )
-        for thr in thresholds
-    ]
+def operating_points(detector: str, h0, h1, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """One detector's measured (pd, pfa) arrays over thresholds, from its H0 and H1 statistics."""
+    thr = np.asarray(thresholds, dtype=np.float64)[:, None]
+    return (decides_present(detector, h1, thr).mean(axis=1),
+            decides_present(detector, h0, thr).mean(axis=1))
 
 
 def tune_threshold_for_pfa(detector: str, h0_statistics, target_pfa: float) -> float:
@@ -178,19 +150,10 @@ def occupancy_recovery(
 
 
 def write_eval_csv(rows, path) -> None:
-    """rows: iterable of (scenario_label, OperatingPoint)."""
+    """rows: (detector, scenario, snr_db, threshold, trials, pd, pfa) tuples, in header order."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EVAL_CSV_HEADER.split(","))
-        for label, op in rows:
-            writer.writerow(
-                [
-                    op.detector,
-                    label,
-                    _fmt(op.snr_db),
-                    _fmt(op.threshold),
-                    op.trials,
-                    _fmt(op.pd),
-                    _fmt(op.pfa),
-                ]
-            )
+        fh.write(EVAL_CSV_HEADER + "\n")
+        fh.write("".join(
+            f"{d},{label},{snr:{_FLOAT}},{thr:{_FLOAT}},{n},{pd:{_FLOAT}},{pfa:{_FLOAT}}\n"
+            for d, label, snr, thr, n, pd, pfa in rows
+        ))

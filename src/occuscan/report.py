@@ -6,21 +6,22 @@ present-decided scans to total scans in that bin. Bins are half-open
 one bin; bins with no scans are omitted (no scans is not the same as zero
 occupancy).
 
-Aggregation is columnar: ``aggregate_table`` counts the cells of a record
-table (``scan.RecordTable``) with numpy.
+Cells are columns from the record table to the files: ``aggregate_table``
+counts the cells of a record table (``scan.RecordTable``) with numpy into a
+``CellTable``, ``write_occupancy_csv`` renders its rows, and
+``write_plot_data`` writes one channel's (bins x 3) occupancy matrix.
 """
 
 from __future__ import annotations
 
-import csv
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channels import Channel
 from .detectors import DETECTORS
-from .scan import RecordTable, _fmt, _fmt_time
+from .scan import _FLOAT, _TIME, RecordTable, _channel_fields, _chunks
 
 OCCUPANCY_CSV_HEADER = (
     "band,channel_index,center_freq_mhz,detector,bin_start_unix,bin_len_s,"
@@ -28,41 +29,31 @@ OCCUPANCY_CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class OccupancyCell:
-    """Detection ratio for one channel/detector/time-bin triple."""
+class CellTable(NamedTuple):
+    """Occupancy cells as columns.
 
-    channel: Channel
-    detector: str
-    bin_start: float
-    bin_len_s: float
-    n_detected: int
-    n_total: int
+    Cell i counts n_detected[i] present decisions among the n_total[i] >= 1
+    scans of DETECTORS[det[i]] on channels[chan[i]] in the bin that starts at
+    bin_start[i]; its occupancy is n_detected[i] / n_total[i].
+    """
 
-    def __post_init__(self):
-        if not self.bin_len_s > 0:
-            raise ValueError("bin_len_s must be > 0")
-        if not 0 <= self.n_detected <= self.n_total:
-            raise ValueError("need 0 <= n_detected <= n_total")
-        if self.n_total < 1:
-            raise ValueError("empty cells are omitted, not constructed")
-
-    @property
-    def occupancy(self) -> float:
-        return self.n_detected / self.n_total
+    channels: list
+    chan: np.ndarray
+    det: np.ndarray
+    bin_start: np.ndarray
+    n_detected: np.ndarray
+    n_total: np.ndarray
 
 
-def aggregate_table(table: RecordTable, bin_len_s: float) -> list[OccupancyCell]:
+def aggregate_table(table: RecordTable, bin_len_s: float) -> CellTable:
     """Fold a record table into occupancy cells.
 
     Grouping key is (channel, detector, floor(time / bin_len_s)); an empty
-    table folds to an empty report. Cells come back sorted by (band, channel
-    index, detector, bin start), ties in order of first appearance.
+    table folds to no cells. Cells come back sorted by (band, channel index,
+    detector, bin start), ties in order of first appearance.
     """
     if not bin_len_s > 0:
         raise ValueError("bin_len_s must be > 0")
-    if not len(table.time):
-        return []
     if not np.isfinite(table.time).all():
         raise ValueError("capture times must be finite")
     bins, bin_id = np.unique(np.floor(table.time / bin_len_s), return_inverse=True)
@@ -75,68 +66,27 @@ def aggregate_table(table: RecordTable, bin_len_s: float) -> list[OccupancyCell]
     bin_start = bins[bin_id] * bin_len_s
     band_index = sorted({(c.band, c.index_in_band) for c in table.channels})
     rank = {key: i for i, key in enumerate(band_index)}
-    chan_rank = np.array([rank[c.band, c.index_in_band] for c in table.channels])
+    chan_rank = np.array([rank[c.band, c.index_in_band] for c in table.channels], dtype=np.intp)
     order = np.lexsort((first, bin_start, det, chan_rank[chan]))
-    return [
-        OccupancyCell(table.channels[c], DETECTORS[d], b, bin_len_s, n_det, n_tot)
-        for c, d, b, n_det, n_tot in zip(
-            chan[order].tolist(), det[order].tolist(), bin_start[order].tolist(),
-            n_detected[order].tolist(), n_total[order].tolist(),
-        )
-    ]
+    return CellTable(table.channels, chan[order], det[order], bin_start[order],
+                     n_detected[order], n_total[order])
 
 
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """Aligned per-detector occupancy series for one channel.
-
-    ``bin_starts`` is the union of bin starts seen by any detector; each
-    series has one entry per bin, None where that detector has no scans.
-    """
-
-    channel: Channel
-    bin_starts: tuple
-    series: dict  # detector -> tuple of float | None
-
-
-def report_matrix(cells, channel: Channel) -> ChannelMatrix:
-    """Aligned (bin_start -> occupancy) series for ed/acf1/cdist on one channel.
-
-    A channel with no cells raises LookupError.
-    """
-    mine = [c for c in cells if c.channel == channel]
-    if not mine:
-        raise LookupError(f"unknown channel {channel.band}[{channel.index_in_band}]")
-    bin_starts = tuple(sorted({c.bin_start for c in mine}))
-    pos = {b: i for i, b in enumerate(bin_starts)}
-    series = {}
-    for det in DETECTORS:
-        col: list = [None] * len(bin_starts)
-        for c in mine:
-            if c.detector == det:
-                col[pos[c.bin_start]] = c.occupancy
-        series[det] = tuple(col)
-    return ChannelMatrix(channel, bin_starts, series)
-
-
-def write_occupancy_csv(cells, path) -> None:
+def write_occupancy_csv(cells: CellTable, bin_len_s: float, path) -> None:
+    """Write one occupancy.csv row per cell, in table order."""
+    heads = _channel_fields(cells.channels)
+    dets = [f"{name}," for name in DETECTORS]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(OCCUPANCY_CSV_HEADER.split(","))
-        for c in cells:
-            writer.writerow(
-                [
-                    c.channel.band,
-                    c.channel.index_in_band,
-                    _fmt(c.channel.center_freq_mhz),
-                    c.detector,
-                    _fmt_time(c.bin_start),
-                    _fmt(c.bin_len_s),
-                    c.n_detected,
-                    c.n_total,
-                    _fmt(c.occupancy),
-                ]
-            )
+        fh.write(OCCUPANCY_CSV_HEADER + "\n")
+        for rows in _chunks(len(cells.chan)):
+            fh.write("".join(
+                f"{heads[c]}{dets[d]}{b:{_TIME}},{bin_len_s:{_FLOAT}},{k},{n},{k / n:{_FLOAT}}\n"
+                for c, d, b, k, n in zip(
+                    cells.chan[rows].tolist(), cells.det[rows].tolist(),
+                    cells.bin_start[rows].tolist(), cells.n_detected[rows].tolist(),
+                    cells.n_total[rows].tolist(),
+                )
+            ))
 
 
 def channel_slug(channel: Channel) -> str:
@@ -145,13 +95,19 @@ def channel_slug(channel: Channel) -> str:
     return f"{band}_ch{channel.index_in_band:03d}"
 
 
-def write_plot_data(matrix: ChannelMatrix, path) -> None:
-    """Whitespace-delimited `bin_start ed acf1 cdist` table; gaps print as nan."""
+def write_plot_data(cells: CellTable, chan: int, path) -> None:
+    """Channel channels[chan]'s `bin_start ed acf1 cdist` table, one row per bin with scans.
+
+    The rows are the channel's (bins x 3) occupancy matrix; a detector with
+    no scans in a bin is NaN there, and prints as nan.
+    """
+    mine = cells.chan == chan
+    bins, row = np.unique(cells.bin_start[mine], return_inverse=True)
+    occupancy = np.full((len(bins), len(DETECTORS)), np.nan)
+    occupancy[row, cells.det[mine]] = cells.n_detected[mine] / cells.n_total[mine]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("bin_start ed acf1 cdist\n")
-        for i, b in enumerate(matrix.bin_starts):
-            vals = [
-                "nan" if matrix.series[d][i] is None else _fmt(matrix.series[d][i])
-                for d in DETECTORS
-            ]
-            fh.write(f"{_fmt_time(b)} {' '.join(vals)}\n")
+        fh.write("".join(
+            f"{b:{_TIME}} {' '.join(format(v, _FLOAT) for v in vals)}\n"
+            for b, vals in zip(bins.tolist(), occupancy.tolist())
+        ))

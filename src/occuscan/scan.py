@@ -190,10 +190,6 @@ def _fmt(x: float) -> str:
     return format(x, _FLOAT)
 
 
-def _fmt_time(t: float) -> str:
-    return format(t, _TIME)
-
-
 def _chunks(n: int):
     return (slice(i, i + CSV_CHUNK_ROWS) for i in range(0, n, CSV_CHUNK_ROWS))
 

@@ -8,14 +8,14 @@ mixing runs once over the whole block, then one reused PCG64 is set to each
 frame's state.
 
 Frames are plain complex128 rows: ``noise_rows`` and ``signal_rows`` make
-(frames x N) blocks, ``timeline_blocks`` yields a channel's sweep as
-(times, frames, labels) blocks of at most BLOCK_FRAMES rows, and
-``mixed_blocks`` yields calibration's ``alpha * signal + noise`` rows; each
-block that mixes in a signal gets one finiteness check. Noise samples are
-finite, since their power is, but a frame's power sum can still overflow:
-``detectors`` checks each frame's energy. ``gen_noise_frame``,
-``gen_signal_frame`` and ``gen_channel_timeline`` wrap the same rows in
-ComplexFrames for the API.
+(frames x N) blocks, and ``mixed_blocks`` yields noise rows with ``alpha *
+signal`` added to the frames labeled present (calibration: every frame), at
+most BLOCK_FRAMES at a time; each block that mixes in a signal gets one
+finiteness check. ``timeline_blocks`` yields a channel's sweep as (times,
+frames, labels) blocks of those rows. Noise samples are finite, since their
+power is, but a frame's power sum can still overflow: ``detectors`` checks
+each frame's energy. ``gen_noise_frame``, ``gen_signal_frame`` and
+``gen_channel_timeline`` wrap the same rows in ComplexFrames for the API.
 
 SNR is defined against nominal spec powers (amplitude**2 for signals,
 total_power for noise), not empirical per-frame powers, so threshold and ROC
@@ -100,6 +100,8 @@ class SignalSpec:
         # the power amplitude**2 must be finite as well: amplitude < ~1.34e154
         if not (0 <= self.amplitude and self.amplitude * self.amplitude < math.inf):
             raise ValueError("amplitude must be a number >= 0 whose square is finite")
+        if not math.isfinite(self.phase):
+            raise ValueError("phase must be a finite number")
         _check_seed(self.seed)
 
     @property
@@ -279,9 +281,10 @@ def gen_signal_frame(
 def snr_scale(signal_power: float, noise_power: float, snr_db: float) -> float:
     """Amplitude factor a with (a^2 * signal_power) / noise_power = 10**(snr_db/10).
 
-    snr_db may be -inf (scale 0, i.e. absent signal); NaN and +inf raise
-    ValueError. A zero-power signal is only meaningful with snr_db=-inf; any
-    finite target raises ValueError.
+    snr_db may be -inf (scale 0, i.e. absent signal); NaN, +inf and an SNR
+    whose power ratio overflows (about 3082.5 dB and up) raise ValueError. A
+    zero-power signal is only meaningful with snr_db=-inf; any finite target
+    raises ValueError.
     """
     if not noise_power > 0:
         raise ValueError("noise_power must be > 0")
@@ -291,7 +294,11 @@ def snr_scale(signal_power: float, noise_power: float, snr_db: float) -> float:
         return 0.0
     if signal_power <= 0:
         raise ValueError("zero-power signal cannot be scaled to a finite SNR")
-    return math.sqrt(10 ** (snr_db / 10.0) * noise_power / signal_power)
+    try:
+        ratio = 10 ** (snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"snr_db {snr_db} overflows the power ratio 10**(snr_db/10)") from None
+    return math.sqrt(ratio * noise_power / signal_power)
 
 
 def timeline_blocks(
@@ -326,39 +333,33 @@ def timeline_blocks(
         if signal.kind != "none" else 0.0
     times = start_time + np.arange(n_frames) * frame_interval_s
     labels = np.array([schedule.is_on(t - start_time) for t in times.tolist()], dtype=bool)
-    # the tone is the same in every frame; an overflowing scale or mix leaves
-    # a non-finite sample, which the block check below reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        tone = alpha * signal_rows(frame_len, signal, [0]) if signal.kind == "tone" else None
-    for start in range(0, n_frames, BLOCK_FRAMES):
-        rows = slice(start, min(start + BLOCK_FRAMES, n_frames))
-        frames = noise_rows(frame_len, noise, range(rows.start, rows.stop))
-        on = labels[rows]
-        present = np.flatnonzero(on)
-        if alpha != 0.0 and present.size:
-            with np.errstate(over="ignore", invalid="ignore"):
-                sig = tone if tone is not None else \
-                    alpha * signal_rows(frame_len, signal, start + present)
-                # row by row: a boolean-mask assignment of the block is ~10x slower
-                for row, sig_row in zip(present, np.broadcast_to(sig, (present.size, frame_len))):
-                    np.add(sig_row, frames[row], out=frames[row])
-            _check_finite(frames, start)
-        yield times[rows], frames, on
+    blocks = mixed_blocks(signal, noise, alpha, frame_len, range(n_frames), labels)
+    for start, frames in zip(range(0, n_frames, BLOCK_FRAMES), blocks):
+        rows = slice(start, start + len(frames))
+        yield times[rows], frames, labels[rows]
 
 
-def mixed_blocks(signal: SignalSpec, noise: NoiseSpec, alpha: float, n: int, frames: range):
-    """Yield the ``alpha * signal + noise`` rows of ``frames``, <= BLOCK_FRAMES at a time.
+def mixed_blocks(signal: SignalSpec, noise: NoiseSpec, alpha: float, n: int, frames: range,
+                 labels=None):
+    """Yield the rows of ``frames``, <= BLOCK_FRAMES at a time: ``alpha * signal + noise``.
 
-    Each block is a (rows x n) complex128 array, noise alone where alpha is 0.
-    Raises SampleDataError naming the frame when a mixed block holds a
-    non-finite sample.
+    Each block is a (rows x n) complex128 array. ``labels`` has one bool per
+    frame of ``frames`` (None: every frame present); frames labeled False, and
+    every frame when alpha is 0, are noise alone. Raises SampleDataError naming the frame
+    when a mixed block holds a non-finite sample.
     """
+    # the tone is the same in every frame; an overflowing scale or mix leaves
+    # a non-finite sample, which the block check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        tone = alpha * signal_rows(n, signal, [0]) if signal.kind == "tone" else None
     for start in frames[::BLOCK_FRAMES]:
         idx = range(start, min(start + BLOCK_FRAMES, frames.stop))
         rows = noise_rows(n, noise, idx)
-        if alpha != 0.0:
+        k = start - frames.start
+        on = np.arange(len(idx)) if labels is None else np.flatnonzero(labels[k:k + len(idx)])
+        if alpha != 0.0 and on.size:
             with np.errstate(over="ignore", invalid="ignore"):
-                rows = alpha * signal_rows(n, signal, idx) + rows
+                rows[on] += alpha * signal_rows(n, signal, start + on) if tone is None else tone
             _check_finite(rows, start)
         yield rows
 

@@ -476,6 +476,15 @@ class TestBadInputs:
         # 10 ** (snr_db / 10) overflows a float from about 3082.5 dB
         self._cmd_fails_with(capsys, workspace, cmd, old, new, field)
 
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    @pytest.mark.parametrize("cmd, field", [("calibrate", "calibration.signal"),
+                                            ("simulate", "channel TESTBAND:0.signal"),
+                                            ("eval", "eval.signal")])
+    def test_signal_phase_not_finite(self, workspace, capsys, cmd, field, value):
+        # a NaN tone would otherwise fail later, at a sample, naming no scenario field
+        self._cmd_fails_with(capsys, workspace, cmd, "normalized_freq: 0.125",
+                             f"normalized_freq: 0.125\n    phase: {value}", field)
+
     @pytest.mark.parametrize("value", ['"x"', "null"])
     def test_schedule_interval_not_a_number(self, workspace, capsys, value):
         self._cmd_fails_with(capsys, workspace, "simulate", "on_intervals: [[0.0, 1.0]]",
@@ -808,19 +817,18 @@ class TestStartUp:
     # occuscan.__all__ as it was when the package imported every submodule eagerly, less
     # the object-form functions and classes removed since
     PUBLIC_NAMES = [
-        "AcfVector", "BUILTIN_BANDS", "BandSpec", "CalibrationError", "Channel", "ComplexFrame",
-        "CsvParseError", "DETECTORS", "DETECTOR_ACF1", "DETECTOR_CDIST",
+        "AcfVector", "BUILTIN_BANDS", "BandSpec", "CalibrationError", "Channel",
+        "ComplexFrame", "CsvParseError", "DETECTORS", "DETECTOR_ACF1", "DETECTOR_CDIST",
         "DETECTOR_ED", "DETECTOR_TABLE", "DegenerateFrameError", "DetectorConfig",
-        "FrameConsistencyError", "MetaFormatError", "NoiseSpec", "OccupancyCell",
-        "OccupancySchedule", "OccuscanError", "PlanError", "RecordingMeta", "RoutingError",
-        "SampleDataError", "ScanRecord", "Scenario", "ScenarioError", "SignalSpec",
-        "TruncationError", "UsageError", "acf", "acf1_statistic", "acf_vector",
-        "block_statistics", "build_channel_plan", "builtin_plan", "calibrate_ed_threshold",
-        "channels", "correlation_distance", "detectors", "energy_statistic", "errors",
+        "FrameConsistencyError", "MetaFormatError", "NoiseSpec", "OccupancySchedule",
+        "OccuscanError", "PlanError", "RecordingMeta", "RoutingError", "SampleDataError",
+        "ScanRecord", "Scenario", "ScenarioError", "SignalSpec", "TruncationError",
+        "UsageError", "acf", "acf1_statistic", "acf_vector", "block_statistics",
+        "build_channel_plan", "builtin_plan", "calibrate_ed_threshold", "channels",
+        "correlation_distance", "detectors", "energy_statistic", "errors",
         "gen_channel_timeline", "gen_noise_frame", "gen_signal_frame", "iq", "load_reference",
-        "read_meta", "report", "report_matrix", "save_reference", "scan", "scan_channel",
-        "scenario", "snr_scale", "synth", "write_meta", "write_occupancy_csv",
-        "write_recording",
+        "read_meta", "report", "save_reference", "scan", "scan_channel", "scenario",
+        "snr_scale", "synth", "write_meta", "write_occupancy_csv", "write_recording",
     ]
 
     def _python(self, *args, **env):

@@ -24,7 +24,6 @@ from occuscan.detectors import (
 )
 from occuscan.evaluate import (
     EVAL_CSV_HEADER,
-    OperatingPoint,
     decides_present,
     occupancy_recovery,
     operating_points,
@@ -42,17 +41,6 @@ NOISE = NoiseSpec(total_power=1.0, seed=6)
 def _config(lambda_ed=1.052, lambda_acf=0.25, gamma=0.6, lags=8):
     ref = acf_vector(gen_signal_frame(1024, SIG, 0), lags)
     return DetectorConfig(lambda_ed, lambda_acf, gamma, lags, ref)
-
-
-class TestOperatingPoint:
-    def test_validation(self):
-        OperatingPoint("ed", 5.0, 1.05, 0.99, 0.05, 100)
-        with pytest.raises(ValueError):
-            OperatingPoint("other", 5.0, 1.05, 0.99, 0.05, 100)
-        with pytest.raises(ValueError):
-            OperatingPoint("ed", 5.0, 1.05, 1.2, 0.05, 100)
-        with pytest.raises(ValueError):
-            OperatingPoint("ed", 5.0, 1.05, 0.5, 0.05, 0)
 
 
 class TestDecidesPresent:
@@ -163,12 +151,13 @@ class TestSharedTrialStatistics:
 
 
 def _points(detector, cfg, snr_db, n, trials, thresholds=None):
-    """One detector's operating points as eval measures them (shared_trial_statistics, then
+    """One detector's (pd, pfa) lists as eval measures them (shared_trial_statistics, then
     operating_points), at its configured threshold unless ``thresholds`` are given."""
     d = next(d for d in DETECTOR_TABLE if d.name == detector)
     stats = shared_trial_statistics(cfg, SIG, NOISE, [snr_db], n, range(trials))
-    return operating_points(detector, snr_db, stats[0, :, d.column], stats[1, :, d.column],
-                            [d.threshold(cfg)] if thresholds is None else thresholds)
+    pd, pfa = operating_points(detector, stats[0, :, d.column], stats[1, :, d.column],
+                               [d.threshold(cfg)] if thresholds is None else thresholds)
+    return pd.tolist(), pfa.tolist()
 
 
 class TestMeasurePdPfa:
@@ -182,26 +171,24 @@ class TestMeasurePdPfa:
             (gen_noise_frame(1024, cal_noise, k) for k in range(10000)), 0.05
         )
         cfg = _config(lambda_ed=lam)
-        [op] = _points("ed", cfg, 10.0, 1024, 10000)
-        assert 0.04 <= op.pfa <= 0.06
-        assert op.pd == 1.0
+        [pd], [pfa] = _points("ed", cfg, 10.0, 1024, 10000)
+        assert 0.04 <= pfa <= 0.06
+        assert pd == 1.0
 
     def test_high_snr_all_detectors_detect(self):
         cfg = _config()
         for det in ("ed", "acf1", "cdist"):
-            [op] = _points(det, cfg, 20.0, 1024, 300)
-            assert op.pd >= 0.999, det
+            [pd], _ = _points(det, cfg, 20.0, 1024, 300)
+            assert pd >= 0.999, det
 
     def test_near_zero_threshold_ed_fires_always(self):
         cfg = _config(lambda_ed=1e-12)
-        [op] = _points("ed", cfg, 0.0, 256, 200)
-        assert op.pd == 1.0 and op.pfa == 1.0
+        assert _points("ed", cfg, 0.0, 256, 200) == ([1.0], [1.0])
 
     def test_near_one_gamma_cdist_fires_always(self):
         # every normalized distance is < 1 - 1e-12 in practice
         cfg = _config(gamma=1.0 - 1e-12)
-        [op] = _points("cdist", cfg, 10.0, 256, 200)
-        assert op.pd == 1.0 and op.pfa == 1.0
+        assert _points("cdist", cfg, 10.0, 256, 200) == ([1.0], [1.0])
 
     def test_deterministic(self):
         cfg = _config()
@@ -214,9 +201,7 @@ class TestRocCurve:
     def test_endpoints_and_monotonicity(self):
         cfg = _config()
         thresholds = [0.85, 0.95, 1.0, 1.05, 1.15, 1.3]
-        ops = _points("ed", cfg, 5.0, 1024, 400, thresholds)
-        pds = [op.pd for op in ops]
-        pfas = [op.pfa for op in ops]
+        pds, pfas = _points("ed", cfg, 5.0, 1024, 400, thresholds)
         # shared trials: exactly non-increasing as the threshold rises
         assert all(a >= b for a, b in zip(pds, pds[1:]))
         assert all(a >= b for a, b in zip(pfas, pfas[1:]))
@@ -225,12 +210,18 @@ class TestRocCurve:
 
     def test_cdist_direction_flips(self):
         cfg = _config()
-        ops = _points("cdist", cfg, 5.0, 512, 200, [0.05, 0.3, 0.6, 0.95])
-        pds = [op.pd for op in ops]
-        pfas = [op.pfa for op in ops]
+        pds, pfas = _points("cdist", cfg, 5.0, 512, 200, [0.05, 0.3, 0.6, 0.95])
         # present means distance BELOW threshold: rates rise with threshold
         assert all(a <= b for a, b in zip(pds, pds[1:]))
         assert all(a <= b for a, b in zip(pfas, pfas[1:]))
+
+    def test_rates_are_exact_counts_over_trials(self):
+        """Each pd and pfa is its threshold's count of present decisions over the trials."""
+        h0, h1 = trial_statistics("ed", _config(), SIG, NOISE, 0.0, 64, 333)
+        thresholds = [0.9, 1.0, 1.1, 1.3]
+        pd, pfa = operating_points("ed", h0, h1, thresholds)
+        assert pd.tolist() == [np.count_nonzero(h1 > t) / 333 for t in thresholds]
+        assert pfa.tolist() == [np.count_nonzero(h0 > t) / 333 for t in thresholds]
 
     def test_cdist_beats_acf1_at_matched_pfa(self):
         """At 5 dB and pfa 0.05 on shared trials, cdist detects at least as often."""
@@ -302,8 +293,8 @@ class TestOccupancyRecovery:
 class TestEvalCsv:
     def test_format(self, tmp_path):
         rows = [
-            ("point", OperatingPoint("ed", 5.0, 1.052, 0.875, 0.05, 1000)),
-            ("roc", OperatingPoint("cdist", 5.0, 0.3, 0.9, 0.01, 1000)),
+            ("ed", "point", 5.0, 1.052, 1000, 0.875, 0.05),
+            ("cdist", "roc", 5.0, 0.3, 1000, 0.9, 0.01),
         ]
         p = tmp_path / "eval.csv"
         write_eval_csv(rows, p)
@@ -313,7 +304,7 @@ class TestEvalCsv:
         assert lines[2] == "cdist,roc,5,0.3,1000,0.9,0.01"
 
     def test_byte_identical_rewrites(self, tmp_path):
-        rows = [("point", OperatingPoint("acf1", 0.0, 0.25, 0.5, 0.04, 64))]
+        rows = [("acf1", "point", 0.0, 0.25, 64, 0.5, 0.04)]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_eval_csv(rows, p1)
         write_eval_csv(rows, p2)

@@ -1,4 +1,4 @@
-"""Occupancy aggregation, channel matrices, and export formats."""
+"""Occupancy aggregation, the occupancy and plot files, and their formats."""
 
 import math
 
@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occuscan import Channel, OccupancyCell, report_matrix
+from occuscan import Channel
 from occuscan.detectors import DETECTORS
 from occuscan.report import (
     OCCUPANCY_CSV_HEADER,
+    CellTable,
     aggregate_table,
     channel_slug,
     write_occupancy_csv,
@@ -38,48 +39,37 @@ def _table(rows) -> RecordTable:
     )
 
 
-class TestOccupancyCell:
-    def test_ratio(self):
-        c = OccupancyCell(CH_A, "ed", 0.0, 3600.0, 36, 180)
-        assert c.occupancy == 0.2
-
-    def test_bounds(self):
-        assert OccupancyCell(CH_A, "ed", 0.0, 1.0, 0, 5).occupancy == 0.0
-        assert OccupancyCell(CH_A, "ed", 0.0, 1.0, 5, 5).occupancy == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OccupancyCell(CH_A, "ed", 0.0, 0.0, 1, 2)
-        with pytest.raises(ValueError):
-            OccupancyCell(CH_A, "ed", 0.0, 1.0, 3, 2)
-        with pytest.raises(ValueError):
-            OccupancyCell(CH_A, "ed", 0.0, 1.0, 0, 0)
+def _cells(table: CellTable) -> list[tuple]:
+    """A cell table's rows as (channel, detector, bin_start, n_detected, n_total) tuples."""
+    return list(zip([table.channels[c] for c in table.chan.tolist()],
+                    [DETECTORS[d] for d in table.det.tolist()], table.bin_start.tolist(),
+                    table.n_detected.tolist(), table.n_total.tolist()))
 
 
 class TestAggregate:
     def test_known_ratio(self):
         records = [(float(i), i % 5 == 0) for i in range(180)]
         cells = aggregate_table(_table(records), 1000.0)
-        assert len(cells) == 1
-        assert cells[0].n_detected == 36
-        assert cells[0].n_total == 180
-        assert cells[0].occupancy == 0.2
+        assert _cells(cells) == [(CH_A, "ed", 0.0, 36, 180)]
+        assert cells.n_detected[0] / cells.n_total[0] == 0.2
 
     def test_bin_split(self):
         # 10 scans at t=0..9, bin length 3: bins [0,3) [3,6) [6,9) [9,12)
         records = [(float(i), True) for i in range(10)]
         cells = aggregate_table(_table(records), 3.0)
-        assert [(c.bin_start, c.n_total) for c in cells] == [
-            (0.0, 3), (3.0, 3), (6.0, 3), (9.0, 1),
-        ]
+        assert cells.bin_start.tolist() == [0.0, 3.0, 6.0, 9.0]
+        assert cells.n_total.tolist() == [3, 3, 3, 1]
 
     def test_half_open_bin_edges(self):
         records = [(0.0, True), (3.0, True)]
         cells = aggregate_table(_table(records), 3.0)
-        assert [(c.bin_start, c.n_total) for c in cells] == [(0.0, 1), (3.0, 1)]
+        assert cells.bin_start.tolist() == [0.0, 3.0]
+        assert cells.n_total.tolist() == [1, 1]
 
     def test_empty_log(self):
-        assert aggregate_table(_table([]), 10.0) == []
+        cells = aggregate_table(_table([]), 10.0)
+        assert _cells(cells) == []
+        assert all(len(col) == 0 for col in cells[1:])
 
     def test_groups_by_channel_and_detector(self):
         records = [
@@ -88,7 +78,7 @@ class TestAggregate:
             (0.0, True, "ed", CH_B),
         ]
         cells = aggregate_table(_table(records), 10.0)
-        keys = [(c.channel.index_in_band, c.detector) for c in cells]
+        keys = [(ch.index_in_band, det) for ch, det, *_ in _cells(cells)]
         assert keys == [(0, "ed"), (0, "acf1"), (1, "ed")]
 
     def test_sorted_detector_canonical_not_alphabetical(self):
@@ -98,7 +88,7 @@ class TestAggregate:
             (0.0, True, "ed"),
         ]
         cells = aggregate_table(_table(records), 10.0)
-        assert [c.detector for c in cells] == ["ed", "acf1", "cdist"]
+        assert [DETECTORS[d] for d in cells.det] == ["ed", "acf1", "cdist"]
 
     def test_conservation_across_bins(self):
         rng = np.random.default_rng(0)
@@ -106,8 +96,8 @@ class TestAggregate:
         flags = rng.integers(0, 2, size=500).astype(bool)
         records = [(float(t), bool(p)) for t, p in zip(times, flags)]
         cells = aggregate_table(_table(records), 7.0)
-        assert sum(c.n_total for c in cells) == 500
-        assert sum(c.n_detected for c in cells) == int(flags.sum())
+        assert cells.n_total.sum() == 500
+        assert cells.n_detected.sum() == int(flags.sum())
 
     def test_bad_bin_len(self):
         with pytest.raises(ValueError):
@@ -122,39 +112,41 @@ class TestAggregate:
         """Counts in a coarse bin equal the sum over its aligned finer bins."""
         records = [(t, int(t) % 2 == 0) for t in times]
         fine = 10.0
-        cells_fine = aggregate_table(_table(records), fine)
-        cells_coarse = aggregate_table(_table(records), fine * coarse)
-        for cc in cells_coarse:
-            members = [
-                fc
-                for fc in cells_fine
-                if cc.bin_start <= fc.bin_start < cc.bin_start + cc.bin_len_s
-            ]
-            assert sum(m.n_total for m in members) == cc.n_total
-            assert sum(m.n_detected for m in members) == cc.n_detected
+        cells_fine = _cells(aggregate_table(_table(records), fine))
+        for _, _, start, n_det, n_tot in _cells(aggregate_table(_table(records), fine * coarse)):
+            members = [fc for fc in cells_fine if start <= fc[2] < start + fine * coarse]
+            assert sum(m[4] for m in members) == n_tot
+            assert sum(m[3] for m in members) == n_det
+
+
+def _plot(tmp_path, records, bin_len_s) -> list[str]:
+    """The lines of CH_A's plot file for (time, present, detector) records."""
+    cells = aggregate_table(_table(records), bin_len_s)
+    p = tmp_path / "plot.dat"
+    write_plot_data(cells, cells.channels.index(CH_A), p)
+    return p.read_text().splitlines()
 
 
 class TestReportMatrix:
-    def _cells(self):
-        records = []
-        for i in range(6):
-            records.append((float(i), i < 3, "ed"))
-            records.append((float(i), i % 2 == 0, "acf1"))
-        return aggregate_table(_table(records), 3.0)
+    """The per-channel (bins x 3) occupancy matrix, as the plot file prints it."""
 
-    def test_alignment(self):
-        m = report_matrix(self._cells(), CH_A)
-        assert m.bin_starts == (0.0, 3.0)
-        assert m.series["ed"] == (1.0, 0.0)
-        assert m.series["acf1"] == (pytest.approx(2 / 3), pytest.approx(1 / 3))
+    RECORDS = [(float(i), flag, det) for i in range(6)
+               for det, flag in (("ed", i < 3), ("acf1", i % 2 == 0))]
 
-    def test_missing_detector_is_none(self):
-        m = report_matrix(self._cells(), CH_A)
-        assert m.series["cdist"] == (None, None)
+    def test_alignment(self, tmp_path):
+        lines = _plot(tmp_path, self.RECORDS, 3.0)
+        rows = [[float(v) for v in line.split()] for line in lines[1:]]
+        assert [r[0] for r in rows] == [0.0, 3.0]
+        assert [r[1] for r in rows] == [1.0, 0.0]
+        assert [r[2] for r in rows] == [pytest.approx(2 / 3), pytest.approx(1 / 3)]
 
-    def test_unknown_channel_raises(self):
-        with pytest.raises(LookupError):
-            report_matrix(self._cells(), Channel("Y", 0, 1.0))
+    def test_missing_detector_is_none(self, tmp_path):
+        lines = _plot(tmp_path, self.RECORDS, 3.0)
+        assert [line.split()[3] for line in lines[1:]] == ["nan", "nan"]
+
+    def test_channels_get_their_own_rows(self, tmp_path):
+        records = [(0.0, True, "ed", CH_B), (4.0, False, "acf1", CH_A), (9.0, True, "ed", CH_B)]
+        assert _plot(tmp_path, records, 2.0)[1:] == ["4.000000 nan 0 nan"]
 
 
 class TestExports:
@@ -162,30 +154,33 @@ class TestExports:
         records = [(float(i), i % 5 == 0) for i in range(180)]
         cells = aggregate_table(_table(records), 1000.0)
         p = tmp_path / "occ.csv"
-        write_occupancy_csv(cells, p)
+        write_occupancy_csv(cells, 1000.0, p)
         lines = p.read_text().splitlines()
         assert lines[0] == OCCUPANCY_CSV_HEADER
-        assert lines[1] == "X,0,100,ed,0.000000,1000,36,180,0.2"
+        assert lines[1:] == ["X,0,100,ed,0.000000,1000,36,180,0.2"]
+
+    def test_occupancy_csv_quotes_band_and_keeps_cell_order(self, tmp_path):
+        band = Channel("ISM, 433", 2, 433.05)
+        records = [(5.0, True, "cdist", band), (0.5, False, "ed", CH_B), (1.0, True, "ed", CH_B)]
+        p = tmp_path / "occ.csv"
+        write_occupancy_csv(aggregate_table(_table(records), 2.5), 2.5, p)
+        assert p.read_text().splitlines()[1:] == [
+            '"ISM, 433",2,433.05,cdist,5.000000,2.5,1,1,1',
+            "X,1,105,ed,0.000000,2.5,1,2,0.5",
+        ]
 
     def test_plot_data_format(self, tmp_path):
         records = []
         for i in range(4):
             for det in ("ed", "acf1", "cdist"):
                 records.append((float(i), True, det))
-        m = report_matrix(aggregate_table(_table(records), 2.0), CH_A)
-        p = tmp_path / "plot.dat"
-        write_plot_data(m, p)
-        lines = p.read_text().splitlines()
+        lines = _plot(tmp_path, records, 2.0)
         assert lines[0] == "bin_start ed acf1 cdist"
         assert lines[1] == "0.000000 1 1 1"
         assert len(lines) == 3
 
     def test_plot_data_gap_is_nan(self, tmp_path):
-        records = [(0.0, True, "ed")]
-        m = report_matrix(aggregate_table(_table(records), 2.0), CH_A)
-        p = tmp_path / "plot.dat"
-        write_plot_data(m, p)
-        assert p.read_text().splitlines()[1] == "0.000000 1 nan nan"
+        assert _plot(tmp_path, [(0.0, True, "ed")], 2.0)[1:] == ["0.000000 1 nan nan"]
 
     def test_channel_slug(self):
         assert channel_slug(Channel("2.4GHz", 5, 2427.0)) == "2.4GHz_ch005"
@@ -195,17 +190,17 @@ class TestExports:
 def _reference_aggregate(rows, bin_len_s):
     """The dict-and-sort loop that the columnar aggregation replaced: the reference.
 
-    ``rows`` are (time, present, detector, channel) tuples.
+    ``rows`` are (time, present, detector, channel) tuples; cells come back as
+    (channel, detector, bin_start, n_detected, n_total) tuples.
     """
     counts = {}
     for t, present, det, channel in rows:
         pair = counts.setdefault((channel, det, math.floor(t / bin_len_s)), [0, 0])
         pair[0] += 1 if present else 0
         pair[1] += 1
-    cells = [OccupancyCell(ch, det, b * bin_len_s, bin_len_s, n_det, n_tot)
+    cells = [(ch, det, b * bin_len_s, n_det, n_tot)
              for (ch, det, b), (n_det, n_tot) in counts.items()]
-    cells.sort(key=lambda c: (c.channel.band, c.channel.index_in_band,
-                              DETECTORS.index(c.detector), c.bin_start))
+    cells.sort(key=lambda c: (c[0].band, c[0].index_in_band, DETECTORS.index(c[1]), c[2]))
     return cells
 
 
@@ -226,7 +221,8 @@ class TestColumnarAggregate:
     )
     def test_matches_reference_loop(self, rows, bin_len):
         records = [(t, present, det, ch) for t, ch, det, present in rows]
-        assert aggregate_table(_table(records), bin_len) == _reference_aggregate(records, bin_len)
+        assert _cells(aggregate_table(_table(records), bin_len)) == \
+            _reference_aggregate(records, bin_len)
 
     def test_report_cells_equal_object_path(self, tmp_path):
         """Cells of a written and re-read record log equal the reference loop's."""
@@ -234,7 +230,8 @@ class TestColumnarAggregate:
                    for i in range(200)]
         p = tmp_path / "records.csv"
         write_record_tables([_table(records)], p)
-        assert aggregate_table(read_record_table(p), 4.0) == _reference_aggregate(records, 4.0)
+        assert _cells(aggregate_table(read_record_table(p), 4.0)) == \
+            _reference_aggregate(records, 4.0)
 
     def test_non_finite_time_rejected(self):
         with pytest.raises(ValueError, match="finite"):

@@ -21,3 +21,38 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name}: unused imports (line, name): {unused}"
+
+
+def _module_level_names(tree: ast.Module):
+    """(line, name) of each function, class and assignment target at a module's top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield node.lineno, name.id
+
+
+def test_every_private_name_is_read():
+    """Each module-level ``_name`` in the package is read somewhere in it.
+
+    A name counts as read where it is loaded, taken as an attribute, or
+    imported into another module; dunder names are left out.
+    """
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    dead = sorted((module, line, name) for module, tree in trees.items()
+                  for line, name in _module_level_names(tree)
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
+    assert not dead, f"private names that nothing reads (module, line, name): {dead}"

@@ -190,6 +190,11 @@ class TestSignal:
         with pytest.raises(ValueError):
             SignalSpec(kind="bpsk", symbol_rate_divisor=0)
 
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_phase_must_be_finite(self, phase):
+        with pytest.raises(ValueError, match="phase"):
+            SignalSpec(kind="tone", phase=phase)
+
 
 class TestSchedule:
     def test_duty_cycle(self):
@@ -245,6 +250,12 @@ class TestSnrScale:
     def test_nan_and_plus_inf_rejected(self, snr_db):
         with pytest.raises(ValueError, match="snr_db"):
             snr_scale(1.0, 1.0, snr_db)
+
+    def test_overflowing_power_ratio_rejected(self):
+        # 10 ** (snr_db / 10) overflows a float from about 3082.5 dB
+        assert snr_scale(1.0, 1.0, 3082.0) > 0
+        with pytest.raises(ValueError, match="snr_db 4000.0 overflows"):
+            snr_scale(1.0, 1.0, 4000.0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -362,6 +373,18 @@ class TestTimeline:
                 frames = [alpha * gen_signal_frame(16, signal, k).samples
                           + gen_noise_frame(16, self.NOISE, k).samples for k in range(60, 103)]
                 np.testing.assert_array_equal(np.concatenate(blocks), frames)
+
+    def test_labeled_frames_only_are_mixed(self):
+        """With labels, frames labeled present are alpha * signal + noise, the rest noise."""
+        labels = np.arange(43) % 5 < 2
+        for signal in (self.SIGNAL, SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=5)):
+            alpha = snr_scale(signal.nominal_power, 1.0, 7.0)
+            blocks = list(mixed_blocks(signal, self.NOISE, alpha, 16, range(60, 103), labels))
+            assert [len(b) for b in blocks] == [32, 11]
+            frames = [alpha * gen_signal_frame(16, signal, k).samples * on
+                      + gen_noise_frame(16, self.NOISE, k).samples
+                      for k, on in zip(range(60, 103), labels.tolist())]
+            np.testing.assert_array_equal(np.concatenate(blocks), frames)
 
     def test_rejects_bad_timing(self):
         with pytest.raises(ValueError):
