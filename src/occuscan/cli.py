@@ -71,13 +71,17 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _process_pool(workers: int):
-    """A pool of ``workers`` processes, of the class this module's ProcessPoolExecutor names.
+def _map(fn, tasks, workers: int) -> list:
+    """[fn(t) for t in tasks], run by a pool of ``workers`` processes when workers > 1.
 
-    Looked up as a module attribute, so a tool that replaces the attribute
-    (bench/tracer.py traces the pool's tasks that way) has its class used.
+    The pool class is looked up as this module's ProcessPoolExecutor
+    attribute, so a tool that replaces the attribute (bench/tracer.py traces
+    the pool's tasks that way) has its class used.
     """
-    return sys.modules[__name__].ProcessPoolExecutor(max_workers=workers)
+    if workers == 1:
+        return [fn(t) for t in tasks]
+    with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def _out_dir(args) -> Path:
@@ -154,13 +158,7 @@ def cmd_simulate(args) -> int:
     ]
 
     out = _out_dir(args)
-    if args.workers > 1:
-        with _process_pool(args.workers) as pool:
-            results = list(pool.map(_simulate_channel, tasks))
-    else:
-        results = [_simulate_channel(t) for t in tasks]
-
-    times, chan, stats, labels = merge_sweep(plan, results)
+    times, chan, stats, labels = merge_sweep(plan, _map(_simulate_channel, tasks, args.workers))
 
     write_plan_csv(plan, out / "plan.csv")
     write_record_tables([frame_table(plan, times, chan, stats, config)], out / "records.csv")
@@ -227,8 +225,12 @@ def cmd_report(args) -> int:
     from .report import aggregate_table, channel_slug, write_occupancy_csv, write_plot_data
     from .scan import read_record_table
 
+    table = read_record_table(args.records)
+    try:
+        cells = aggregate_table(table, args.bins)
+    except ValueError as exc:  # records are checked as read, so only the bin length is left
+        raise UsageError(f"--bins: {exc}") from exc
     out = _out_dir(args)
-    cells = aggregate_table(read_record_table(args.records), args.bins)
     names: dict = {}  # plot file name -> channel id, channels in cell order
     for c in dict.fromkeys(cells.chan.tolist()):
         first = names.setdefault(channel_slug(cells.channels[c]), c)
@@ -252,8 +254,9 @@ def cmd_report(args) -> int:
 def cmd_eval(args) -> int:
     import numpy as np
 
-    from .detectors import BLOCK_FRAMES, DETECTOR_TABLE
+    from .detectors import DETECTOR_TABLE
     from .evaluate import operating_points, shared_trial_statistics, write_eval_csv
+    from .iq import BLOCK_FRAMES
 
     scenario = _load_scenario(args)
     config = scenario.detector_config()
@@ -268,14 +271,9 @@ def cmd_eval(args) -> int:
     step = -(-ev["trials"] // (BLOCK_FRAMES * args.workers)) * BLOCK_FRAMES
     chunks = [range(i, min(i + step, ev["trials"])) for i in range(0, ev["trials"], step)]
     try:
-        if args.workers > 1:
-            with _process_pool(args.workers) as pool:
-                parts = list(pool.map(run, chunks))
-        else:
-            parts = [run(c) for c in chunks]
+        stats = np.concatenate(_map(run, chunks, args.workers), axis=1)
     except SampleDataError as exc:
         raise SampleDataError(f"eval: {exc}") from exc
-    stats = np.concatenate(parts, axis=1)
 
     def ops(label, d, snr_db, thresholds):
         h1 = stats[1 + snrs.index(snr_db), :, d.column]

@@ -19,7 +19,9 @@ BLOCK_FRAMES (32) frames, and ``calibrate`` feeds the same blocks to
 ``calibrate_reference_blocks`` and ``calibrate_ed_threshold_blocks``. Row
 sums are the per-frame functions' dot products, so both give identical
 bits. A frame whose energy sum is not finite raises SampleDataError, so no
-NaN statistic reaches an output. Every decision goes through DETECTOR_TABLE
+NaN statistic reaches an output: this one check covers a non-finite sample
+as well as finite samples whose power sum overflows, and it is the only
+check on frames the program makes. Every decision goes through DETECTOR_TABLE
 (statistic column, threshold field, direction).
 
 All autocorrelations use the linear (non-circular) convention: terms whose
@@ -30,13 +32,12 @@ threshold resolve to absent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, islice
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CalibrationError, DegenerateFrameError, SampleDataError
-from .iq import BLOCK_FRAMES, ComplexFrame
+from .iq import ComplexFrame
 
 DETECTOR_ED = "ed"
 DETECTOR_ACF1 = "acf1"
@@ -149,7 +150,7 @@ def _acf_block(
     finite = np.isfinite(energy)
     if not finite.all():
         raise SampleDataError(f"frame {start + int(np.argmin(finite))}: "
-                              "energy is not finite (the sample power sum overflows)")
+                              "energy is not finite (a sample or the power sum overflows)")
     ratios = np.empty((len(block), lags))
     ratios[:, 0] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -180,13 +181,6 @@ def decide_block(stats: np.ndarray, config: DetectorConfig) -> np.ndarray:
     return np.column_stack(
         [d.decide(stats[:, d.column], d.threshold(config)) for d in DETECTOR_TABLE]
     )
-
-
-def frame_blocks(frames):
-    """(frames, stacked samples) of at most BLOCK_FRAMES consecutive equal-length frames."""
-    for _, same_len in groupby(frames, key=len):
-        while chunk := list(islice(same_len, BLOCK_FRAMES)):
-            yield chunk, np.stack([f.samples for f in chunk])
 
 
 def _frame_acf(frame: ComplexFrame, lags: int) -> np.ndarray:
@@ -289,8 +283,8 @@ def calibrate_ed_threshold_blocks(blocks, target_pfa: float, start: int = 0) -> 
 
 
 def calibrate_ed_threshold(noise_frames, target_pfa: float) -> float:
-    """``calibrate_ed_threshold_blocks`` over ComplexFrames."""
-    return calibrate_ed_threshold_blocks((b for _, b in frame_blocks(noise_frames)), target_pfa)
+    """``calibrate_ed_threshold_blocks`` over ComplexFrames, one frame per block."""
+    return calibrate_ed_threshold_blocks((f.samples[None, :] for f in noise_frames), target_pfa)
 
 
 # --- reference-vector file format -------------------------------------------

@@ -1,4 +1,4 @@
-"""Monte Carlo detector quality measurement: Pd, Pfa, ROC, recovery error.
+"""Monte Carlo detector quality measurement: Pd, Pfa and ROC points.
 
 Trials are paired: trial i's noise frame serves the signal-absent and every
 signal-present hypothesis, and one generation pass scores every detector at
@@ -11,27 +11,12 @@ list, and ``write_eval_csv`` renders plain row tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .detectors import (
-    BLOCK_FRAMES,
-    DETECTOR_BY_NAME,
-    DetectorConfig,
-    block_statistics,
-    decides_present,
-)
-from .scan import _FLOAT, scan_blocks
-from .synth import (
-    NoiseSpec,
-    OccupancySchedule,
-    SignalSpec,
-    noise_rows,
-    signal_rows,
-    snr_scale,
-    timeline_blocks,
-)
+from .detectors import DETECTOR_BY_NAME, DetectorConfig, block_statistics, decides_present
+from .iq import BLOCK_FRAMES
+from .scan import _FLOAT
+from .synth import NoiseSpec, SignalSpec, noise_rows, signal_rows, snr_scale
 
 EVAL_CSV_HEADER = "detector,scenario,snr_db,threshold,trials,pd,pfa"
 
@@ -110,43 +95,6 @@ def tune_threshold_for_pfa(detector: str, h0_statistics, target_pfa: float) -> f
         raise ValueError("need at least one H0 statistic")
     below = DETECTOR_BY_NAME[detector].direction == "<"
     return float(np.quantile(h0, target_pfa if below else 1.0 - target_pfa))
-
-
-@dataclass(frozen=True)
-class RecoveryResult:
-    true_duty: float
-    measured_occupancy: float
-    abs_error: float
-
-
-def occupancy_recovery(
-    schedule: OccupancySchedule,
-    detector: str,
-    config: DetectorConfig,
-    signal_spec: SignalSpec,
-    noise_spec: NoiseSpec,
-    snr_db: float,
-    frame_len: int,
-    frame_interval_s: float,
-    total_s: float,
-) -> RecoveryResult:
-    """How well detected occupancy recovers a known duty cycle.
-
-    Runs the detector over a synthetic timeline and compares the fraction of
-    present decisions (occupancy over all scans) to the schedule's duty
-    cycle.
-    """
-    row = DETECTOR_BY_NAME[detector]
-    blocks = timeline_blocks(
-        schedule, signal_spec, noise_spec, snr_db, frame_len, frame_interval_s, total_s
-    )
-    _, stats, _ = scan_blocks(blocks, config)
-    if not len(stats):
-        raise ValueError("scenario produced no scans")
-    decisions = row.decide(stats[:, row.column], row.threshold(config))
-    measured = int(np.count_nonzero(decisions)) / len(decisions)
-    true_duty = schedule.duty_cycle
-    return RecoveryResult(true_duty, measured, abs(measured - true_duty))
 
 
 def write_eval_csv(rows, path) -> None:

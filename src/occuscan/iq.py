@@ -17,10 +17,10 @@ frames, as (frames x N) complex128 arrays, so memory does not grow with the
 file.
 
 ComplexFrame is the type of the one-frame API and of ``write_recording``. In
-every command, frames travel as plain (frames x N) arrays, checked once where
-they enter: ``stream_recording`` checks every payload sample, and
-``synth.timeline_blocks`` and ``synth.mixed_blocks`` check each block that
-mixes in a signal.
+every command, frames travel as plain (frames x N) arrays, checked once:
+``stream_recording`` checks every payload sample as it is read, and frames
+the program makes (``synth``) are checked by the detector kernel's energy
+check alone.
 """
 
 from __future__ import annotations

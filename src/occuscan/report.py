@@ -50,13 +50,20 @@ def aggregate_table(table: RecordTable, bin_len_s: float) -> CellTable:
 
     Grouping key is (channel, detector, floor(time / bin_len_s)); an empty
     table folds to no cells. Cells come back sorted by (band, channel index,
-    detector, bin start), ties in order of first appearance.
+    detector, bin start), ties in order of first appearance. Raises
+    ValueError when a bin number is not finite (a non-finite time, or a bin
+    length so short that time / bin_len_s overflows).
     """
     if not bin_len_s > 0:
         raise ValueError("bin_len_s must be > 0")
-    if not np.isfinite(table.time).all():
-        raise ValueError("capture times must be finite")
-    bins, bin_id = np.unique(np.floor(table.time / bin_len_s), return_inverse=True)
+    with np.errstate(over="ignore"):
+        bin_no = np.floor(table.time / bin_len_s)
+    bad = np.flatnonzero(~np.isfinite(bin_no))
+    if bad.size:
+        t = float(table.time[bad[0]])
+        raise ValueError(f"bin numbers must be finite, but capture time {t!r} / bin length "
+                         f"{bin_len_s!r} is not")
+    bins, bin_id = np.unique(bin_no, return_inverse=True)
     nd, nb = len(DETECTORS), len(bins)
     keys, first, cell = np.unique((table.chan * nd + table.det) * nb + bin_id,
                                   return_index=True, return_inverse=True)

@@ -20,6 +20,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -226,36 +227,45 @@ def write_record_tables(tables, path) -> None:
 
 
 def read_record_table(path) -> RecordTable:
-    """Parse a record log into columns. Raises CsvParseError naming path:line."""
+    """Parse a record log into columns. Raises CsvParseError naming path:line.
+
+    Rows are parsed CSV_CHUNK_ROWS at a time into (rows x 6) float blocks, so
+    no more than one chunk's rows are held as Python objects.
+    """
     keys: dict = {}  # (band, index, freq) text -> channel id
     ids: dict = {}  # Channel -> channel id
-    rows = []
+    blocks = [np.empty((0, 6))]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is not None and header != RECORD_CSV_HEADER.split(","):
             raise CsvParseError(f"{path}:1: unexpected header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                t, band, idx, freq, det, stat, thr, present = row
-                if det not in _DETECTOR_POS:
-                    raise ValueError(f"unknown detector {det!r}")
-                if present not in ("0", "1"):
-                    raise ValueError(f"present must be 0 or 1, got {present!r}")
-                time = float(t)
-                if not math.isfinite(time):
-                    raise ValueError(f"time_unix must be finite, got {t!r}")
-                c = keys.get((band, idx, freq))
-                if c is None:
-                    channel = Channel(band, int(idx), float(freq))
-                    c = keys[band, idx, freq] = ids.setdefault(channel, len(ids))
-                rows.append((time, c, _DETECTOR_POS[det], float(stat), float(thr),
-                             present == "1"))
-            except ValueError as exc:
-                raise CsvParseError(f"{path}:{lineno}: {exc}") from exc
-    cols = np.array(rows, dtype=float).reshape(-1, 6).T
+        lines = enumerate(reader, start=2)
+        while chunk := list(islice(lines, CSV_CHUNK_ROWS)):
+            rows = []
+            for lineno, row in chunk:
+                if not row:
+                    continue
+                try:
+                    t, band, idx, freq, det, stat, thr, present = row
+                    if det not in _DETECTOR_POS:
+                        raise ValueError(f"unknown detector {det!r}")
+                    if present not in ("0", "1"):
+                        raise ValueError(f"present must be 0 or 1, got {present!r}")
+                    time = float(t)
+                    if not math.isfinite(time):
+                        raise ValueError(f"time_unix must be finite, got {t!r}")
+                    c = keys.get((band, idx, freq))
+                    if c is None:
+                        channel = Channel(band, int(idx), float(freq))
+                        c = keys[band, idx, freq] = ids.setdefault(channel, len(ids))
+                    rows.append((time, c, _DETECTOR_POS[det], float(stat), float(thr),
+                                 present == "1"))
+                except ValueError as exc:
+                    raise CsvParseError(f"{path}:{lineno}: {exc}") from exc
+            blocks.append(np.array(rows, dtype=float).reshape(-1, 6))
+    cols = np.concatenate(blocks).T
+    blocks.clear()
     return RecordTable(list(ids), cols[0], cols[1].astype(np.intp), cols[2].astype(np.intp),
                        cols[3], cols[4], cols[5].astype(bool))
 

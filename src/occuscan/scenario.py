@@ -103,6 +103,11 @@ def _numbers(values: list, path: str) -> list[float]:
 # 10 ** (snr_db / 10), the SNR's power ratio, overflows a float from about 3082.5 dB
 _SNR_DB_MAX = 3082.0
 
+# Most frames a sweep may make (all channels), and most eval trials: a command
+# holds each frame's or trial's statistics in memory, some 160 bytes a sweep
+# frame and 24 bytes a trial per hypothesis
+_MAX_FRAMES = 10**8
+
 
 def _snr_db(value, path: str):
     """An SNR in dB (or None): a number below _SNR_DB_MAX, where -inf means no signal."""
@@ -112,29 +117,30 @@ def _snr_db(value, path: str):
     return value
 
 
-def _parse_signal(mapping, path, seed_default: int) -> SignalSpec:
-    kind = _get(mapping, "kind", path, str)
+def _spec(cls, path: str, **fields):
+    """cls(**fields), its ValueError raised as a ScenarioError naming ``path``."""
     try:
-        return SignalSpec(
-            kind=kind,
-            normalized_freq=_get(mapping, "normalized_freq", path, float, False, 0.0),
-            symbol_rate_divisor=_get(mapping, "symbol_rate_divisor", path, int, False, 1),
-            amplitude=_get(mapping, "amplitude", path, float, False, 1.0),
-            phase=_get(mapping, "phase", path, float, False, 0.0),
-            seed=_get(mapping, "seed", path, int, False, seed_default),
-        )
+        return cls(**fields)
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _parse_signal(mapping, path, seed_default: int) -> SignalSpec:
+    return _spec(
+        SignalSpec, path,
+        kind=_get(mapping, "kind", path, str),
+        normalized_freq=_get(mapping, "normalized_freq", path, float, False, 0.0),
+        symbol_rate_divisor=_get(mapping, "symbol_rate_divisor", path, int, False, 1),
+        amplitude=_get(mapping, "amplitude", path, float, False, 1.0),
+        phase=_get(mapping, "phase", path, float, False, 0.0),
+        seed=_get(mapping, "seed", path, int, False, seed_default),
+    )
 
 
 def _parse_noise(mapping, path, seed_default: int) -> NoiseSpec:
-    try:
-        return NoiseSpec(
-            total_power=_get(mapping, "total_power", path, float, False, 1.0),
-            seed=_get(mapping, "seed", path, int, False, seed_default),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    return _spec(NoiseSpec, path,
+                 total_power=_get(mapping, "total_power", path, float, False, 1.0),
+                 seed=_get(mapping, "seed", path, int, False, seed_default))
 
 
 def _parse_schedule(mapping, path) -> OccupancySchedule:
@@ -145,10 +151,7 @@ def _parse_schedule(mapping, path) -> OccupancySchedule:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScenarioError(f"{path}.on_intervals[{i}]: expected [start_s, end_s]")
         parsed.append(tuple(_numbers(pair, f"{path}.on_intervals[{i}]")))
-    try:
-        return OccupancySchedule(period_s=period, on_intervals=tuple(parsed))
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    return _spec(OccupancySchedule, path, period_s=period, on_intervals=tuple(parsed))
 
 
 @dataclass(frozen=True)
@@ -307,6 +310,11 @@ class Scenario:
         v = _get(self.data, "total_s", "scenario", float)
         if not 0 <= v < math.inf:
             raise ScenarioError("total_s: must be a finite number >= 0")
+        channels = len(self.plan())
+        frames = channels * (v / self.frame_interval_s())
+        if not frames <= _MAX_FRAMES:
+            raise ScenarioError(f"total_s: the sweep would make {frames:.3g} frames ({channels} "
+                                f"channels), more than {_MAX_FRAMES:,}")
         return v
 
     # --- detector config ----------------------------------------------------
@@ -331,35 +339,36 @@ class Scenario:
             reference = load_reference(ref_path)
         except OSError as exc:
             raise ScenarioError(f"detector.reference: cannot read {ref_path}: {exc}") from exc
-        try:
-            return DetectorConfig(
-                lambda_ed=_get(d, "lambda_ed", "detector", float),
-                lambda_acf=_get(d, "lambda_acf", "detector", float),
-                gamma=_get(d, "gamma", "detector", float),
-                acf_lags=self.acf_lags(),
-                reference=reference,
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"detector: {exc}") from exc
+        return _spec(DetectorConfig, "detector",
+                     lambda_ed=_get(d, "lambda_ed", "detector", float),
+                     lambda_acf=_get(d, "lambda_acf", "detector", float),
+                     gamma=_get(d, "gamma", "detector", float),
+                     acf_lags=self.acf_lags(),
+                     reference=reference)
 
-    # --- calibration --------------------------------------------------------
+    # --- calibration and eval -----------------------------------------------
+
+    def _section_specs(self, name: str, section: dict, signal_tag: int, noise_tag: int):
+        """A section's (SignalSpec, NoiseSpec): its own mappings, else those of defaults.
+
+        A signal is required; the noise defaults to unit power. Seeds not
+        given derive from master_seed and the purpose tags.
+        """
+        defaults = _get(self.data, "defaults", "scenario", dict, False, {})
+        signal_map = section.get("signal", defaults.get("signal"))
+        if signal_map is None:
+            raise ScenarioError(f"{name}.signal: required (directly or via defaults.signal)")
+        return (_parse_signal(signal_map, f"{name}.signal",
+                              derive_seed(self.master_seed, signal_tag)),
+                _parse_noise(section.get("noise", defaults.get("noise", {})), f"{name}.noise",
+                             derive_seed(self.master_seed, noise_tag)))
 
     def calibration(self) -> dict:
         c = _get(self.data, "calibration", "scenario", dict, False, {})
-        defaults = _get(self.data, "defaults", "scenario", dict, False, {})
-        signal_map = c.get("signal", defaults.get("signal"))
-        noise_map = c.get("noise", defaults.get("noise", {}))
-        if signal_map is None:
-            raise ScenarioError(
-                "calibration.signal: required (directly or via defaults.signal)"
-            )
+        signal, noise = self._section_specs("calibration", c, SEED_CAL_SIGNAL, SEED_CAL_NOISE)
         target_pfa = _get(c, "target_pfa", "calibration", float, False, 0.05)
         if not 0.0 < target_pfa < 1.0:
             raise ScenarioError("calibration.target_pfa: must lie in (0, 1)")
-        signal = _parse_signal(signal_map, "calibration.signal",
-                               derive_seed(self.master_seed, SEED_CAL_SIGNAL))
-        noise = _parse_noise(noise_map, "calibration.noise",
-                             derive_seed(self.master_seed, SEED_CAL_NOISE))
         snr_db = _snr_db(_get(c, "snr_db", "calibration", float, False, 20.0),
                          "calibration.snr_db")
         if signal.kind == "none" and snr_db != -math.inf:
@@ -381,15 +390,9 @@ class Scenario:
             "acf_lags": self.acf_lags(),
         }
 
-    # --- eval ---------------------------------------------------------------
-
     def eval_settings(self) -> dict:
         e = _get(self.data, "eval", "scenario", dict)
-        defaults = _get(self.data, "defaults", "scenario", dict, False, {})
-        signal_map = e.get("signal", defaults.get("signal"))
-        noise_map = e.get("noise", defaults.get("noise", {}))
-        if signal_map is None:
-            raise ScenarioError("eval.signal: required (directly or via defaults.signal)")
+        signal, noise = self._section_specs("eval", e, SEED_EVAL_SIGNAL, SEED_EVAL_NOISE)
         points = _numbers(
             _get(e, "snr_db_points", "eval", list, False, [0.0, 5.0, 10.0, 20.0]),
             "eval.snr_db_points",
@@ -399,6 +402,8 @@ class Scenario:
         trials = _get(e, "trials", "eval", int, False, 10000)
         if trials < 1:
             raise ScenarioError("eval.trials: must be >= 1")
+        if trials > _MAX_FRAMES:
+            raise ScenarioError(f"eval.trials: must be at most {_MAX_FRAMES:,}, got {trials:,}")
         thresholds = {}
         for det, thrs in roc.items():
             path = f"eval.roc_thresholds.{det}"
@@ -411,12 +416,8 @@ class Scenario:
                 raise ScenarioError(f"{path}: must be strictly increasing")
         frame_len = _get(e, "frame_len", "eval", int, False)
         return {
-            "signal": _parse_signal(
-                signal_map, "eval.signal", derive_seed(self.master_seed, SEED_EVAL_SIGNAL)
-            ),
-            "noise": _parse_noise(
-                noise_map, "eval.noise", derive_seed(self.master_seed, SEED_EVAL_NOISE)
-            ),
+            "signal": signal,
+            "noise": noise,
             "trials": trials,
             "frame_len": self.frame_len() if frame_len is None else frame_len,
             "snr_db_points": points,

@@ -10,12 +10,13 @@ frame's state.
 Frames are plain complex128 rows: ``noise_rows`` and ``signal_rows`` make
 (frames x N) blocks, and ``mixed_blocks`` yields noise rows with ``alpha *
 signal`` added to the frames labeled present (calibration: every frame), at
-most BLOCK_FRAMES at a time; each block that mixes in a signal gets one
-finiteness check. ``timeline_blocks`` yields a channel's sweep as (times,
-frames, labels) blocks of those rows. Noise samples are finite, since their
-power is, but a frame's power sum can still overflow: ``detectors`` checks
-each frame's energy. ``gen_noise_frame``, ``gen_signal_frame`` and
-``gen_channel_timeline`` wrap the same rows in ComplexFrames for the API.
+most BLOCK_FRAMES at a time. ``timeline_blocks`` yields a channel's sweep as
+(times, frames, labels) blocks of those rows. The rows are not checked
+here: a mix that overflows leaves a non-finite sample, and a frame's power
+sum can overflow even when every sample is finite; the detector kernel's
+energy check catches both before any output is written. ``gen_noise_frame``,
+``gen_signal_frame`` and ``gen_channel_timeline`` wrap the same rows in
+ComplexFrames for the API (sample rate and center frequency 1 unless given).
 
 SNR is defined against nominal spec powers (amplitude**2 for signals,
 total_power for noise), not empirical per-frame powers, so threshold and ROC
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SampleDataError
 from .iq import BLOCK_FRAMES, ComplexFrame
 
 # SeedSequence stream tags; keep noise draws and BPSK symbol draws apart even
@@ -250,32 +250,14 @@ def signal_rows(n: int, spec: SignalSpec, indices) -> np.ndarray:
     return out
 
 
-def gen_noise_frame(
-    n: int,
-    spec: NoiseSpec,
-    frame_index: int,
-    *,
-    sample_rate_hz: float = 1.0,
-    center_freq_hz: float = 1.0,
-    capture_time: float = 0.0,
-) -> ComplexFrame:
+def gen_noise_frame(n: int, spec: NoiseSpec, frame_index: int) -> ComplexFrame:
     """Generate n complex Gaussian noise samples, deterministic per (seed, frame_index)."""
-    return ComplexFrame(noise_rows(n, spec, [frame_index])[0], sample_rate_hz, center_freq_hz,
-                        capture_time)
+    return ComplexFrame(noise_rows(n, spec, [frame_index])[0], 1.0, 1.0)
 
 
-def gen_signal_frame(
-    n: int,
-    spec: SignalSpec,
-    frame_index: int,
-    *,
-    sample_rate_hz: float = 1.0,
-    center_freq_hz: float = 1.0,
-    capture_time: float = 0.0,
-) -> ComplexFrame:
+def gen_signal_frame(n: int, spec: SignalSpec, frame_index: int) -> ComplexFrame:
     """Generate n samples of the spec'd waveform (see ``signal_rows``)."""
-    return ComplexFrame(signal_rows(n, spec, [frame_index])[0], sample_rate_hz, center_freq_hz,
-                        capture_time)
+    return ComplexFrame(signal_rows(n, spec, [frame_index])[0], 1.0, 1.0)
 
 
 def snr_scale(signal_power: float, noise_power: float, snr_db: float) -> float:
@@ -318,10 +300,9 @@ def timeline_blocks(
     k = 0 .. floor(total_s/frame_interval_s)-1. Present frames are
     signal+noise at snr_db; absent frames are the same noise draw alone, so a
     present frame differs from its absent counterpart by exactly the scaled
-    signal. ``frames`` is a (rows x frame_len) complex128 array.
-
-    Raises SampleDataError when a frame holds a non-finite sample (a signal or
-    noise power so large that the mix overflows).
+    signal. ``frames`` is a (rows x frame_len) complex128 array; a signal or
+    noise power so large that the mix overflows leaves non-finite samples in
+    it, which the detector kernel reports.
     """
     if not frame_interval_s > 0:
         raise ValueError("frame_interval_s must be > 0")
@@ -345,11 +326,10 @@ def mixed_blocks(signal: SignalSpec, noise: NoiseSpec, alpha: float, n: int, fra
 
     Each block is a (rows x n) complex128 array. ``labels`` has one bool per
     frame of ``frames`` (None: every frame present); frames labeled False, and
-    every frame when alpha is 0, are noise alone. Raises SampleDataError naming the frame
-    when a mixed block holds a non-finite sample.
+    every frame when alpha is 0, are noise alone.
     """
     # the tone is the same in every frame; an overflowing scale or mix leaves
-    # a non-finite sample, which the block check reports
+    # a non-finite sample, whose energy the detector kernel reports
     with np.errstate(over="ignore", invalid="ignore"):
         tone = alpha * signal_rows(n, signal, [0]) if signal.kind == "tone" else None
     for start in frames[::BLOCK_FRAMES]:
@@ -360,16 +340,7 @@ def mixed_blocks(signal: SignalSpec, noise: NoiseSpec, alpha: float, n: int, fra
         if alpha != 0.0 and on.size:
             with np.errstate(over="ignore", invalid="ignore"):
                 rows[on] += alpha * signal_rows(n, signal, start + on) if tone is None else tone
-            _check_finite(rows, start)
         yield rows
-
-
-def _check_finite(frames: np.ndarray, start: int) -> None:
-    """Raise SampleDataError at the first non-finite sample; row r is frame start + r."""
-    finite = np.isfinite(frames.view(np.float64))
-    if not finite.all():
-        frame, index = divmod(int(np.argmin(finite)) // 2, frames.shape[1])
-        raise SampleDataError(f"frame {start + frame}: non-finite sample at index {index}")
 
 
 def gen_channel_timeline(
@@ -381,13 +352,12 @@ def gen_channel_timeline(
     frame_interval_s: float,
     total_s: float,
     *,
-    sample_rate_hz: float = 1.0,
     center_freq_hz: float = 1.0,
     start_time: float = 0.0,
 ) -> list[tuple[ComplexFrame, bool]]:
     """``timeline_blocks`` as one (frame, truth_label) pair per scan interval."""
     return [
-        (ComplexFrame(row, sample_rate_hz, center_freq_hz, t), label)
+        (ComplexFrame(row, 1.0, center_freq_hz, t), label)
         for times, frames, labels in timeline_blocks(
             schedule, signal, noise, snr_db, frame_len, frame_interval_s, total_s,
             start_time=start_time,

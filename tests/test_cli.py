@@ -29,7 +29,8 @@ from occuscan import (
 from occuscan.channels import Channel
 from occuscan.cli import main
 from occuscan.report import OCCUPANCY_CSV_HEADER
-from occuscan.scan import RECORD_CSV_HEADER, TRUTH_CSV_HEADER, scan_channel
+from occuscan.scan import (RECORD_CSV_HEADER, TRUTH_CSV_HEADER, RecordTable, scan_channel,
+                           write_record_tables)
 from occuscan.scenario import Scenario
 
 SCENARIO = """\
@@ -537,7 +538,8 @@ class TestBadInputs:
             assert main(["calibrate", "--scenario", str(scn), "--out",
                          str(workspace / "o")]) == 1
         err = capsys.readouterr().err
-        assert err == "error: calibration: frame 0: non-finite sample at index 0\n"
+        assert err == ("error: calibration: frame 0: energy is not finite "
+                       "(a sample or the power sum overflows)\n")
         assert not (workspace / "o" / "reference.txt").exists()
 
     def test_report_plot_file_shared_by_two_channels(self, workspace, capsys):
@@ -589,13 +591,100 @@ class TestBadInputs:
         self._cmd_fails_with(capsys, workspace, "simulate", band, band + band,
                              "band 'TESTBAND'")
 
+    def _scenario_fails(self, capsys, workspace, cmd, old, new, message):
+        """The scenario edited from ``old`` to ``new`` prints exactly ``error: message``."""
+        assert old in SCENARIO
+        scn = workspace / "bad.yaml"
+        scn.write_text(SCENARIO.replace(old, new))
+        assert main([cmd, "--scenario", str(scn), "--out", str(workspace / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workspace / "o").exists()
+
+    PLAN = SCENARIO[SCENARIO.index("plan:\n"):SCENARIO.index("\ndefaults:")]
+
+    @pytest.mark.parametrize("plan, message", [
+        ("plan: 5\n", "plan: expected 'builtin' or a list of band mappings"),
+        ("plan: [5]\n", "plan[0]: expected a mapping, got int"),
+    ])
+    def test_plan_not_a_list_of_mappings(self, workspace, capsys, plan, message):
+        self._scenario_fails(capsys, workspace, "simulate", self.PLAN, plan, message)
+
+    @pytest.mark.parametrize("intervals", ["[[0.0, 1.0, 1.5]]", "[0.5]"])
+    def test_schedule_interval_not_a_pair(self, workspace, capsys, intervals):
+        self._scenario_fails(capsys, workspace, "simulate", "on_intervals: [[0.0, 1.0]]",
+                             f"on_intervals: {intervals}", "channel TESTBAND:0.schedule."
+                             "on_intervals[0]: expected [start_s, end_s]")
+
+    def test_channel_override_not_a_mapping(self, workspace, capsys):
+        self._scenario_fails(capsys, workspace, "simulate", "detector:",
+                             'channels:\n  "TESTBAND:1": 5\n\ndetector:',
+                             "channels.TESTBAND:1: expected a mapping")
+
+    def test_channel_without_schedule(self, workspace, capsys):
+        schedule = "  schedule:\n    period_s: 2.0\n    on_intervals: [[0.0, 1.0]]\n"
+        self._scenario_fails(capsys, workspace, "simulate", schedule, "",
+                             "channel TESTBAND:0: needs signal, noise and schedule "
+                             "(from defaults or a channels override)")
+
+    def test_channel_without_snr(self, workspace, capsys):
+        self._scenario_fails(capsys, workspace, "simulate", "  snr_db: 10.0\n", "",
+                             "channel TESTBAND:0.snr_db: required field is missing")
+
+    def test_zero_frame_len(self, workspace, capsys):
+        self._scenario_fails(capsys, workspace, "simulate", "frame_len: 256", "frame_len: 0",
+                             "frame_len: must be >= 1")
+
+    @pytest.mark.parametrize("cmd, section", [("calibrate", "calibration"), ("eval", "eval")])
+    def test_section_signal_missing(self, workspace, capsys, cmd, section):
+        # no defaults.signal either, so the section has no signal to fall back on
+        self._scenario_fails(capsys, workspace, cmd,
+                             "  signal:\n    kind: tone\n    normalized_freq: 0.125\n", "",
+                             f"{section}.signal: required (directly or via defaults.signal)")
+
+    def test_one_entry_roc_list(self, workspace, capsys):
+        self._scenario_fails(capsys, workspace, "eval", "ed: [0.9, 1.0, 1.1, 1.2]", "ed: [0.9]",
+                             "eval.roc_thresholds.ed: expected a list of >= 2 thresholds")
+
+    def test_scenario_with_control_character(self, workspace, capsys):
+        # the YAML reader's error carries no problem mark, so no line number is given
+        self._scenario_fails(capsys, workspace, "simulate", "name: cli-test", "name: cli\x01test",
+                             f"{workspace / 'bad.yaml'}: unacceptable character #x0001: special "
+                             'characters are not allowed\n  in "<unicode string>", position 9')
+
+    def test_sweep_too_long(self, workspace, capsys):
+        # np.arange could not hold the frame times; the bound names the field first
+        self._scenario_fails(capsys, workspace, "simulate", "total_s: 5.0", "total_s: 1.0e+300",
+                             "total_s: the sweep would make 6e+300 frames (3 channels), "
+                             "more than 100,000,000")
+
+    def test_eval_too_many_trials(self, workspace, capsys):
+        # the trials' statistics would need petabytes
+        self._scenario_fails(capsys, workspace, "eval", "trials: 200", "trials: 100000000000000",
+                             "eval.trials: must be at most 100,000,000, got 100,000,000,000,000")
+
+    def test_report_bins_overflow_bin_numbers(self, workspace, capsys):
+        # 1767225600 / 1e-300 overflows: every scan would fall in one bin starting at inf
+        records = workspace / "r.csv"
+        records.write_text(RECORD_CSV_HEADER + "\n"
+                           "1767225600.000000,TESTBAND,0,100,ed,1.5,1.1,1\n"
+                           "1767225660.000000,TESTBAND,0,100,ed,0.5,1.1,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning may escape either
+            assert main(["report", "--records", str(records), "--out", str(workspace / "o"),
+                         "--bins", "1e-300"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --bins: bin numbers must be finite, but capture time 1767225600.0 "
+            "/ bin length 1e-300 is not\n")
+        assert not (workspace / "o").exists()
+
     # Finite noise whose power sum overflows: every sample is finite, the energy is not.
     def _energy_overflows(self, capsys, workspace, argv, where, output):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy RuntimeWarning may escape
             assert main([*argv, "--out", str(workspace / "o")]) == 1
         assert capsys.readouterr().err == \
-            f"error: {where}: frame 0: energy is not finite (the sample power sum overflows)\n"
+            f"error: {where}: frame 0: energy is not finite " \
+            "(a sample or the power sum overflows)\n"
         assert not (workspace / "o" / output).exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -701,6 +790,30 @@ class TestReport:
         # one bin per channel/detector holding all 10 scans
         assert len(rows) == 9
         assert all(t == 10 for t in totals)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
+    def test_peak_memory_per_record(self, tmp_path):
+        # the record log is parsed in chunks into columns: peak memory grows by
+        # the columns and report's cell counting, not by one Python row per record
+        probe = ("import sys\nfrom occuscan.cli import main\nassert main(sys.argv[1:]) == 0\n"
+                 "print([ln for ln in open('/proc/self/status') if 'VmHWM' in ln][0].strip())")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        channels = [Channel("TESTBAND", i, 100.0 + 5 * i) for i in range(3)]
+        sizes, peaks = (30_000, 240_000), []
+        for n in sizes:
+            rng = np.random.default_rng(n)
+            k = np.arange(n)
+            write_record_tables([RecordTable(
+                channels, 1767225600.0 + k // 9 * 0.5, k // 3 % 3, k % 3, rng.uniform(0, 2, n),
+                np.full(n, 1.1), rng.integers(0, 2, n).astype(bool))], tmp_path / "r.csv")
+            out = subprocess.run(
+                [sys.executable, "-c", probe, "report", "--records", str(tmp_path / "r.csv"),
+                 "--out", str(tmp_path / "rep"), "--bins", "60"],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            peaks.append(int(out.splitlines()[-1].split()[1]) * 1024)  # kB to bytes
+        # about 125 bytes a record here; a list of row tuples took about 250
+        assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) < 180
 
     def test_missing_records_file(self, workspace, capsys):
         rc = main(["report", "--records", str(workspace / "nope.csv"),

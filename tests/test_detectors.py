@@ -31,14 +31,13 @@ from occuscan import (
     save_reference,
 )
 from occuscan.detectors import (
-    BLOCK_FRAMES,
     calibrate_ed_threshold_blocks,
     calibrate_reference_blocks,
     decide_block,
     decides_present,
-    frame_blocks,
 )
-from occuscan.synth import mixed_blocks
+from occuscan.iq import BLOCK_FRAMES
+from occuscan.synth import mixed_blocks, noise_rows
 from conftest import make_frame
 
 
@@ -491,15 +490,9 @@ class TestBlockKernel:
         with pytest.raises(ValueError):
             block_statistics(np.ones((2, 4), dtype=np.complex128), _ref(8))
 
-    @pytest.mark.parametrize("size", [1, 31, 32, 33, 70])
-    def test_frame_blocks_bounded_and_ordered(self, size):
-        frames = [make_frame(np.full(4, k + 1.0)) for k in range(size)]
-        blocks = list(frame_blocks(frames))
-        assert all(1 <= len(chunk) <= BLOCK_FRAMES for chunk, _ in blocks)
-        assert [f for chunk, _ in blocks for f in chunk] == frames
-        for chunk, block in blocks:
-            np.testing.assert_array_equal(block, [f.samples for f in chunk])
-
-    def test_frame_blocks_split_on_length_change(self):
-        frames = [make_frame(np.ones(4)), make_frame(np.ones(4)), make_frame(np.ones(6))]
-        assert [b.shape for _, b in frame_blocks(frames)] == [(2, 4), (1, 6)]
+    def test_ed_threshold_of_frames_equals_blocks(self):
+        """One-row blocks of ComplexFrames give the bits of BLOCK_FRAMES-row blocks."""
+        rows = noise_rows(64, NoiseSpec(1.0, seed=9), range(150))
+        blocks = [rows[i:i + BLOCK_FRAMES] for i in range(0, len(rows), BLOCK_FRAMES)]
+        assert calibrate_ed_threshold([make_frame(r) for r in rows], 0.05) == \
+            calibrate_ed_threshold_blocks(blocks, 0.05)

@@ -1,4 +1,4 @@
-"""Monte Carlo Pd/Pfa measurement, ROC behavior, and duty recovery."""
+"""Monte Carlo Pd/Pfa measurement, ROC behavior, and duty recovery by the sweep path."""
 
 import math
 
@@ -25,14 +25,14 @@ from occuscan.detectors import (
 from occuscan.evaluate import (
     EVAL_CSV_HEADER,
     decides_present,
-    occupancy_recovery,
     operating_points,
     shared_trial_statistics,
     trial_statistics,
     tune_threshold_for_pfa,
     write_eval_csv,
 )
-from occuscan.synth import gen_noise_frame, gen_signal_frame, snr_scale
+from occuscan.scan import scan_blocks
+from occuscan.synth import gen_noise_frame, gen_signal_frame, snr_scale, timeline_blocks
 
 SIG = SignalSpec(kind="tone", normalized_freq=0.13, seed=5)
 NOISE = NoiseSpec(total_power=1.0, seed=6)
@@ -263,31 +263,36 @@ class TestTuneThreshold:
             tune_threshold_for_pfa("ed", [], 0.05)
 
 
+def _occupancy(schedule, detector, config, snr_db, n, interval, total_s):
+    """Present decisions over all scans of one detector, on the sweep's one path."""
+    d = next(d for d in DETECTOR_TABLE if d.name == detector)
+    _, stats, _ = scan_blocks(timeline_blocks(schedule, SIG, NOISE, snr_db, n, interval, total_s),
+                              config)
+    return d.decide(stats[:, d.column], d.threshold(config)).mean()
+
+
 class TestOccupancyRecovery:
     def test_thirty_percent_duty(self):
         sched = OccupancySchedule(period_s=1.0, on_intervals=((0.0, 0.3),))
-        cfg = _config(gamma=0.6)
-        res = occupancy_recovery(sched, "cdist", cfg, SIG, NOISE, 10.0, 1024, 0.1, 100.0)
-        assert res.true_duty == pytest.approx(0.3)
-        assert res.abs_error <= 0.05
+        measured = _occupancy(sched, "cdist", _config(gamma=0.6), 10.0, 1024, 0.1, 100.0)
+        assert sched.duty_cycle == pytest.approx(0.3)
+        assert abs(measured - sched.duty_cycle) <= 0.05
 
     def test_always_on(self):
         sched = OccupancySchedule(period_s=1.0, on_intervals=((0.0, 1.0),))
-        res = occupancy_recovery(sched, "ed", _config(), SIG, NOISE, 20.0, 512, 0.1, 10.0)
-        assert res.measured_occupancy == 1.0
+        assert _occupancy(sched, "ed", _config(), 20.0, 512, 0.1, 10.0) == 1.0
 
     def test_always_off_low_threshold_pathology(self):
         # an energy threshold far below the noise floor reports full occupancy
         sched = OccupancySchedule(period_s=1.0)
-        cfg = _config(lambda_ed=0.5)
-        res = occupancy_recovery(sched, "ed", cfg, SIG, NOISE, 10.0, 1024, 0.1, 50.0)
-        assert res.true_duty == 0.0
-        assert res.measured_occupancy == 1.0
+        assert sched.duty_cycle == 0.0
+        assert _occupancy(sched, "ed", _config(lambda_ed=0.5), 10.0, 1024, 0.1, 50.0) == 1.0
 
-    def test_empty_scenario_rejected(self):
+    def test_empty_timeline_has_no_scans(self):
         sched = OccupancySchedule(period_s=1.0)
-        with pytest.raises(ValueError):
-            occupancy_recovery(sched, "ed", _config(), SIG, NOISE, 0.0, 64, 1.0, 0.0)
+        times, stats, labels = scan_blocks(
+            timeline_blocks(sched, SIG, NOISE, 0.0, 64, 1.0, 0.0), _config())
+        assert (times.shape, stats.shape, labels.shape) == ((0,), (0, 3), (0,))
 
 
 class TestEvalCsv:

@@ -1,6 +1,7 @@
 """Seeded waveform generation, SNR mixing, and channel timelines."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occuscan import (
+    AcfVector,
+    DetectorConfig,
     NoiseSpec,
     OccupancySchedule,
     SignalSpec,
@@ -16,7 +19,9 @@ from occuscan import (
     gen_signal_frame,
     snr_scale,
 )
+from occuscan.detectors import block_statistics
 from occuscan.errors import SampleDataError
+from occuscan.scan import scan_blocks
 from occuscan.synth import _frame_rngs, mixed_blocks, noise_rows, signal_rows, timeline_blocks
 
 
@@ -356,12 +361,21 @@ class TestTimeline:
             np.testing.assert_array_equal(rows[1], gen_signal_frame(20, spec, 0).samples)
 
     def test_overflowing_mix_is_an_error(self):
+        """An overflowing mix leaves non-finite samples, which the detector kernel reports."""
         noise = NoiseSpec(total_power=1.0e308, seed=2)
-        with pytest.raises(SampleDataError, match="frame 0: non-finite sample at index 0"):
-            list(timeline_blocks(self.SCHEDULE, self.SIGNAL, noise, 10.0, 16, 0.1, 1.0))
-        alpha = snr_scale(1.0, noise.total_power, 10.0)
-        with pytest.raises(SampleDataError, match="frame 5: non-finite sample at index 0"):
-            list(mixed_blocks(self.SIGNAL, noise, alpha, 16, range(5, 50)))
+        ref = AcfVector(np.array([1.0] + [0.5] * 7))
+        config = DetectorConfig(1.1, 0.25, 0.6, 8, ref)
+        message = "^frame 0: energy is not finite \\(a sample or the power sum overflows\\)$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning may escape either
+            blocks = timeline_blocks(self.SCHEDULE, self.SIGNAL, noise, 10.0, 16, 0.1, 1.0)
+            with pytest.raises(SampleDataError, match=message):
+                scan_blocks(blocks, config)
+            alpha = snr_scale(1.0, noise.total_power, 10.0)
+            [block] = mixed_blocks(self.SIGNAL, noise, alpha, 16, range(5, 30))
+            assert not np.isfinite(block).all()
+            with pytest.raises(SampleDataError, match="^frame 5: energy is not finite"):
+                block_statistics(block, ref, 5)
 
     def test_mixed_blocks_are_mixed_frames(self):
         """Blocks of 32 + 11 rows equal alpha * signal + noise of the frames, bit for bit."""
