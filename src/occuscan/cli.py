@@ -140,8 +140,8 @@ def _simulate_channel(task):
 
 def cmd_simulate(args) -> int:
     from .detectors import DETECTOR_TABLE
-    from .scan import (band_positions, frame_table, merge_sweep, write_plan_csv,
-                       write_record_tables, write_truth_columns)
+    from .scan import (band_positions, merge_sweep, write_plan_csv, write_records,
+                       write_truth_columns)
 
     scenario = _load_scenario(args)
     plan = scenario.plan()
@@ -161,7 +161,7 @@ def cmd_simulate(args) -> int:
     times, chan, stats, labels = merge_sweep(plan, _map(_simulate_channel, tasks, args.workers))
 
     write_plan_csv(plan, out / "plan.csv")
-    write_record_tables([frame_table(plan, times, chan, stats, config)], out / "records.csv")
+    write_records(plan, [(times, chan, stats)], config, out / "records.csv")
     write_truth_columns(plan, times, chan, labels, out / "truth.csv")
     print(f"wrote {len(DETECTOR_TABLE) * len(times)} records for {len(plan)} channels to {out}")
     return 0
@@ -186,7 +186,7 @@ def cmd_analyze(args) -> int:
     from .channels import Channel
     from .detectors import DETECTOR_TABLE, block_statistics
     from .iq import stream_recording
-    from .scan import check_tuning, frame_table, write_record_tables
+    from .scan import check_tuning, write_records
 
     scenario = _load_scenario(args)
     out = _out_dir(args)
@@ -198,13 +198,13 @@ def cmd_analyze(args) -> int:
     check_tuning(meta.center_freq_hz, channels[0], args.freq_tol_mhz)
     frames = 0
 
-    def tables():
+    def rows():
         nonlocal frames
         for block in blocks:
             k = np.arange(frames, frames + len(block))
             times = meta.start_time + k * n / meta.sample_rate_hz
             stats = block_statistics(block, config.reference, frames)
-            yield frame_table(channels, times, np.zeros(len(block), dtype=np.intp), stats, config)
+            yield times, np.zeros(len(block), dtype=np.intp), stats
             if args.verbose:
                 for t, (ed, acf1, cdist) in zip(times.tolist(), stats.tolist()):
                     # the unscaled distance, cdist * sqrt(L); absent for a zero-energy frame
@@ -213,7 +213,7 @@ def cmd_analyze(args) -> int:
             frames += len(block)
 
     with _replace_on_success(out / "records.csv") as part:
-        write_record_tables(tables(), part)
+        write_records(channels, rows(), config, part)
     print(f"analyzed {frames} frames ({discarded} samples discarded), "
           f"wrote {len(DETECTOR_TABLE) * frames} records")
     return 0

@@ -18,9 +18,10 @@ file.
 
 ComplexFrame is the type of the one-frame API and of ``write_recording``. In
 every command, frames travel as plain (frames x N) arrays, checked once:
-``stream_recording`` checks every payload sample as it is read, and frames
-the program makes (``synth``) are checked by the detector kernel's energy
-check alone.
+``stream_recording`` checks every payload sample as it is read (one
+finiteness pass over each block's float32 values; the first bad sample is
+looked for only when that pass fails), and frames the program makes
+(``synth``) are checked by the detector kernel's energy check alone.
 """
 
 from __future__ import annotations
@@ -170,11 +171,9 @@ def _read_blocks(payload_path, n: int, frame_len: int):
             raw = np.fromfile(fh, dtype="<c8", count=min(step, n - start))
             if raw.size != min(step, n - start):
                 raise TruncationError(f"{payload_path}: payload shrank while being read")
-            bad = np.flatnonzero(~np.isfinite(raw))
-            if bad.size:
-                raise SampleDataError(
-                    f"{payload_path}: non-finite sample at index {start + int(bad[0])}"
-                )
+            if not np.isfinite(raw.view("<f4")).all():
+                bad = int(np.flatnonzero(~np.isfinite(raw))[0])
+                raise SampleDataError(f"{payload_path}: non-finite sample at index {start + bad}")
             frames = raw.size // frame_len
             if frames:
                 yield raw[: frames * frame_len].astype(np.complex128).reshape(frames, frame_len)

@@ -9,9 +9,10 @@ canonically by (capture_time, band position in the plan, channel index), so
 concurrent per-channel scanning merges to the same log as a sequential run.
 Records within a frame follow DETECTOR_TABLE order.
 
-The record log is read and written as RecordTable columns, in chunks;
-ScanRecord objects exist only where ``scan_channel`` returns one frame's
-records.
+The record log is written straight from the kernel's (times, chan, stats)
+rows by ``write_records`` and read back as RecordTable columns, both in
+chunks; ScanRecord objects exist only where ``scan_channel`` returns one
+frame's records.
 """
 
 from __future__ import annotations
@@ -164,23 +165,10 @@ class RecordTable(NamedTuple):
     present: np.ndarray
 
 
-def frame_table(channels, times, chan, stats, config: DetectorConfig) -> RecordTable:
-    """The [ed, acf1, cdist] records of each block_statistics row, in row order.
-
-    Row i was captured at times[i] on channels[chan[i]].
-    """
-    k, n = len(DETECTOR_TABLE), len(times)
-    return RecordTable(
-        channels, np.repeat(times, k), np.repeat(chan, k), np.tile(np.arange(k), n),
-        stats.ravel(), np.tile([d.threshold(config) for d in DETECTOR_TABLE], n),
-        decide_block(stats, config).ravel(),
-    )
-
-
 # --- CSV surfaces -----------------------------------------------------------
 # Floats are written with 9 significant digits ("%.9g"), times with
 # microsecond resolution, presence as 1/0; fixed formatting keeps repeated
-# runs byte-identical. Rows are rendered and written CSV_CHUNK_ROWS at a time.
+# runs byte-identical. Rows are written at most CSV_CHUNK_ROWS at a time.
 
 _FLOAT = ".9g"
 _TIME = ".6f"
@@ -207,23 +195,42 @@ def _channel_fields(channels) -> list[str]:
     return fields
 
 
-def write_record_tables(tables, path) -> None:
-    """Write the record log: the rows of each RecordTable, in order."""
-    dets = [f"{name}," for name in DETECTORS]
+def write_records(channels, blocks, config: DetectorConfig, path) -> None:
+    """Write the record log from the kernel's rows, three records per frame.
+
+    ``blocks`` yields (times, chan, stats) columns: frame i was captured at
+    times[i] on channels[chan[i]], and stats[i] is its block_statistics row.
+    Its ed, acf1 and cdist records follow in that (DETECTOR_TABLE) order.
+    """
+    heads = _channel_fields(channels)
+    # each detector's "name," and ",threshold," text, made once a file
+    (ed, ed_thr), (acf1, acf1_thr), (cdist, cdist_thr) = (
+        (f"{d.name},", f",{d.threshold(config):{_FLOAT}},") for d in DETECTOR_TABLE)
+    step = CSV_CHUNK_ROWS // len(DETECTOR_TABLE)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(RECORD_CSV_HEADER + "\n")
-        for table in tables:
-            heads = _channel_fields(table.channels)
-            for rows in _chunks(len(table.time)):
-                fh.write("".join(
-                    f"{t:{_TIME}},{heads[c]}{dets[d]}{s:{_FLOAT}},{thr:{_FLOAT}},{p}\n"
-                    for t, c, d, s, thr, p in zip(
-                        table.time[rows].tolist(), table.chan[rows].tolist(),
-                        table.det[rows].tolist(), table.statistic[rows].tolist(),
-                        table.threshold[rows].tolist(),
-                        table.present[rows].astype(np.uint8).tolist(),
-                    )
-                ))
+        for times, chan, stats in blocks:
+            present = decide_block(stats, config).astype(np.uint8)
+            for i in range(0, len(times), step):
+                rows = slice(i, i + step)
+                # each frame's "time,band,channel_index,center_freq_mhz," text, made once
+                frames = [f"{t:{_TIME}},{heads[c]}"
+                          for t, c in zip(times[rows].tolist(), chan[rows].tolist())]
+                fh.write("".join([
+                    f"{h}{ed}{a:{_FLOAT}}{ed_thr}{x}\n{h}{acf1}{b:{_FLOAT}}{acf1_thr}{y}\n"
+                    f"{h}{cdist}{e:{_FLOAT}}{cdist_thr}{z}\n"
+                    for h, (a, b, e), (x, y, z) in zip(frames, stats[rows].tolist(),
+                                                       present[rows].tolist())
+                ]))
+
+
+def _csv_rows(fh, path):
+    """The csv.reader rows of fh; a malformed line raises CsvParseError naming path:line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise CsvParseError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def read_record_table(path) -> RecordTable:
@@ -236,7 +243,7 @@ def read_record_table(path) -> RecordTable:
     ids: dict = {}  # Channel -> channel id
     blocks = [np.empty((0, 6))]
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         header = next(reader, None)
         if header is not None and header != RECORD_CSV_HEADER.split(","):
             raise CsvParseError(f"{path}:1: unexpected header {header}")

@@ -108,6 +108,10 @@ _SNR_DB_MAX = 3082.0
 # frame and 24 bytes a trial per hypothesis
 _MAX_FRAMES = 10**8
 
+# Most samples a frame may hold: a kernel block of 32 such frames is 512 MiB
+# of complex128, plus the kernel's conjugate copy
+_MAX_FRAME_LEN = 2**20
+
 
 def _snr_db(value, path: str):
     """An SNR in dB (or None): a number below _SNR_DB_MAX, where -inf means no signal."""
@@ -115,6 +119,13 @@ def _snr_db(value, path: str):
         raise ScenarioError(f"{path}: must be a number < {_SNR_DB_MAX:g} (-.inf for no signal), "
                             f"got {value}")
     return value
+
+
+def _frame_len(n: int, path: str) -> int:
+    """A frame length, raised as a ScenarioError naming ``path`` above _MAX_FRAME_LEN."""
+    if n > _MAX_FRAME_LEN:
+        raise ScenarioError(f"{path}: must be at most {_MAX_FRAME_LEN:,}, got {n:,}")
+    return n
 
 
 def _spec(cls, path: str, **fields):
@@ -189,7 +200,7 @@ class Scenario:
             raise ScenarioError(f"frame_len: must be >= detector.acf_lags ({lags})")
         ev = data.get("eval")
         eval_len = _get(ev, "frame_len", "eval", int, False) if isinstance(ev, dict) else None
-        if eval_len is not None and eval_len < lags:
+        if eval_len is not None and _frame_len(eval_len, "eval.frame_len") < lags:
             raise ScenarioError(f"eval.frame_len: must be >= detector.acf_lags ({lags})")
         defaults = data.get("defaults")
         if isinstance(defaults, dict):
@@ -298,7 +309,7 @@ class Scenario:
         n = _get(self.data, "frame_len", "scenario", int)
         if n < 1:
             raise ScenarioError("frame_len: must be >= 1")
-        return n
+        return _frame_len(n, "frame_len")
 
     def frame_interval_s(self) -> float:
         v = _get(self.data, "frame_interval_s", "scenario", float)

@@ -29,9 +29,9 @@ from occuscan import (
 from occuscan.channels import Channel
 from occuscan.cli import main
 from occuscan.report import OCCUPANCY_CSV_HEADER
-from occuscan.scan import (RECORD_CSV_HEADER, TRUTH_CSV_HEADER, RecordTable, scan_channel,
-                           write_record_tables)
+from occuscan.scan import RECORD_CSV_HEADER, TRUTH_CSV_HEADER, RecordTable, scan_channel
 from occuscan.scenario import Scenario
+from conftest import write_record_tables
 
 SCENARIO = """\
 name: cli-test
@@ -274,14 +274,14 @@ class TestStreamedAnalyze:
 
     FRAMES, N, TAIL = 70, 256, 37  # three blocks, the last partial, plus a partial frame
 
-    def _write(self, workspace, bad_index=None):
+    def _write(self, workspace, bad_index=None, bad_part=1, bad_value=np.nan):
         rng = np.random.default_rng(11)
         n = self.FRAMES * self.N + self.TAIL
         iq = (rng.standard_normal((n, 2)) * np.sqrt(0.5)).astype("<f4")
         iq[np.arange(n) // self.N % 3 == 0] += np.float32(2.0)  # a DC "signal" on every third frame
         iq[5 * self.N:6 * self.N] = 0.0  # a dead frame
         if bad_index is not None:
-            iq[bad_index, 1] = np.nan
+            iq[bad_index, bad_part] = bad_value
         iq.tofile(workspace / "big.iq")
         (workspace / "big.iq.meta").write_text(
             "sample_rate_hz=2000000.0\ncenter_freq_hz=2412000000.0\n"
@@ -314,15 +314,20 @@ class TestStreamedAnalyze:
                          for r in scan_channel(frame, channel, config)]
         assert (out / "records.csv").read_text() == "\n".join(expected) + "\n"
 
-    @pytest.mark.parametrize("bad_index", [40 * 256 + 17, 70 * 256 + 5])
-    def test_nonfinite_sample_names_global_index(self, workspace, capsys, bad_index):
-        # one NaN in the second block, or in the discarded trailing samples
-        self._write(workspace, bad_index)
+    @pytest.mark.parametrize("bad_index, bad_part, bad_value", [
+        pytest.param(i, part, value, id=str(i)) for i, part, value in [
+            (40 * 256 + 17, 1, np.nan),  # an imaginary part in the second block
+            (70 * 256 + 5, 1, np.nan),  # among the discarded trailing samples
+            (3 * 256 + 200, 0, np.inf),  # a real part in the first block
+        ]
+    ])
+    def test_nonfinite_sample_names_global_index(self, workspace, capsys, bad_index, bad_part,
+                                                 bad_value):
+        self._write(workspace, bad_index, bad_part, bad_value)
         out = workspace / "bad"
         assert self._analyze(workspace, out) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert f"non-finite sample at index {bad_index}" in err
+        assert capsys.readouterr().err == \
+            f"error: {workspace / 'big.iq'}: non-finite sample at index {bad_index}\n"
         assert sorted(p.name for p in out.iterdir()) == []  # no partial records.csv
 
     def test_error_keeps_previous_records(self, workspace):
@@ -408,6 +413,14 @@ class TestBadInputs:
         for cmd in ("calibrate", "simulate"):
             self._fails_with(capsys, [cmd, "--scenario", str(scn), "--out",
                                       str(workspace / "o")], "frame_len")
+        assert not (workspace / "o").exists()
+
+    def test_report_field_over_csv_limit(self, workspace, capsys):
+        # the csv module refuses fields over 131,072 characters
+        records = workspace / "long.csv"
+        records.write_text(RECORD_CSV_HEADER + "\n0," + "B" * 200_000 + ",0,100,ed,1.5,1.1,1\n")
+        self._fails_with(capsys, ["report", "--records", str(records), "--out",
+                                  str(workspace / "o")], f"{records}:2")
         assert not (workspace / "o").exists()
 
     @pytest.mark.parametrize("bins", ["0", "-1", "nan", "inf"])
@@ -633,6 +646,17 @@ class TestBadInputs:
     def test_zero_frame_len(self, workspace, capsys):
         self._scenario_fails(capsys, workspace, "simulate", "frame_len: 256", "frame_len: 0",
                              "frame_len: must be >= 1")
+
+    def test_huge_frame_len(self, workspace, capsys):
+        # rejected at load: no block of 10**12-sample frames is ever allocated
+        self._scenario_fails(capsys, workspace, "simulate", "frame_len: 256",
+                             "frame_len: 1000000000000",
+                             "frame_len: must be at most 1,048,576, got 1,000,000,000,000")
+
+    def test_huge_eval_frame_len(self, workspace, capsys):
+        self._scenario_fails(capsys, workspace, "eval", "eval:\n",
+                             "eval:\n  frame_len: 1000000000000\n",
+                             "eval.frame_len: must be at most 1,048,576, got 1,000,000,000,000")
 
     @pytest.mark.parametrize("cmd, section", [("calibrate", "calibration"), ("eval", "eval")])
     def test_section_signal_missing(self, workspace, capsys, cmd, section):
@@ -966,14 +990,24 @@ class TestStartUp:
         with pytest.raises(AttributeError):
             occuscan.no_such_name
 
+    # numpy.random alone adds about 6.5 MB of peak RSS, a fifth of analyze's
     @pytest.mark.parametrize("command, unused", [
-        ("report", ["yaml", "occuscan.scenario", "occuscan.synth", "occuscan.evaluate"]),
+        ("report", ["yaml", "occuscan.scenario", "occuscan.synth", "occuscan.evaluate",
+                    "numpy.random", "concurrent.futures"]),
         ("calibrate", ["occuscan.scan", "occuscan.report", "occuscan.evaluate"]),
+        ("analyze", ["occuscan.evaluate", "occuscan.report", "numpy.random",
+                     "concurrent.futures"]),
     ])
     def test_command_loads_only_what_it_runs(self, workspace, command, unused):
         records = workspace / "r.csv"
         records.write_text(RECORD_CSV_HEADER + "\n0,TESTBAND,0,100,ed,1.5,1.1,1\n")
+        np.zeros(2 * 4 * 256, "<f4").tofile(workspace / "cap.iq")  # four 256-sample frames
+        (workspace / "cap.iq.meta").write_text("sample_rate_hz=1e6\ncenter_freq_hz=100e6\n"
+                                               "start_time_unix=0.0\nnum_samples=1024\n")
         argv = {"report": ["report", "--records", str(records)],
+                "analyze": ["analyze", "--scenario", str(workspace / "scn.yaml"),
+                            "--iq", str(workspace / "cap.iq"),
+                            "--meta", str(workspace / "cap.iq.meta"), "--center-mhz", "100"],
                 "calibrate": ["calibrate", "--scenario", str(workspace / "scn.yaml")]}[command]
         code = ("import sys\nfrom occuscan.cli import main\nassert main(sys.argv[1:]) == 0\n"
                 f"print([m for m in {unused!r} if m in sys.modules])")

@@ -17,7 +17,8 @@ from occuscan.report import (
     write_occupancy_csv,
     write_plot_data,
 )
-from occuscan.scan import RecordTable, read_record_table, write_record_tables
+from occuscan.scan import RecordTable, read_record_table
+from conftest import write_record_tables
 
 CH_A = Channel("X", 0, 100.0)
 CH_B = Channel("X", 1, 105.0)

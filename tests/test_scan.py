@@ -21,24 +21,22 @@ from occuscan import (
     gen_channel_timeline,
     scan_channel,
 )
-from occuscan.detectors import DETECTORS
+from occuscan.detectors import DETECTORS, block_statistics
 from occuscan import scan as scan_module
 from occuscan.scan import (
     PLAN_CSV_HEADER,
     RECORD_CSV_HEADER,
     TRUTH_CSV_HEADER,
-    RecordTable,
-    frame_table,
     merge_sweep,
     read_record_table,
     scan_blocks,
     write_plan_csv,
-    write_record_tables,
+    write_records,
     write_truth_columns,
 )
 from occuscan.synth import timeline_blocks
 from occuscan.errors import CsvParseError
-from conftest import make_frame
+from conftest import make_frame, record_table, write_record_tables
 
 
 def _config(lags=8):
@@ -130,13 +128,13 @@ class TestRunSweep:
     def test_record_and_truth_counts(self):
         plan = _plan2()
         times, chan, stats, labels = _sweep(plan)
-        assert len(frame_table(plan, times, chan, stats, _config()).time) == 3 * 10 * 3
-        assert len(labels) == 3 * 10  # 3 channels x 10 scans (x 3 detectors)
+        assert stats.shape == (3 * 10, 3)  # 3 channels x 10 scans, 3 detectors
+        assert len(times) == len(chan) == len(labels) == 3 * 10
 
     def test_canonical_order(self):
         plan = _plan2()
         times, chan, stats, _ = _sweep(plan)
-        rows = _rows(frame_table(plan, times, chan, stats, _config()))
+        rows = _rows(record_table(plan, times, chan, stats, _config()))
         # (capture time, band position in the plan, channel index, detector position)
         band_pos = {"A": 0, "B": 1}
         keys = [(t, band_pos[c.band], c.index_in_band, DETECTORS.index(d))
@@ -175,7 +173,7 @@ class TestRunSweep:
     def test_empty_plan(self):
         times, chan, stats, labels = merge_sweep([], [])
         assert len(times) == len(chan) == len(stats) == len(labels) == 0
-        assert len(frame_table([], times, chan, stats, _config()).time) == 0
+        assert stats.shape == (0, 3)
 
     def test_truth_labels_follow_schedule(self):
         times, _, _, labels = _sweep(_plan2())
@@ -184,29 +182,31 @@ class TestRunSweep:
     def test_builtin_plan_scale(self):
         plan = builtin_plan()
         times, chan, stats, labels = _sweep(plan, n_scans=2, n=32, interval=0.5)
-        assert len(frame_table(plan, times, chan, stats, _config()).time) == 123 * 2 * 3
+        assert stats.shape == (123 * 2, 3)
         assert len(labels) == 123 * 2
         assert np.bincount(chan).tolist() == [2] * 123
 
 
 class TestRecordCsv:
-    def _records(self):
-        """The sweep of _plan2 as (record table, (plan, times, chan, labels))."""
+    def _records(self, path):
+        """Write the sweep of _plan2 to path.
+
+        Returns its (record table, (plan, times, chan, labels)).
+        """
         plan = _plan2()
         times, chan, stats, labels = _sweep(plan, n_scans=4, snr_db=5.0, n=32, interval=0.5)
-        return frame_table(plan, times, chan, stats, _config()), (plan, times, chan, labels)
+        write_records(plan, [(times, chan, stats)], _config(), path)
+        return record_table(plan, times, chan, stats, _config()), (plan, times, chan, labels)
 
     def test_header(self, tmp_path):
-        table, _ = self._records()
         p = tmp_path / "records.csv"
-        write_record_tables([table], p)
+        self._records(p)
         first = p.read_text().splitlines()[0]
         assert first == RECORD_CSV_HEADER
 
     def test_round_trip_preserves_decisions(self, tmp_path):
-        table, _ = self._records()
         p = tmp_path / "records.csv"
-        write_record_tables([table], p)
+        table, _ = self._records(p)
         back = _rows(read_record_table(p))
         assert len(back) == len(table.time)
         for orig, rt in zip(_rows(table), back):
@@ -215,17 +215,15 @@ class TestRecordCsv:
             assert rt[3] == pytest.approx(orig[3], rel=1e-8)
 
     def test_byte_identical_rewrite(self, tmp_path):
-        table, _ = self._records()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_record_tables([table], p1)
+        self._records(p1)
         write_record_tables([read_record_table(p1)], p2)
         # formatting is stable under one parse/serialize cycle at %.9g
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_presence_encoded_as_1_0(self, tmp_path):
-        table, _ = self._records()
         p = tmp_path / "records.csv"
-        write_record_tables([table], p)
+        self._records(p)
         for line in p.read_text().splitlines()[1:]:
             assert line.rsplit(",", 1)[1] in ("0", "1")
 
@@ -248,7 +246,7 @@ class TestRecordCsv:
             read_record_table(p)
 
     def test_truth_csv_header(self, tmp_path):
-        _, (plan, times, chan, labels) = self._records()
+        _, (plan, times, chan, labels) = self._records(tmp_path / "records.csv")
         p = tmp_path / "truth.csv"
         write_truth_columns(plan, times, chan, labels, p)
         lines = p.read_text().splitlines()
@@ -263,6 +261,61 @@ class TestRecordCsv:
         assert lines[0] == PLAN_CSV_HEADER
         assert lines[1] == "A,0,100"
         assert lines[-1] == "B,0,200"
+
+
+class TestWriteRecords:
+    """write_records against the per-record reference renderer (conftest.write_record_tables)."""
+
+    CHANNELS = [Channel("A", 0, 100.0), Channel("ISM, 433", 1, 433.075),
+                Channel('say "hi"', 0, 2412.0)]
+
+    def _columns(self, case, cfg):
+        """(times, chan, stats) of a case's frames."""
+        rng = np.random.default_rng(7)
+        n = {"quoted band": 70, "chunk boundary": 2800, "zero energy": 40, "ties": 40,
+             "no frames": 0}[case]
+        times = 1767225600.0 + 0.25 * np.arange(n) + rng.uniform(0, 1e-3, n)
+        chan = rng.integers(0, len(self.CHANNELS), n)
+        # statistics over many decades, so %.9g writes both fixed and exponent forms
+        stats = rng.uniform(0, 2, (n, 3)) * 10.0 ** rng.integers(-12, 12, (n, 3))
+        if case == "zero energy":  # every third frame is dead: the sentinels acf1 0, cdist 1
+            stats[::3] = block_statistics(np.zeros((len(stats[::3]), 64), complex),
+                                          cfg.reference)
+        if case == "ties":  # every other frame sits on all three thresholds: absent
+            stats[::2] = [cfg.lambda_ed, cfg.lambda_acf, cfg.gamma]
+        return times, chan, stats
+
+    @pytest.mark.parametrize("case, block_frames", [
+        ("quoted band", 32), ("chunk boundary", 2800), ("zero energy", 32), ("ties", 7),
+        ("no frames", 32),
+    ])
+    def test_bytes_equal_reference(self, tmp_path, case, block_frames):
+        cfg = _config()
+        times, chan, stats = self._columns(case, cfg)
+        if case == "chunk boundary":
+            assert len(times) > scan_module.CSV_CHUNK_ROWS // 3
+        blocks = [(times[i:i + block_frames], chan[i:i + block_frames],
+                   stats[i:i + block_frames]) for i in range(0, len(times), block_frames)]
+        write_records(self.CHANNELS, blocks, cfg, tmp_path / "records.csv")
+        write_record_tables([record_table(self.CHANNELS, times, chan, stats, cfg)],
+                            tmp_path / "reference.csv")
+        written = (tmp_path / "records.csv").read_text()
+        assert written == (tmp_path / "reference.csv").read_text()
+        lines = written.splitlines()
+        assert len(lines) == 1 + 3 * len(times)
+        if case == "quoted band":
+            assert any(',"ISM, 433",1,433.075,' in ln for ln in lines)
+            assert any(',"say ""hi""",0,2412,' in ln for ln in lines)
+        if case == "zero energy":
+            assert sum(",acf1,0,0.25,0" in ln for ln in lines) == len(times[::3])
+            assert sum(",cdist,1,0.6,0" in ln for ln in lines) == len(times[::3])
+        if case == "ties":
+            assert sum(",ed,1.05,1.05,0" in ln for ln in lines) == len(times[::2])
+            assert sum(",cdist,0.6,0.6,0" in ln for ln in lines) == len(times[::2])
+
+    def test_no_blocks_writes_the_header(self, tmp_path):
+        write_records(self.CHANNELS, [], _config(), tmp_path / "records.csv")
+        assert (tmp_path / "records.csv").read_text() == RECORD_CSV_HEADER + "\n"
 
 
 def _reference_records_csv(rows) -> bytes:
@@ -337,31 +390,31 @@ class TestColumnarSweep:
                    for _, recs, _ in scans for r in recs]
         truths = [truth for _, _, truth in scans]
 
-        table = frame_table(plan, times, chan, stats, cfg)
+        table = record_table(plan, times, chan, stats, cfg)
         assert len(table.time) == len(records) == 3 * 40 * len(plan)
         for (t, c, d, stat, thr, present), rec in zip(_rows(table), records):
             assert (t, c, d, thr, present) == rec[:3] + rec[4:]
             assert np.float64(stat).view(np.int64) == np.float64(rec[3]).view(np.int64)
         assert labels.tolist() == [present for _, _, present in truths]
 
-        write_record_tables([table], tmp_path / "records.csv")
+        write_records(plan, [(times, chan, stats)], cfg, tmp_path / "records.csv")
         write_truth_columns(plan, times, chan, labels, tmp_path / "truth.csv")
         assert (tmp_path / "records.csv").read_bytes() == _reference_records_csv(records)
         assert (tmp_path / "truth.csv").read_bytes() == _reference_truth_csv(truths)
 
     def test_chunked_writer_matches_reference(self, tmp_path, monkeypatch):
-        """Tables split over several chunks and several tables write the same bytes."""
-        table, _ = TestRecordCsv()._records()
-        monkeypatch.setattr(scan_module, "CSV_CHUNK_ROWS", 7)
-        halves = [RecordTable(table.channels, *(col[:20] for col in table[1:])),
-                  RecordTable(table.channels, *(col[20:] for col in table[1:]))]
-        write_record_tables(halves, tmp_path / "r.csv")
-        assert (tmp_path / "r.csv").read_bytes() == _reference_records_csv(_rows(table))
+        """Blocks split over several chunks, and several blocks, write the same bytes."""
+        plan, cfg = _plan2(), _config()
+        times, chan, stats, _ = _sweep(plan, n_scans=4, snr_db=5.0, n=32, interval=0.5)
+        monkeypatch.setattr(scan_module, "CSV_CHUNK_ROWS", 7)  # 2 frames a chunk
+        blocks = [(times[:7], chan[:7], stats[:7]), (times[7:], chan[7:], stats[7:])]
+        write_records(plan, blocks, cfg, tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_bytes() == \
+            _reference_records_csv(_rows(record_table(plan, times, chan, stats, cfg)))
 
     def test_read_table_round_trip(self, tmp_path):
-        table, _ = TestRecordCsv()._records()
         p = tmp_path / "r.csv"
-        write_record_tables([table], p)
+        table, _ = TestRecordCsv()._records(p)
         back = read_record_table(p)
         assert [row[:3] + row[5:] for row in _rows(back)] == \
             [row[:3] + row[5:] for row in _rows(table)]
@@ -376,6 +429,8 @@ class TestColumnarSweep:
         ("0.000000,A,-1,100,ed,0.5,1.05,1", "index_in_band"),
         ("nan,A,0,100,ed,0.5,1.05,1", "time_unix must be finite"),
         ("0.000000,A,0,nan,ed,0.5,1.05,1", "center_freq_mhz"),
+        pytest.param("0.000000," + "A" * 200_000 + ",0,100,ed,0.5,1.05,1",
+                     "field larger than field limit", id="field over the csv limit"),
     ])
     def test_malformed_row_names_its_line(self, tmp_path, bad_line, row, reason):
         good = "1.000000,A,0,100,acf1,0.5,0.25,0"
