@@ -103,7 +103,11 @@ def read_meta(meta_path) -> RecordingMeta:
     """Parse a sidecar file. Raises MetaFormatError on malformed content."""
     values = {}
     with open(meta_path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            text = fh.read()  # newlines already translated to "\n"
+        except UnicodeDecodeError as exc:
+            raise MetaFormatError(f"{meta_path}: {exc}") from exc
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

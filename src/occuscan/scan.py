@@ -225,12 +225,21 @@ def write_records(channels, blocks, config: DetectorConfig, path) -> None:
 
 
 def _csv_rows(fh, path):
-    """The csv.reader rows of fh; a malformed line raises CsvParseError naming path:line."""
+    """The csv.reader rows of fh; a malformed or non-UTF-8 line raises CsvParseError naming
+    path:line."""
     reader = csv.reader(fh)
     try:
         yield from reader
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise CsvParseError(f"{path}:{reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # text is decoded ahead of the reader: find the line
+        with open(path, "rb") as raw:
+            for lineno, line in enumerate(raw, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    raise CsvParseError(f"{path}:{lineno}: {bad}") from exc
+        raise CsvParseError(f"{path}: {exc}") from exc
 
 
 def read_record_table(path) -> RecordTable:

@@ -2,8 +2,11 @@
 
 A scenario names the channel plan, per-channel signal/noise/schedule
 parameters (defaults plus per-channel overrides keyed "BAND:INDEX"),
-detector thresholds, and the calibration/eval settings. Parse errors cite
-the YAML line; validation errors name the offending field.
+detector thresholds, and the calibration/eval settings. ``SCHEMA`` is the
+one table of its keys: each key's type, default and one-field bounds. At
+load every mapping in the document is checked against it, so a misspelled
+key ends in "<path>.<key>: unknown key" instead of silently taking a
+default. Parse errors cite the YAML line; validation errors name the field.
 
 All randomness derives from ``master_seed``: a purpose tag plus the channel's
 (band position, index) feed a SeedSequence, so any sub-result can be
@@ -17,6 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 import yaml
@@ -24,7 +28,9 @@ import yaml
 from .channels import BUILTIN_BANDS, BandSpec, Channel, build_channel_plan
 from .detectors import DETECTORS, DetectorConfig, load_reference
 from .errors import ScenarioError
-from .synth import NoiseSpec, OccupancySchedule, SignalSpec
+
+if TYPE_CHECKING:  # synth is imported where specs are built: analyze makes no frames
+    from .synth import NoiseSpec, OccupancySchedule, SignalSpec
 
 
 class _ScenarioLoader(yaml.SafeLoader):
@@ -61,108 +67,191 @@ def derive_seed(master_seed: int, *tags: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _type_name(value) -> str:
-    return type(value).__name__
+class Field(NamedTuple):
+    """One scenario key: its type, default and one-field bounds.
+
+    ``default`` is REQUIRED, or None to leave an absent key to its reader.
+    ``bounds`` are (test, reason) pairs; a reason may cite the value as {v},
+    and a list's bounds hold for each number in it. A ``load`` key is checked
+    at load, the rest where a command reads them. The keys of a mapping value,
+    of each entry of a list or, with ``each``, of each value of a mapping are
+    those of SCHEMA[section].
+    """
+
+    kind: type
+    default: object = None
+    bounds: tuple = ()
+    load: bool = False
+    section: str | None = None
+    each: bool = False
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+REQUIRED = object()
 
 
-def _get(mapping, key, path, kind, required=True, default=None):
-    if not isinstance(mapping, dict):
-        raise ScenarioError(f"{path}: expected a mapping, got {_type_name(mapping)}")
-    if key not in mapping:
-        if required:
-            raise ScenarioError(f"{path}.{key}: required field is missing")
-        return default
-    value = mapping[key]
-    if kind is float:
-        if not _is_number(value):
-            raise ScenarioError(f"{path}.{key}: expected a number, got {_type_name(value)}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioError(f"{path}.{key}: expected an integer, got {_type_name(value)}")
-        return value
-    if not isinstance(value, kind):
-        raise ScenarioError(
-            f"{path}.{key}: expected {kind.__name__}, got {_type_name(value)}"
-        )
-    return value
+def _at_least(low: int):
+    return lambda v: v >= low, f"must be >= {low}"
 
 
-def _numbers(values: list, path: str) -> list[float]:
-    """The entries of a YAML list as floats; a non-number is named by its index."""
-    for i, value in enumerate(values):
-        if not _is_number(value):
-            raise ScenarioError(f"{path}[{i}]: expected a number, got {_type_name(value)}")
-    return [float(v) for v in values]
+def _at_most(high: int):
+    return lambda v: v <= high, f"must be at most {high:,}, got {{v:,}}"
 
 
 # 10 ** (snr_db / 10), the SNR's power ratio, overflows a float from about 3082.5 dB
-_SNR_DB_MAX = 3082.0
-
-# Most frames a sweep may make (all channels), and most eval trials: a command
-# holds each frame's or trial's statistics in memory, some 160 bytes a sweep
-# frame and 24 bytes a trial per hypothesis
+_SNR = ((lambda v: v < 3082.0, "must be a number < 3082 (-.inf for no signal), got {v}"),)
+_POSITIVE = ((lambda v: 0 < v < math.inf, "must be a finite number > 0"),)
+# a command holds each sweep frame's statistics (some 160 bytes) or each eval
+# trial's (24 bytes a hypothesis) in memory
 _MAX_FRAMES = 10**8
+# a kernel block of 32 frames of 2^20 samples is 512 MiB of complex128, plus
+# the kernel's conjugate copy
+_FRAME_LEN = _at_most(2**20)
+_SIGNAL, _NOISE = Field(dict, section="signal"), Field(dict, section="noise")
 
-# Most samples a frame may hold: a kernel block of 32 such frames is 512 MiB
-# of complex128, plus the kernel's conjugate copy
-_MAX_FRAME_LEN = 2**20
+SCHEMA = {
+    "scenario": {
+        "name": Field(str, "scenario", load=True),
+        "master_seed": Field(int, 0, ((lambda v: 0 <= v <= 2**64 - 1,
+                                        "must fit in an unsigned 64-bit integer"),), load=True),
+        "sample_rate_hz": Field(float, 1e6, _POSITIVE, load=True),  # read by no command
+        "start_time_unix": Field(float, 0.0, ((math.isfinite, "must be finite"),), load=True),
+        "frame_len": Field(int, REQUIRED, (_at_least(1), _FRAME_LEN), load=True),
+        "frame_interval_s": Field(float, REQUIRED, _POSITIVE),
+        "total_s": Field(float, REQUIRED, ((lambda v: 0 <= v < math.inf,
+                                            "must be a finite number >= 0"),)),
+        "bin_len_s": Field(float, 3600.0, load=True),  # read by no command
+        "plan": Field(list, "builtin", section="plan"),
+        "defaults": Field(dict, {}, section="channel"),
+        "channels": Field(dict, {}, load=True, section="channel", each=True),
+        "detector": Field(dict, {}, load=True, section="detector"),
+        "calibration": Field(dict, {}, section="calibration"),
+        "eval": Field(dict, {}, section="eval"),
+    },
+    "plan": {"spacing_mhz": Field(list, REQUIRED), "name": Field(str, REQUIRED),
+             "start_mhz": Field(float, REQUIRED), "stop_mhz": Field(float, REQUIRED),
+             "expected_channels": Field(int, REQUIRED)},
+    # defaults, and each channels override
+    "channel": {"snr_db": Field(float, None, _SNR, load=True), "signal": _SIGNAL,
+                "noise": _NOISE, "schedule": Field(dict, section="schedule")},
+    # absent keys take SignalSpec's defaults; seeds derive from master_seed
+    "signal": {"kind": Field(str, REQUIRED), "normalized_freq": Field(float),
+               "symbol_rate_divisor": Field(int), "amplitude": Field(float),
+               "phase": Field(float), "seed": Field(int)},
+    "noise": {"total_power": Field(float, 1.0), "seed": Field(int)},
+    "schedule": {"period_s": Field(float, REQUIRED), "on_intervals": Field(list)},
+    "detector": {"reference": Field(str, REQUIRED), "lambda_ed": Field(float, REQUIRED),
+                 "lambda_acf": Field(float, REQUIRED), "gamma": Field(float, REQUIRED),
+                 "acf_lags": Field(int, 8, (_at_least(2),), load=True)},
+    "calibration": {"signal": _SIGNAL, "noise": _NOISE, "snr_db": Field(float, 20.0, _SNR),
+                    "reference_frames": Field(int, 100, (_at_least(1),)),
+                    "threshold_frames": Field(int, 10000, (_at_least(100),)),
+                    "target_pfa": Field(float, 0.05, ((lambda v: 0 < v < 1,
+                                                       "must lie in (0, 1)"),))},
+    # frame_len defaults to the sweep's; roc_thresholds maps detector names to lists
+    "eval": {"signal": _SIGNAL, "noise": _NOISE,
+             "trials": Field(int, 10000, (_at_least(1), _at_most(_MAX_FRAMES))),
+             "frame_len": Field(int, None, (_FRAME_LEN,), load=True),
+             "snr_db_points": Field(list, [0.0, 5.0, 10.0, 20.0], _SNR),
+             "roc_snr_db": Field(float, 5.0, _SNR), "roc_thresholds": Field(dict, {})},
+}
 
 
-def _snr_db(value, path: str):
-    """An SNR in dB (or None): a number below _SNR_DB_MAX, where -inf means no signal."""
-    if value is not None and not value < _SNR_DB_MAX:
-        raise ScenarioError(f"{path}: must be a number < {_SNR_DB_MAX:g} (-.inf for no signal), "
-                            f"got {value}")
+def _value(value, field: Field, where: str):
+    """``value`` checked against a field's type (an integer is a number too) and bounds.
+
+    A bound message names a root key without the "scenario." of ``where``.
+    """
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float) if field.kind is float else field.kind):
+        expected = {float: "a number", int: "an integer"}.get(field.kind, field.kind.__name__)
+        raise ScenarioError(f"{where}: expected {expected}, got {type(value).__name__}")
+    if field.kind is list and field.bounds:
+        return _numbers(value, where, field.bounds)
+    value = float(value) if field.kind is float else value
+    for ok, why in field.bounds:
+        if not ok(value):
+            raise ScenarioError(f"{where.removeprefix('scenario.')}: {why.format(v=value)}")
     return value
 
 
-def _frame_len(n: int, path: str) -> int:
-    """A frame length, raised as a ScenarioError naming ``path`` above _MAX_FRAME_LEN."""
-    if n > _MAX_FRAME_LEN:
-        raise ScenarioError(f"{path}: must be at most {_MAX_FRAME_LEN:,}, got {n:,}")
-    return n
+def _numbers(values: list, path: str, bounds: tuple = ()) -> list[float]:
+    """The entries of a YAML list as floats within ``bounds``; an entry is named by its index."""
+    return [_value(v, Field(float, bounds=bounds), f"{path}[{i}]") for i, v in enumerate(values)]
 
 
-def _spec(cls, path: str, **fields):
-    """cls(**fields), its ValueError raised as a ScenarioError naming ``path``."""
+def _field(mapping, key: str, section="scenario", path="scenario", required=False):
+    """mapping[key] checked against SCHEMA[section][key], or its default when absent.
+
+    ``required`` makes an optional key required.
+    """
+    if not isinstance(mapping, dict):
+        raise ScenarioError(f"{path}: expected a mapping, got {type(mapping).__name__}")
+    field = SCHEMA[section][key]
+    if key in mapping:
+        return _value(mapping[key], field, f"{path}.{key}")
+    if required or field.default is REQUIRED:
+        raise ScenarioError(f"{path}.{key}: required field is missing")
+    return field.default
+
+
+def _read(section: str, mapping, path: str) -> dict:
+    """Each key of SCHEMA[section] but its mappings, read from ``mapping``.
+
+    An absent key with no default is left out.
+    """
+    values = {key: _field(mapping, key, section, path)
+              for key, field in SCHEMA[section].items() if field.section is None}
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def _check(node: dict, section="scenario", path="scenario") -> None:
+    """Check the keys of ``node``, and of every mapping below it, against SCHEMA.
+
+    An unknown key, or a bad value of a ``load`` key, raises a ScenarioError
+    naming it; any other value is left to its reader.
+    """
+    for key, value in node.items():
+        field, where = SCHEMA[section].get(key), f"{path}.{key}".removeprefix("scenario.")
+        if field is None:
+            raise ScenarioError(f"{where}: unknown key")
+        if field.load:
+            _value(value, field, f"{path}.{key}")
+        if field.section is None or not isinstance(value, field.kind):
+            continue
+        children = ([(f"{where}[{i}]", v) for i, v in enumerate(value)] if field.kind is list
+                    else [(f"{where}.{k}", v) for k, v in value.items()] if field.each
+                    else [(where, value)])
+        for child_path, child in children:
+            if isinstance(child, dict):
+                _check(child, field.section, child_path)
+
+
+def _spec(cls, path: str, fields: dict):
+    """cls(**fields), its TypeError or ValueError raised as a ScenarioError naming ``path``."""
     try:
         return cls(**fields)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-def _parse_signal(mapping, path, seed_default: int) -> SignalSpec:
-    return _spec(
-        SignalSpec, path,
-        kind=_get(mapping, "kind", path, str),
-        normalized_freq=_get(mapping, "normalized_freq", path, float, False, 0.0),
-        symbol_rate_divisor=_get(mapping, "symbol_rate_divisor", path, int, False, 1),
-        amplitude=_get(mapping, "amplitude", path, float, False, 1.0),
-        phase=_get(mapping, "phase", path, float, False, 0.0),
-        seed=_get(mapping, "seed", path, int, False, seed_default),
-    )
+def _synth_spec(section: str, mapping, path: str, **given):
+    """The SignalSpec, NoiseSpec or OccupancySchedule of ``mapping``.
 
+    ``given`` fills absent keys; synth is imported here, where specs are built.
+    """
+    from . import synth
 
-def _parse_noise(mapping, path, seed_default: int) -> NoiseSpec:
-    return _spec(NoiseSpec, path,
-                 total_power=_get(mapping, "total_power", path, float, False, 1.0),
-                 seed=_get(mapping, "seed", path, int, False, seed_default))
-
-
-def _parse_schedule(mapping, path) -> OccupancySchedule:
-    period = _get(mapping, "period_s", path, float)
-    intervals = _get(mapping, "on_intervals", path, list, False, [])
-    parsed = []
-    for i, pair in enumerate(intervals):
+    fields = {**given, **_read(section, mapping, path)}
+    pairs = fields.get("on_intervals", ())
+    for i, pair in enumerate(pairs):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScenarioError(f"{path}.on_intervals[{i}]: expected [start_s, end_s]")
-        parsed.append(tuple(_numbers(pair, f"{path}.on_intervals[{i}]")))
-    return _spec(OccupancySchedule, path, period_s=period, on_intervals=tuple(parsed))
+    if pairs:
+        fields["on_intervals"] = tuple(tuple(_numbers(pair, f"{path}.on_intervals[{i}]"))
+                                       for i, pair in enumerate(pairs))
+    cls = {"signal": synth.SignalSpec, "noise": synth.NoiseSpec,
+           "schedule": synth.OccupancySchedule}[section]
+    return _spec(cls, path, fields)
 
 
 @dataclass(frozen=True)
@@ -180,57 +269,35 @@ class Scenario:
 
     def __init__(self, data: dict, path: Path | None = None):
         if not isinstance(data, dict):
-            raise ScenarioError(f"scenario root: expected a mapping, got {_type_name(data)}")
+            raise ScenarioError(f"scenario root: expected a mapping, got {type(data).__name__}")
+        _check(data)
         self.data = data
         self.path = Path(path) if path is not None else None
-        self.name = _get(data, "name", "scenario", str, False, "scenario")
-        self.master_seed = _get(data, "master_seed", "scenario", int, False, 0)
-        self.sample_rate_hz = _get(data, "sample_rate_hz", "scenario", float, False, 1e6)
-        self.start_time_unix = _get(data, "start_time_unix", "scenario", float, False, 0.0)
-        self.bin_len_s = _get(data, "bin_len_s", "scenario", float, False, 3600.0)
-        if not 0 <= self.master_seed <= 2**64 - 1:
-            raise ScenarioError("master_seed: must fit in an unsigned 64-bit integer")
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise ScenarioError("sample_rate_hz: must be a finite number > 0")
-        if not math.isfinite(self.start_time_unix):
-            raise ScenarioError("start_time_unix: must be finite")
+        for key in ("name", "master_seed", "sample_rate_hz", "start_time_unix", "bin_len_s"):
+            setattr(self, key, _field(data, key))
         # every frame must hold all the ACF lags the detectors use
         lags = self.acf_lags()
-        if "frame_len" in data and self.frame_len() < lags:
-            raise ScenarioError(f"frame_len: must be >= detector.acf_lags ({lags})")
-        ev = data.get("eval")
-        eval_len = _get(ev, "frame_len", "eval", int, False) if isinstance(ev, dict) else None
-        if eval_len is not None and _frame_len(eval_len, "eval.frame_len") < lags:
-            raise ScenarioError(f"eval.frame_len: must be >= detector.acf_lags ({lags})")
-        defaults = data.get("defaults")
-        if isinstance(defaults, dict):
-            _snr_db(_get(defaults, "snr_db", "defaults", float, False), "defaults.snr_db")
+        for name, section in (("frame_len", data), ("eval.frame_len", data.get("eval"))):
+            if isinstance(section, dict) and section.get("frame_len", lags) < lags:
+                raise ScenarioError(f"{name}: must be >= detector.acf_lags ({lags})")
         # cross-check override keys early so typos fail loudly
         if "channels" in data:
             plan_keys = {f"{c.band}:{c.index_in_band}" for c in self.plan()}
-            for key, override in _get(data, "channels", "scenario", dict).items():
+            for key in data["channels"]:
                 if key not in plan_keys:
                     raise ScenarioError(f"channels.{key}: channel is not in the plan")
-                if isinstance(override, dict):
-                    path = f"channels.{key}"
-                    _snr_db(_get(override, "snr_db", path, float, False), f"{path}.snr_db")
 
     @classmethod
     def load(cls, path) -> "Scenario":
         path = Path(path)
         try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+            data = yaml.load(path.read_text(encoding="utf-8"), Loader=_ScenarioLoader)
+        except (OSError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-        try:
-            data = yaml.load(text, Loader=_ScenarioLoader)
         except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            if mark is not None:
-                raise ScenarioError(
-                    f"{path}:{mark.line + 1}: {getattr(exc, 'problem', exc)}"
-                ) from exc
-            raise ScenarioError(f"{path}: {exc}") from exc
+            mark = getattr(exc, "problem_mark", None)  # the line, where the reader knows it
+            where, why = (path, exc) if mark is None else (f"{path}:{mark.line + 1}", exc.problem)
+            raise ScenarioError(f"{where}: {why}") from exc
         if data is None:
             raise ScenarioError(f"{path}: scenario file is empty")
         return cls(data, path)
@@ -243,85 +310,42 @@ class Scenario:
             return list(BUILTIN_BANDS)
         if not isinstance(plan, list):
             raise ScenarioError("plan: expected 'builtin' or a list of band mappings")
-        specs = []
-        for i, row in enumerate(plan):
-            path = f"plan[{i}]"
-            spacing = _get(row, "spacing_mhz", path, list)
-            try:
-                specs.append(
-                    BandSpec(
-                        name=_get(row, "name", path, str),
-                        start_mhz=_get(row, "start_mhz", path, float),
-                        stop_mhz=_get(row, "stop_mhz", path, float),
-                        spacing_mhz=tuple(float(s) for s in spacing),
-                        expected_channels=_get(row, "expected_channels", path, int),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise ScenarioError(f"{path}: {exc}") from exc
-        return specs
+        return [_spec(BandSpec, f"plan[{i}]", _read("plan", row, f"plan[{i}]"))
+                for i, row in enumerate(plan)]
 
     def plan(self) -> list[Channel]:
         return build_channel_plan(self.band_specs())
 
     # --- per-channel synthesis ----------------------------------------------
 
-    def _merged_channel_mapping(self, channel: Channel) -> dict:
-        base = dict(_get(self.data, "defaults", "scenario", dict, False, {}))
-        overrides = self.data.get("channels", {}).get(
-            f"{channel.band}:{channel.index_in_band}", {}
-        )
-        if not isinstance(overrides, dict):
-            raise ScenarioError(
-                f"channels.{channel.band}:{channel.index_in_band}: expected a mapping"
-            )
-        merged = dict(base)
-        merged.update(overrides)
-        return merged
-
     def channel_params(self, channel: Channel, band_pos: int) -> ChannelParams:
-        m = self._merged_channel_mapping(channel)
-        where = f"channel {channel.band}:{channel.index_in_band}"
-        if "signal" not in m or "noise" not in m or "schedule" not in m:
-            raise ScenarioError(
-                f"{where}: needs signal, noise and schedule "
-                "(from defaults or a channels override)"
-            )
-        sig_seed = derive_seed(
-            self.master_seed, SEED_CHANNEL_SIGNAL, band_pos, channel.index_in_band
-        )
-        noise_seed = derive_seed(
-            self.master_seed, SEED_CHANNEL_NOISE, band_pos, channel.index_in_band
-        )
-        snr_db = _get(m, "snr_db", where, float, False)  # range checked at load
-        if snr_db is None:
-            raise ScenarioError(f"{where}.snr_db: required field is missing")
+        key = f"{channel.band}:{channel.index_in_band}"
+        overrides = self.data.get("channels", {}).get(key, {})
+        if not isinstance(overrides, dict):
+            raise ScenarioError(f"channels.{key}: expected a mapping")
+        m, where = {**_field(self.data, "defaults"), **overrides}, f"channel {key}"
+        if not {"signal", "noise", "schedule"} <= m.keys():
+            raise ScenarioError(f"{where}: needs signal, noise and schedule "
+                                "(from defaults or a channels override)")
+        seeds = [derive_seed(self.master_seed, tag, band_pos, channel.index_in_band)
+                 for tag in (SEED_CHANNEL_SIGNAL, SEED_CHANNEL_NOISE)]
         return ChannelParams(
-            signal=_parse_signal(m["signal"], f"{where}.signal", sig_seed),
-            noise=_parse_noise(m["noise"], f"{where}.noise", noise_seed),
-            schedule=_parse_schedule(m["schedule"], f"{where}.schedule"),
-            snr_db=snr_db,
+            snr_db=_field(m, "snr_db", "channel", where, required=True),  # range checked at load
+            signal=_synth_spec("signal", m["signal"], f"{where}.signal", seed=seeds[0]),
+            noise=_synth_spec("noise", m["noise"], f"{where}.noise", seed=seeds[1]),
+            schedule=_synth_spec("schedule", m["schedule"], f"{where}.schedule"),
         )
 
     # --- sweep timing -------------------------------------------------------
 
     def frame_len(self) -> int:
-        n = _get(self.data, "frame_len", "scenario", int)
-        if n < 1:
-            raise ScenarioError("frame_len: must be >= 1")
-        return _frame_len(n, "frame_len")
+        return _field(self.data, "frame_len")
 
     def frame_interval_s(self) -> float:
-        v = _get(self.data, "frame_interval_s", "scenario", float)
-        if not 0 < v < math.inf:
-            raise ScenarioError("frame_interval_s: must be a finite number > 0")
-        return v
+        return _field(self.data, "frame_interval_s")
 
     def total_s(self) -> float:
-        v = _get(self.data, "total_s", "scenario", float)
-        if not 0 <= v < math.inf:
-            raise ScenarioError("total_s: must be a finite number >= 0")
-        channels = len(self.plan())
+        v, channels = _field(self.data, "total_s"), len(self.plan())
         frames = channels * (v / self.frame_interval_s())
         if not frames <= _MAX_FRAMES:
             raise ScenarioError(f"total_s: the sweep would make {frames:.3g} frames ({channels} "
@@ -337,86 +361,50 @@ class Scenario:
         return self.path.parent / p
 
     def acf_lags(self) -> int:
-        d = _get(self.data, "detector", "scenario", dict, False, {})
-        lags = _get(d, "acf_lags", "detector", int, False, 8)
-        if lags < 2:
-            raise ScenarioError("detector.acf_lags: must be >= 2")
-        return lags
+        return _field(_field(self.data, "detector"), "acf_lags", "detector", "detector")
 
     def detector_config(self) -> DetectorConfig:
-        d = _get(self.data, "detector", "scenario", dict)
-        ref_path = self.resolve_path(_get(d, "reference", "detector", str))
+        fields = _read("detector", _field(self.data, "detector", required=True), "detector")
+        ref_path = self.resolve_path(fields["reference"])
         try:
-            reference = load_reference(ref_path)
-        except OSError as exc:
+            fields["reference"] = load_reference(ref_path)
+        except (OSError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"detector.reference: cannot read {ref_path}: {exc}") from exc
-        return _spec(DetectorConfig, "detector",
-                     lambda_ed=_get(d, "lambda_ed", "detector", float),
-                     lambda_acf=_get(d, "lambda_acf", "detector", float),
-                     gamma=_get(d, "gamma", "detector", float),
-                     acf_lags=self.acf_lags(),
-                     reference=reference)
+        return _spec(DetectorConfig, "detector", fields)
 
     # --- calibration and eval -----------------------------------------------
 
-    def _section_specs(self, name: str, section: dict, signal_tag: int, noise_tag: int):
-        """A section's (SignalSpec, NoiseSpec): its own mappings, else those of defaults.
+    def _section(self, name: str, signal_tag: int, noise_tag: int, required=False) -> dict:
+        """A calibration or eval section's settings, with its SignalSpec and NoiseSpec.
 
-        A signal is required; the noise defaults to unit power. Seeds not
-        given derive from master_seed and the purpose tags.
+        Its own signal and noise mappings, else those of defaults: a signal is
+        required, the noise defaults to unit power. Seeds not given derive
+        from master_seed and the purpose tags.
         """
-        defaults = _get(self.data, "defaults", "scenario", dict, False, {})
-        signal_map = section.get("signal", defaults.get("signal"))
-        if signal_map is None:
+        section = _field(self.data, name, required=required)
+        defaults = _field(self.data, "defaults")
+        signal = section.get("signal", defaults.get("signal"))
+        if signal is None:
             raise ScenarioError(f"{name}.signal: required (directly or via defaults.signal)")
-        return (_parse_signal(signal_map, f"{name}.signal",
-                              derive_seed(self.master_seed, signal_tag)),
-                _parse_noise(section.get("noise", defaults.get("noise", {})), f"{name}.noise",
-                             derive_seed(self.master_seed, noise_tag)))
+        noise = section.get("noise", defaults.get("noise", {}))
+        return {"signal": _synth_spec("signal", signal, f"{name}.signal",
+                                      seed=derive_seed(self.master_seed, signal_tag)),
+                "noise": _synth_spec("noise", noise, f"{name}.noise",
+                                     seed=derive_seed(self.master_seed, noise_tag)),
+                **_read(name, section, name)}
 
     def calibration(self) -> dict:
-        c = _get(self.data, "calibration", "scenario", dict, False, {})
-        signal, noise = self._section_specs("calibration", c, SEED_CAL_SIGNAL, SEED_CAL_NOISE)
-        target_pfa = _get(c, "target_pfa", "calibration", float, False, 0.05)
-        if not 0.0 < target_pfa < 1.0:
-            raise ScenarioError("calibration.target_pfa: must lie in (0, 1)")
-        snr_db = _snr_db(_get(c, "snr_db", "calibration", float, False, 20.0),
-                         "calibration.snr_db")
-        if signal.kind == "none" and snr_db != -math.inf:
+        cal = self._section("calibration", SEED_CAL_SIGNAL, SEED_CAL_NOISE)
+        if cal["signal"].kind == "none" and cal["snr_db"] != -math.inf:
             raise ScenarioError("calibration.signal.kind: 'none' has no power to scale to "
-                                f"calibration.snr_db {snr_db} (use tone or bpsk, or snr_db -.inf)")
-        reference_frames = _get(c, "reference_frames", "calibration", int, False, 100)
-        if reference_frames < 1:
-            raise ScenarioError("calibration.reference_frames: must be >= 1")
-        threshold_frames = _get(c, "threshold_frames", "calibration", int, False, 10000)
-        if threshold_frames < 100:
-            raise ScenarioError("calibration.threshold_frames: must be >= 100")
-        return {
-            "signal": signal,
-            "noise": noise,
-            "snr_db": snr_db,
-            "reference_frames": reference_frames,
-            "threshold_frames": threshold_frames,
-            "target_pfa": target_pfa,
-            "acf_lags": self.acf_lags(),
-        }
+                                f"calibration.snr_db {cal['snr_db']} "
+                                "(use tone or bpsk, or snr_db -.inf)")
+        return {**cal, "acf_lags": self.acf_lags()}
 
     def eval_settings(self) -> dict:
-        e = _get(self.data, "eval", "scenario", dict)
-        signal, noise = self._section_specs("eval", e, SEED_EVAL_SIGNAL, SEED_EVAL_NOISE)
-        points = _numbers(
-            _get(e, "snr_db_points", "eval", list, False, [0.0, 5.0, 10.0, 20.0]),
-            "eval.snr_db_points",
-        )
-        points = [_snr_db(p, f"eval.snr_db_points[{i}]") for i, p in enumerate(points)]
-        roc = _get(e, "roc_thresholds", "eval", dict, False, {})
-        trials = _get(e, "trials", "eval", int, False, 10000)
-        if trials < 1:
-            raise ScenarioError("eval.trials: must be >= 1")
-        if trials > _MAX_FRAMES:
-            raise ScenarioError(f"eval.trials: must be at most {_MAX_FRAMES:,}, got {trials:,}")
+        ev = self._section("eval", SEED_EVAL_SIGNAL, SEED_EVAL_NOISE, required=True)
         thresholds = {}
-        for det, thrs in roc.items():
+        for det, thrs in ev["roc_thresholds"].items():
             path = f"eval.roc_thresholds.{det}"
             if det not in DETECTORS:
                 raise ScenarioError(f"{path}: unknown detector")
@@ -425,14 +413,5 @@ class Scenario:
             thresholds[det] = _numbers(thrs, path)
             if not all(a < b for a, b in zip(thresholds[det], thresholds[det][1:])):
                 raise ScenarioError(f"{path}: must be strictly increasing")
-        frame_len = _get(e, "frame_len", "eval", int, False)
-        return {
-            "signal": signal,
-            "noise": noise,
-            "trials": trials,
-            "frame_len": self.frame_len() if frame_len is None else frame_len,
-            "snr_db_points": points,
-            "roc_snr_db": _snr_db(_get(e, "roc_snr_db", "eval", float, False, 5.0),
-                                  "eval.roc_snr_db"),
-            "roc_thresholds": thresholds,
-        }
+        return {**ev, "frame_len": ev.get("frame_len") or self.frame_len(),
+                "snr_db_points": list(ev["snr_db_points"]), "roc_thresholds": thresholds}

@@ -30,7 +30,7 @@ from occuscan.channels import Channel
 from occuscan.cli import main
 from occuscan.report import OCCUPANCY_CSV_HEADER
 from occuscan.scan import RECORD_CSV_HEADER, TRUTH_CSV_HEADER, RecordTable, scan_channel
-from occuscan.scenario import Scenario
+from occuscan.scenario import SCHEMA, Scenario
 from conftest import write_record_tables
 
 SCENARIO = """\
@@ -422,6 +422,28 @@ class TestBadInputs:
         self._fails_with(capsys, ["report", "--records", str(records), "--out",
                                   str(workspace / "o")], f"{records}:2")
         assert not (workspace / "o").exists()
+
+    @pytest.mark.parametrize("name", ["scn.yaml", "reference.txt", "records.csv", "cap.iq.meta"])
+    def test_text_input_not_utf8(self, workspace, capsys, name):
+        # byte 0xff never occurs in UTF-8 text; it starts line 2 of the file
+        (workspace / "records.csv").write_text(RECORD_CSV_HEADER +
+                                               "\n0,TESTBAND,0,100,ed,1.5,1.1,1\n")
+        np.zeros(2 * 256, "<f4").tofile(workspace / "cap.iq")
+        (workspace / "cap.iq.meta").write_text("sample_rate_hz=1e6\ncenter_freq_hz=100e6\n"
+                                               "start_time_unix=0.0\nnum_samples=256\n")
+        path = workspace / name
+        text = path.read_bytes()
+        path.write_bytes(text.replace(b"\n", b"\n\xff", 1))
+        scenario = ["--scenario", str(workspace / "scn.yaml"), "--out", str(workspace / "o")]
+        argv, field = {
+            "scn.yaml": (["simulate", *scenario], f"cannot read scenario {path}"),
+            "reference.txt": (["simulate", *scenario], "detector.reference"),
+            "records.csv": (["report", "--records", str(path), "--out", str(workspace / "o")],
+                            f"{path}:2"),
+            "cap.iq.meta": (["analyze", *scenario, "--iq", str(workspace / "cap.iq"), "--meta",
+                             str(path), "--center-mhz", "100"], str(path)),
+        }[name]
+        self._fails_with(capsys, argv, field)
 
     @pytest.mark.parametrize("bins", ["0", "-1", "nan", "inf"])
     def test_report_bad_bins(self, workspace, capsys, bins):
@@ -894,6 +916,44 @@ class TestErrors:
         assert "calibrate" in capsys.readouterr().out
 
 
+EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example-scenario.yaml"
+
+
+def _example_base() -> dict:
+    """The example scenario cut down to one 3-channel band and small frame counts."""
+    data = Scenario.load(EXAMPLE).data
+    data["plan"] = [{"name": "2.4GHz", "start_mhz": 2402.0, "stop_mhz": 2412.0,
+                     "spacing_mhz": [5.0], "expected_channels": 3}]
+    data["channels"] = {"2.4GHz:2": data["channels"]["2.4GHz:2"]}
+    data.update(frame_len=64, total_s=3.0)
+    data["calibration"].update(reference_frames=10, threshold_frames=100)
+    data["eval"]["trials"] = 40
+    return data
+
+
+def _key_paths(section="scenario", prefix=()):
+    """(path, is_leaf) of every key SCHEMA holds, with the plan row and the channels
+    override the cut-down example has (plan entry 0, override "2.4GHz:2")."""
+    for key, field in SCHEMA[section].items():
+        path = (*prefix, key)
+        yield path, field.section is None
+        if field.section is not None:
+            inner = (*path, 0) if field.kind is list else (
+                (*path, "2.4GHz:2") if field.each else path)
+            yield from _key_paths(field.section, inner)
+
+
+def _path_name(path) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+
+
+def _parent(data: dict, path) -> dict:
+    """The mapping that holds path[-1], made empty where the scenario lacks it."""
+    for key in path[:-1]:
+        data = data[key] if isinstance(data, list) else data.setdefault(key, {})
+    return data
+
+
 def _scalar_paths(node, path=()):
     """The key path of every scalar in a parsed YAML tree."""
     if not isinstance(node, (dict, list)):
@@ -903,22 +963,52 @@ def _scalar_paths(node, path=()):
         yield from _scalar_paths(child, (*path, key))
 
 
-class TestScenarioFuzz:
-    """One scenario leaf replaced by a bad value: each command exits 0, or 1 with "error:"."""
+class TestUnknownKeys:
+    """A key the schema does not hold fails at load, naming its path, before --out exists."""
 
-    EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example-scenario.yaml"
+    def _fails_at_load(self, capsys, tmp_path, data, message):
+        scn = tmp_path / "scn.yaml"
+        scn.write_text(data if isinstance(data, str) else yaml.safe_dump(data))
+        for cmd in ("calibrate", "simulate", "eval"):
+            assert main([cmd, "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", [p for p, _ in _key_paths()], ids=_path_name)
+    def test_renamed_key(self, tmp_path, capsys, path):
+        data = _example_base()
+        parent = _parent(data, path)
+        parent[path[-1] + "x"] = parent.pop(path[-1], 1)
+        self._fails_at_load(capsys, tmp_path, data, f"{_path_name(path)}x: unknown key")
+
+    @pytest.mark.parametrize("old, new, message", [pytest.param(*case, id=case[2]) for case in [
+        # each of these once silently fell back to a default
+        ("normalized_freq: 0.13", "normalised_freq: 0.13", "defaults.signal.normalised_freq"),
+        ("on_intervals: [[0.0, 30.0]]", "on_interval: [[0.0, 30.0]]",
+         "defaults.schedule.on_interval"),
+        ("target_pfa: 0.05", "targetpfa: 0.05", "calibration.targetpfa"),
+        ("frame_len: 1024", "frame_lenn: 1024", "frame_lenn"),
+    ]])
+    def test_misspelled_example_key(self, tmp_path, capsys, old, new, message):
+        text = EXAMPLE.read_text()
+        assert old in text
+        self._fails_at_load(capsys, tmp_path, text.replace(old, new),
+                            f"{message}: unknown key")
+
+
+class TestScenarioFuzz:
+    """One scenario leaf replaced by a bad value: each command exits 0, or 1 with "error:".
+
+    The leaves are every key the schema holds, whether the example sets it or
+    not, and every entry of the example's lists.
+    """
+
     VALUES = [None, "x", [], {}, True, -1, 0, math.nan, math.inf, -math.inf]
 
     @pytest.fixture(scope="class")
     def base(self, tmp_path_factory):
-        """The example scenario cut down to one 3-channel band, and its reference file."""
-        data = Scenario.load(self.EXAMPLE).data
-        data["plan"] = [{"name": "2.4GHz", "start_mhz": 2402.0, "stop_mhz": 2412.0,
-                         "spacing_mhz": [5.0], "expected_channels": 3}]
-        data["channels"] = {"2.4GHz:2": data["channels"]["2.4GHz:2"]}
-        data.update(frame_len=64, total_s=3.0)
-        data["calibration"].update(reference_frames=10, threshold_frames=100)
-        data["eval"]["trials"] = 40
+        """The cut-down example scenario, and its reference file."""
+        data = _example_base()
         root = tmp_path_factory.mktemp("fuzz")
         (root / "scn.yaml").write_text(yaml.safe_dump(data))
         with contextlib.redirect_stdout(io.StringIO()):
@@ -930,13 +1020,12 @@ class TestScenarioFuzz:
     @given(data=st.data())
     def test_bad_leaf_fails_cleanly(self, base, data):
         scenario, reference, root = base
-        path = data.draw(st.sampled_from(sorted(_scalar_paths(scenario), key=repr)))
+        leaves = {p for p, leaf in _key_paths() if leaf}
+        leaves |= {p for p in _scalar_paths(scenario) if any(isinstance(k, int) for k in p)}
+        path = data.draw(st.sampled_from(sorted(leaves, key=repr)))
         value = data.draw(st.sampled_from(self.VALUES))
         scenario = copy.deepcopy(scenario)
-        node = scenario
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
+        _parent(scenario, path)[path[-1]] = value
         (root / "reference.txt").write_text(reference)
         (root / "scn.yaml").write_text(yaml.safe_dump(scenario))
         for cmd in ("calibrate", "simulate", "eval"):
@@ -995,7 +1084,7 @@ class TestStartUp:
         ("report", ["yaml", "occuscan.scenario", "occuscan.synth", "occuscan.evaluate",
                     "numpy.random", "concurrent.futures"]),
         ("calibrate", ["occuscan.scan", "occuscan.report", "occuscan.evaluate"]),
-        ("analyze", ["occuscan.evaluate", "occuscan.report", "numpy.random",
+        ("analyze", ["occuscan.synth", "occuscan.evaluate", "occuscan.report", "numpy.random",
                      "concurrent.futures"]),
     ])
     def test_command_loads_only_what_it_runs(self, workspace, command, unused):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from scipy.special import gammaincc
+from scipy.special import gammainc, gammaincc, gammaincinv
+from scipy.stats import ncx2
 
 from occuscan import (
     AcfVector,
@@ -19,6 +20,7 @@ from occuscan.detectors import (
     DETECTOR_TABLE,
     acf1_statistic,
     acf_vector,
+    calibrate_ed_threshold_blocks,
     correlation_distance,
     energy_statistic,
 )
@@ -32,7 +34,13 @@ from occuscan.evaluate import (
     write_eval_csv,
 )
 from occuscan.scan import scan_blocks
-from occuscan.synth import gen_noise_frame, gen_signal_frame, snr_scale, timeline_blocks
+from occuscan.synth import (
+    gen_noise_frame,
+    gen_signal_frame,
+    mixed_blocks,
+    snr_scale,
+    timeline_blocks,
+)
 
 SIG = SignalSpec(kind="tone", normalized_freq=0.13, seed=5)
 NOISE = NoiseSpec(total_power=1.0, seed=6)
@@ -134,6 +142,35 @@ class TestSharedTrialStatistics:
                                      range(trials))[0, :, 0]
         lo, hi = _wilson(int(np.count_nonzero(h0 > lam * 2.0)), trials, z=4.0)
         assert lo <= gammaincc(n, n * lam) <= hi
+
+    @pytest.mark.parametrize("signal", [
+        SIG,
+        SignalSpec(kind="bpsk", symbol_rate_divisor=4, seed=9),
+    ], ids=["tone", "bpsk"])
+    def test_ed_pd_matches_noncentral_chi2_tail(self, signal):
+        """Under H1 with a constant-envelope signal, 2N*T_ed/sigma^2 is noncentral chi^2 with
+        2N degrees of freedom and noncentrality 2N*snr: pd = ncx2.sf(2N*lam/sigma^2, 2N,
+        2N*snr)."""
+        n, sigma2, trials, snr_dbs = 64, 2.0, 20_000, [-12.0, -8.0]
+        noise = NoiseSpec(total_power=sigma2, seed=11)
+        stats = shared_trial_statistics(_config(), signal, noise, snr_dbs, n, range(trials))
+        for k, snr_db in enumerate(snr_dbs, 1):
+            for lam in (2.1, 2.3):
+                hits = int(np.count_nonzero(stats[k, :, 0] > lam))
+                lo, hi = _wilson(hits, trials, z=4.0)
+                pd = ncx2.sf(2 * n * lam / sigma2, 2 * n, 2 * n * 10 ** (snr_db / 10))
+                assert lo <= pd <= hi, (snr_db, lam, hits / trials, pd)
+
+    def test_calibrated_ed_threshold_matches_gamma_quantile(self):
+        """The calibrated lambda_ed is the noise-only energy's (1 - pfa) quantile, whose
+        theory value is sigma^2 * gammaincinv(N, 1 - pfa) / N. Its rank under the Gamma law
+        is asymptotically normal, mean 1 - pfa and variance pfa (1 - pfa) / frames."""
+        n, sigma2, frames, pfa = 64, 2.0, 10_000, 0.05
+        noise = NoiseSpec(total_power=sigma2, seed=11)
+        lam = calibrate_ed_threshold_blocks(
+            mixed_blocks(SignalSpec(kind="none"), noise, 0.0, n, range(frames)), pfa)
+        z = (gammainc(n, n * lam / sigma2) - (1 - pfa)) / math.sqrt(pfa * (1 - pfa) / frames)
+        assert abs(z) <= 4.0, (lam, sigma2 * gammaincinv(n, 1 - pfa) / n, z)
 
     @pytest.mark.parametrize("n,pfa", [(32, 0.3), (32, 0.1), (64, 0.3), (64, 0.1)])
     def test_acf1_pfa_matches_rayleigh_tail(self, n, pfa):

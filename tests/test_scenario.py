@@ -1,15 +1,24 @@
 """Scenario YAML parsing, validation messages, and seed derivation."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
+import yaml
 
 from occuscan import Scenario, ScenarioError
 from occuscan.detectors import acf_vector, save_reference
 from occuscan.scenario import (
+    REQUIRED,
+    SCHEMA,
     SEED_CHANNEL_NOISE,
     SEED_CHANNEL_SIGNAL,
+    _check,
+    _ScenarioLoader,
     derive_seed,
 )
-from occuscan.synth import SignalSpec, gen_signal_frame
+from occuscan.synth import NoiseSpec, OccupancySchedule, SignalSpec, gen_signal_frame
 
 MINIMAL = """\
 name: minimal
@@ -264,3 +273,68 @@ class TestSeedDerivation:
     def test_u64_range(self):
         for tag in range(6):
             assert 0 <= derive_seed(2**64 - 1, tag) <= 2**64 - 1
+
+
+class TestSchemaDocs:
+    """docs/scenario-format.md lists exactly the schema's keys and defaults."""
+
+    DOC = Path(__file__).resolve().parents[1] / "docs" / "scenario-format.md"
+    # the heading above each key table, and the schema section it lists
+    SECTIONS = {"Top-level keys": "scenario", "Plan rows": "plan",
+                "`defaults` and each `channels` override": "channel", "`signal`": "signal",
+                "`noise`": "noise", "`schedule`": "schedule", "Detector block": "detector",
+                "Calibration block": "calibration", "Eval block": "eval"}
+    # defaults an absent key takes from its spec dataclass
+    SPECS = {"signal": SignalSpec, "noise": NoiseSpec, "schedule": OccupancySchedule}
+
+    def _tables(self) -> dict:
+        """heading -> {key: default cell} of each key table."""
+        tables, heading = {}, None
+        for line in self.DOC.read_text(encoding="utf-8").splitlines():
+            if line.startswith("#"):
+                heading = line.lstrip("#").strip()
+            elif line.startswith("| key | type | default |"):
+                tables[heading] = {}
+            elif line.startswith("| `") and heading in tables:
+                cells = [c.strip() for c in line.strip().strip("|").split("|")]
+                tables[heading][cells[0].strip("`")] = cells[2]
+        return tables
+
+    def _spec_default(self, section: str, key: str):
+        """The default an absent key takes from its spec dataclass, or None."""
+        spec = self.SPECS.get(section)
+        field = {f.name: f for f in dataclasses.fields(spec)}.get(key) if spec else None
+        if field is None or key == "seed":  # seeds derive from master_seed
+            return None
+        default = field.default if field.default is not dataclasses.MISSING \
+            else field.default_factory()
+        return list(default) if isinstance(default, tuple) else default
+
+    def test_key_tables_list_schema_keys_and_defaults(self):
+        tables = self._tables()
+        assert sorted(self.SECTIONS[h] for h in tables) == sorted(SCHEMA)
+        for heading, rows in tables.items():
+            section = self.SECTIONS[heading]
+            assert list(rows) == list(SCHEMA[section]), heading
+            for key, cell in rows.items():
+                default = SCHEMA[section][key].default
+                if default is None:  # left to the reader: a spec default, or prose
+                    default = self._spec_default(section, key)
+                if default is REQUIRED:
+                    assert cell == "required", (section, key)
+                elif default is None:
+                    assert cell != "required", (section, key)
+                else:
+                    assert yaml.load(cell.strip("`"), Loader=_ScenarioLoader) == default, \
+                        (section, key, cell)
+
+    def test_yaml_examples_hold_only_schema_keys(self):
+        examples = re.findall(r"```yaml\n(.*?)```", self.DOC.read_text(encoding="utf-8"),
+                              re.DOTALL)
+        assert len(examples) >= 5
+        for text in examples:
+            _check(yaml.load(text, Loader=_ScenarioLoader))
+
+    def test_example_scenario_holds_only_schema_keys(self):
+        _check(yaml.load((self.DOC.parent / "example-scenario.yaml").read_text(),
+                         Loader=_ScenarioLoader))
