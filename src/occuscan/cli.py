@@ -223,12 +223,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_report(args) -> int:
     from .report import aggregate_table, channel_slug, write_occupancy_csv, write_plot_data
-    from .scan import read_record_table
+    from .scan import read_record_chunks
 
-    table = read_record_table(args.records)
     try:
-        cells = aggregate_table(table, args.bins)
-    except ValueError as exc:  # records are checked as read, so only the bin length is left
+        cells = aggregate_table(read_record_chunks(args.records), args.bins)
+    except ValueError as exc:  # a bad record raises CsvParseError, so only the bin length is left
         raise UsageError(f"--bins: {exc}") from exc
     out = _out_dir(args)
     names: dict = {}  # plot file name -> channel id, channels in cell order

@@ -6,9 +6,11 @@ present-decided scans to total scans in that bin. Bins are half-open
 one bin; bins with no scans are omitted (no scans is not the same as zero
 occupancy).
 
-Cells are columns from the record table to the files: ``aggregate_table``
-counts the cells of a record table (``scan.RecordTable``) with numpy into a
-``CellTable``, ``write_occupancy_csv`` renders its rows, and
+Cells are columns from the record log to the files: ``aggregate_table``
+counts the cells of record table chunks (``scan.RecordTable``, as
+``scan.read_record_chunks`` yields them) with numpy into a ``CellTable``, a
+chunk at a time, so ``report`` holds the cells and one chunk, not every
+record. ``write_occupancy_csv`` renders the cells' rows, and
 ``write_plot_data`` writes one channel's (bins x 3) occupancy matrix.
 """
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .channels import Channel
 from .detectors import DETECTORS
-from .scan import _FLOAT, _TIME, RecordTable, _channel_fields, _chunks
+from .scan import _FLOAT, _TIME, _channel_fields, _chunks
 
 OCCUPANCY_CSV_HEADER = (
     "band,channel_index,center_freq_mhz,detector,bin_start_unix,bin_len_s,"
@@ -45,37 +47,67 @@ class CellTable(NamedTuple):
     n_total: np.ndarray
 
 
-def aggregate_table(table: RecordTable, bin_len_s: float) -> CellTable:
-    """Fold a record table into occupancy cells.
+def _merge(parts) -> tuple:
+    """One cell per (chan, det, bin number) of the concatenated cell columns ``parts``.
 
-    Grouping key is (channel, detector, floor(time / bin_len_s)); an empty
-    table folds to no cells. Cells come back sorted by (band, channel index,
-    detector, bin start), ties in order of first appearance. Raises
-    ValueError when a bin number is not finite (a non-finite time, or a bin
-    length so short that time / bin_len_s overflows).
+    Each part is (chan, det, bin_no, first, n_detected, n_total) columns, one
+    row per record or per cell; a merged cell keeps its smallest ``first``
+    (its first record's index) and that row's bin number.
+    """
+    chan, det, bin_no, first, n_detected, n_total = (np.concatenate(c) for c in zip(*parts))
+    order = np.lexsort((first, bin_no, det, chan))
+    chan, det, bin_no, first = chan[order], det[order], bin_no[order], first[order]
+    new = np.ones(len(chan), dtype=bool)
+    new[1:] = (chan[1:] != chan[:-1]) | (det[1:] != det[:-1]) | (bin_no[1:] != bin_no[:-1])
+    starts = np.flatnonzero(new)
+    return (chan[starts], det[starts], bin_no[starts], first[starts],
+            np.add.reduceat(n_detected[order], starts), np.add.reduceat(n_total[order], starts))
+
+
+def aggregate_table(chunks, bin_len_s: float) -> CellTable:
+    """Fold record table chunks into occupancy cells.
+
+    ``chunks`` yields ``scan.RecordTable`` chunks whose channel ids are global
+    (``scan.read_record_chunks``). Grouping key is (channel, detector,
+    floor(time / bin_len_s)); no records fold to no cells. The chunks not
+    yet counted are merged into the cells once they hold as many rows as
+    the cells do, so memory follows the number of cells, not of records.
+    Cells come back sorted by (band, channel index, detector, bin start),
+    ties in order of first appearance. Raises ValueError when a bin number
+    is not finite (a non-finite time, or a bin length so short that time /
+    bin_len_s overflows), once every chunk is read: an error raised while
+    reading a later chunk comes first.
     """
     if not bin_len_s > 0:
         raise ValueError("bin_len_s must be > 0")
-    with np.errstate(over="ignore"):
-        bin_no = np.floor(table.time / bin_len_s)
-    bad = np.flatnonzero(~np.isfinite(bin_no))
-    if bad.size:
-        t = float(table.time[bad[0]])
-        raise ValueError(f"bin numbers must be finite, but capture time {t!r} / bin length "
+    ints, floats = np.empty(0, dtype=np.intp), np.empty(0)
+    parts, pending, records = [(ints, ints, floats, ints, ints, ints)], 0, 0  # cells first
+    channels, bad = [], None
+    for table in chunks:
+        channels = table.channels
+        with np.errstate(over="ignore"):
+            bin_no = np.floor(table.time / bin_len_s)
+        finite = np.isfinite(bin_no)
+        if bad is None and not finite.all():
+            bad = float(table.time[np.argmin(finite)])
+        if bad is not None:
+            continue
+        n = len(bin_no)
+        parts.append((table.chan, table.det, bin_no, np.arange(records, records + n),
+                      table.present.astype(np.intp), np.ones(n, dtype=np.intp)))
+        records, pending = records + n, pending + n
+        if pending >= len(parts[0][0]):
+            parts, pending = [_merge(parts)], 0
+    if bad is not None:
+        raise ValueError(f"bin numbers must be finite, but capture time {bad!r} / bin length "
                          f"{bin_len_s!r} is not")
-    bins, bin_id = np.unique(bin_no, return_inverse=True)
-    nd, nb = len(DETECTORS), len(bins)
-    keys, first, cell = np.unique((table.chan * nd + table.det) * nb + bin_id,
-                                  return_index=True, return_inverse=True)
-    n_total = np.bincount(cell)
-    n_detected = np.bincount(cell[table.present], minlength=len(keys))
-    chan, det, bin_id = keys // (nd * nb), keys // nb % nd, keys % nb
-    bin_start = bins[bin_id] * bin_len_s
-    band_index = sorted({(c.band, c.index_in_band) for c in table.channels})
+    chan, det, bin_no, first, n_detected, n_total = _merge(parts)
+    bin_start = bin_no * bin_len_s
+    band_index = sorted({(c.band, c.index_in_band) for c in channels})
     rank = {key: i for i, key in enumerate(band_index)}
-    chan_rank = np.array([rank[c.band, c.index_in_band] for c in table.channels], dtype=np.intp)
+    chan_rank = np.array([rank[c.band, c.index_in_band] for c in channels], dtype=np.intp)
     order = np.lexsort((first, bin_start, det, chan_rank[chan]))
-    return CellTable(table.channels, chan[order], det[order], bin_start[order],
+    return CellTable(channels, chan[order], det[order], bin_start[order],
                      n_detected[order], n_total[order])
 
 

@@ -9,9 +9,10 @@ key ends in "<path>.<key>: unknown key" instead of silently taking a
 default. Parse errors cite the YAML line; validation errors name the field.
 
 All randomness derives from ``master_seed``: a purpose tag plus the channel's
-(band position, index) feed a SeedSequence, so any sub-result can be
-regenerated in isolation and no two purposes share a stream. An explicit
-``seed`` key on a signal/noise mapping overrides the derivation.
+(band position, index) feed SeedSequence's mixing (``derive_seed``), so any
+sub-result can be regenerated in isolation and no two purposes share a
+stream. An explicit ``seed`` key on a signal/noise mapping overrides the
+derivation.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
 import yaml
 
 from .channels import BUILTIN_BANDS, BandSpec, Channel, build_channel_plan
@@ -62,9 +62,14 @@ SEED_EVAL_SIGNAL = 31
 
 
 def derive_seed(master_seed: int, *tags: int) -> int:
-    """Collapse (master_seed, tags...) into one u64 via SeedSequence."""
-    ss = np.random.SeedSequence((int(master_seed),) + tuple(int(t) for t in tags))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """The first uint64 that ``SeedSequence((master_seed, *tags))`` generates.
+
+    ``synth.seed_u64`` computes it without numpy.random, so a process that
+    only derives seeds (simulate's, when pool workers draw) never loads it.
+    """
+    from .synth import seed_u64
+
+    return seed_u64((master_seed, *tags))
 
 
 class Field(NamedTuple):
@@ -100,12 +105,16 @@ def _at_most(high: int):
 # 10 ** (snr_db / 10), the SNR's power ratio, overflows a float from about 3082.5 dB
 _SNR = ((lambda v: v < 3082.0, "must be a number < 3082 (-.inf for no signal), got {v}"),)
 _POSITIVE = ((lambda v: 0 < v < math.inf, "must be a finite number > 0"),)
-# a command holds each sweep frame's statistics (some 160 bytes) or each eval
-# trial's (24 bytes a hypothesis) in memory
+# a command holds each sweep frame's statistics (some 160 bytes), each eval
+# trial's (24 bytes a hypothesis) or each threshold frame's energy in memory
 _MAX_FRAMES = 10**8
 # a kernel block of 32 frames of 2^20 samples is 512 MiB of complex128, plus
-# the kernel's conjugate copy
+# the kernel's conjugate copy. A BPSK symbol held longer than a frame gives the
+# same frames, but signal_rows repeats it divisor times before cutting the row.
 _FRAME_LEN = _at_most(2**20)
+# building the plan makes a Channel (some 160 bytes) a channel, and simulate
+# derives two seeds a channel: 10^5 channels, some 800 times the builtin plan
+_MAX_CHANNELS = 10**5
 _SIGNAL, _NOISE = Field(dict, section="signal"), Field(dict, section="noise")
 
 SCHEMA = {
@@ -129,22 +138,23 @@ SCHEMA = {
     },
     "plan": {"spacing_mhz": Field(list, REQUIRED), "name": Field(str, REQUIRED),
              "start_mhz": Field(float, REQUIRED), "stop_mhz": Field(float, REQUIRED),
-             "expected_channels": Field(int, REQUIRED)},
+             "expected_channels": Field(int, REQUIRED, (_at_most(_MAX_CHANNELS),))},
     # defaults, and each channels override
     "channel": {"snr_db": Field(float, None, _SNR, load=True), "signal": _SIGNAL,
                 "noise": _NOISE, "schedule": Field(dict, section="schedule")},
     # absent keys take SignalSpec's defaults; seeds derive from master_seed
     "signal": {"kind": Field(str, REQUIRED), "normalized_freq": Field(float),
-               "symbol_rate_divisor": Field(int), "amplitude": Field(float),
-               "phase": Field(float), "seed": Field(int)},
+               "symbol_rate_divisor": Field(int, None, (_FRAME_LEN,)),
+               "amplitude": Field(float), "phase": Field(float), "seed": Field(int)},
     "noise": {"total_power": Field(float, 1.0), "seed": Field(int)},
     "schedule": {"period_s": Field(float, REQUIRED), "on_intervals": Field(list)},
     "detector": {"reference": Field(str, REQUIRED), "lambda_ed": Field(float, REQUIRED),
                  "lambda_acf": Field(float, REQUIRED), "gamma": Field(float, REQUIRED),
                  "acf_lags": Field(int, 8, (_at_least(2),), load=True)},
     "calibration": {"signal": _SIGNAL, "noise": _NOISE, "snr_db": Field(float, 20.0, _SNR),
-                    "reference_frames": Field(int, 100, (_at_least(1),)),
-                    "threshold_frames": Field(int, 10000, (_at_least(100),)),
+                    "reference_frames": Field(int, 100, (_at_least(1), _at_most(_MAX_FRAMES))),
+                    "threshold_frames": Field(int, 10000, (_at_least(100),
+                                                           _at_most(_MAX_FRAMES))),
                     "target_pfa": Field(float, 0.05, ((lambda v: 0 < v < 1,
                                                        "must lie in (0, 1)"),))},
     # frame_len defaults to the sweep's; roc_thresholds maps detector names to lists
@@ -254,6 +264,19 @@ def _synth_spec(section: str, mapping, path: str, **given):
     return _spec(cls, path, fields)
 
 
+def _check_power(signal, snr_dbs: dict, path: str) -> None:
+    """Raise unless a tone or bpsk signal has power to scale to each finite SNR.
+
+    ``snr_dbs`` maps each SNR's field name to its value; an amplitude of 0,
+    or one whose square underflows to 0, leaves the signal no power.
+    """
+    finite = [(name, snr) for name, snr in snr_dbs.items() if snr != -math.inf]
+    if signal.kind != "none" and signal.nominal_power == 0 and finite:
+        raise ScenarioError(f"{path}.amplitude: {signal.amplitude!r} gives the {signal.kind} "
+                            f"signal no power to scale to {finite[0][0]} {finite[0][1]!r} "
+                            "(use a larger amplitude, or snr_db -.inf)")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Fully resolved synthesis parameters for one channel."""
@@ -310,8 +333,13 @@ class Scenario:
             return list(BUILTIN_BANDS)
         if not isinstance(plan, list):
             raise ScenarioError("plan: expected 'builtin' or a list of band mappings")
-        return [_spec(BandSpec, f"plan[{i}]", _read("plan", row, f"plan[{i}]"))
-                for i, row in enumerate(plan)]
+        specs = [_spec(BandSpec, f"plan[{i}]", _read("plan", row, f"plan[{i}]"))
+                 for i, row in enumerate(plan)]
+        channels = sum(spec.expected_channels for spec in specs)
+        if channels > _MAX_CHANNELS:
+            raise ScenarioError(f"plan: the bands would hold {channels:,} channels, "
+                                f"more than {_MAX_CHANNELS:,}")
+        return specs
 
     def plan(self) -> list[Channel]:
         return build_channel_plan(self.band_specs())
@@ -329,12 +357,14 @@ class Scenario:
                                 "(from defaults or a channels override)")
         seeds = [derive_seed(self.master_seed, tag, band_pos, channel.index_in_band)
                  for tag in (SEED_CHANNEL_SIGNAL, SEED_CHANNEL_NOISE)]
-        return ChannelParams(
+        params = ChannelParams(
             snr_db=_field(m, "snr_db", "channel", where, required=True),  # range checked at load
             signal=_synth_spec("signal", m["signal"], f"{where}.signal", seed=seeds[0]),
             noise=_synth_spec("noise", m["noise"], f"{where}.noise", seed=seeds[1]),
             schedule=_synth_spec("schedule", m["schedule"], f"{where}.schedule"),
         )
+        _check_power(params.signal, {f"{where}.snr_db": params.snr_db}, f"{where}.signal")
+        return params
 
     # --- sweep timing -------------------------------------------------------
 
@@ -399,6 +429,7 @@ class Scenario:
             raise ScenarioError("calibration.signal.kind: 'none' has no power to scale to "
                                 f"calibration.snr_db {cal['snr_db']} "
                                 "(use tone or bpsk, or snr_db -.inf)")
+        _check_power(cal["signal"], {"calibration.snr_db": cal["snr_db"]}, "calibration.signal")
         return {**cal, "acf_lags": self.acf_lags()}
 
     def eval_settings(self) -> dict:
@@ -413,5 +444,7 @@ class Scenario:
             thresholds[det] = _numbers(thrs, path)
             if not all(a < b for a, b in zip(thresholds[det], thresholds[det][1:])):
                 raise ScenarioError(f"{path}: must be strictly increasing")
+        snr_dbs = {f"eval.snr_db_points[{i}]": v for i, v in enumerate(ev["snr_db_points"])}
+        _check_power(ev["signal"], {**snr_dbs, "eval.roc_snr_db": ev["roc_snr_db"]}, "eval.signal")
         return {**ev, "frame_len": ev.get("frame_len") or self.frame_len(),
                 "snr_db_points": list(ev["snr_db_points"]), "roc_thresholds": thresholds}

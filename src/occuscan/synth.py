@@ -5,7 +5,9 @@ comes from ``SeedSequence((seed, stream, frame_index))``, so regenerating a
 frame at any index, in any process, gives bit-identical samples. A block's
 generators are seeded in one pass (``_frame_rngs``): numpy's SeedSequence
 mixing runs once over the whole block, then one reused PCG64 is set to each
-frame's state.
+frame's state. The mixing is uint32 array arithmetic (``_seed_pool``), so
+``seed_u64``, which ``scenario.derive_seed`` runs, needs no ``numpy.random``;
+this is the only module that loads it, and only where it draws.
 
 Frames are plain complex128 rows: ``noise_rows`` and ``signal_rows`` make
 (frames x N) blocks, and ``mixed_blocks`` yields noise rows with ``alpha *
@@ -41,14 +43,21 @@ _U64_MAX = 2**64 - 1
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and PCG64's
 # 128-bit LCG multiplier. The hash constants run INIT, INIT*MULT, INIT*MULT**2,
-# ... (mod 2**32), as columns: mixing makes at most 4 + 12 + 4 hash calls (seed,
-# stream and frame index take at most 5 words), generate_state(4, uint64) 8.
+# ... (mod 2**32), as columns: filling and cross-mixing the 4-word pool takes
+# 4 + 12 hash calls, each word past the pool 4 more, generate_state(4, uint64) 8.
 _MASK32 = 0xFFFFFFFF
 _U128_MAX = 2**128 - 1
-_HASH_A = np.array([0x43B0D7E5 * pow(0x931E8875, i, 2**32) & _MASK32 for i in range(21)],
-                   np.uint32)[:, None]
-_HASH_B = np.array([0x8B51F9DD * pow(0x58F38DED, i, 2**32) & _MASK32 for i in range(9)],
-                   np.uint32)[:, None]
+
+
+def _hash_consts(init: int, mult: int, start: int, stop: int) -> np.ndarray:
+    """init * mult**i (mod 2**32) for i in [start, stop), as a uint32 column."""
+    return np.array([init * pow(mult, i, 2**32) & _MASK32 for i in range(start, stop)],
+                    np.uint32)[:, None]
+
+
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_A = _hash_consts(_INIT_A, _MULT_A, 0, 17)
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 0, 9)
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -156,12 +165,12 @@ def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
     return x ^ (x >> 16)
 
 
-def _seed_states(entropy: np.ndarray) -> list:
-    """PCG64 (state, inc) of SeedSequence(entropy[:, j]) for each column j of a (words x F) block.
+def _seed_pool(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's 4-word pool for each column of a (words x F) uint32 entropy block.
 
-    numpy's mixing, once over all F columns: hash the entropy into a pool of
-    4 words, cross-mix the pool, mix in the words past the pool, draw
-    generate_state(4, uint64), then seed PCG64 with it (pcg64_set_seed).
+    numpy's mix_entropy, once over all F columns: hash the first 4 words into
+    the pool (0 where there are fewer), cross-mix the pool, then mix each word
+    past the pool into every pool word.
     """
     words, frames = entropy.shape
     pool = np.zeros((4, frames), np.uint32)
@@ -172,9 +181,40 @@ def _seed_states(entropy: np.ndarray) -> list:
         h = _hashmix(pool[src], _HASH_A[4 + 3 * src:8 + 3 * src])
         r = _MIX_L * pool[dst] - _MIX_R * h
         pool[dst] = r ^ (r >> 16)
-    if words > 4:  # a seed and an index of two words each: one word past the pool
-        r = _MIX_L * pool - _MIX_R * _hashmix(entropy[4], _HASH_A[16:])
-        pool = r ^ (r >> 16)
+    if words > 4:  # the hash constants carry on from _HASH_A[16], 4 a word
+        consts = _hash_consts(_INIT_A, _MULT_A, 16, 17 + 4 * (words - 4))
+        for i, word in enumerate(entropy[4:]):
+            r = _MIX_L * pool - _MIX_R * _hashmix(word, consts[4 * i:4 * i + 5])
+            pool = r ^ (r >> 16)
+    return pool
+
+
+def seed_u64(entropy) -> int:
+    """``SeedSequence(entropy).generate_state(1, np.uint64)[0]``, without numpy.random.
+
+    ``entropy`` is a sequence of ints >= 0; each takes its 32-bit words, low
+    word first (0 is one word), as SeedSequence does. Raises ValueError for a
+    negative int.
+    """
+    words = []
+    for value in map(int, entropy):
+        if value < 0:
+            raise ValueError(f"entropy must be integers >= 0, got {value}")
+        words.append(value & _MASK32)
+        while value := value >> 32:
+            words.append(value & _MASK32)
+    pool = _seed_pool(np.array(words, np.uint32)[:, None])
+    lo, hi = _hashmix(pool[:2], _HASH_B[:3])[:, 0].tolist()
+    return hi << 32 | lo
+
+
+def _seed_states(entropy: np.ndarray) -> list:
+    """PCG64 (state, inc) of SeedSequence(entropy[:, j]) for each column j of a (words x F) block.
+
+    The pool (``_seed_pool``) gives generate_state(4, uint64), which seeds
+    PCG64 as pcg64_set_seed does.
+    """
+    pool = _seed_pool(entropy)
     state = np.ascontiguousarray(_hashmix(np.tile(pool, (2, 1)), _HASH_B).T, "<u4")
     out = []
     for s_hi, s_lo, i_hi, i_lo in state.view("<u8").tolist():

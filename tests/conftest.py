@@ -6,7 +6,7 @@ import pytest
 
 from occuscan import ComplexFrame
 from occuscan.detectors import DETECTOR_TABLE, DETECTORS, decide_block
-from occuscan.scan import RECORD_CSV_HEADER, RecordTable
+from occuscan.scan import RECORD_CSV_HEADER, RecordTable, read_record_chunks
 
 
 def make_frame(samples, rate=1e6, freq=100e6, t=0.0) -> ComplexFrame:
@@ -54,6 +54,13 @@ def write_record_tables(tables, path) -> None:
                     table.statistic.tolist(), table.threshold.tolist(), table.present.tolist(),
                 )
             ))
+
+
+def read_record_table(path) -> RecordTable:
+    """A record log with at least one record as one RecordTable: its chunks concatenated."""
+    chunks = list(read_record_chunks(path))
+    return RecordTable(chunks[-1].channels,
+                       *map(np.concatenate, zip(*(chunk[1:] for chunk in chunks))))
 
 
 @pytest.fixture

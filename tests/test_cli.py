@@ -723,6 +723,18 @@ class TestBadInputs:
             "/ bin length 1e-300 is not\n")
         assert not (workspace / "o").exists()
 
+    def test_report_malformed_line_beats_bins_overflow(self, workspace, capsys):
+        # the bin overflow is on line 2, the malformed line two read chunks later
+        records = workspace / "r.csv"
+        good = "1767225600.000000,TESTBAND,0,100,ed,1.5,1.1,1\n"
+        records.write_text(RECORD_CSV_HEADER + "\n" + good * 2500 +
+                           "1767225600.000000,TESTBAND,0,100,ed,1.5,1.1,yes\n")
+        assert main(["report", "--records", str(records), "--out", str(workspace / "o"),
+                     "--bins", "1e-300"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {records}:2502: present must be 0 or 1, got 'yes'\n"
+        assert not (workspace / "o").exists()
+
     # Finite noise whose power sum overflows: every sample is finite, the energy is not.
     def _energy_overflows(self, capsys, workspace, argv, where, output):
         with warnings.catch_warnings():
@@ -766,6 +778,49 @@ class TestBadInputs:
                      str(workspace / "o")]) == 1
         assert capsys.readouterr().err == \
             f"error: {ref}: AcfVector entries must be finite and lie in [0, 1]\n"
+
+    @pytest.mark.parametrize("cmd, message", [pytest.param(*case, id=case[0]) for case in [
+        ("simulate", "channel TESTBAND:0.signal.amplitude: 0.0 gives the tone signal no power "
+         "to scale to channel TESTBAND:0.snr_db 10.0"),
+        ("calibrate", "calibration.signal.amplitude: 0.0 gives the tone signal no power to "
+         "scale to calibration.snr_db 20.0"),
+        ("eval", "eval.signal.amplitude: 0.0 gives the tone signal no power to scale to "
+         "eval.snr_db_points[0] 0.0"),
+    ]])
+    def test_signal_amplitude_zero_at_finite_snr(self, workspace, capsys, cmd, message):
+        # snr_scale cannot scale a zero-power signal to a finite SNR
+        self._scenario_fails(capsys, workspace, cmd, "normalized_freq: 0.125",
+                             "normalized_freq: 0.125\n    amplitude: 0",
+                             f"{message} (use a larger amplitude, or snr_db -.inf)")
+
+    def test_huge_symbol_rate_divisor(self, workspace, capsys):
+        # signal_rows would repeat each symbol 2**70 times before cutting the row to frame_len
+        self._scenario_fails(capsys, workspace, "calibrate", "kind: tone",
+                             "kind: bpsk\n    symbol_rate_divisor: 1180591620717411303424",
+                             "calibration.signal.symbol_rate_divisor: must be at most "
+                             "1,048,576, got 1,180,591,620,717,411,303,424")
+
+    @pytest.mark.parametrize("old", ["reference_frames: 50", "threshold_frames: 500"])
+    def test_calibration_frame_count_too_large(self, workspace, capsys, old):
+        # without the bound calibrate runs on for hours, its --out already made
+        field = old.split(":")[0]
+        self._scenario_fails(capsys, workspace, "calibrate", old, f"{field}: 100000001",
+                             f"calibration.{field}: must be at most 100,000,000, "
+                             "got 100,000,001")
+
+    def test_band_channel_count_too_large(self, workspace, capsys):
+        # without the bound every load that builds the plan appends 10**9 channels
+        self._scenario_fails(capsys, workspace, "simulate", "expected_channels: 3",
+                             "expected_channels: 1000000000",
+                             "plan[0].expected_channels: must be at most 100,000, "
+                             "got 1,000,000,000")
+
+    def test_plan_channel_count_too_large(self, workspace, capsys):
+        band = self.PLAN.removeprefix("plan:\n").replace("expected_channels: 3",
+                                                         "expected_channels: 60000")
+        self._scenario_fails(capsys, workspace, "simulate", self.PLAN,
+                             "plan:\n" + band + band.replace("TESTBAND", "OTHER"),
+                             "plan: the bands would hold 120,000 channels, more than 100,000")
 
     @pytest.mark.parametrize("field, value", [("reference_frames", "0"),
                                               ("reference_frames", "-1"),
@@ -839,8 +894,8 @@ class TestReport:
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
     def test_peak_memory_per_record(self, tmp_path):
-        # the record log is parsed in chunks into columns: peak memory grows by
-        # the columns and report's cell counting, not by one Python row per record
+        # the record log is parsed and counted in chunks: peak memory holds the
+        # cells and one chunk, not a row or a column entry per record
         probe = ("import sys\nfrom occuscan.cli import main\nassert main(sys.argv[1:]) == 0\n"
                  "print([ln for ln in open('/proc/self/status') if 'VmHWM' in ln][0].strip())")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -858,8 +913,10 @@ class TestReport:
                 env=env, capture_output=True, text=True, check=True,
             ).stdout
             peaks.append(int(out.splitlines()[-1].split()[1]) * 1024)  # kB to bytes
-        # about 125 bytes a record here; a list of row tuples took about 250
-        assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) < 180
+        # cells are counted a chunk at a time, so peak memory grows with the cells
+        # (about 4,000 here), not with the records: it grew about 125 bytes a record
+        # when the whole log was read before counting, and 250 as a list of row tuples
+        assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) < 16
 
     def test_missing_records_file(self, workspace, capsys):
         rc = main(["report", "--records", str(workspace / "nope.csv"),
@@ -1086,6 +1143,8 @@ class TestStartUp:
         ("calibrate", ["occuscan.scan", "occuscan.report", "occuscan.evaluate"]),
         ("analyze", ["occuscan.synth", "occuscan.evaluate", "occuscan.report", "numpy.random",
                      "concurrent.futures"]),
+        # the main process derives seeds; only the pool workers draw
+        ("simulate", ["occuscan.report", "occuscan.evaluate", "numpy.random"]),
     ])
     def test_command_loads_only_what_it_runs(self, workspace, command, unused):
         records = workspace / "r.csv"
@@ -1097,7 +1156,9 @@ class TestStartUp:
                 "analyze": ["analyze", "--scenario", str(workspace / "scn.yaml"),
                             "--iq", str(workspace / "cap.iq"),
                             "--meta", str(workspace / "cap.iq.meta"), "--center-mhz", "100"],
-                "calibrate": ["calibrate", "--scenario", str(workspace / "scn.yaml")]}[command]
+                "calibrate": ["calibrate", "--scenario", str(workspace / "scn.yaml")],
+                "simulate": ["simulate", "--scenario", str(workspace / "scn.yaml"),
+                             "--workers", "2"]}[command]
         code = ("import sys\nfrom occuscan.cli import main\nassert main(sys.argv[1:]) == 0\n"
                 f"print([m for m in {unused!r} if m in sys.modules])")
         out = self._python("-c", code, *argv, "--out", str(workspace / "o"))

@@ -17,8 +17,9 @@ from occuscan.report import (
     write_occupancy_csv,
     write_plot_data,
 )
-from occuscan.scan import RecordTable, read_record_table
-from conftest import write_record_tables
+from occuscan import scan as scan_module
+from occuscan.scan import RecordTable, read_record_chunks
+from conftest import read_record_table, write_record_tables
 
 CH_A = Channel("X", 0, 100.0)
 CH_B = Channel("X", 1, 105.0)
@@ -50,25 +51,25 @@ def _cells(table: CellTable) -> list[tuple]:
 class TestAggregate:
     def test_known_ratio(self):
         records = [(float(i), i % 5 == 0) for i in range(180)]
-        cells = aggregate_table(_table(records), 1000.0)
+        cells = aggregate_table([_table(records)], 1000.0)
         assert _cells(cells) == [(CH_A, "ed", 0.0, 36, 180)]
         assert cells.n_detected[0] / cells.n_total[0] == 0.2
 
     def test_bin_split(self):
         # 10 scans at t=0..9, bin length 3: bins [0,3) [3,6) [6,9) [9,12)
         records = [(float(i), True) for i in range(10)]
-        cells = aggregate_table(_table(records), 3.0)
+        cells = aggregate_table([_table(records)], 3.0)
         assert cells.bin_start.tolist() == [0.0, 3.0, 6.0, 9.0]
         assert cells.n_total.tolist() == [3, 3, 3, 1]
 
     def test_half_open_bin_edges(self):
         records = [(0.0, True), (3.0, True)]
-        cells = aggregate_table(_table(records), 3.0)
+        cells = aggregate_table([_table(records)], 3.0)
         assert cells.bin_start.tolist() == [0.0, 3.0]
         assert cells.n_total.tolist() == [1, 1]
 
     def test_empty_log(self):
-        cells = aggregate_table(_table([]), 10.0)
+        cells = aggregate_table([_table([])], 10.0)
         assert _cells(cells) == []
         assert all(len(col) == 0 for col in cells[1:])
 
@@ -78,7 +79,7 @@ class TestAggregate:
             (0.0, False, "acf1", CH_A),
             (0.0, True, "ed", CH_B),
         ]
-        cells = aggregate_table(_table(records), 10.0)
+        cells = aggregate_table([_table(records)], 10.0)
         keys = [(ch.index_in_band, det) for ch, det, *_ in _cells(cells)]
         assert keys == [(0, "ed"), (0, "acf1"), (1, "ed")]
 
@@ -88,7 +89,7 @@ class TestAggregate:
             (0.0, True, "acf1"),
             (0.0, True, "ed"),
         ]
-        cells = aggregate_table(_table(records), 10.0)
+        cells = aggregate_table([_table(records)], 10.0)
         assert [DETECTORS[d] for d in cells.det] == ["ed", "acf1", "cdist"]
 
     def test_conservation_across_bins(self):
@@ -96,13 +97,13 @@ class TestAggregate:
         times = rng.uniform(0.0, 100.0, size=500)
         flags = rng.integers(0, 2, size=500).astype(bool)
         records = [(float(t), bool(p)) for t, p in zip(times, flags)]
-        cells = aggregate_table(_table(records), 7.0)
+        cells = aggregate_table([_table(records)], 7.0)
         assert cells.n_total.sum() == 500
         assert cells.n_detected.sum() == int(flags.sum())
 
     def test_bad_bin_len(self):
         with pytest.raises(ValueError):
-            aggregate_table(_table([]), 0.0)
+            aggregate_table([_table([])], 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -113,8 +114,8 @@ class TestAggregate:
         """Counts in a coarse bin equal the sum over its aligned finer bins."""
         records = [(t, int(t) % 2 == 0) for t in times]
         fine = 10.0
-        cells_fine = _cells(aggregate_table(_table(records), fine))
-        for _, _, start, n_det, n_tot in _cells(aggregate_table(_table(records), fine * coarse)):
+        cells_fine = _cells(aggregate_table([_table(records)], fine))
+        for _, _, start, n_det, n_tot in _cells(aggregate_table([_table(records)], fine * coarse)):
             members = [fc for fc in cells_fine if start <= fc[2] < start + fine * coarse]
             assert sum(m[4] for m in members) == n_tot
             assert sum(m[3] for m in members) == n_det
@@ -122,7 +123,7 @@ class TestAggregate:
 
 def _plot(tmp_path, records, bin_len_s) -> list[str]:
     """The lines of CH_A's plot file for (time, present, detector) records."""
-    cells = aggregate_table(_table(records), bin_len_s)
+    cells = aggregate_table([_table(records)], bin_len_s)
     p = tmp_path / "plot.dat"
     write_plot_data(cells, cells.channels.index(CH_A), p)
     return p.read_text().splitlines()
@@ -153,7 +154,7 @@ class TestReportMatrix:
 class TestExports:
     def test_occupancy_csv_shape(self, tmp_path):
         records = [(float(i), i % 5 == 0) for i in range(180)]
-        cells = aggregate_table(_table(records), 1000.0)
+        cells = aggregate_table([_table(records)], 1000.0)
         p = tmp_path / "occ.csv"
         write_occupancy_csv(cells, 1000.0, p)
         lines = p.read_text().splitlines()
@@ -164,7 +165,7 @@ class TestExports:
         band = Channel("ISM, 433", 2, 433.05)
         records = [(5.0, True, "cdist", band), (0.5, False, "ed", CH_B), (1.0, True, "ed", CH_B)]
         p = tmp_path / "occ.csv"
-        write_occupancy_csv(aggregate_table(_table(records), 2.5), 2.5, p)
+        write_occupancy_csv(aggregate_table([_table(records)], 2.5), 2.5, p)
         assert p.read_text().splitlines()[1:] == [
             '"ISM, 433",2,433.05,cdist,5.000000,2.5,1,1,1',
             "X,1,105,ed,0.000000,2.5,1,2,0.5",
@@ -222,7 +223,7 @@ class TestColumnarAggregate:
     )
     def test_matches_reference_loop(self, rows, bin_len):
         records = [(t, present, det, ch) for t, ch, det, present in rows]
-        assert _cells(aggregate_table(_table(records), bin_len)) == \
+        assert _cells(aggregate_table([_table(records)], bin_len)) == \
             _reference_aggregate(records, bin_len)
 
     def test_report_cells_equal_object_path(self, tmp_path):
@@ -231,9 +232,32 @@ class TestColumnarAggregate:
                    for i in range(200)]
         p = tmp_path / "records.csv"
         write_record_tables([_table(records)], p)
-        assert _cells(aggregate_table(read_record_table(p), 4.0)) == \
+        assert _cells(aggregate_table([read_record_table(p)], 4.0)) == \
             _reference_aggregate(records, 4.0)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 64])
+    def test_chunked_fold_equals_one_chunk(self, tmp_path, monkeypatch, chunk_rows):
+        """Cells counted across chunk boundaries equal the cells of the log as one chunk.
+
+        Channels CH_A and CH_A2 tie in the cell order, so their order rests on
+        record indices carried across chunks; cells recur in later chunks.
+        """
+        rng = np.random.default_rng(5)
+        channels = [CH_B, CH_A2, CH_A, Channel("W", 3, 7.5)]
+        records = [(float(t), bool(p), DETECTORS[d], channels[c]) for t, p, d, c in zip(
+            np.sort(rng.uniform(-20.0, 300.0, 400)).round(6), rng.integers(0, 2, 400),
+            rng.integers(0, 3, 400), rng.integers(0, 4, 400))]
+        p = tmp_path / "records.csv"
+        write_record_tables([_table(records)], p)
+        whole = aggregate_table([read_record_table(p)], 30.0)
+        write_occupancy_csv(whole, 30.0, tmp_path / "whole.csv")
+        monkeypatch.setattr(scan_module, "CSV_CHUNK_ROWS", chunk_rows)
+        assert len(list(read_record_chunks(p))) == -(-400 // chunk_rows)
+        chunked = aggregate_table(read_record_chunks(p), 30.0)
+        write_occupancy_csv(chunked, 30.0, tmp_path / "chunked.csv")
+        assert _cells(chunked) == _cells(whole) == _reference_aggregate(records, 30.0)
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_non_finite_time_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            aggregate_table(_table([(float("nan"), True)]), 1.0)
+            aggregate_table([_table([(float("nan"), True)])], 1.0)

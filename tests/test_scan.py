@@ -28,7 +28,6 @@ from occuscan.scan import (
     RECORD_CSV_HEADER,
     TRUTH_CSV_HEADER,
     merge_sweep,
-    read_record_table,
     scan_blocks,
     write_plan_csv,
     write_records,
@@ -36,7 +35,7 @@ from occuscan.scan import (
 )
 from occuscan.synth import timeline_blocks
 from occuscan.errors import CsvParseError
-from conftest import make_frame, record_table, write_record_tables
+from conftest import make_frame, read_record_table, record_table, write_record_tables
 
 
 def _config(lags=8):

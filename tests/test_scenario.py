@@ -4,8 +4,11 @@ import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occuscan import Scenario, ScenarioError
 from occuscan.detectors import acf_vector, save_reference
@@ -260,6 +263,19 @@ class TestSeedDerivation:
         assert derive_seed(42, SEED_CHANNEL_SIGNAL, 0, 0) == 1836629433376927409
         assert derive_seed(42, SEED_CHANNEL_NOISE, 0, 1) == 7082725146561064676
         assert derive_seed(43, SEED_CHANNEL_NOISE, 0, 0) == 17909956658882582866
+
+    @settings(max_examples=300, deadline=None)
+    @given(master_seed=st.integers(0, 2**64 - 1),
+           tags=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**100)),
+                         max_size=3))
+    def test_equals_seed_sequence(self, master_seed, tags):
+        # one to four words past SeedSequence's 4-word pool when tags reach 2**32
+        expected = np.random.SeedSequence((master_seed, *tags)).generate_state(1, np.uint64)[0]
+        assert derive_seed(master_seed, *tags) == int(expected)
+
+    def test_negative_tag_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            derive_seed(42, -1)
 
     def test_all_distinct(self):
         seeds = {

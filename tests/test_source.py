@@ -56,3 +56,28 @@ def test_every_private_name_is_read():
                   for line, name in _module_level_names(tree)
                   if name.startswith("_") and not name.startswith("__") and name not in read)
     assert not dead, f"private names that nothing reads (module, line, name): {dead}"
+
+
+def _names_numpy_random(node) -> bool:
+    """Whether an ast node is ``np.random``, ``numpy.random`` or an import of it."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "random" and isinstance(node.value, ast.Name) and \
+            node.value.id in ("np", "numpy")
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[:2] == ["numpy", "random"] for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[:2] == ["numpy", "random"] or \
+            node.module == "numpy" and any(a.name == "random" for a in node.names)
+    return False
+
+
+def test_only_synth_names_numpy_random():
+    """numpy.random is named only in synth.py, where frames are drawn.
+
+    Its import adds about 6 MB of peak RSS, so a process that draws nothing
+    (simulate's, when pool workers draw; analyze; report) must not load it.
+    """
+    uses = sorted((path.name, node.lineno) for path in SRC.glob("*.py")
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if _names_numpy_random(node))
+    assert [use for use in uses if use[0] != "synth.py"] == [], uses
