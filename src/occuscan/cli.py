@@ -2,8 +2,9 @@
 
 Every command is deterministic given its inputs and the master seed; CSV
 outputs are byte-identical across repeated runs and across --workers counts.
-``simulate`` parallelizes over channels and ``eval`` over chunks of trial
-indices; both are pure functions of derived seeds, merged in a fixed order.
+``simulate`` makes its frames in record-log order, a frame window of a run of
+channels a task, and writes each window as it comes; ``eval`` parallelizes
+over chunks of trial indices. Both are pure functions of derived seeds.
 Start-up loads only what the command runs: the module sets OpenBLAS to one
 thread before numpy loads, each command imports its own modules (``report``
 loads no YAML parser and no synthesis), and the process pool is imported
@@ -16,8 +17,9 @@ import argparse
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 # One BLAS thread, set before numpy loads and whatever the environment says.
@@ -54,10 +56,8 @@ def _load_scenario(args):
     from .scenario import Scenario
 
     scenario = Scenario.load(args.scenario)
-    if getattr(args, "seed", None) is not None:
-        data = dict(scenario.data)
-        data["master_seed"] = args.seed
-        scenario = Scenario(data, args.scenario)
+    if getattr(args, "seed", None) is not None:  # in range: _check_options checked it
+        scenario.master_seed = scenario.data["master_seed"] = args.seed
     return scenario
 
 
@@ -71,23 +71,41 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _map(fn, tasks, workers: int) -> list:
-    """[fn(t) for t in tasks], run by a pool of ``workers`` processes when workers > 1.
+def _map(fn, tasks, workers: int):
+    """fn(t) for each task, in order and lazily; a pool of ``workers`` processes runs them.
 
-    The pool class is looked up as this module's ProcessPoolExecutor
-    attribute, so a tool that replaces the attribute (bench/tracer.py traces
-    the pool's tasks that way) has its class used.
+    At most 2 * workers results wait at a time. The pool class is looked up as
+    this module's ProcessPoolExecutor attribute, so a tool that replaces the
+    attribute (bench/tracer.py traces the pool's tasks that way) has its class used.
     """
     if workers == 1:
-        return [fn(t) for t in tasks]
+        yield from map(fn, tasks)
+        return
     with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        ahead = []  # one pool.map a task, so tasks are taken only as results are read
+        for task in tasks:
+            ahead.append(pool.map(fn, [task]))
+            if len(ahead) >= 2 * workers:
+                yield from ahead.pop(0)
+        for results in ahead:
+            yield from results
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+@contextmanager
+def _replace_on_success(path: Path):
+    """Yield a temporary sibling path; it replaces ``path`` only if the block succeeds."""
+    part = path.with_name(path.name + ".part")
+    try:
+        yield part
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
 
 
 # --- calibrate ---------------------------------------------------------------
@@ -124,61 +142,80 @@ def cmd_calibrate(args) -> int:
 
 # --- simulate ----------------------------------------------------------------
 
-def _simulate_channel(task):
-    """One channel's (times, stats, labels) columns. Runs in worker processes."""
-    from .scan import scan_blocks
-    from .synth import timeline_blocks
+RUN_CHANNELS = 32  # a pool task makes one frame window of this many consecutive plan channels
 
-    channel, params, config, n, interval, total, start = task
-    blocks = timeline_blocks(params.schedule, params.signal, params.noise, params.snr_db,
-                             n, interval, total, start_time=start)
-    try:
-        return scan_blocks(blocks, config)
-    except SampleDataError as exc:
-        raise SampleDataError(f"channel {channel.band}:{channel.index_in_band}: {exc}") from exc
+
+def _sweep_window(task):
+    """A frame window of a run of channels: its times, (frames x channels x 3) statistics and
+    (frames x channels) labels, or its first bad frame's SampleDataError. Runs in workers."""
+    import numpy as np
+
+    from .detectors import block_statistics
+    from .synth import channel_window
+
+    frames, run, config, n, interval, start = task
+    stats, labels, errors = [], [], []
+    for c, p in run:
+        times, rows, on = channel_window(p.schedule, p.signal, p.noise, p.snr_db, n, interval,
+                                         frames, start_time=start)
+        labels.append(on)
+        try:
+            stats.append(block_statistics(rows, config.reference, frames.start))
+        except SampleDataError as exc:
+            errors.append(SampleDataError(f"channel {c.band}:{c.index_in_band}: {exc}", exc.frame))
+        del rows  # before the next channel's block is made: one block at a time
+    if errors:
+        return min(errors, key=lambda e: e.frame)
+    return times, np.stack(stats, axis=1), np.stack(labels, axis=1)
+
+
+def _sweep_blocks(plan, params, config, n, interval, n_frames, start, workers):
+    """(times, chan, stats, labels) blocks of plan[i] with params[i], a frame window each.
+
+    Channels share one time grid: frame k of each in plan order, then frame k + 1,
+    is the record log's order, so nothing is sorted."""
+    import numpy as np
+
+    from .iq import BLOCK_FRAMES
+
+    run = list(zip(plan, params))
+    runs = [run[i:i + RUN_CHANNELS] for i in range(0, len(run), RUN_CHANNELS)]
+    frames = range(n_frames)
+    tasks = ((frames[k:k + BLOCK_FRAMES], r, config, n, interval, start)
+             for k in frames[::BLOCK_FRAMES] for r in runs)
+    with closing(_map(_sweep_window, tasks, workers)) as results:
+        while parts := list(islice(results, len(runs))):  # a window's runs
+            errors = [part for part in parts if isinstance(part, SampleDataError)]
+            if errors:
+                raise min(errors, key=lambda e: e.frame)
+            times = parts[0][0]  # the same in every run's part
+            stats, labels = (np.concatenate(col, axis=1) for col in list(zip(*parts))[1:])
+            yield (np.repeat(times, len(plan)), np.tile(np.arange(len(plan)), len(times)),
+                   stats.reshape(-1, stats.shape[2]), labels.ravel())
 
 
 def cmd_simulate(args) -> int:
     from .detectors import DETECTOR_TABLE
-    from .scan import (band_positions, merge_sweep, write_plan_csv, write_records,
-                       write_truth_columns)
+    from .scan import write_plan_csv, write_records
 
     scenario = _load_scenario(args)
     plan = scenario.plan()
     config = scenario.detector_config()
-    n = scenario.frame_len()
-    interval = scenario.frame_interval_s()
-    total = scenario.total_s()
-
-    band_pos = band_positions(plan)
-    tasks = [
-        (c, scenario.channel_params(c, band_pos[c.band]), config, n, interval, total,
-         scenario.start_time_unix)
-        for c in plan
-    ]
-
+    n, n_frames = scenario.frame_len(), scenario.sweep_frames()
+    blocks = _sweep_blocks(plan, scenario.sweep_params(), config, n, scenario.frame_interval_s(),
+                           n_frames, scenario.start_time_unix, args.workers)
     out = _out_dir(args)
-    times, chan, stats, labels = merge_sweep(plan, _map(_simulate_channel, tasks, args.workers))
-
-    write_plan_csv(plan, out / "plan.csv")
-    write_records(plan, [(times, chan, stats)], config, out / "records.csv")
-    write_truth_columns(plan, times, chan, labels, out / "truth.csv")
-    print(f"wrote {len(DETECTOR_TABLE) * len(times)} records for {len(plan)} channels to {out}")
+    with _replace_on_success(out / "plan.csv") as plan_csv, \
+            _replace_on_success(out / "records.csv") as records, \
+            _replace_on_success(out / "truth.csv") as truth, closing(blocks):
+        write_records(plan, blocks, config, records, truth)
+        write_plan_csv(plan, plan_csv)
+    print(f"wrote {len(DETECTOR_TABLE) * n_frames * len(plan)} records for {len(plan)} "
+          f"channels to {out}")
     return 0
 
 
 # --- analyze -----------------------------------------------------------------
-
-@contextmanager
-def _replace_on_success(path: Path):
-    """Yield a temporary sibling path; it replaces ``path`` only if the block succeeds."""
-    part = path.with_name(path.name + ".part")
-    try:
-        yield part
-        os.replace(part, path)
-    finally:
-        part.unlink(missing_ok=True)
-
 
 def cmd_analyze(args) -> int:
     import numpy as np
@@ -270,7 +307,7 @@ def cmd_eval(args) -> int:
     step = -(-ev["trials"] // (BLOCK_FRAMES * args.workers)) * BLOCK_FRAMES
     chunks = [range(i, min(i + step, ev["trials"])) for i in range(0, ev["trials"], step)]
     try:
-        stats = np.concatenate(_map(run, chunks, args.workers), axis=1)
+        stats = np.concatenate(list(_map(run, chunks, args.workers)), axis=1)
     except SampleDataError as exc:
         raise SampleDataError(f"eval: {exc}") from exc
 

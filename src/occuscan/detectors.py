@@ -149,8 +149,9 @@ def _acf_block(
         energy = np.matmul(block[:, None, :], conj[:, :, None])[:, 0, 0].real
     finite = np.isfinite(energy)
     if not finite.all():
-        raise SampleDataError(f"frame {start + int(np.argmin(finite))}: "
-                              "energy is not finite (a sample or the power sum overflows)")
+        bad = start + int(np.argmin(finite))
+        raise SampleDataError(f"frame {bad}: energy is not finite "
+                              "(a sample or the power sum overflows)", bad)
     ratios = np.empty((len(block), lags))
     ratios[:, 0] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):

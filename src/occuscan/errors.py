@@ -19,7 +19,11 @@ class TruncationError(OccuscanError):
 
 
 class SampleDataError(OccuscanError):
-    """A non-finite sample was found in an IQ payload."""
+    """A non-finite sample or frame energy; ``frame`` is the frame named, if one is."""
+
+    def __init__(self, message: str, frame: int | None = None):
+        super().__init__(message)
+        self.frame = frame
 
 
 class FrameConsistencyError(OccuscanError):

@@ -207,10 +207,7 @@ def write_recording(frames, payload_path, meta_path) -> None:
         start = 0.0
         samples = np.zeros(0, dtype=np.complex128)
 
-    interleaved = np.empty(2 * samples.size, dtype="<f4")
-    interleaved[0::2] = samples.real
-    interleaved[1::2] = samples.imag
-    interleaved.tofile(payload_path)
+    samples.astype("<c8").tofile(payload_path)  # interleaved float32 I/Q pairs
     write_meta(
         RecordingMeta(
             sample_rate_hz=rate,

@@ -1,19 +1,18 @@
-"""Three-detector scanning, the sweep merge and the record log's CSV surfaces.
+"""Three-detector scanning and the record log's CSV surfaces.
 
 Every scan of a frame produces exactly three records (energy, lag-1 ACF,
 correlation distance), all computed on the identical frame so the detectors
-are directly comparable. Inside the system a sweep is columns: each channel
-scans to (times, stats, labels) arrays, with one ``block_statistics`` row
-(ed, acf1, cdist) per frame, and ``merge_sweep`` orders all channels' frames
-canonically by (capture_time, band position in the plan, channel index), so
-concurrent per-channel scanning merges to the same log as a sequential run.
-Records within a frame follow DETECTOR_TABLE order.
+are directly comparable. Inside the system a sweep is columns: frames come
+as (times, chan, stats, labels) blocks, with one ``block_statistics`` row
+(ed, acf1, cdist) per frame, already in the record log's order: by capture
+time, then band position in the plan, then channel index. Records within a
+frame follow DETECTOR_TABLE order.
 
-The record log is written straight from the kernel's (times, chan, stats)
-rows by ``write_records`` and read back by ``read_record_chunks`` as
-RecordTable chunks of columns, both CSV_CHUNK_ROWS lines at a time;
-ScanRecord objects exist only where ``scan_channel`` returns one frame's
-records.
+The record log (and the truth log beside it) is written block by block
+straight from the kernel's (times, chan, stats) rows by ``write_records``
+and read back by ``read_record_chunks`` as RecordTable chunks of columns,
+both CSV_CHUNK_ROWS lines at a time; ScanRecord objects exist only where
+``scan_channel`` returns one frame's records.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
@@ -102,52 +102,6 @@ def scan_channel(
     ]
 
 
-def _columns(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenated (times, stats, labels) column triples; no parts gives empty columns."""
-    empty = (np.empty(0), np.empty((0, len(DETECTOR_TABLE))), np.empty(0, dtype=bool))
-    times, stats, labels = (np.concatenate(col) for col in zip(empty, *parts))
-    return times, stats, labels
-
-
-def scan_blocks(blocks, config: DetectorConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One channel's (times, frames, labels) blocks scanned to (times, stats, labels) columns.
-
-    A frame whose energy is not finite raises SampleDataError naming its
-    index in the channel's frame sequence.
-    """
-    parts, start = [], 0
-    for t, frames, labels in blocks:
-        stats = block_statistics(frames, config.reference, start)
-        parts.append((np.asarray(t, dtype=float), stats, np.asarray(labels, dtype=bool)))
-        start += len(frames)
-    return _columns(parts)
-
-
-def band_positions(plan) -> dict:
-    """Position of each band in the plan, in order of first appearance."""
-    band_pos = {}
-    for c in plan:
-        band_pos.setdefault(c.band, len(band_pos))
-    return band_pos
-
-
-def merge_sweep(plan, results):
-    """Merge per-channel (times, stats, labels) results, results[i] for plan[i].
-
-    Returns the sweep's frames as columns (times, chan, stats, labels), frame i
-    captured on plan[chan[i]], in canonical order: by (capture_time, band
-    position, channel index), a stable sort, so equal keys keep plan order.
-    """
-    plan = list(plan)
-    band_pos = band_positions(plan)
-    times, stats, labels = _columns(results)
-    chan = np.repeat(np.arange(len(plan)), [len(t) for t, _, _ in results])
-    band = np.array([band_pos[c.band] for c in plan], dtype=np.intp)
-    index = np.array([c.index_in_band for c in plan], dtype=np.intp)
-    order = np.lexsort((index[chan], band[chan], times))
-    return times[order], chan[order], stats[order], labels[order]
-
-
 # --- record columns -----------------------------------------------------------
 
 class RecordTable(NamedTuple):
@@ -178,10 +132,6 @@ _TIME = ".6f"
 CSV_CHUNK_ROWS = 1024
 
 
-def _fmt(x: float) -> str:
-    return format(x, _FLOAT)
-
-
 def _chunks(n: int):
     return (slice(i, i + CSV_CHUNK_ROWS) for i in range(0, n, CSV_CHUNK_ROWS))
 
@@ -192,27 +142,32 @@ def _channel_fields(channels) -> list[str]:
     for c in channels:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow(
-            [c.band, c.index_in_band, _fmt(c.center_freq_mhz), ""]
+            [c.band, c.index_in_band, format(c.center_freq_mhz, _FLOAT), ""]
         )
         fields.append(buf.getvalue()[:-1])
     return fields
 
 
-def write_records(channels, blocks, config: DetectorConfig, path) -> None:
+def write_records(channels, blocks, config: DetectorConfig, path, truth_path=None) -> None:
     """Write the record log from the kernel's rows, three records per frame.
 
     ``blocks`` yields (times, chan, stats) columns: frame i was captured at
     times[i] on channels[chan[i]], and stats[i] is its block_statistics row.
     Its ed, acf1 and cdist records follow in that (DETECTOR_TABLE) order.
+    With ``truth_path``, each block also carries labels, and the truth log is
+    written beside the records: frame i's row ends in labels[i].
     """
     heads = _channel_fields(channels)
     # each detector's "name," and ",threshold," text, made once a file
     (ed, ed_thr), (acf1, acf1_thr), (cdist, cdist_thr) = (
         (f"{d.name},", f",{d.threshold(config):{_FLOAT}},") for d in DETECTOR_TABLE)
     step = CSV_CHUNK_ROWS // len(DETECTOR_TABLE)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh, (open(
+            truth_path, "w", encoding="utf-8", newline="") if truth_path else nullcontext()) as truth:
         fh.write(RECORD_CSV_HEADER + "\n")
-        for times, chan, stats in blocks:
+        if truth:
+            truth.write(TRUTH_CSV_HEADER + "\n")
+        for times, chan, stats, *labels in blocks:
             present = decide_block(stats, config).astype(np.uint8)
             for i in range(0, len(times), step):
                 rows = slice(i, i + step)
@@ -225,6 +180,9 @@ def write_records(channels, blocks, config: DetectorConfig, path) -> None:
                     for h, (a, b, e), (x, y, z) in zip(frames, stats[rows].tolist(),
                                                        present[rows].tolist())
                 ]))
+                if truth:
+                    truth.write("".join(f"{h}{p}\n" for h, p in zip(
+                        frames, labels[0][rows].astype(np.uint8).tolist())))
 
 
 def _csv_rows(fh, path):
@@ -291,23 +249,6 @@ def read_record_chunks(path):
                               cols[2].astype(np.intp), cols[3], cols[4], cols[5].astype(bool))
 
 
-def write_truth_columns(channels, times, chan, labels, path) -> None:
-    """Write the truth log: row i is times[i], channels[chan[i]], labels[i]."""
-    heads = _channel_fields(channels)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(TRUTH_CSV_HEADER + "\n")
-        for rows in _chunks(len(times)):
-            fh.write("".join(
-                f"{t:{_TIME}},{heads[c]}{p}\n" for t, c, p in zip(
-                    times[rows].tolist(), chan[rows].tolist(),
-                    labels[rows].astype(np.uint8).tolist(),
-                )
-            ))
-
-
 def write_plan_csv(plan, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PLAN_CSV_HEADER.split(","))
-        for c in plan:
-            writer.writerow([c.band, c.index_in_band, _fmt(c.center_freq_mhz)])
+        fh.write("".join([PLAN_CSV_HEADER + "\n"] + [f"{h[:-1]}\n" for h in _channel_fields(plan)]))

@@ -9,10 +9,10 @@ key ends in "<path>.<key>: unknown key" instead of silently taking a
 default. Parse errors cite the YAML line; validation errors name the field.
 
 All randomness derives from ``master_seed``: a purpose tag plus the channel's
-(band position, index) feed SeedSequence's mixing (``derive_seed``), so any
-sub-result can be regenerated in isolation and no two purposes share a
-stream. An explicit ``seed`` key on a signal/noise mapping overrides the
-derivation.
+(band position, index) feed SeedSequence's mixing (``derive_seeds``, which
+derives a whole plan's channel seeds in one batch), so any sub-result can be
+regenerated in isolation and no two purposes share a stream. An explicit
+``seed`` key on a signal/noise mapping overrides the derivation.
 """
 
 from __future__ import annotations
@@ -61,15 +61,15 @@ SEED_EVAL_NOISE = 30
 SEED_EVAL_SIGNAL = 31
 
 
-def derive_seed(master_seed: int, *tags: int) -> int:
-    """The first uint64 that ``SeedSequence((master_seed, *tags))`` generates.
+def derive_seeds(master_seed: int, tag_rows) -> list[int]:
+    """The first uint64 that ``SeedSequence((master_seed, *tags))`` generates, for each tags.
 
-    ``synth.seed_u64`` computes it without numpy.random, so a process that
-    only derives seeds (simulate's, when pool workers draw) never loads it.
+    ``synth.seed_u64`` mixes them in one batch without numpy.random, so a process
+    that only derives seeds (simulate's, when pool workers draw) never loads it.
     """
     from .synth import seed_u64
 
-    return seed_u64((master_seed, *tags))
+    return seed_u64([(master_seed, *tags) for tags in tag_rows])
 
 
 class Field(NamedTuple):
@@ -105,15 +105,15 @@ def _at_most(high: int):
 # 10 ** (snr_db / 10), the SNR's power ratio, overflows a float from about 3082.5 dB
 _SNR = ((lambda v: v < 3082.0, "must be a number < 3082 (-.inf for no signal), got {v}"),)
 _POSITIVE = ((lambda v: 0 < v < math.inf, "must be a finite number > 0"),)
-# a command holds each sweep frame's statistics (some 160 bytes), each eval
-# trial's (24 bytes a hypothesis) or each threshold frame's energy in memory
+# eval holds each trial's statistics (24 bytes a hypothesis) and calibrate each
+# threshold frame's energy in memory; a sweep spends time on each of its frames
 _MAX_FRAMES = 10**8
 # a kernel block of 32 frames of 2^20 samples is 512 MiB of complex128, plus
 # the kernel's conjugate copy. A BPSK symbol held longer than a frame gives the
 # same frames, but signal_rows repeats it divisor times before cutting the row.
 _FRAME_LEN = _at_most(2**20)
 # building the plan makes a Channel (some 160 bytes) a channel, and simulate
-# derives two seeds a channel: 10^5 channels, some 800 times the builtin plan
+# resolves each channel's specs: 10^5 channels, some 800 times the builtin plan
 _MAX_CHANNELS = 10**5
 _SIGNAL, _NOISE = Field(dict, section="signal"), Field(dict, section="noise")
 
@@ -296,6 +296,7 @@ class Scenario:
         _check(data)
         self.data = data
         self.path = Path(path) if path is not None else None
+        self._plan = None
         for key in ("name", "master_seed", "sample_rate_hz", "start_time_unix", "bin_len_s"):
             setattr(self, key, _field(data, key))
         # every frame must hold all the ACF lags the detectors use
@@ -327,44 +328,50 @@ class Scenario:
 
     # --- plan ---------------------------------------------------------------
 
-    def band_specs(self) -> list[BandSpec]:
-        plan = self.data.get("plan", "builtin")
-        if plan == "builtin":
-            return list(BUILTIN_BANDS)
-        if not isinstance(plan, list):
-            raise ScenarioError("plan: expected 'builtin' or a list of band mappings")
-        specs = [_spec(BandSpec, f"plan[{i}]", _read("plan", row, f"plan[{i}]"))
-                 for i, row in enumerate(plan)]
-        channels = sum(spec.expected_channels for spec in specs)
-        if channels > _MAX_CHANNELS:
-            raise ScenarioError(f"plan: the bands would hold {channels:,} channels, "
-                                f"more than {_MAX_CHANNELS:,}")
-        return specs
-
     def plan(self) -> list[Channel]:
-        return build_channel_plan(self.band_specs())
+        """The channel plan, in (band position, channel index) order; built once."""
+        if self._plan is None:
+            plan = self.data.get("plan", "builtin")
+            if plan != "builtin" and not isinstance(plan, list):
+                raise ScenarioError("plan: expected 'builtin' or a list of band mappings")
+            specs = BUILTIN_BANDS if plan == "builtin" else [
+                _spec(BandSpec, f"plan[{i}]", _read("plan", row, f"plan[{i}]"))
+                for i, row in enumerate(plan)]
+            channels = sum(spec.expected_channels for spec in specs)
+            if channels > _MAX_CHANNELS:
+                raise ScenarioError(f"plan: the bands would hold {channels:,} channels, "
+                                    f"more than {_MAX_CHANNELS:,}")
+            self._plan = build_channel_plan(specs)
+        return self._plan
 
     # --- per-channel synthesis ----------------------------------------------
 
-    def channel_params(self, channel: Channel, band_pos: int) -> ChannelParams:
-        key = f"{channel.band}:{channel.index_in_band}"
-        overrides = self.data.get("channels", {}).get(key, {})
-        if not isinstance(overrides, dict):
-            raise ScenarioError(f"channels.{key}: expected a mapping")
-        m, where = {**_field(self.data, "defaults"), **overrides}, f"channel {key}"
-        if not {"signal", "noise", "schedule"} <= m.keys():
-            raise ScenarioError(f"{where}: needs signal, noise and schedule "
-                                "(from defaults or a channels override)")
-        seeds = [derive_seed(self.master_seed, tag, band_pos, channel.index_in_band)
-                 for tag in (SEED_CHANNEL_SIGNAL, SEED_CHANNEL_NOISE)]
-        params = ChannelParams(
-            snr_db=_field(m, "snr_db", "channel", where, required=True),  # range checked at load
-            signal=_synth_spec("signal", m["signal"], f"{where}.signal", seed=seeds[0]),
-            noise=_synth_spec("noise", m["noise"], f"{where}.noise", seed=seeds[1]),
-            schedule=_synth_spec("schedule", m["schedule"], f"{where}.schedule"),
-        )
-        _check_power(params.signal, {f"{where}.snr_db": params.snr_db}, f"{where}.signal")
-        return params
+    def sweep_params(self) -> list[ChannelParams]:
+        """Every plan channel's ChannelParams, in plan order; the seeds derive in one batch."""
+        band_pos = {band: i for i, band in enumerate(dict.fromkeys(c.band for c in self.plan()))}
+        seeds = derive_seeds(self.master_seed, [
+            (tag, band_pos[c.band], c.index_in_band) for c in self.plan()
+            for tag in (SEED_CHANNEL_SIGNAL, SEED_CHANNEL_NOISE)])
+        defaults, overrides = _field(self.data, "defaults"), self.data.get("channels", {})
+        out = []
+        for channel, signal_seed, noise_seed in zip(self.plan(), seeds[::2], seeds[1::2]):
+            key = f"{channel.band}:{channel.index_in_band}"
+            override = overrides.get(key, {})
+            if not isinstance(override, dict):
+                raise ScenarioError(f"channels.{key}: expected a mapping")
+            m, where = {**defaults, **override}, f"channel {key}"
+            if not {"signal", "noise", "schedule"} <= m.keys():
+                raise ScenarioError(f"{where}: needs signal, noise and schedule "
+                                    "(from defaults or a channels override)")
+            params = ChannelParams(
+                snr_db=_field(m, "snr_db", "channel", where, required=True),  # checked at load
+                signal=_synth_spec("signal", m["signal"], f"{where}.signal", seed=signal_seed),
+                noise=_synth_spec("noise", m["noise"], f"{where}.noise", seed=noise_seed),
+                schedule=_synth_spec("schedule", m["schedule"], f"{where}.schedule"),
+            )
+            _check_power(params.signal, {f"{where}.snr_db": params.snr_db}, f"{where}.signal")
+            out.append(params)
+        return out
 
     # --- sweep timing -------------------------------------------------------
 
@@ -374,13 +381,26 @@ class Scenario:
     def frame_interval_s(self) -> float:
         return _field(self.data, "frame_interval_s")
 
-    def total_s(self) -> float:
-        v, channels = _field(self.data, "total_s"), len(self.plan())
-        frames = channels * (v / self.frame_interval_s())
-        if not frames <= _MAX_FRAMES:
-            raise ScenarioError(f"total_s: the sweep would make {frames:.3g} frames ({channels} "
-                                f"channels), more than {_MAX_FRAMES:,}")
-        return v
+    def sweep_frames(self) -> int:
+        """Frames per channel, floor(total_s / frame_interval_s), checked.
+
+        Frame k is captured at start_time_unix + k * frame_interval_s, a product
+        and a sum each rounded by at most 2**-53 of its size: an interval over
+        2**-50 of the times' size keeps every time above the last.
+        """
+        from .synth import frame_count
+
+        interval, total = self.frame_interval_s(), _field(self.data, "total_s")
+        channels = len(self.plan())
+        if not channels * (total / interval) <= _MAX_FRAMES:
+            raise ScenarioError(f"total_s: the sweep would make {channels * (total / interval):.3g}"
+                                f" frames ({channels} channels), more than {_MAX_FRAMES:,}")
+        frames, start = frame_count(total, interval), self.start_time_unix
+        limit = (abs(start) + frames * interval) * 2**-50
+        if frames > 1 and not interval > limit:
+            raise ScenarioError(f"frame_interval_s: {interval!r} must exceed {limit:.3g}, or frame "
+                                f"times from start_time_unix {start!r} round to one float")
+        return frames
 
     # --- detector config ----------------------------------------------------
 
@@ -417,10 +437,9 @@ class Scenario:
         if signal is None:
             raise ScenarioError(f"{name}.signal: required (directly or via defaults.signal)")
         noise = section.get("noise", defaults.get("noise", {}))
-        return {"signal": _synth_spec("signal", signal, f"{name}.signal",
-                                      seed=derive_seed(self.master_seed, signal_tag)),
-                "noise": _synth_spec("noise", noise, f"{name}.noise",
-                                     seed=derive_seed(self.master_seed, noise_tag)),
+        seeds = derive_seeds(self.master_seed, [(signal_tag,), (noise_tag,)])
+        return {"signal": _synth_spec("signal", signal, f"{name}.signal", seed=seeds[0]),
+                "noise": _synth_spec("noise", noise, f"{name}.noise", seed=seeds[1]),
                 **_read(name, section, name)}
 
     def calibration(self) -> dict:

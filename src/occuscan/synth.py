@@ -6,17 +6,17 @@ frame at any index, in any process, gives bit-identical samples. A block's
 generators are seeded in one pass (``_frame_rngs``): numpy's SeedSequence
 mixing runs once over the whole block, then one reused PCG64 is set to each
 frame's state. The mixing is uint32 array arithmetic (``_seed_pool``), so
-``seed_u64``, which ``scenario.derive_seed`` runs, needs no ``numpy.random``;
+``seed_u64``, which derives a scenario's seeds, needs no ``numpy.random``;
 this is the only module that loads it, and only where it draws.
 
 Frames are plain complex128 rows: ``noise_rows`` and ``signal_rows`` make
 (frames x N) blocks, and ``mixed_blocks`` yields noise rows with ``alpha *
 signal`` added to the frames labeled present (calibration: every frame), at
-most BLOCK_FRAMES at a time. ``timeline_blocks`` yields a channel's sweep as
-(times, frames, labels) blocks of those rows. The rows are not checked
-here: a mix that overflows leaves a non-finite sample, and a frame's power
-sum can overflow even when every sample is finite; the detector kernel's
-energy check catches both before any output is written. ``gen_noise_frame``,
+most BLOCK_FRAMES at a time. ``channel_window`` makes a channel's sweep
+frames, one kernel block of them at a time. The rows are not checked here: a
+mix that overflows leaves a non-finite sample, and a frame's power sum can
+overflow even when every sample is finite; the detector kernel's energy
+check catches both before any output is written. ``gen_noise_frame``,
 ``gen_signal_frame`` and ``gen_channel_timeline`` wrap the same rows in
 ComplexFrames for the API (sample rate and center frequency 1 unless given).
 
@@ -189,23 +189,24 @@ def _seed_pool(entropy: np.ndarray) -> np.ndarray:
     return pool
 
 
-def seed_u64(entropy) -> int:
-    """``SeedSequence(entropy).generate_state(1, np.uint64)[0]``, without numpy.random.
+def seed_u64(entropies) -> list[int]:
+    """``SeedSequence(e).generate_state(1, np.uint64)[0]`` for each e, without numpy.random.
 
-    ``entropy`` is a sequence of ints >= 0; each takes its 32-bit words, low
-    word first (0 is one word), as SeedSequence does. Raises ValueError for a
-    negative int.
+    Each e is ints >= 0, each int its 32-bit words, low first (0 is one word), as in
+    SeedSequence; all e have one word count, as one ``_seed_pool`` batch mixes them.
     """
-    words = []
-    for value in map(int, entropy):
-        if value < 0:
-            raise ValueError(f"entropy must be integers >= 0, got {value}")
-        words.append(value & _MASK32)
-        while value := value >> 32:
-            words.append(value & _MASK32)
-    pool = _seed_pool(np.array(words, np.uint32)[:, None])
-    lo, hi = _hashmix(pool[:2], _HASH_B[:3])[:, 0].tolist()
-    return hi << 32 | lo
+    rows = []
+    for entropy in entropies:
+        rows.append([])
+        for value in map(int, entropy):
+            if value < 0:
+                raise ValueError(f"entropy must be integers >= 0, got {value}")
+            rows[-1].append(value & _MASK32)
+            while value := value >> 32:
+                rows[-1].append(value & _MASK32)
+    pool = _seed_pool(np.array(rows, np.uint32).T)
+    lo, hi = _hashmix(pool[:2], _HASH_B[:3]).tolist()
+    return [high << 32 | low for low, high in zip(lo, hi)]
 
 
 def _seed_states(entropy: np.ndarray) -> list:
@@ -323,41 +324,39 @@ def snr_scale(signal_power: float, noise_power: float, snr_db: float) -> float:
     return math.sqrt(ratio * noise_power / signal_power)
 
 
-def timeline_blocks(
+def frame_count(total_s: float, frame_interval_s: float) -> int:
+    """Frames in one channel's sweep: floor(total_s / frame_interval_s)."""
+    if not frame_interval_s > 0:
+        raise ValueError("frame_interval_s must be > 0")
+    if total_s < 0:
+        raise ValueError("total_s must be >= 0")
+    # tolerance absorbs float division artifacts like 10/0.1 -> 99.999...
+    return int(math.floor(total_s / frame_interval_s + 1e-9))
+
+
+def channel_window(
     schedule: OccupancySchedule,
     signal: SignalSpec,
     noise: NoiseSpec,
     snr_db: float,
     frame_len: int,
     frame_interval_s: float,
-    total_s: float,
+    frames: range,
     *,
     start_time: float = 0.0,
-):
-    """Simulate one channel as (times, frames, truth_labels) blocks of <= BLOCK_FRAMES rows.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One channel's (times, rows, truth_labels) for a window of 1 to BLOCK_FRAMES frames.
 
-    Frame k is captured at start_time + k*frame_interval_s for
-    k = 0 .. floor(total_s/frame_interval_s)-1. Present frames are
-    signal+noise at snr_db; absent frames are the same noise draw alone, so a
-    present frame differs from its absent counterpart by exactly the scaled
-    signal. ``frames`` is a (rows x frame_len) complex128 array; a signal or
-    noise power so large that the mix overflows leaves non-finite samples in
-    it, which the detector kernel reports.
+    Frame k, captured at start_time + k*frame_interval_s, is labeled present and
+    is signal+noise at snr_db where the schedule is on, else the same noise draw
+    alone. An overflowing mix leaves non-finite samples, which the kernel reports.
     """
-    if not frame_interval_s > 0:
-        raise ValueError("frame_interval_s must be > 0")
-    if total_s < 0:
-        raise ValueError("total_s must be >= 0")
-    # tolerance absorbs float division artifacts like 10/0.1 -> 99.999...
-    n_frames = int(math.floor(total_s / frame_interval_s + 1e-9))
     alpha = snr_scale(signal.nominal_power, noise.total_power, snr_db) \
         if signal.kind != "none" else 0.0
-    times = start_time + np.arange(n_frames) * frame_interval_s
+    times = start_time + np.arange(frames.start, frames.stop) * frame_interval_s
     labels = np.array([schedule.is_on(t - start_time) for t in times.tolist()], dtype=bool)
-    blocks = mixed_blocks(signal, noise, alpha, frame_len, range(n_frames), labels)
-    for start, frames in zip(range(0, n_frames, BLOCK_FRAMES), blocks):
-        rows = slice(start, start + len(frames))
-        yield times[rows], frames, labels[rows]
+    (rows,) = mixed_blocks(signal, noise, alpha, frame_len, frames, labels)
+    return times, rows, labels
 
 
 def mixed_blocks(signal: SignalSpec, noise: NoiseSpec, alpha: float, n: int, frames: range,
@@ -395,12 +394,11 @@ def gen_channel_timeline(
     center_freq_hz: float = 1.0,
     start_time: float = 0.0,
 ) -> list[tuple[ComplexFrame, bool]]:
-    """``timeline_blocks`` as one (frame, truth_label) pair per scan interval."""
-    return [
-        (ComplexFrame(row, 1.0, center_freq_hz, t), label)
-        for times, frames, labels in timeline_blocks(
-            schedule, signal, noise, snr_db, frame_len, frame_interval_s, total_s,
-            start_time=start_time,
-        )
-        for t, row, label in zip(times.tolist(), frames, labels.tolist())
-    ]
+    """``channel_window``'s frames k = 0 .. floor(total_s/frame_interval_s)-1 as
+    (frame, truth_label) pairs."""
+    frames = range(frame_count(total_s, frame_interval_s))
+    windows = (channel_window(schedule, signal, noise, snr_db, frame_len, frame_interval_s,
+                              frames[k:k + BLOCK_FRAMES], start_time=start_time)
+               for k in frames[::BLOCK_FRAMES])
+    return [(ComplexFrame(row, 1.0, center_freq_hz, t), label) for times, rows, labels in windows
+            for t, row, label in zip(times.tolist(), rows, labels.tolist())]

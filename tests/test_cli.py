@@ -26,12 +26,13 @@ from occuscan import (
     snr_scale,
     write_recording,
 )
+from occuscan import scenario as scenario_module
 from occuscan.channels import Channel
-from occuscan.cli import main
+from occuscan.cli import RUN_CHANNELS, main
 from occuscan.report import OCCUPANCY_CSV_HEADER
 from occuscan.scan import RECORD_CSV_HEADER, TRUTH_CSV_HEADER, RecordTable, scan_channel
 from occuscan.scenario import SCHEMA, Scenario
-from conftest import write_record_tables
+from conftest import write_record_tables, write_reference_sweep
 
 SCENARIO = """\
 name: cli-test
@@ -80,6 +81,25 @@ eval:
   roc_thresholds:
     ed: [0.9, 1.0, 1.1, 1.2]
 """
+
+
+# A plan wider than one channel run, so each frame window is stitched from several runs: the
+# band WIDE, then the band of SCENARIO. Its channels all follow ``schedule`` unless
+# ``channels`` overrides them; 40 frames of 16 samples make a full window and a partial one.
+TESTBAND = SCENARIO[SCENARIO.index("  - name: TESTBAND"):SCENARIO.index("\ndefaults:")]
+
+
+def wide_scenario(schedule="period_s: 2.0\n    on_intervals: [[0.0, 1.0]]", channels="",
+                  total_power="1.0", snr_db="10.0") -> str:
+    wide = (f"  - name: WIDE\n    start_mhz: 200.0\n    stop_mhz: {200 + RUN_CHANNELS + 5}.0\n"
+            f"    spacing_mhz: [1]\n    expected_channels: {RUN_CHANNELS + 6}\n")
+    return (SCENARIO.replace(TESTBAND, wide + TESTBAND)
+            .replace("frame_len: 256", "frame_len: 16")
+            .replace("total_s: 5.0", "total_s: 20.0\nstart_time_unix: 1767225600.0")
+            .replace("period_s: 2.0\n    on_intervals: [[0.0, 1.0]]", schedule)
+            .replace("total_power: 1.0", f"total_power: {total_power}")
+            .replace("snr_db: 10.0", f"snr_db: {snr_db}")
+            .replace("detector:", f"channels:\n{channels}\ndetector:" if channels else "detector:"))
 
 
 @pytest.fixture
@@ -196,6 +216,63 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(scn), "--out", str(b),
                      "--seed", "43"]) == 0
         assert (a / "records.csv").read_bytes() != (b / "records.csv").read_bytes()
+
+    WIDE_CHANNELS = ('  "WIDE:3":\n    signal:\n      kind: bpsk\n      symbol_rate_divisor: 3\n'
+                     '  "WIDE:34":\n    snr_db: -.inf\n    signal:\n      kind: none\n'
+                     '  "TESTBAND:1":\n    schedule:\n      period_s: 3.0\n'
+                     '      on_intervals: [[0.5, 1.25]]\n')
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_equals_per_channel_reference(self, workspace, workers):
+        """The time-major sweep writes the bytes of the per-channel sweep merged by a sort."""
+        scn = workspace / "wide.yaml"
+        scn.write_text(wide_scenario(channels=self.WIDE_CHANNELS))
+        write_reference_sweep(Scenario.load(scn), workspace / "reference")
+        out = workspace / "sim"
+        assert main(["simulate", "--scenario", str(scn), "--out", str(out),
+                     "--workers", workers]) == 0
+        for name in ("plan.csv", "records.csv", "truth.csv"):
+            assert (out / name).read_bytes() == (workspace / "reference" / name).read_bytes()
+        assert len((out / "truth.csv").read_text().splitlines()) == 1 + 40 * (RUN_CHANNELS + 9)
+
+    def test_plan_built_once(self, workspace, monkeypatch):
+        calls = []
+
+        def counted(specs):
+            calls.append(specs)
+            return build(specs)
+
+        build = scenario_module.build_channel_plan
+        monkeypatch.setattr(scenario_module, "build_channel_plan", counted)
+        scn = workspace / "wide.yaml"
+        scn.write_text(wide_scenario(channels=self.WIDE_CHANNELS))  # overrides: checked at load
+        for seed in ([], ["--seed", "7"]):
+            calls.clear()
+            assert main(["simulate", "--scenario", str(scn), "--out", str(workspace / "o"),
+                         *seed]) == 0
+            assert len(calls) == 1
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_peak_memory_per_frame(self, workspace, workers):
+        # frames are made and written a window at a time: the main process's peak memory
+        # does not grow with the sweep's length. Holding the whole sweep, it grew about 117
+        # bytes a frame.
+        probe = ("import sys\nfrom occuscan.cli import main\nassert main(sys.argv[1:]) == 0\n"
+                 "print([ln for ln in open('/proc/self/status') if 'VmHWM' in ln][0].strip())")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        scn = workspace / "long.yaml"
+        sizes, peaks = (15_000, 150_000), []
+        for frames in sizes:  # over the 3 channels, 0.5 s apart
+            scn.write_text(SCENARIO.replace("frame_len: 256", "frame_len: 64")
+                           .replace("total_s: 5.0", f"total_s: {frames // 3 * 0.5}"))
+            out = subprocess.run(
+                [sys.executable, "-c", probe, "simulate", "--scenario", str(scn),
+                 "--out", str(workspace / "o"), "--workers", workers],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            peaks.append(int(out.splitlines()[-1].split()[1]) * 1024)  # kB to bytes
+        assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) < 8
 
     def test_zero_duration_writes_headers_only(self, tmp_path, workspace):
         scn_text = SCENARIO.replace("total_s: 5.0", "total_s: 0.0")
@@ -607,6 +684,51 @@ class TestBadInputs:
                                       str(workspace / "o"), "--workers", workers],
                              "channel TESTBAND:0")
         assert not (workspace / "o" / "records.csv").exists()
+
+    # Noise of power 1e300 sums to a finite frame energy; a 100 dB signal on it does not. The
+    # channels are off until an override's schedule turns them on.
+    @staticmethod
+    def _turns_on(channels):
+        """wide_scenario whose channel "KEY" overflows from the frame at ``t`` s, for each
+        KEY: t of ``channels``."""
+        return wide_scenario(
+            schedule="period_s: 100.0\n    on_intervals: []", total_power="1.0e300",
+            snr_db="100.0", channels="".join(
+                f'  "{key}":\n    schedule:\n      period_s: 100.0\n'
+                f'      on_intervals: [[{t}, 100.0]]\n' for key, t in channels.items()))
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_later_window_failure_writes_nothing(self, workspace, capsys, workers):
+        # frame 34 is in the second window, after the first one's rows have been written
+        scn = workspace / "late.yaml"
+        scn.write_text(self._turns_on({"TESTBAND:2": 17.0}))
+        out = workspace / "o"
+        assert main(["simulate", "--scenario", str(scn), "--out", str(out),
+                     "--workers", workers]) == 1
+        assert capsys.readouterr().err == (
+            "error: channel TESTBAND:2: frame 34: energy is not finite "
+            "(a sample or the power sum overflows)\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_first_bad_frame_in_record_log_order(self, workspace, capsys, workers):
+        # frame 34 comes before frame 35 in the log, and within frame 34, WIDE:34 before
+        # TESTBAND:0; plan order would name WIDE:0 first, and within the second channel run,
+        # WIDE:33
+        scn = workspace / "late.yaml"
+        scn.write_text(self._turns_on({"WIDE:0": 17.5, "WIDE:33": 17.5, "WIDE:34": 17.0,
+                                       "TESTBAND:0": 17.0}))
+        assert main(["simulate", "--scenario", str(scn), "--out", str(workspace / "o"),
+                     "--workers", workers]) == 1
+        assert capsys.readouterr().err == (
+            "error: channel WIDE:34: frame 34: energy is not finite "
+            "(a sample or the power sum overflows)\n")
+
+    def test_frame_times_collide(self, workspace, capsys):
+        # the float spacing at 1.7e9 s is 2.4e-7 s: 1e-7 s steps repeat capture times
+        self._cmd_fails_with(capsys, workspace, "simulate", "frame_interval_s: 0.5\ntotal_s: 5.0",
+                             "start_time_unix: 1.7e9\nframe_interval_s: 1.0e-7\ntotal_s: 3.0e-7",
+                             "frame_interval_s")
 
     def test_sample_rate_not_positive(self, workspace, capsys):
         self._cmd_fails_with(capsys, workspace, "simulate", "sample_rate_hz: 1.0e6",

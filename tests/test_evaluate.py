@@ -20,6 +20,7 @@ from occuscan.detectors import (
     DETECTOR_TABLE,
     acf1_statistic,
     acf_vector,
+    block_statistics,
     calibrate_ed_threshold_blocks,
     correlation_distance,
     energy_statistic,
@@ -33,13 +34,14 @@ from occuscan.evaluate import (
     tune_threshold_for_pfa,
     write_eval_csv,
 )
-from occuscan.scan import scan_blocks
+from occuscan.iq import BLOCK_FRAMES
 from occuscan.synth import (
+    channel_window,
+    frame_count,
     gen_noise_frame,
     gen_signal_frame,
     mixed_blocks,
     snr_scale,
-    timeline_blocks,
 )
 
 SIG = SignalSpec(kind="tone", normalized_freq=0.13, seed=5)
@@ -300,11 +302,19 @@ class TestTuneThreshold:
             tune_threshold_for_pfa("ed", [], 0.05)
 
 
+def _channel_stats(schedule, config, snr_db, n, interval, total_s):
+    """One channel's block_statistics rows over all its scans, a kernel block per window."""
+    frames = frame_count(total_s, interval)
+    windows = [range(k, min(k + BLOCK_FRAMES, frames)) for k in range(0, frames, BLOCK_FRAMES)]
+    return np.concatenate([np.empty((0, 3))] + [
+        block_statistics(channel_window(schedule, SIG, NOISE, snr_db, n, interval, w)[1],
+                         config.reference, w.start) for w in windows])
+
+
 def _occupancy(schedule, detector, config, snr_db, n, interval, total_s):
     """Present decisions over all scans of one detector, on the sweep's one path."""
     d = next(d for d in DETECTOR_TABLE if d.name == detector)
-    _, stats, _ = scan_blocks(timeline_blocks(schedule, SIG, NOISE, snr_db, n, interval, total_s),
-                              config)
+    stats = _channel_stats(schedule, config, snr_db, n, interval, total_s)
     return d.decide(stats[:, d.column], d.threshold(config)).mean()
 
 
@@ -327,9 +337,7 @@ class TestOccupancyRecovery:
 
     def test_empty_timeline_has_no_scans(self):
         sched = OccupancySchedule(period_s=1.0)
-        times, stats, labels = scan_blocks(
-            timeline_blocks(sched, SIG, NOISE, 0.0, 64, 1.0, 0.0), _config())
-        assert (times.shape, stats.shape, labels.shape) == ((0,), (0, 3), (0,))
+        assert _channel_stats(sched, _config(), 0.0, 64, 1.0, 0.0).shape == (0, 3)
 
 
 class TestEvalCsv:

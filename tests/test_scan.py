@@ -1,4 +1,4 @@
-"""Per-frame scanning, sweep merging, and the CSV record log."""
+"""Per-frame scanning, the time-major sweep, and the CSV record log."""
 
 import csv
 import io
@@ -23,17 +23,15 @@ from occuscan import (
 )
 from occuscan.detectors import DETECTORS, block_statistics
 from occuscan import scan as scan_module
+from occuscan.cli import RUN_CHANNELS, _sweep_blocks
 from occuscan.scan import (
     PLAN_CSV_HEADER,
     RECORD_CSV_HEADER,
     TRUTH_CSV_HEADER,
-    merge_sweep,
-    scan_blocks,
     write_plan_csv,
     write_records,
-    write_truth_columns,
 )
-from occuscan.synth import timeline_blocks
+from occuscan.scenario import ChannelParams
 from occuscan.errors import CsvParseError
 from conftest import make_frame, read_record_table, record_table, write_record_tables
 
@@ -105,15 +103,15 @@ class TestScanChannel:
             scan_channel(f, Channel("x", 0, 2412.0), _config(), freq_tol_mhz=math.nan)
 
 
-def _sweep(plan, n_scans=10, snr_db=10.0, n=64, interval=0.25, order=None):
-    """scan_blocks of each plan channel's timeline, merged; channels scanned in ``order``."""
+def _sweep(plan, n_scans=10, snr_db=10.0, n=64, interval=0.25, workers=1):
+    """The sweep of a plan, noise seed 100 + i on plan[i], as (times, chan, stats, labels)."""
     sched = OccupancySchedule(period_s=1.0, on_intervals=((0.0, 0.5),))
     sig = SignalSpec(kind="tone", normalized_freq=0.1, seed=1)
-    order = range(len(plan)) if order is None else order
-    results = {i: scan_blocks(timeline_blocks(sched, sig, NoiseSpec(1.0, seed=100 + i), snr_db,
-                                              n, interval, n_scans * interval), _config())
-               for i in order}
-    return merge_sweep(plan, [results[i] for i in range(len(plan))])
+    params = [ChannelParams(sig, NoiseSpec(1.0, seed=100 + i), sched, snr_db)
+              for i in range(len(plan))]
+    blocks = _sweep_blocks(plan, params, _config(), n, interval, n_scans, 0.0, workers)
+    empty = (np.empty(0), np.empty(0, np.intp), np.empty((0, 3)), np.empty(0, bool))
+    return tuple(np.concatenate(col) for col in zip(empty, *blocks))
 
 
 def _rows(table):
@@ -146,23 +144,13 @@ class TestRunSweep:
             ("B", 0, "ed"), ("B", 0, "acf1"), ("B", 0, "cdist"),
         ]
 
-    def test_merge_is_schedule_independent(self):
-        """Scanning channels in any order, and listing a band's channels in any order,
-        yields the identical sorted log."""
-        plan = _plan2()
-        fwd = _sweep(plan)
-        rev = _sweep(plan, order=reversed(range(len(plan))))
-        for a, b in zip(fwd, rev):
-            np.testing.assert_array_equal(a, b)
-        # A1 listed before A0: same bands in the same order, so the same log
-        swapped = [plan[1], plan[0], plan[2]]
-        times, chan, stats, labels = fwd
-        results = [(times[chan == i], stats[chan == i], labels[chan == i]) for i in (1, 0, 2)]
-        times2, chan2, stats2, labels2 = merge_sweep(swapped, results)
-        np.testing.assert_array_equal(times2, times)
-        assert [swapped[i] for i in chan2.tolist()] == [plan[i] for i in chan.tolist()]
-        np.testing.assert_array_equal(stats2, stats)
-        np.testing.assert_array_equal(labels2, labels)
+    def test_sweep_is_schedule_independent(self):
+        """Windows of two channel runs scanned on any number of workers give the identical log."""
+        plan = builtin_plan()[:RUN_CHANNELS + 8]
+        one = _sweep(plan, n_scans=40, n=16)
+        for workers in (2, 3):
+            for a, b in zip(one, _sweep(plan, n_scans=40, n=16, workers=workers)):
+                assert a.tobytes() == b.tobytes()
 
     def test_rerun_bit_identical(self):
         plan = _plan2()
@@ -170,7 +158,7 @@ class TestRunSweep:
             assert a.tobytes() == b.tobytes()
 
     def test_empty_plan(self):
-        times, chan, stats, labels = merge_sweep([], [])
+        times, chan, stats, labels = _sweep([])
         assert len(times) == len(chan) == len(stats) == len(labels) == 0
         assert stats.shape == (0, 3)
 
@@ -245,9 +233,10 @@ class TestRecordCsv:
             read_record_table(p)
 
     def test_truth_csv_header(self, tmp_path):
-        _, (plan, times, chan, labels) = self._records(tmp_path / "records.csv")
+        plan = _plan2()
+        times, chan, stats, labels = _sweep(plan, n_scans=4, snr_db=5.0, n=32, interval=0.5)
         p = tmp_path / "truth.csv"
-        write_truth_columns(plan, times, chan, labels, p)
+        write_records(plan, [(times, chan, stats, labels)], _config(), tmp_path / "records.csv", p)
         lines = p.read_text().splitlines()
         assert lines[0] == TRUTH_CSV_HEADER
         assert len(lines) == 1 + len(times)
@@ -341,7 +330,7 @@ def _reference_truth_csv(truths) -> bytes:
 
 
 class TestColumnarSweep:
-    """The columnar sweep (timeline blocks -> stats columns -> merge -> writer) against
+    """The time-major sweep (frame windows of channel runs -> stats blocks -> writer) against
     per-frame scan_channel over ComplexFrame timelines, a sorted loop and the per-record
     csv.writer loop."""
 
@@ -365,14 +354,12 @@ class TestColumnarSweep:
 
     def test_rows_equal_run_sweep(self, tmp_path):
         plan, cfg = self._plan(), _config()
-        start, interval, total = 1767225600.0, 0.25, 10.0  # 40 frames: blocks of 32 and 8
+        start, interval, n_frames = 1767225600.0, 0.25, 40  # windows of 32 and 8 frames
+        total = n_frames * interval
         params = self._params(plan)
-        results = [
-            scan_blocks(timeline_blocks(sched, sig, noise, snr, 64, interval, total,
-                                        start_time=start), cfg)
-            for sig, noise, sched, snr in params
-        ]
-        times, chan, stats, labels = merge_sweep(plan, results)
+        sweep = [ChannelParams(sig, noise, sched, snr) for sig, noise, sched, snr in params]
+        blocks = list(_sweep_blocks(plan, sweep, cfg, 64, interval, n_frames, start, 1))
+        times, chan, stats, labels = (np.concatenate(col) for col in zip(*blocks))
 
         # the reference: scan_channel frame by frame, then a stable sort on the canonical key
         band_pos = {"ZULU": 0, "ISM, 433": 1, "ALPHA": 2}
@@ -396,8 +383,7 @@ class TestColumnarSweep:
             assert np.float64(stat).view(np.int64) == np.float64(rec[3]).view(np.int64)
         assert labels.tolist() == [present for _, _, present in truths]
 
-        write_records(plan, [(times, chan, stats)], cfg, tmp_path / "records.csv")
-        write_truth_columns(plan, times, chan, labels, tmp_path / "truth.csv")
+        write_records(plan, blocks, cfg, tmp_path / "records.csv", tmp_path / "truth.csv")
         assert (tmp_path / "records.csv").read_bytes() == _reference_records_csv(records)
         assert (tmp_path / "truth.csv").read_bytes() == _reference_truth_csv(truths)
 
@@ -410,6 +396,20 @@ class TestColumnarSweep:
         write_records(plan, blocks, cfg, tmp_path / "r.csv")
         assert (tmp_path / "r.csv").read_bytes() == \
             _reference_records_csv(_rows(record_table(plan, times, chan, stats, cfg)))
+
+    def test_truth_writer_matches_reference(self, tmp_path, monkeypatch):
+        """With a truth log, write_records writes the same records, and the truth rows of the
+        per-record csv.writer loop, however the blocks and the chunks split the frames."""
+        plan, cfg = _plan2(), _config()
+        times, chan, stats, labels = _sweep(plan, n_scans=4, snr_db=5.0, n=32, interval=0.5)
+        monkeypatch.setattr(scan_module, "CSV_CHUNK_ROWS", 7)  # 2 frames a records chunk
+        cols = (times, chan, stats, labels)
+        blocks = [tuple(col[:5] for col in cols), tuple(col[5:] for col in cols)]
+        write_records(plan, blocks, cfg, tmp_path / "r.csv", tmp_path / "t.csv")
+        write_records(plan, [(times, chan, stats)], cfg, tmp_path / "reference.csv")
+        assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert (tmp_path / "t.csv").read_bytes() == _reference_truth_csv(
+            zip(times.tolist(), [plan[c] for c in chan.tolist()], labels.tolist()))
 
     def test_read_table_round_trip(self, tmp_path):
         p = tmp_path / "r.csv"

@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from occuscan import Scenario, ScenarioError
+from occuscan import BUILTIN_BANDS, Scenario, ScenarioError
 from occuscan.detectors import acf_vector, save_reference
 from occuscan.scenario import (
     REQUIRED,
@@ -19,7 +19,7 @@ from occuscan.scenario import (
     SEED_CHANNEL_SIGNAL,
     _check,
     _ScenarioLoader,
-    derive_seed,
+    derive_seeds,
 )
 from occuscan.synth import NoiseSpec, OccupancySchedule, SignalSpec, gen_signal_frame
 
@@ -76,7 +76,7 @@ class TestParsing:
         assert s.master_seed == 42
         assert s.frame_len() == 64
         assert s.frame_interval_s() == 0.5
-        assert s.total_s() == 2.0
+        assert s.sweep_frames() == 4  # total_s 2.0 at 0.5 s a frame
         assert len(s.plan()) == 3
 
     def test_builtin_plan_keyword(self, tmp_path):
@@ -147,9 +147,8 @@ class TestValidationMessages:
     def test_nested_field_path(self, tmp_path):
         text = MINIMAL.replace("    kind: tone\n", "")
         s = Scenario.load(_write(tmp_path, text))
-        ch = s.plan()[0]
         with pytest.raises(ScenarioError, match=r"signal\.kind"):
-            s.channel_params(ch, 0)
+            s.sweep_params()
 
     def test_unknown_channel_override_key(self, tmp_path):
         text = MINIMAL + "\nchannels:\n  \"A:9\":\n    snr_db: 0.0\n"
@@ -176,8 +175,7 @@ class TestValidationMessages:
 class TestChannelParams:
     def test_defaults_apply(self, tmp_path):
         s = Scenario.load(_write(tmp_path, MINIMAL))
-        ch = s.plan()[0]
-        params = s.channel_params(ch, 0)
+        params = s.sweep_params()[0]
         assert params.snr_db == 10.0
         assert params.signal.kind == "tone"
         assert params.schedule.duty_cycle == pytest.approx(0.5)
@@ -192,9 +190,7 @@ class TestChannelParams:
             "      on_intervals: []\n"
         )
         s = Scenario.load(_write(tmp_path, text))
-        plan = s.plan()
-        p0 = s.channel_params(plan[0], 0)
-        p1 = s.channel_params(plan[1], 0)
+        p0, p1, _ = s.sweep_params()
         assert p0.snr_db == 10.0
         assert p1.snr_db == -3.0
         assert p1.schedule.duty_cycle == 0.0
@@ -203,9 +199,8 @@ class TestChannelParams:
 
     def test_seeds_differ_per_channel(self, tmp_path):
         s = Scenario.load(_write(tmp_path, MINIMAL))
-        plan = s.plan()
-        seeds = {s.channel_params(c, 0).noise.seed for c in plan}
-        assert len(seeds) == len(plan)
+        seeds = {p.noise.seed for p in s.sweep_params()}
+        assert len(seeds) == len(s.plan())
 
     def test_explicit_seed_wins(self, tmp_path):
         text = MINIMAL.replace(
@@ -213,7 +208,7 @@ class TestChannelParams:
             "  noise:\n    total_power: 1.0\n    seed: 999\n",
         )
         s = Scenario.load(_write(tmp_path, text))
-        assert s.channel_params(s.plan()[0], 0).noise.seed == 999
+        assert s.sweep_params()[0].noise.seed == 999
 
 
 class TestDetectorConfig:
@@ -254,6 +249,10 @@ class TestCalibrationAndEval:
             s.eval_settings()
 
 
+def derive_seed(master_seed, *tags):
+    return derive_seeds(master_seed, [tags])[0]
+
+
 class TestSeedDerivation:
     def test_frozen_values(self):
         # regression anchors: a derivation change would silently re-draw
@@ -272,6 +271,27 @@ class TestSeedDerivation:
         # one to four words past SeedSequence's 4-word pool when tags reach 2**32
         expected = np.random.SeedSequence((master_seed, *tags)).generate_state(1, np.uint64)[0]
         assert derive_seed(master_seed, *tags) == int(expected)
+        # in a batch, each keeps its own seed
+        rows = [tags, [t ^ 1 for t in tags], tags]
+        assert derive_seeds(master_seed, rows) == [
+            int(np.random.SeedSequence((master_seed, *row)).generate_state(1, np.uint64)[0])
+            for row in rows]
+
+    @pytest.mark.parametrize("master_seed", [0, 42, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1])
+    def test_plan_seeds_equal_seed_sequence(self, tmp_path, master_seed):
+        """Every channel of the builtin plan, its seeds derived in one batch."""
+        text = MINIMAL.replace("master_seed: 42", f"master_seed: {master_seed}").replace(
+            "plan:\n  - name: A\n    start_mhz: 100.0\n    stop_mhz: 110.0\n"
+            "    spacing_mhz: [5]\n    expected_channels: 3\n", "plan: builtin\n")
+        s = Scenario.load(_write(tmp_path, text))
+        band_pos = {band.name: i for i, band in enumerate(BUILTIN_BANDS)}
+        plan, params = s.plan(), s.sweep_params()
+        assert len(params) == len(plan) == 123
+        for c, p in zip(plan, params):
+            for tag, seed in ((SEED_CHANNEL_SIGNAL, p.signal.seed),
+                              (SEED_CHANNEL_NOISE, p.noise.seed)):
+                sq = np.random.SeedSequence((master_seed, tag, band_pos[c.band], c.index_in_band))
+                assert seed == int(sq.generate_state(1, np.uint64)[0])
 
     def test_negative_tag_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
@@ -289,6 +309,39 @@ class TestSeedDerivation:
     def test_u64_range(self):
         for tag in range(6):
             assert 0 <= derive_seed(2**64 - 1, tag) <= 2**64 - 1
+
+
+class TestSweepTiming:
+    @settings(max_examples=400, deadline=None)
+    @given(start=st.sampled_from([0.0, 1.7e9, -1.7e9, 1767225600.0, 2.0**52, -1e15])
+           | st.floats(-1e16, 1e16),
+           interval=st.floats(1e-12, 1e4), scale=st.floats(0.25, 16.0), near=st.booleans(),
+           frames=st.integers(2, 4000))
+    def test_accepted_intervals_give_rising_times(self, start, interval, scale, near, frames):
+        """An interval the load check accepts makes every frame time exceed the one before."""
+        if near:  # around the bound, about 2**-50 of the start time
+            interval = abs(start) * 2.0**-50 * scale
+        assume(interval > 0)
+        data = yaml.load(MINIMAL, Loader=_ScenarioLoader)
+        data.update(start_time_unix=start, frame_interval_s=interval, total_s=frames * interval)
+        try:
+            n = Scenario(data).sweep_frames()
+        except ScenarioError as exc:
+            assert str(exc).startswith("frame_interval_s: ")
+            return
+        assert n >= frames - 1
+        times = start + np.arange(n) * interval
+        assert (np.diff(times) > 0).all()
+
+    def test_colliding_times_refused(self):
+        # 1.7e9 + k * 1e-7: the float spacing there is 2.4e-7, so times repeat
+        data = yaml.load(MINIMAL, Loader=_ScenarioLoader)
+        data.update(start_time_unix=1.7e9, frame_interval_s=1e-7, total_s=3e-7)
+        times = 1.7e9 + np.arange(3) * 1e-7
+        assert times[0] == times[1]
+        with pytest.raises(ScenarioError, match=r"^frame_interval_s: 1e-07 must exceed 1.51e-06, "
+                                                r"or frame times from start_time_unix 1700000000.0"):
+            Scenario(data).sweep_frames()
 
 
 class TestSchemaDocs:

@@ -21,8 +21,7 @@ from occuscan import (
 )
 from occuscan.detectors import block_statistics
 from occuscan.errors import SampleDataError
-from occuscan.scan import scan_blocks
-from occuscan.synth import _frame_rngs, mixed_blocks, noise_rows, signal_rows, timeline_blocks
+from occuscan.synth import _frame_rngs, channel_window, mixed_blocks, noise_rows, signal_rows
 
 
 class TestNoise:
@@ -341,15 +340,16 @@ class TestTimeline:
             np.testing.assert_array_equal(frame.samples, noise_k.samples)
 
     def test_blocks_match_timeline(self):
-        """40 frames come as a full block of 32 and a partial one, equal to the frames."""
+        """Windows of 32 and 8 of 40 frames are the timeline's times, frames and labels."""
         for signal in (self.SIGNAL, SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=5)):
-            blocks = list(timeline_blocks(self.SCHEDULE, signal, self.NOISE, 3.0, 16, 0.1, 4.0,
-                                          start_time=50.0))
-            assert [len(frames) for _, frames, _ in blocks] == [32, 8]
+            windows = [channel_window(self.SCHEDULE, signal, self.NOISE, 3.0, 16, 0.1, frames,
+                                      start_time=50.0) for frames in (range(32), range(32, 40))]
+            assert [len(rows) for _, rows, _ in windows] == [32, 8]
             tl = gen_channel_timeline(self.SCHEDULE, signal, self.NOISE, 3.0, 16, 0.1, 4.0,
                                       start_time=50.0)
-            times, frames, labels = (np.concatenate(col) for col in zip(*blocks))
+            times, frames, labels = (np.concatenate(col) for col in zip(*windows))
             assert times.tolist() == [f.capture_time for f, _ in tl]
+            assert times.tolist() == (50.0 + np.arange(40) * 0.1).tolist()
             assert labels.tolist() == [label for _, label in tl]
             np.testing.assert_array_equal(frames, np.stack([f.samples for f, _ in tl]))
 
@@ -368,9 +368,10 @@ class TestTimeline:
         message = "^frame 0: energy is not finite \\(a sample or the power sum overflows\\)$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy RuntimeWarning may escape either
-            blocks = timeline_blocks(self.SCHEDULE, self.SIGNAL, noise, 10.0, 16, 0.1, 1.0)
+            _, rows, _ = channel_window(self.SCHEDULE, self.SIGNAL, noise, 10.0, 16, 0.1,
+                                        range(10))
             with pytest.raises(SampleDataError, match=message):
-                scan_blocks(blocks, config)
+                block_statistics(rows, config.reference)
             alpha = snr_scale(1.0, noise.total_power, 10.0)
             [block] = mixed_blocks(self.SIGNAL, noise, alpha, 16, range(5, 30))
             assert not np.isfinite(block).all()
