@@ -151,19 +151,17 @@ def _sweep_window(task):
     import numpy as np
 
     from .detectors import block_statistics
-    from .synth import channel_window
+    from .synth import channel_windows
 
     frames, run, config, n, interval, start = task
+    windows = channel_windows([p for _, p in run], n, interval, frames, start_time=start)
     stats, labels, errors = [], [], []
-    for c, p in run:
-        times, rows, on = channel_window(p.schedule, p.signal, p.noise, p.snr_db, n, interval,
-                                         frames, start_time=start)
+    for (c, _), (times, rows, on) in zip(run, windows):
         labels.append(on)
         try:
             stats.append(block_statistics(rows, config.reference, frames.start))
         except SampleDataError as exc:
             errors.append(SampleDataError(f"channel {c.band}:{c.index_in_band}: {exc}", exc.frame))
-        del rows  # before the next channel's block is made: one block at a time
     if errors:
         return min(errors, key=lambda e: e.frame)
     return times, np.stack(stats, axis=1), np.stack(labels, axis=1)

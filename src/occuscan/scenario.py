@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -113,7 +112,7 @@ _MAX_FRAMES = 10**8
 # same frames, but signal_rows repeats it divisor times before cutting the row.
 _FRAME_LEN = _at_most(2**20)
 # building the plan makes a Channel (some 160 bytes) a channel, and simulate
-# resolves each channel's specs: 10^5 channels, some 800 times the builtin plan
+# builds each channel's specs: 10^5 channels, some 800 times the builtin plan
 _MAX_CHANNELS = 10**5
 _SIGNAL, _NOISE = Field(dict, section="signal"), Field(dict, section="noise")
 
@@ -277,9 +276,8 @@ def _check_power(signal, snr_dbs: dict, path: str) -> None:
                             "(use a larger amplitude, or snr_db -.inf)")
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Fully resolved synthesis parameters for one channel."""
+class ChannelParams(NamedTuple):
+    """Fully resolved synthesis parameters for one channel: ``synth.channel_windows``' input."""
 
     signal: SignalSpec
     noise: NoiseSpec
@@ -347,30 +345,38 @@ class Scenario:
     # --- per-channel synthesis ----------------------------------------------
 
     def sweep_params(self) -> list[ChannelParams]:
-        """Every plan channel's ChannelParams, in plan order; the seeds derive in one batch."""
+        """Every plan channel's ChannelParams, in plan order; the seeds derive in one batch, and
+        the defaults resolve once, named in errors by the first channel without an override."""
         band_pos = {band: i for i, band in enumerate(dict.fromkeys(c.band for c in self.plan()))}
         seeds = derive_seeds(self.master_seed, [
             (tag, band_pos[c.band], c.index_in_band) for c in self.plan()
             for tag in (SEED_CHANNEL_SIGNAL, SEED_CHANNEL_NOISE)])
         defaults, overrides = _field(self.data, "defaults"), self.data.get("channels", {})
-        out = []
+        out, base = [], None
         for channel, signal_seed, noise_seed in zip(self.plan(), seeds[::2], seeds[1::2]):
             key = f"{channel.band}:{channel.index_in_band}"
             override = overrides.get(key, {})
             if not isinstance(override, dict):
                 raise ScenarioError(f"channels.{key}: expected a mapping")
-            m, where = {**defaults, **override}, f"channel {key}"
-            if not {"signal", "noise", "schedule"} <= m.keys():
-                raise ScenarioError(f"{where}: needs signal, noise and schedule "
-                                    "(from defaults or a channels override)")
-            params = ChannelParams(
-                snr_db=_field(m, "snr_db", "channel", where, required=True),  # checked at load
-                signal=_synth_spec("signal", m["signal"], f"{where}.signal", seed=signal_seed),
-                noise=_synth_spec("noise", m["noise"], f"{where}.noise", seed=noise_seed),
-                schedule=_synth_spec("schedule", m["schedule"], f"{where}.schedule"),
-            )
-            _check_power(params.signal, {f"{where}.snr_db": params.snr_db}, f"{where}.signal")
-            out.append(params)
+            if override or base is None:
+                m, where = {**defaults, **override}, f"channel {key}"
+                if not {"signal", "noise", "schedule"} <= m.keys():
+                    raise ScenarioError(f"{where}: needs signal, noise and schedule "
+                                        "(from defaults or a channels override)")
+                params = ChannelParams(
+                    snr_db=_field(m, "snr_db", "channel", where, required=True),  # load-checked
+                    signal=_synth_spec("signal", m["signal"], f"{where}.signal", seed=0),
+                    noise=_synth_spec("noise", m["noise"], f"{where}.noise", seed=0),
+                    schedule=_synth_spec("schedule", m["schedule"], f"{where}.schedule"),
+                )
+                _check_power(params.signal, {f"{where}.snr_db": params.snr_db}, f"{where}.signal")
+                resolved = params, [name for name in ("signal", "noise") if "seed" not in m[name]]
+                base = base if override else resolved
+            params, derived = resolved if override else base
+            out.append(params._replace(**{
+                name: type(spec)(**{**vars(spec), "seed": seed}) for name, spec, seed in
+                (("signal", params.signal, signal_seed), ("noise", params.noise, noise_seed))
+                if name in derived}))
         return out
 
     # --- sweep timing -------------------------------------------------------

@@ -2,23 +2,25 @@
 
 Everything here is a pure function of its arguments: each frame's randomness
 comes from ``SeedSequence((seed, stream, frame_index))``, so regenerating a
-frame at any index, in any process, gives bit-identical samples. A block's
-generators are seeded in one pass (``_frame_rngs``): numpy's SeedSequence
-mixing runs once over the whole block, then one reused PCG64 is set to each
-frame's state. The mixing is uint32 array arithmetic (``_seed_pool``), so
-``seed_u64``, which derives a scenario's seeds, needs no ``numpy.random``;
-this is the only module that loads it, and only where it draws.
+frame at any index, in any process, gives bit-identical samples. Seeding is
+apart from drawing: ``_frame_states`` runs SeedSequence's mixing once over a
+batch of (seed, stream, k) rows as uint32 array arithmetic (``_seed_pool``,
+which ``seed_u64`` shares, so deriving seeds loads no ``numpy.random``), then
+``_generators`` sets one reused PCG64 to each row's state. This is the only
+module that loads ``numpy.random``, and only where it draws.
 
 Frames are plain complex128 rows: ``noise_rows`` and ``signal_rows`` make
 (frames x N) blocks, and ``mixed_blocks`` yields noise rows with ``alpha *
 signal`` added to the frames labeled present (calibration: every frame), at
-most BLOCK_FRAMES at a time. ``channel_window`` makes a channel's sweep
-frames, one kernel block of them at a time. The rows are not checked here: a
-mix that overflows leaves a non-finite sample, and a frame's power sum can
-overflow even when every sample is finite; the detector kernel's energy
-check catches both before any output is written. ``gen_noise_frame``,
-``gen_signal_frame`` and ``gen_channel_timeline`` wrap the same rows in
-ComplexFrames for the API (sample rate and center frequency 1 unless given).
+most BLOCK_FRAMES at a time. ``channel_windows`` makes a run of channels'
+sweep frames over one window, seeding all their noise in one pass and
+reusing one block buffer; ``channel_window`` is its one-channel case. The
+rows are not checked here: a mix that overflows leaves a non-finite sample,
+and a frame's power sum can overflow even when every sample is finite; the
+detector kernel's energy check catches both before any output is written.
+``gen_noise_frame``, ``gen_signal_frame`` and ``gen_channel_timeline`` wrap
+the same rows in ComplexFrames for the API (sample rate and center frequency
+1 unless given).
 
 SNR is defined against nominal spec powers (amplitude**2 for signals,
 total_power for noise), not empirical per-frame powers, so threshold and ROC
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -154,6 +157,13 @@ class OccupancySchedule:
         phase = t % self.period_s
         return any(a <= phase < b for a, b in self.on_intervals)
 
+    def on_mask(self, t: np.ndarray) -> np.ndarray:
+        """``is_on`` of each time in ``t``: np.mod rounds and signs as Python's float % does."""
+        phase, on = np.mod(t, self.period_s), np.zeros(len(t), dtype=bool)
+        for a, b in self.on_intervals:  # not a 2-D compare and any(): 0.2 MB more worker RSS
+            on |= (a <= phase) & (phase < b)
+        return on
+
 
 def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
     """SeedSequence's hash of each row of ``words`` (or of one row, repeated).
@@ -209,48 +219,54 @@ def seed_u64(entropies) -> list[int]:
     return [high << 32 | low for low, high in zip(lo, hi)]
 
 
-def _seed_states(entropy: np.ndarray) -> list:
-    """PCG64 (state, inc) of SeedSequence(entropy[:, j]) for each column j of a (words x F) block.
+def _frame_states(seeds, stream: int, indices) -> np.ndarray:
+    """generate_state(4, uint64) of SeedSequence((seed, stream, k)) for each k in indices.
 
-    The pool (``_seed_pool``) gives generate_state(4, uint64), which seeds
-    PCG64 as pcg64_set_seed does.
-    """
-    pool = _seed_pool(entropy)
-    state = np.ascontiguousarray(_hashmix(np.tile(pool, (2, 1)), _HASH_B).T, "<u4")
-    out = []
-    for s_hi, s_lo, i_hi, i_lo in state.view("<u8").tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _U128_MAX
-        out.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _U128_MAX, inc))
-    return out
-
-
-def _frame_rngs(seed: int, stream: int, indices):
-    """Yield one Generator in the state of SeedSequence((seed, stream, k)) for each k in indices.
-
-    The same Generator is reset for every k, so use each draw before taking
-    the next. Indices >= 2**32 take two entropy words, as in SeedSequence, so
-    the frames are seeded in groups by entropy length. Raises ValueError for
-    an index outside [0, 2**64).
+    ``seeds`` is one seed or one per index. An int >= 2**32 is two entropy words (low
+    first), as in SeedSequence, so one ``_seed_pool`` batch mixes the rows whose seed and
+    index have the same word counts.
     """
     k = [int(i) for i in indices]
     if k and not 0 <= min(k) <= max(k) <= _U64_MAX:
         raise ValueError("frame indices must lie in [0, 2**64)")
     k = np.array(k, dtype=np.uint64)
-    lo, hi = k.astype(np.uint32), (k >> 32).astype(np.uint32)
-    head = np.array([seed & _MASK32] + ([seed >> 32] if seed >> 32 else []) + [stream], np.uint32)
-    states = [None] * len(k)
-    # an index below 2**32 is one entropy word, a larger one two (low word first)
-    for rows, words in ((np.flatnonzero(hi == 0), [lo]), (np.flatnonzero(hi), [lo, hi])):
-        if rows.size:
-            entropy = np.vstack([np.tile(head[:, None], rows.size)] + [w[rows] for w in words])
-            for i, state in zip(rows.tolist(), _seed_states(entropy)):
-                states[i] = state
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for state, inc in states:
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
+    s = np.broadcast_to(np.asarray(seeds, np.uint64), k.shape)
+    s_lo, s_hi, k_lo, k_hi = (w.astype(np.uint32) for c in (s, k) for w in (c, c >> 32))
+    mid = np.full(k.shape, stream, np.uint32)
+    out = np.empty((len(k), 8), "<u4")
+    # grouped with few distinct numpy operations: each one's first use maps more of numpy's
+    # code into a pool worker, and grouping by a word-count sum took 0.2 MB more of its RSS
+    by_seed = ([s_lo], np.flatnonzero(s_hi == 0)), ([s_lo, s_hi], np.flatnonzero(s_hi))
+    for s_words, s_rows in by_seed:
+        for k_words, rows in (([k_lo], s_rows[np.flatnonzero(k_hi[s_rows] == 0)]),
+                              ([k_lo, k_hi], s_rows[np.flatnonzero(k_hi[s_rows])])):
+            if rows.size:
+                pool = _seed_pool(np.vstack([w[rows] for w in s_words + [mid] + k_words]))
+                out[rows] = _hashmix(np.tile(pool, (2, 1)), _HASH_B).T
+    return out.view("<u8")
+
+
+def _generators(states: np.ndarray):
+    """Yield one Generator, its PCG64 seeded from each row of ``_frame_states`` as
+    pcg64_set_seed does: the same Generator each time, so draw before taking the next."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for row in states:
+        s_hi, s_lo, i_hi, i_lo = row.tolist()
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _U128_MAX
+        state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _U128_MAX
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
         yield rng
+
+
+def _normal_rows(rngs, out: np.ndarray, scale: float) -> None:
+    """Fill each row of complex ``out`` with the next generator's normals, times ``scale``."""
+    if out.shape[1] < 1:
+        raise ValueError("n must be >= 1 (empty frames are not representable)")
+    flat = out.view(np.float64)
+    for row, rng in zip(flat, rngs):
+        rng.standard_normal(out=row)
+    flat *= scale
 
 
 def noise_rows(n: int, spec: NoiseSpec, indices) -> np.ndarray:
@@ -259,12 +275,9 @@ def noise_rows(n: int, spec: NoiseSpec, indices) -> np.ndarray:
     A row is the 2n standard normal draws of (seed, frame index), taken as
     (re, im) pairs and scaled by sqrt(total_power / 2).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1 (empty frames are not representable)")
-    scale = math.sqrt(spec.total_power / 2.0)
     out = np.empty((len(indices), n), dtype=np.complex128)
-    for row, rng in zip(out, _frame_rngs(spec.seed, _NOISE_STREAM, indices)):
-        np.multiply(rng.standard_normal(2 * n).view(np.complex128), scale, out=row)
+    rngs = _generators(_frame_states(spec.seed, _NOISE_STREAM, indices))
+    _normal_rows(rngs, out, math.sqrt(spec.total_power / 2.0))
     return out
 
 
@@ -285,7 +298,7 @@ def signal_rows(n: int, spec: SignalSpec, indices) -> np.ndarray:
     out = np.zeros((len(indices), n), dtype=np.complex128)
     if spec.kind == "bpsk":
         n_sym = -(-n // spec.symbol_rate_divisor)
-        for row, rng in zip(out, _frame_rngs(spec.seed, _BPSK_STREAM, indices)):
+        for row, rng in zip(out, _generators(_frame_states(spec.seed, _BPSK_STREAM, indices))):
             symbols = rng.integers(0, 2, size=n_sym) * 2 - 1
             row[:] = spec.amplitude * np.repeat(symbols, spec.symbol_rate_divisor)[:n]
     return out
@@ -334,29 +347,54 @@ def frame_count(total_s: float, frame_interval_s: float) -> int:
     return int(math.floor(total_s / frame_interval_s + 1e-9))
 
 
-def channel_window(
-    schedule: OccupancySchedule,
-    signal: SignalSpec,
-    noise: NoiseSpec,
-    snr_db: float,
-    frame_len: int,
-    frame_interval_s: float,
-    frames: range,
-    *,
-    start_time: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def channel_window(schedule: OccupancySchedule, signal: SignalSpec, noise: NoiseSpec,
+                   snr_db: float, frame_len: int, frame_interval_s: float, frames: range, *,
+                   start_time: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One channel's (times, rows, truth_labels) for a window of 1 to BLOCK_FRAMES frames.
 
     Frame k, captured at start_time + k*frame_interval_s, is labeled present and
     is signal+noise at snr_db where the schedule is on, else the same noise draw
     alone. An overflowing mix leaves non-finite samples, which the kernel reports.
     """
-    alpha = snr_scale(signal.nominal_power, noise.total_power, snr_db) \
-        if signal.kind != "none" else 0.0
+    return next(channel_windows([(signal, noise, schedule, snr_db)], frame_len,
+                                frame_interval_s, frames, start_time=start_time))
+
+
+def channel_windows(channels, frame_len: int, frame_interval_s: float, frames: range, *,
+                    start_time: float = 0.0):
+    """Yield ``channel_window``'s (times, rows, labels) for each (signal, noise, schedule,
+    snr_db) of ``channels`` over one window of frames. Every channel's noise is seeded in
+    one pass, and ``rows`` is one buffer refilled for each: use it before taking the next.
+    """
     times = start_time + np.arange(frames.start, frames.stop) * frame_interval_s
-    labels = np.array([schedule.is_on(t - start_time) for t in times.tolist()], dtype=bool)
-    (rows,) = mixed_blocks(signal, noise, alpha, frame_len, frames, labels)
-    return times, rows, labels
+    seeds = [noise.seed for _, noise, _, _ in channels for _ in frames]
+    rngs = _generators(_frame_states(seeds, _NOISE_STREAM, list(frames) * len(channels)))
+    rows, tones = np.empty((len(frames), frame_len), dtype=np.complex128), {}
+    for signal, noise, schedule, snr_db in channels:
+        alpha = snr_scale(signal.nominal_power, noise.total_power, snr_db) \
+            if signal.kind != "none" else 0.0
+        labels = schedule.on_mask(times - start_time)
+        _normal_rows(islice(rngs, len(frames)), rows, math.sqrt(noise.total_power / 2.0))
+        _add_signal(rows, signal, alpha, frames.start, labels, tones)
+        yield times, rows, labels
+
+
+def _add_signal(rows: np.ndarray, signal: SignalSpec, alpha: float, start: int, on: np.ndarray,
+                tones: dict) -> None:
+    """Add alpha * signal to the rows where ``on``, row i being frame start + i; ``tones``
+    keeps each scaled tone row. An overflowing scale or mix leaves a non-finite sample,
+    whose energy the kernel reports."""
+    if alpha == 0.0 or not on.any():
+        return
+    n, key = rows.shape[1], (signal.normalized_freq, signal.amplitude, signal.phase, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if signal.kind == "tone":
+            if key not in tones:
+                tones[key] = alpha * signal_rows(n, signal, [0])[0]
+            np.add(rows, tones[key], out=rows, where=on[:, None])
+        else:
+            k = np.flatnonzero(on)
+            rows[k] += alpha * signal_rows(n, signal, start + k)
 
 
 def mixed_blocks(signal: SignalSpec, noise: NoiseSpec, alpha: float, n: int, frames: range,
@@ -367,18 +405,11 @@ def mixed_blocks(signal: SignalSpec, noise: NoiseSpec, alpha: float, n: int, fra
     frame of ``frames`` (None: every frame present); frames labeled False, and
     every frame when alpha is 0, are noise alone.
     """
-    # the tone is the same in every frame; an overflowing scale or mix leaves
-    # a non-finite sample, whose energy the detector kernel reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        tone = alpha * signal_rows(n, signal, [0]) if signal.kind == "tone" else None
+    labels = np.ones(len(frames), dtype=bool) if labels is None else np.asarray(labels)
+    tones: dict = {}
     for start in frames[::BLOCK_FRAMES]:
-        idx = range(start, min(start + BLOCK_FRAMES, frames.stop))
-        rows = noise_rows(n, noise, idx)
-        k = start - frames.start
-        on = np.arange(len(idx)) if labels is None else np.flatnonzero(labels[k:k + len(idx)])
-        if alpha != 0.0 and on.size:
-            with np.errstate(over="ignore", invalid="ignore"):
-                rows[on] += alpha * signal_rows(n, signal, start + on) if tone is None else tone
+        rows = noise_rows(n, noise, range(start, min(start + BLOCK_FRAMES, frames.stop)))
+        _add_signal(rows, signal, alpha, start, labels[start - frames.start:][:len(rows)], tones)
         yield rows
 
 

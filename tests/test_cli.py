@@ -235,6 +235,45 @@ class TestSimulate:
             assert (out / name).read_bytes() == (workspace / "reference" / name).read_bytes()
         assert len((out / "truth.csv").read_text().splitlines()) == 1 + 40 * (RUN_CHANNELS + 9)
 
+    # beside the derived seeds (two entropy words each), a noise seed of one word and one of
+    # two, a BPSK channel and a channel of its own noise power, in both channel runs
+    MIXED_SEEDS = ('  "WIDE:2":\n    noise:\n      seed: 7\n'
+                   '  "WIDE:3":\n    signal:\n      kind: bpsk\n      symbol_rate_divisor: 3\n'
+                   '  "WIDE:4":\n    noise:\n      total_power: 2.5\n      seed: 4294967296\n'
+                   '  "WIDE:33":\n    noise:\n      seed: 0\n'
+                   '  "TESTBAND:0":\n    signal:\n      kind: bpsk\n      seed: 11\n')
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_mixed_seed_word_counts_equal_reference(self, workspace, workers):
+        """A task seeds channels of one- and two-word noise seeds in one pass, bit for bit."""
+        scn = workspace / "mixed.yaml"
+        scn.write_text(wide_scenario(channels=self.MIXED_SEEDS))
+        params = Scenario.load(scn).sweep_params()
+        assert [params[i].noise.seed for i in (2, 4, 33)] == [7, 2**32, 0]
+        assert min(p.noise.seed for p in params[5:33]) >= 2**32
+        write_reference_sweep(Scenario.load(scn), workspace / "reference")
+        out = workspace / "sim"
+        assert main(["simulate", "--scenario", str(scn), "--out", str(out),
+                     "--workers", workers]) == 0
+        for name in ("plan.csv", "records.csv", "truth.csv"):
+            assert (out / name).read_bytes() == (workspace / "reference" / name).read_bytes()
+
+    def test_spawned_pool_byte_identical(self, workspace):
+        """Workers started in fresh interpreters (spawn; forkserver is Python 3.14's default)
+        write the bytes of one process: no worker relies on state filled in the parent."""
+        scn = workspace / "wide.yaml"
+        scn.write_text(wide_scenario(channels=self.MIXED_SEEDS))
+        probe = ("import multiprocessing, sys\nmultiprocessing.set_start_method('spawn')\n"
+                 "from occuscan.cli import main\nsys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", probe, "simulate", "--scenario", str(scn),
+                        "--out", str(workspace / "spawn"), "--workers", "2"],
+                       env=env, capture_output=True, check=True)
+        assert main(["simulate", "--scenario", str(scn), "--out", str(workspace / "one")]) == 0
+        for name in ("plan.csv", "records.csv", "truth.csv"):
+            assert (workspace / "spawn" / name).read_bytes() == \
+                (workspace / "one" / name).read_bytes()
+
     def test_plan_built_once(self, workspace, monkeypatch):
         calls = []
 

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from occuscan import (
@@ -21,7 +21,8 @@ from occuscan import (
 )
 from occuscan.detectors import block_statistics
 from occuscan.errors import SampleDataError
-from occuscan.synth import _frame_rngs, channel_window, mixed_blocks, noise_rows, signal_rows
+from occuscan.synth import (_frame_states, _generators, channel_window, mixed_blocks, noise_rows,
+                            signal_rows)
 
 
 class TestNoise:
@@ -101,7 +102,7 @@ class TestBlockSeeder:
     )
     def test_rows_equal_per_frame_generators(self, seed, stream, start, count):
         frames = range(start, start + count)  # from 2**32 - 20, the range crosses 2**32
-        for k, rng in zip(frames, _frame_rngs(seed, stream, frames), strict=True):
+        for k, rng in zip(frames, _generators(_frame_states(seed, stream, frames)), strict=True):
             expected = self._per_frame(seed, stream, k)
             assert rng.bit_generator.state == expected.bit_generator.state, k
             draws = rng.standard_normal(3), rng.integers(0, 2, size=5)
@@ -110,11 +111,38 @@ class TestBlockSeeder:
 
     def test_unordered_indices_either_side_of_2_32(self):
         ks = [2**32 + 1, 0, 2**64 - 1, 2**32 - 1, 7, 2**32]
-        got = [rng.bit_generator.state for rng in _frame_rngs(2**40 + 3, 1, np.array(ks, dtype=np.uint64))]
+        states = _frame_states(2**40 + 3, 1, np.array(ks, dtype=np.uint64))
+        got = [rng.bit_generator.state for rng in _generators(states)]
         assert got == [self._per_frame(2**40 + 3, 1, k).bit_generator.state for k in ks]
         spec = SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=2**64 - 1)
         np.testing.assert_array_equal(signal_rows(20, spec, ks),
                                       [gen_signal_frame(20, spec, k).samples for k in ks])
+
+    WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from(WORD_EDGES) | st.integers(0, 2**64 - 1),
+                                   st.sampled_from(WORD_EDGES) | st.integers(0, 2**64 - 1)),
+                         min_size=1, max_size=16),
+           stream=st.sampled_from([1, 2]))
+    def test_batch_mixes_seed_and_index_word_counts(self, rows, stream):
+        """One call seeds rows of 3, 4 and 5 entropy words, each as its own SeedSequence."""
+        seeds = np.array([seed for seed, _ in rows], dtype=np.uint64)
+        states = _frame_states(seeds, stream, [k for _, k in rows])
+        assert states.dtype == np.uint64 and states.shape == (len(rows), 4)
+        for (seed, k), words in zip(rows, states.tolist()):
+            assert words == np.random.SeedSequence((seed, stream, k)).generate_state(
+                4, np.uint64).tolist()
+        got = [rng.bit_generator.state for rng in _generators(states)]
+        assert got == [self._per_frame(seed, stream, k).bit_generator.state for seed, k in rows]
+
+    def test_one_call_holds_every_word_count(self):
+        """Seeds below and above 2**32 beside indices either side of 2**32, in one call."""
+        rows = [(seed, k) for seed in (5, 2**32 - 1, 2**32, 2**64 - 1)
+                for k in (0, 2**32 - 1, 2**32, 2**64 - 1)]
+        states = _frame_states([seed for seed, _ in rows], 1, [k for _, k in rows])
+        got = [rng.bit_generator.state for rng in _generators(states)]
+        assert got == [self._per_frame(seed, 1, k).bit_generator.state for seed, k in rows]
 
     @pytest.mark.parametrize("indices", [[-1], [3, 2**64], [0, -5, 2]])
     def test_rejects_indices_outside_u64(self, indices):
@@ -218,6 +246,22 @@ class TestSchedule:
         s = OccupancySchedule(period_s=2.0, on_intervals=((0.0, 0.5), (1.0, 1.25)))
         assert s.duty_cycle == pytest.approx(0.375)
         assert s.is_on(1.1) and not s.is_on(0.75)
+
+    @settings(max_examples=300, deadline=None)
+    @given(period=st.sampled_from([1.0, 0.1, 60.0, 86400.0]) | st.floats(1e-3, 1e6),
+           cuts=st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), max_size=6),
+           start=st.sampled_from([0.0, 1767225600.0, 1e10]) | st.floats(-1e10, 1e10),
+           interval=st.sampled_from([0.1, 1.0, 1e-3]) | st.floats(1e-6, 1e3),
+           offsets=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=50))
+    def test_on_mask_equals_is_on(self, period, cuts, start, interval, offsets):
+        """The sweep's vector labels are is_on of each frame's time, at every edge."""
+        edges = sorted({period * c for c in cuts})  # 0, period / 2 and period are exact
+        schedule = OccupancySchedule(period, tuple(zip(edges[::2], edges[1::2])))
+        offsets += [round(period / interval * m) for m in (0, 0.5, 1, 2)]
+        times = start + np.array(offsets, dtype=np.float64) * interval
+        assume(np.isfinite(times).all())
+        assert schedule.on_mask(times - start).tolist() == [
+            schedule.is_on(t - start) for t in times.tolist()]
 
     def test_rejects_bad_intervals(self):
         with pytest.raises(ValueError):
