@@ -113,23 +113,25 @@ def _replace_on_success(path: Path):
 def cmd_calibrate(args) -> int:
     from .detectors import (calibrate_ed_threshold_blocks, calibrate_reference_blocks,
                             save_reference)
-    from .synth import mixed_blocks, snr_scale
+    from .synth import OccupancySchedule, channel_windows
 
     scenario = _load_scenario(args)
     cal = scenario.calibration()
     out = _out_dir(args)
-    n = scenario.frame_len()
-    signal, noise, n_ref = cal["signal"], cal["noise"], cal["reference_frames"]
+    n, n_ref = scenario.frame_len(), cal["reference_frames"]
 
-    alpha = snr_scale(signal.nominal_power, noise.total_power, cal["snr_db"])
+    def rows(snr_db, frames):  # always on, so every frame is mixed at snr_db
+        channel = (cal["signal"], cal["noise"], OccupancySchedule(1.0, ((0.0, 1.0),)), snr_db)
+        return (block for _, block, _ in channel_windows([channel], n, 1.0, frames))
+
     # threshold frames are drawn past the reference indices so the quantile
     # never sees the training noise
     noise_only = range(n_ref, n_ref + cal["threshold_frames"])
     try:
-        reference = calibrate_reference_blocks(
-            mixed_blocks(signal, noise, alpha, n, range(n_ref)), cal["acf_lags"])
-        lambda_ed = calibrate_ed_threshold_blocks(
-            mixed_blocks(signal, noise, 0.0, n, noise_only), cal["target_pfa"], n_ref)
+        reference = calibrate_reference_blocks(rows(cal["snr_db"], range(n_ref)),
+                                               cal["acf_lags"])
+        lambda_ed = calibrate_ed_threshold_blocks(rows(-math.inf, noise_only),
+                                                  cal["target_pfa"], n_ref)
     except SampleDataError as exc:
         raise SampleDataError(f"calibration: {exc}") from exc
     ref_path = out / "reference.txt"
@@ -224,13 +226,13 @@ def cmd_analyze(args) -> int:
     from .scan import check_tuning, write_records
 
     scenario = _load_scenario(args)
-    out = _out_dir(args)
     config = scenario.detector_config()
     n = scenario.frame_len()
 
     meta, discarded, blocks = stream_recording(args.iq, args.meta, n)
     channels = [Channel("recording", 0, args.center_mhz)]
     check_tuning(meta.center_freq_hz, channels[0], args.freq_tol_mhz)
+    out = _out_dir(args)
     frames = 0
 
     def rows():

@@ -10,14 +10,14 @@ which ``seed_u64`` shares, so deriving seeds loads no ``numpy.random``), then
 module that loads ``numpy.random``, and only where it draws.
 
 Frames are plain complex128 rows: ``noise_rows`` and ``signal_rows`` make
-(frames x N) blocks, and ``mixed_blocks`` yields noise rows with ``alpha *
-signal`` added to the frames labeled present (calibration: every frame), at
-most BLOCK_FRAMES at a time. ``channel_windows`` makes a run of channels'
-sweep frames over one window, seeding all their noise in one pass and
-reusing one block buffer; ``channel_window`` is its one-channel case. The
-rows are not checked here: a mix that overflows leaves a non-finite sample,
-and a frame's power sum can overflow even when every sample is finite; the
-detector kernel's energy check catches both before any output is written.
+(frames x N) blocks, and ``channel_windows`` is the one signal+noise mix. It
+makes channels' frames window by window of at most BLOCK_FRAMES, seeding all
+of a window's noise in one pass, and adds ``alpha * signal`` to the frames
+each schedule labels present: the sweep calls it for a run of channels,
+``calibrate`` for one channel that is always on. The rows are not checked
+here: a mix that overflows leaves a non-finite sample, and a frame's power
+sum can overflow even when every sample is finite; the detector kernel's
+energy check catches both before any output is written.
 ``gen_noise_frame``, ``gen_signal_frame`` and ``gen_channel_timeline`` wrap
 the same rows in ComplexFrames for the API (sample rate and center frequency
 1 unless given).
@@ -203,7 +203,7 @@ def seed_u64(entropies) -> list[int]:
     """``SeedSequence(e).generate_state(1, np.uint64)[0]`` for each e, without numpy.random.
 
     Each e is ints >= 0, each int its 32-bit words, low first (0 is one word), as in
-    SeedSequence; all e have one word count, as one ``_seed_pool`` batch mixes them.
+    SeedSequence; one ``_seed_pool`` batch mixes the e of each word count.
     """
     rows = []
     for entropy in entropies:
@@ -214,9 +214,14 @@ def seed_u64(entropies) -> list[int]:
             rows[-1].append(value & _MASK32)
             while value := value >> 32:
                 rows[-1].append(value & _MASK32)
-    pool = _seed_pool(np.array(rows, np.uint32).T)
-    lo, hi = _hashmix(pool[:2], _HASH_B[:3]).tolist()
-    return [high << 32 | low for low, high in zip(lo, hi)]
+    out = [0] * len(rows)
+    for words in dict.fromkeys(map(len, rows)):
+        at = [i for i, row in enumerate(rows) if len(row) == words]
+        pool = _seed_pool(np.array([rows[i] for i in at], np.uint32).T)
+        lo, hi = _hashmix(pool[:2], _HASH_B[:3]).tolist()
+        for i, low, high in zip(at, lo, hi):
+            out[i] = high << 32 | low
+    return out
 
 
 def _frame_states(seeds, stream: int, indices) -> np.ndarray:
@@ -347,36 +352,30 @@ def frame_count(total_s: float, frame_interval_s: float) -> int:
     return int(math.floor(total_s / frame_interval_s + 1e-9))
 
 
-def channel_window(schedule: OccupancySchedule, signal: SignalSpec, noise: NoiseSpec,
-                   snr_db: float, frame_len: int, frame_interval_s: float, frames: range, *,
-                   start_time: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One channel's (times, rows, truth_labels) for a window of 1 to BLOCK_FRAMES frames.
-
-    Frame k, captured at start_time + k*frame_interval_s, is labeled present and
-    is signal+noise at snr_db where the schedule is on, else the same noise draw
-    alone. An overflowing mix leaves non-finite samples, which the kernel reports.
-    """
-    return next(channel_windows([(signal, noise, schedule, snr_db)], frame_len,
-                                frame_interval_s, frames, start_time=start_time))
-
-
 def channel_windows(channels, frame_len: int, frame_interval_s: float, frames: range, *,
                     start_time: float = 0.0):
-    """Yield ``channel_window``'s (times, rows, labels) for each (signal, noise, schedule,
-    snr_db) of ``channels`` over one window of frames. Every channel's noise is seeded in
-    one pass, and ``rows`` is one buffer refilled for each: use it before taking the next.
+    """Yield (times, rows, labels) for each window of at most BLOCK_FRAMES of ``frames``
+    and, in it, each (signal, noise, schedule, snr_db) of the ``channels`` list.
+
+    Frame k, captured at start_time + k*frame_interval_s, is labeled present and is
+    signal+noise at snr_db where the schedule is on, else the same noise draw alone.
+    Each window seeds every channel's noise in one pass, and its ``rows`` is one buffer
+    refilled for each channel: use it before taking the next.
     """
-    times = start_time + np.arange(frames.start, frames.stop) * frame_interval_s
-    seeds = [noise.seed for _, noise, _, _ in channels for _ in frames]
-    rngs = _generators(_frame_states(seeds, _NOISE_STREAM, list(frames) * len(channels)))
-    rows, tones = np.empty((len(frames), frame_len), dtype=np.complex128), {}
-    for signal, noise, schedule, snr_db in channels:
-        alpha = snr_scale(signal.nominal_power, noise.total_power, snr_db) \
-            if signal.kind != "none" else 0.0
-        labels = schedule.on_mask(times - start_time)
-        _normal_rows(islice(rngs, len(frames)), rows, math.sqrt(noise.total_power / 2.0))
-        _add_signal(rows, signal, alpha, frames.start, labels, tones)
-        yield times, rows, labels
+    tones: dict = {}
+    for k in frames[::BLOCK_FRAMES]:
+        window = range(k, min(k + BLOCK_FRAMES, frames.stop))
+        times = start_time + np.arange(window.start, window.stop) * frame_interval_s
+        seeds = [noise.seed for _, noise, _, _ in channels for _ in window]
+        rngs = _generators(_frame_states(seeds, _NOISE_STREAM, list(window) * len(channels)))
+        rows = np.empty((len(window), frame_len), dtype=np.complex128)
+        for signal, noise, schedule, snr_db in channels:
+            alpha = snr_scale(signal.nominal_power, noise.total_power, snr_db) \
+                if signal.kind != "none" else 0.0
+            labels = schedule.on_mask(times - start_time)
+            _normal_rows(islice(rngs, len(window)), rows, math.sqrt(noise.total_power / 2.0))
+            _add_signal(rows, signal, alpha, k, labels, tones)
+            yield times, rows, labels
 
 
 def _add_signal(rows: np.ndarray, signal: SignalSpec, alpha: float, start: int, on: np.ndarray,
@@ -397,22 +396,6 @@ def _add_signal(rows: np.ndarray, signal: SignalSpec, alpha: float, start: int, 
             rows[k] += alpha * signal_rows(n, signal, start + k)
 
 
-def mixed_blocks(signal: SignalSpec, noise: NoiseSpec, alpha: float, n: int, frames: range,
-                 labels=None):
-    """Yield the rows of ``frames``, <= BLOCK_FRAMES at a time: ``alpha * signal + noise``.
-
-    Each block is a (rows x n) complex128 array. ``labels`` has one bool per
-    frame of ``frames`` (None: every frame present); frames labeled False, and
-    every frame when alpha is 0, are noise alone.
-    """
-    labels = np.ones(len(frames), dtype=bool) if labels is None else np.asarray(labels)
-    tones: dict = {}
-    for start in frames[::BLOCK_FRAMES]:
-        rows = noise_rows(n, noise, range(start, min(start + BLOCK_FRAMES, frames.stop)))
-        _add_signal(rows, signal, alpha, start, labels[start - frames.start:][:len(rows)], tones)
-        yield rows
-
-
 def gen_channel_timeline(
     schedule: OccupancySchedule,
     signal: SignalSpec,
@@ -425,11 +408,10 @@ def gen_channel_timeline(
     center_freq_hz: float = 1.0,
     start_time: float = 0.0,
 ) -> list[tuple[ComplexFrame, bool]]:
-    """``channel_window``'s frames k = 0 .. floor(total_s/frame_interval_s)-1 as
-    (frame, truth_label) pairs."""
-    frames = range(frame_count(total_s, frame_interval_s))
-    windows = (channel_window(schedule, signal, noise, snr_db, frame_len, frame_interval_s,
-                              frames[k:k + BLOCK_FRAMES], start_time=start_time)
-               for k in frames[::BLOCK_FRAMES])
+    """``channel_windows``' frames k = 0 .. floor(total_s/frame_interval_s)-1 of one
+    channel as (frame, truth_label) pairs."""
+    windows = channel_windows([(signal, noise, schedule, snr_db)], frame_len, frame_interval_s,
+                              range(frame_count(total_s, frame_interval_s)),
+                              start_time=start_time)
     return [(ComplexFrame(row, 1.0, center_freq_hz, t), label) for times, rows, labels in windows
             for t, row, label in zip(times.tolist(), rows, labels.tolist())]

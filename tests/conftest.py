@@ -10,7 +10,7 @@ from occuscan.detectors import DETECTOR_TABLE, DETECTORS, block_statistics, deci
 from occuscan.iq import BLOCK_FRAMES
 from occuscan.scan import (RECORD_CSV_HEADER, TRUTH_CSV_HEADER, RecordTable, read_record_chunks,
                            write_plan_csv, write_records)
-from occuscan.synth import mixed_blocks, snr_scale
+from occuscan.synth import noise_rows, signal_rows, snr_scale
 
 
 def make_frame(samples, rate=1e6, freq=100e6, t=0.0) -> ComplexFrame:
@@ -71,16 +71,22 @@ def read_record_table(path) -> RecordTable:
 
 def timeline_blocks(schedule, signal, noise, snr_db, frame_len, frame_interval_s, total_s, *,
                     start_time=0.0):
-    """One channel's whole sweep as (times, frames, labels) blocks of <= BLOCK_FRAMES rows."""
+    """One channel's whole sweep as (times, frames, labels) blocks of <= BLOCK_FRAMES rows.
+
+    A frame labeled present is alpha * signal + noise, summed here from ``noise_rows``
+    and ``signal_rows`` rather than by the sweep's own mix."""
     n_frames = int(math.floor(total_s / frame_interval_s + 1e-9))
     alpha = snr_scale(signal.nominal_power, noise.total_power, snr_db) \
         if signal.kind != "none" else 0.0
     times = start_time + np.arange(n_frames) * frame_interval_s
     labels = np.array([schedule.is_on(t - start_time) for t in times.tolist()], dtype=bool)
-    blocks = mixed_blocks(signal, noise, alpha, frame_len, range(n_frames), labels)
-    for start, frames in zip(range(0, n_frames, BLOCK_FRAMES), blocks):
-        rows = slice(start, start + len(frames))
-        yield times[rows], frames, labels[rows]
+    for start in range(0, n_frames, BLOCK_FRAMES):
+        k = np.arange(start, min(start + BLOCK_FRAMES, n_frames))
+        frames = noise_rows(frame_len, noise, k)
+        on = k[labels[k]] if alpha else k[:0]  # the frames that get the signal
+        with np.errstate(over="ignore", invalid="ignore"):
+            frames[on - start] += alpha * signal_rows(frame_len, signal, on)
+        yield times[k], frames, labels[k]
 
 
 def scan_blocks(blocks, config):

@@ -129,10 +129,14 @@ class TestCalibrate:
         # N=256 unit-power noise: the 95th percentile sits near 1 + 1.645/16
         assert 1.05 < lam < 1.16
 
+    @pytest.mark.parametrize("signal", ["kind: tone\n    normalized_freq: 0.125",
+                                        "kind: bpsk\n    symbol_rate_divisor: 3"],
+                             ids=["tone", "bpsk"])
     def test_row_blocks_build_no_frame_and_match_the_frame_api(self, tmp_path, monkeypatch,
-                                                                capsys):
+                                                                capsys, signal):
         scn = tmp_path / "scn.yaml"
-        scn.write_text(SCENARIO)
+        scn.write_text(SCENARIO.replace("calibration:\n",
+                                        f"calibration:\n  signal:\n    {signal}\n"))
 
         def refuse(frame):
             raise AssertionError("calibrate built a ComplexFrame")
@@ -144,6 +148,7 @@ class TestCalibrate:
         # the reference: per-frame statistics of alpha * signal + noise, averaged in a loop
         cal = Scenario.load(scn).calibration()
         sig, noise, n = cal["signal"], cal["noise"], 256
+        assert sig.kind == signal.split()[1]
         alpha = snr_scale(sig.nominal_power, noise.total_power, cal["snr_db"])
         vectors = [acf_vector(ComplexFrame(alpha * gen_signal_frame(n, sig, k).samples
                                            + gen_noise_frame(n, noise, k).samples, 1.0, 1.0),
@@ -374,15 +379,29 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert out.count("raw_dist=") == 2
 
-    def test_missing_iq_file_fails_cleanly(self, workspace, capsys):
+    @pytest.mark.parametrize("bad,message", [
+        ("gamma", "detector: gamma must lie in (0, 1)"),
+        ("missing-iq", "No such file or directory"),
+        ("off-tune", "frame at 2412.0 MHz does not match channel recording[0] at 900.0 MHz"),
+    ], ids=["gamma", "missing-iq", "off-tune"])
+    def test_bad_input_fails_cleanly_without_out(self, workspace, capsys, bad, message):
+        """A bad detector setting, a missing .iq file and a recording tuned away from
+        --center-mhz each exit 1 before --out is created."""
+        self._write_capture(workspace, 2 * 256)
+        scn = workspace / "scn.yaml"
+        if bad == "gamma":
+            scn.write_text(SCENARIO.replace("gamma: 0.6", "gamma: 2.0"))
+        iq = workspace / ("nope.iq" if bad == "missing-iq" else "cap.iq")
+        out = workspace / "anan"
         rc = main([
-            "analyze", "--scenario", str(workspace / "scn.yaml"),
-            "--out", str(workspace / "anan"),
-            "--iq", str(workspace / "nope.iq"), "--meta", str(workspace / "nope.iq.meta"),
-            "--center-mhz", "2412",
+            "analyze", "--scenario", str(scn), "--out", str(out),
+            "--iq", str(iq), "--meta", str(workspace / "cap.iq.meta"),
+            "--center-mhz", "900" if bad == "off-tune" else "2412",
         ])
         assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
 
 class TestStreamedAnalyze:
@@ -1020,7 +1039,7 @@ class TestBadInputs:
         assert capsys.readouterr().err == (
             "error: frame at 915.0 MHz does not match channel recording[0] at 2412.0 MHz "
             "(tolerance 1.0 MHz)\n")
-        assert list((workspace / "o").iterdir()) == []
+        assert not (workspace / "o").exists()
 
 
 class TestReport:

@@ -17,6 +17,7 @@ from occuscan import (
     DetectorConfig,
     SampleDataError,
     NoiseSpec,
+    OccupancySchedule,
     SignalSpec,
     acf,
     acf1_statistic,
@@ -37,7 +38,7 @@ from occuscan.detectors import (
     decides_present,
 )
 from occuscan.iq import BLOCK_FRAMES
-from occuscan.synth import mixed_blocks, noise_rows
+from occuscan.synth import channel_windows, noise_rows
 from conftest import make_frame
 
 
@@ -237,8 +238,9 @@ class TestCalibrateReference:
     def test_high_snr_training_close_to_clean(self):
         sig = SignalSpec(kind="tone", normalized_freq=0.13)
         noise = NoiseSpec(total_power=1.0, seed=23)
-        alpha = math.sqrt(10 ** (20 / 10))  # 20 dB over unit powers
-        ref = calibrate_reference_blocks(mixed_blocks(sig, noise, alpha, 1024, range(100)), 8)
+        always_on = OccupancySchedule(1.0, ((0.0, 1.0),))
+        windows = channel_windows([(sig, noise, always_on, 20.0)], 1024, 1.0, range(100))
+        ref = calibrate_reference_blocks((rows for _, rows, _ in windows), 8)
         clean = acf_vector(gen_signal_frame(1024, sig, 0), 8)
         np.testing.assert_allclose(ref.values, clean.values, atol=0.05)
 

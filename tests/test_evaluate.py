@@ -36,11 +36,10 @@ from occuscan.evaluate import (
 )
 from occuscan.iq import BLOCK_FRAMES
 from occuscan.synth import (
-    channel_window,
+    channel_windows,
     frame_count,
     gen_noise_frame,
     gen_signal_frame,
-    mixed_blocks,
     snr_scale,
 )
 
@@ -169,8 +168,9 @@ class TestSharedTrialStatistics:
         is asymptotically normal, mean 1 - pfa and variance pfa (1 - pfa) / frames."""
         n, sigma2, frames, pfa = 64, 2.0, 10_000, 0.05
         noise = NoiseSpec(total_power=sigma2, seed=11)
+        channel = (SignalSpec(kind="none"), noise, OccupancySchedule(1.0), -math.inf)
         lam = calibrate_ed_threshold_blocks(
-            mixed_blocks(SignalSpec(kind="none"), noise, 0.0, n, range(frames)), pfa)
+            (rows for _, rows, _ in channel_windows([channel], n, 1.0, range(frames))), pfa)
         z = (gammainc(n, n * lam / sigma2) - (1 - pfa)) / math.sqrt(pfa * (1 - pfa) / frames)
         assert abs(z) <= 4.0, (lam, sigma2 * gammaincinv(n, 1 - pfa) / n, z)
 
@@ -304,11 +304,11 @@ class TestTuneThreshold:
 
 def _channel_stats(schedule, config, snr_db, n, interval, total_s):
     """One channel's block_statistics rows over all its scans, a kernel block per window."""
-    frames = frame_count(total_s, interval)
-    windows = [range(k, min(k + BLOCK_FRAMES, frames)) for k in range(0, frames, BLOCK_FRAMES)]
+    windows = channel_windows([(SIG, NOISE, schedule, snr_db)], n, interval,
+                              range(frame_count(total_s, interval)))
     return np.concatenate([np.empty((0, 3))] + [
-        block_statistics(channel_window(schedule, SIG, NOISE, snr_db, n, interval, w)[1],
-                         config.reference, w.start) for w in windows])
+        block_statistics(rows, config.reference, i * BLOCK_FRAMES)
+        for i, (_, rows, _) in enumerate(windows)])
 
 
 def _occupancy(schedule, detector, config, snr_db, n, interval, total_s):

@@ -271,8 +271,8 @@ class TestSeedDerivation:
         # one to four words past SeedSequence's 4-word pool when tags reach 2**32
         expected = np.random.SeedSequence((master_seed, *tags)).generate_state(1, np.uint64)[0]
         assert derive_seed(master_seed, *tags) == int(expected)
-        # in a batch, each keeps its own seed
-        rows = [tags, [t ^ 1 for t in tags], tags]
+        # in a batch, each keeps its own seed, whatever the row lengths and word counts
+        rows = [tags, [t ^ 1 for t in tags], tags, tags[1:], [*tags, 2**32 + 5], [7] * 6, tags]
         assert derive_seeds(master_seed, rows) == [
             int(np.random.SeedSequence((master_seed, *row)).generate_state(1, np.uint64)[0])
             for row in rows]

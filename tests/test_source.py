@@ -1,11 +1,15 @@
-"""Static checks of the package source, with the standard library's ast module."""
+"""Static checks of the package source, with the standard library's ast module, and of
+the names its docs cite."""
 
 import ast
+import re
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "occuscan"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "occuscan"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -81,3 +85,20 @@ def test_only_synth_names_numpy_random():
                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                   if _names_numpy_random(node))
     assert [use for use in uses if use[0] != "synth.py"] == [], uses
+
+
+def _cited_names(text: str):
+    """Each module.name a document cites, module one of the package's; file names such
+    as synth.py, example-scenario.yaml and .iq.meta are left out."""
+    for module, name in re.findall(r"(?<![\w.-])(\w+)\.(\w+)", text):
+        if (SRC / f"{module}.py").is_file() and not (SRC / f"{module}.{name}").is_file():
+            yield module, name
+
+
+@pytest.mark.parametrize("doc", [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))],
+                         ids=lambda p: p.name)
+def test_every_cited_name_exists(doc):
+    """Each module.name in the README and the docs is a name of occuscan.<module>."""
+    cited = sorted(set(_cited_names(doc.read_text(encoding="utf-8"))))
+    missing = [f"{m}.{n}" for m, n in cited if not hasattr(import_module(f"occuscan.{m}"), n)]
+    assert not missing, f"{doc.name} cites names its modules lack: {missing}"

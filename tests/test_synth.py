@@ -21,8 +21,16 @@ from occuscan import (
 )
 from occuscan.detectors import block_statistics
 from occuscan.errors import SampleDataError
-from occuscan.synth import (_frame_states, _generators, channel_window, mixed_blocks, noise_rows,
+from occuscan.synth import (_frame_states, _generators, channel_windows, noise_rows,
                             signal_rows)
+
+ALWAYS_ON = OccupancySchedule(1.0, ((0.0, 1.0),))
+
+
+def window_rows(signal, noise, snr_db, n, frames):
+    """An always-on channel's rows from ``channel_windows``, a block per window of ``frames``."""
+    return [rows for _, rows, _ in channel_windows([(signal, noise, ALWAYS_ON, snr_db)], n, 1.0,
+                                                   frames)]
 
 
 class TestNoise:
@@ -320,14 +328,13 @@ class TestMix:
     def test_mix_is_exact_linear_combination(self):
         tone, noise = SignalSpec(kind="tone", normalized_freq=0.1), NoiseSpec(1.0, seed=4)
         alpha = snr_scale(1.0, 1.0, 6.0)
-        [mixed] = mixed_blocks(tone, noise, alpha, 128, range(5, 6))
+        [mixed] = window_rows(tone, noise, 6.0, 128, range(5, 6))
         np.testing.assert_array_equal(
             mixed, [alpha * gen_signal_frame(128, tone, 5).samples
                     + gen_noise_frame(128, noise, 5).samples])
 
     def test_minus_inf_returns_noise(self):
-        alpha = snr_scale(1.0, 1.0, -math.inf)
-        [mixed] = mixed_blocks(SignalSpec(kind="tone"), NoiseSpec(1.0), alpha, 8, range(1))
+        [mixed] = window_rows(SignalSpec(kind="tone"), NoiseSpec(1.0), -math.inf, 8, range(1))
         np.testing.assert_array_equal(mixed, [gen_noise_frame(8, NoiseSpec(1.0), 0).samples])
 
 
@@ -386,8 +393,8 @@ class TestTimeline:
     def test_blocks_match_timeline(self):
         """Windows of 32 and 8 of 40 frames are the timeline's times, frames and labels."""
         for signal in (self.SIGNAL, SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=5)):
-            windows = [channel_window(self.SCHEDULE, signal, self.NOISE, 3.0, 16, 0.1, frames,
-                                      start_time=50.0) for frames in (range(32), range(32, 40))]
+            windows = list(channel_windows([(signal, self.NOISE, self.SCHEDULE, 3.0)], 16, 0.1,
+                                           range(40), start_time=50.0))
             assert [len(rows) for _, rows, _ in windows] == [32, 8]
             tl = gen_channel_timeline(self.SCHEDULE, signal, self.NOISE, 3.0, 16, 0.1, 4.0,
                                       start_time=50.0)
@@ -396,6 +403,20 @@ class TestTimeline:
             assert times.tolist() == (50.0 + np.arange(40) * 0.1).tolist()
             assert labels.tolist() == [label for _, label in tl]
             np.testing.assert_array_equal(frames, np.stack([f.samples for f, _ in tl]))
+
+    def test_channels_take_turns_in_each_window(self):
+        """Two channels over 40 frames: window 0 of each, then window 1 of each, and each
+        channel's (times, rows, labels) are those it makes alone."""
+        bpsk = (SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=5), NoiseSpec(2.0, seed=9),
+                OccupancySchedule(0.7, ((0.2, 0.5),)), 1.0)
+        channels = [(self.SIGNAL, self.NOISE, self.SCHEDULE, 3.0), bpsk]
+        together = [(t, rows.copy(), on) for t, rows, on in
+                    channel_windows(channels, 16, 0.1, range(40), start_time=5.0)]
+        alone = [list(channel_windows([c], 16, 0.1, range(40), start_time=5.0)) for c in channels]
+        assert len(together) == 4
+        for got, want in zip(together, [alone[0][0], alone[1][0], alone[0][1], alone[1][1]]):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
 
     def test_signal_rows_are_frames(self):
         for spec in (self.SIGNAL, SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=5),
@@ -412,12 +433,11 @@ class TestTimeline:
         message = "^frame 0: energy is not finite \\(a sample or the power sum overflows\\)$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy RuntimeWarning may escape either
-            _, rows, _ = channel_window(self.SCHEDULE, self.SIGNAL, noise, 10.0, 16, 0.1,
-                                        range(10))
+            [(_, rows, _)] = channel_windows([(self.SIGNAL, noise, self.SCHEDULE, 10.0)], 16, 0.1,
+                                             range(10))
             with pytest.raises(SampleDataError, match=message):
                 block_statistics(rows, config.reference)
-            alpha = snr_scale(1.0, noise.total_power, 10.0)
-            [block] = mixed_blocks(self.SIGNAL, noise, alpha, 16, range(5, 30))
+            [block] = window_rows(self.SIGNAL, noise, 10.0, 16, range(5, 30))
             assert not np.isfinite(block).all()
             with pytest.raises(SampleDataError, match="^frame 5: energy is not finite"):
                 block_statistics(block, ref, 5)
@@ -427,18 +447,22 @@ class TestTimeline:
         for signal in (self.SIGNAL, SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=5)):
             for snr_db in (7.0, -math.inf):
                 alpha = snr_scale(signal.nominal_power, 1.0, snr_db)
-                blocks = list(mixed_blocks(signal, self.NOISE, alpha, 16, range(60, 103)))
+                blocks = window_rows(signal, self.NOISE, snr_db, 16, range(60, 103))
                 assert [len(b) for b in blocks] == [32, 11]
                 frames = [alpha * gen_signal_frame(16, signal, k).samples
                           + gen_noise_frame(16, self.NOISE, k).samples for k in range(60, 103)]
                 np.testing.assert_array_equal(np.concatenate(blocks), frames)
 
     def test_labeled_frames_only_are_mixed(self):
-        """With labels, frames labeled present are alpha * signal + noise, the rest noise."""
-        labels = np.arange(43) % 5 < 2
+        """Frames the schedule labels present are alpha * signal + noise, the rest noise."""
+        labels = np.arange(43) % 5 < 2  # frames 60 + 5j and 61 + 5j, at 1 s a frame
+        schedule = OccupancySchedule(5.0, ((0.0, 2.0),))
         for signal in (self.SIGNAL, SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=5)):
             alpha = snr_scale(signal.nominal_power, 1.0, 7.0)
-            blocks = list(mixed_blocks(signal, self.NOISE, alpha, 16, range(60, 103), labels))
+            windows = list(channel_windows([(signal, self.NOISE, schedule, 7.0)], 16, 1.0,
+                                           range(60, 103)))
+            assert np.concatenate([on for _, _, on in windows]).tolist() == labels.tolist()
+            blocks = [rows for _, rows, _ in windows]
             assert [len(b) for b in blocks] == [32, 11]
             frames = [alpha * gen_signal_frame(16, signal, k).samples * on
                       + gen_noise_frame(16, self.NOISE, k).samples
