@@ -24,11 +24,10 @@ _MODULE_OF = {name: module for module, names in {
                   "acf_vector", "block_statistics", "calibrate_ed_threshold",
                   "correlation_distance", "energy_statistic", "load_reference",
                   "save_reference"),
-    "errors": ("CalibrationError", "CsvParseError", "DegenerateFrameError",
-               "FrameConsistencyError", "MetaFormatError", "OccuscanError", "PlanError",
-               "RoutingError", "SampleDataError", "ScenarioError", "TruncationError",
-               "UsageError"),
-    "iq": ("ComplexFrame", "RecordingMeta", "read_meta", "write_meta", "write_recording"),
+    "errors": ("CalibrationError", "CsvParseError", "DegenerateFrameError", "MetaFormatError",
+               "OccuscanError", "PlanError", "RoutingError", "SampleDataError", "ScenarioError",
+               "TruncationError", "UsageError"),
+    "iq": ("ComplexFrame", "RecordingMeta", "read_meta"),
     "report": ("write_occupancy_csv",),
     "scan": ("ScanRecord", "scan_channel"),
     "scenario": ("Scenario",),

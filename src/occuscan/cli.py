@@ -227,9 +227,7 @@ def cmd_analyze(args) -> int:
 
     scenario = _load_scenario(args)
     config = scenario.detector_config()
-    n = scenario.frame_len()
-
-    meta, discarded, blocks = stream_recording(args.iq, args.meta, n)
+    meta, discarded, blocks = stream_recording(args.iq, args.meta, scenario.frame_len())
     channels = [Channel("recording", 0, args.center_mhz)]
     check_tuning(meta.center_freq_hz, channels[0], args.freq_tol_mhz)
     out = _out_dir(args)
@@ -237,9 +235,7 @@ def cmd_analyze(args) -> int:
 
     def rows():
         nonlocal frames
-        for block in blocks:
-            k = np.arange(frames, frames + len(block))
-            times = meta.start_time + k * n / meta.sample_rate_hz
+        for times, block in blocks:
             stats = block_statistics(block, config.reference, frames)
             yield times, np.zeros(len(block), dtype=np.intp), stats
             if args.verbose:

@@ -26,10 +26,6 @@ class SampleDataError(OccuscanError):
         self.frame = frame
 
 
-class FrameConsistencyError(OccuscanError):
-    """Frames written to one recording disagree on rate or center frequency."""
-
-
 class DegenerateFrameError(OccuscanError):
     """Zero-energy frame fed to an ACF-based statistic (ratio undefined)."""
 

@@ -1,27 +1,29 @@
-"""Complex baseband frame model and raw IQ recording file I/O.
+"""Complex baseband frame model and raw IQ recording reader.
 
-A recording is a pair of files:
+A recording is a pair of files, as an SDR capture chain writes them:
 
 * ``<name>.iq`` — raw interleaved little-endian float32 pairs, I before Q.
 * ``<name>.iq.meta`` — UTF-8 text sidecar, one ``key=value`` per line with
   keys ``sample_rate_hz``, ``center_freq_hz``, ``start_time_unix`` and
   ``num_samples``. Unknown keys are ignored; missing keys are errors.
 
-Frames hold samples as a read-only complex128 array so detector math runs in
-double precision; the payload precision is float32, so round trips are
-bit-exact exactly when the sample values are float32-representable (which
-includes everything read from an .iq file).
+occuscan only reads recordings. Frames hold samples as complex128 so
+detector math runs in double precision; the payload is float32, so every
+sample read converts exactly.
 
 ``stream_recording`` reads a payload in blocks of at most BLOCK_FRAMES (32)
-frames, as (frames x N) complex128 arrays, so memory does not grow with the
-file.
+frames, each with its frames' capture times, so memory does not grow with
+the file. Frame k is captured at ``start_time_unix + k * frame_len /
+sample_rate_hz``; this module is the only place that computes it, and a
+recording whose last frame's time is not finite is refused before any
+block is read.
 
-ComplexFrame is the type of the one-frame API and of ``write_recording``. In
-every command, frames travel as plain (frames x N) arrays, checked once:
-``stream_recording`` checks every payload sample as it is read (one
-finiteness pass over each block's float32 values; the first bad sample is
-looked for only when that pass fails), and frames the program makes
-(``synth``) are checked by the detector kernel's energy check alone.
+ComplexFrame is the type of the one-frame API. In every command, frames
+travel as plain (frames x N) arrays, checked once: ``stream_recording``
+checks every payload sample as it is read (one finiteness pass over each
+block's float32 values; the first bad sample is looked for only when that
+pass fails), and frames the program makes (``synth``) are checked by the
+detector kernel's energy check alone.
 """
 
 from __future__ import annotations
@@ -32,12 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FrameConsistencyError,
-    MetaFormatError,
-    SampleDataError,
-    TruncationError,
-)
+from .errors import MetaFormatError, SampleDataError, TruncationError
 
 # Frames per block, for streamed reading and for every detector-kernel call:
 # large enough to amortize per-call overhead, small enough that a block's
@@ -95,6 +92,8 @@ class RecordingMeta:
             raise ValueError("sample_rate_hz must be > 0")
         if not self.center_freq_hz > 0:
             raise ValueError("center_freq_hz must be > 0")
+        if not math.isfinite(self.start_time):
+            raise ValueError("start_time_unix must be finite")
         if self.num_samples < 0:
             raise ValueError("num_samples must be >= 0")
 
@@ -129,25 +128,18 @@ def read_meta(meta_path) -> RecordingMeta:
         raise MetaFormatError(f"{meta_path}: bad value: {exc}") from exc
 
 
-def write_meta(meta: RecordingMeta, meta_path) -> None:
-    with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"sample_rate_hz={float(meta.sample_rate_hz)!r}\n")
-        fh.write(f"center_freq_hz={float(meta.center_freq_hz)!r}\n")
-        fh.write(f"start_time_unix={float(meta.start_time)!r}\n")
-        fh.write(f"num_samples={int(meta.num_samples)}\n")
-
-
 def stream_recording(payload_path, meta_path, frame_len: int):
     """Open an .iq recording for reading in blocks: returns (meta, discarded, blocks).
 
-    ``blocks`` yields (<= BLOCK_FRAMES, frame_len) complex128 arrays in
-    capture order; frame k starts at ``start_time + k * frame_len /
-    sample_rate``. A trailing partial frame is discarded, not zero-padded
-    (padding would bias the energy statistic downward); ``discarded`` is its
-    sample count.
+    ``blocks`` yields (times, frames) pairs in capture order: frames a
+    (<= BLOCK_FRAMES, frame_len) complex128 array, times its frames' capture
+    times, frame k's ``start_time + k * frame_len / sample_rate_hz``. A
+    trailing partial frame is discarded, not zero-padded (padding would bias
+    the energy statistic downward); ``discarded`` is its sample count.
 
     Raises:
-        MetaFormatError: malformed sidecar, or num_samples disagrees with the payload.
+        MetaFormatError: malformed sidecar, num_samples disagrees with the payload,
+            or the last frame's capture time is not finite.
         TruncationError: payload byte length not a multiple of 8.
         SampleDataError: from ``blocks``, on a NaN/Inf sample (discarded ones
             included); the message names its index in the recording.
@@ -164,11 +156,16 @@ def stream_recording(payload_path, meta_path, frame_len: int):
         raise MetaFormatError(
             f"{meta_path}: num_samples={meta.num_samples} but payload holds {size // 8} samples"
         )
-    return meta, meta.num_samples % frame_len, _read_blocks(payload_path, meta.num_samples,
-                                                            frame_len)
+    last = meta.num_samples // frame_len - 1  # times rise with k, so the last is the largest
+    end = meta.start_time + last * frame_len / meta.sample_rate_hz
+    if last >= 0 and not math.isfinite(end):
+        raise MetaFormatError(f"{meta_path}: capture times must be finite, but frame {last} "
+                              f"would start at {end!r} s (sample_rate_hz={meta.sample_rate_hz!r})")
+    return meta, meta.num_samples % frame_len, _read_blocks(payload_path, meta, frame_len)
 
 
-def _read_blocks(payload_path, n: int, frame_len: int):
+def _read_blocks(payload_path, meta: RecordingMeta, frame_len: int):
+    n = meta.num_samples
     step = BLOCK_FRAMES * frame_len  # only the last read can end in a partial frame
     with open(payload_path, "rb") as fh:
         for start in range(0, n, step):
@@ -180,40 +177,6 @@ def _read_blocks(payload_path, n: int, frame_len: int):
                 raise SampleDataError(f"{payload_path}: non-finite sample at index {start + bad}")
             frames = raw.size // frame_len
             if frames:
-                yield raw[: frames * frame_len].astype(np.complex128).reshape(frames, frame_len)
-
-
-def write_recording(frames, payload_path, meta_path) -> None:
-    """Write frames as one contiguous .iq payload plus its sidecar.
-
-    All frames must share sample_rate_hz and center_freq_hz; the sidecar
-    start time is the first frame's capture_time (0.0 for an empty sequence,
-    with rate/frequency placeholders of 1.0).
-    """
-    frames = list(frames)
-    if frames:
-        rate = frames[0].sample_rate_hz
-        freq = frames[0].center_freq_hz
-        start = frames[0].capture_time
-        for f in frames[1:]:
-            if f.sample_rate_hz != rate or f.center_freq_hz != freq:
-                raise FrameConsistencyError(
-                    "frames disagree on sample_rate_hz/center_freq_hz; "
-                    "a recording holds one tuning"
-                )
-        samples = np.concatenate([f.samples for f in frames])
-    else:
-        rate = freq = 1.0
-        start = 0.0
-        samples = np.zeros(0, dtype=np.complex128)
-
-    samples.astype("<c8").tofile(payload_path)  # interleaved float32 I/Q pairs
-    write_meta(
-        RecordingMeta(
-            sample_rate_hz=rate,
-            center_freq_hz=freq,
-            start_time=start,
-            num_samples=int(samples.size),
-        ),
-        meta_path,
-    )
+                k = np.arange(start // frame_len, start // frame_len + frames)
+                yield (meta.start_time + k * frame_len / meta.sample_rate_hz,
+                       raw[: frames * frame_len].astype(np.complex128).reshape(frames, frame_len))

@@ -165,21 +165,24 @@ SCHEMA = {
 }
 
 
-def _value(value, field: Field, where: str):
-    """``value`` checked against a field's type (an integer is a number too) and bounds.
+def _key_path(path: str, key: str) -> str:
+    """The path that names ``key`` of the mapping at ``path``; a root key is named bare."""
+    return f"{path}.{key}" if path else key
 
-    A bound message names a root key without the "scenario." of ``where``.
-    """
+
+def _value(value, field: Field, where: str):
+    """``value`` checked against a field's type (an integer is a number too) and bounds."""
     if isinstance(value, bool) or not isinstance(
             value, (int, float) if field.kind is float else field.kind):
-        expected = {float: "a number", int: "an integer"}.get(field.kind, field.kind.__name__)
+        expected = {float: "a number", int: "an integer", str: "a string", list: "a list",
+                    dict: "a mapping"}[field.kind]
         raise ScenarioError(f"{where}: expected {expected}, got {type(value).__name__}")
     if field.kind is list and field.bounds:
         return _numbers(value, where, field.bounds)
     value = float(value) if field.kind is float else value
     for ok, why in field.bounds:
         if not ok(value):
-            raise ScenarioError(f"{where.removeprefix('scenario.')}: {why.format(v=value)}")
+            raise ScenarioError(f"{where}: {why.format(v=value)}")
     return value
 
 
@@ -188,7 +191,7 @@ def _numbers(values: list, path: str, bounds: tuple = ()) -> list[float]:
     return [_value(v, Field(float, bounds=bounds), f"{path}[{i}]") for i, v in enumerate(values)]
 
 
-def _field(mapping, key: str, section="scenario", path="scenario", required=False):
+def _field(mapping, key: str, section="scenario", path="", required=False):
     """mapping[key] checked against SCHEMA[section][key], or its default when absent.
 
     ``required`` makes an optional key required.
@@ -197,9 +200,9 @@ def _field(mapping, key: str, section="scenario", path="scenario", required=Fals
         raise ScenarioError(f"{path}: expected a mapping, got {type(mapping).__name__}")
     field = SCHEMA[section][key]
     if key in mapping:
-        return _value(mapping[key], field, f"{path}.{key}")
+        return _value(mapping[key], field, _key_path(path, key))
     if required or field.default is REQUIRED:
-        raise ScenarioError(f"{path}.{key}: required field is missing")
+        raise ScenarioError(f"{_key_path(path, key)}: required field is missing")
     return field.default
 
 
@@ -213,18 +216,18 @@ def _read(section: str, mapping, path: str) -> dict:
     return {key: value for key, value in values.items() if value is not None}
 
 
-def _check(node: dict, section="scenario", path="scenario") -> None:
+def _check(node: dict, section="scenario", path="") -> None:
     """Check the keys of ``node``, and of every mapping below it, against SCHEMA.
 
     An unknown key, or a bad value of a ``load`` key, raises a ScenarioError
     naming it; any other value is left to its reader.
     """
     for key, value in node.items():
-        field, where = SCHEMA[section].get(key), f"{path}.{key}".removeprefix("scenario.")
+        field, where = SCHEMA[section].get(key), _key_path(path, key)
         if field is None:
             raise ScenarioError(f"{where}: unknown key")
         if field.load:
-            _value(value, field, f"{path}.{key}")
+            _value(value, field, where)
         if field.section is None or not isinstance(value, field.kind):
             continue
         children = ([(f"{where}[{i}]", v) for i, v in enumerate(value)] if field.kind is list

@@ -22,6 +22,26 @@ def make_frame(samples, rate=1e6, freq=100e6, t=0.0) -> ComplexFrame:
     )
 
 
+def write_meta(meta_path, num_samples, rate=1e6, freq=100e6, start=0.0) -> None:
+    """Write an .iq.meta sidecar: its four key=value lines, values as given."""
+    with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"sample_rate_hz={rate!r}\ncenter_freq_hz={freq!r}\n"
+                 f"start_time_unix={start!r}\nnum_samples={num_samples}\n")
+
+
+def write_recording(frames, payload_path, meta_path) -> None:
+    """Write frames as one recording, the way an SDR file sink records one.
+
+    The payload holds every frame's samples as interleaved little-endian
+    float32 I/Q pairs; the sidecar takes the first frame's sample rate,
+    center frequency and capture time. Nothing checks that the frames agree.
+    """
+    samples = np.concatenate([f.samples for f in frames])
+    samples.astype("<c8").tofile(payload_path)
+    write_meta(meta_path, samples.size, frames[0].sample_rate_hz, frames[0].center_freq_hz,
+               frames[0].capture_time)
+
+
 def record_table(channels, times, chan, stats, config) -> RecordTable:
     """The [ed, acf1, cdist] records of each block_statistics row, in row order.
 

@@ -24,7 +24,6 @@ from occuscan import (
     gen_signal_frame,
     load_reference,
     snr_scale,
-    write_recording,
 )
 from occuscan import scenario as scenario_module
 from occuscan.channels import Channel
@@ -32,7 +31,7 @@ from occuscan.cli import RUN_CHANNELS, main
 from occuscan.report import OCCUPANCY_CSV_HEADER
 from occuscan.scan import RECORD_CSV_HEADER, TRUTH_CSV_HEADER, RecordTable, scan_channel
 from occuscan.scenario import SCHEMA, Scenario
-from conftest import write_record_tables, write_reference_sweep
+from conftest import write_meta, write_record_tables, write_recording, write_reference_sweep
 
 SCENARIO = """\
 name: cli-test
@@ -402,6 +401,33 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value,message", [
+        (dict(start=math.nan), "bad value: start_time_unix must be finite"),
+        (dict(start=math.inf), "bad value: start_time_unix must be finite"),
+        (dict(rate=1e-320), "capture times must be finite, but frame 1 would start at inf s "
+                            "(sample_rate_hz=1e-320)"),
+        (dict(rate=0.0), "bad value: sample_rate_hz must be > 0"),
+        (dict(freq=0.0), "bad value: center_freq_hz must be > 0"),
+        (dict(num_samples=-1), "bad value: num_samples must be >= 0"),
+    ], ids=["start-nan", "start-inf", "rate-tiny", "rate-0", "freq-0", "samples-negative"])
+    def test_bad_sidecar_fails_cleanly_without_out(self, workspace, capsys, value, message):
+        """A sidecar whose values would make capture times that are not finite, or that
+        break a value rule, exits 1 naming the sidecar, before --out is created and
+        without a numpy warning."""
+        self._write_capture(workspace, 2 * 256)  # two frames, so frame 1's time is checked
+        meta = workspace / "cap.iq.meta"
+        write_meta(meta, **{"num_samples": 2 * 256, "freq": 2412e6, **value})
+        out = workspace / "anan"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["analyze", "--scenario", str(workspace / "scn.yaml"), "--out", str(out),
+                       "--iq", str(workspace / "cap.iq"), "--meta", str(meta),
+                       "--center-mhz", "2412"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {meta}: {message}\n"
+        assert not out.exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestStreamedAnalyze:
@@ -1098,6 +1124,17 @@ class TestReport:
         # when the whole log was read before counting, and 250 as a list of row tuples
         assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) < 16
 
+    def test_blank_line_changes_nothing(self, workspace, sim_out):
+        """A blank line inside the record log is skipped, not read as a record."""
+        lines = (sim_out / "records.csv").read_text().splitlines(keepends=True)
+        blank = workspace / "blank.csv"
+        blank.write_text("".join(lines[:10] + ["\n"] + lines[10:]))
+        for records, rep in ((sim_out / "records.csv", "rep4"), (blank, "rep5")):
+            assert main(["report", "--records", str(records), "--out", str(workspace / rep),
+                         "--bins", "2.0"]) == 0
+        assert ((workspace / "rep5" / "occupancy.csv").read_bytes()
+                == (workspace / "rep4" / "occupancy.csv").read_bytes())
+
     def test_missing_records_file(self, workspace, capsys):
         rc = main(["report", "--records", str(workspace / "nope.csv"),
                    "--out", str(workspace / "rep3")])
@@ -1140,6 +1177,15 @@ class TestErrors:
         rc = main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "reference" in capsys.readouterr().err
+
+    def test_plan_frequencies_not_increasing(self, tmp_path, capsys):
+        # a step below half a float's spacing at 2400 MHz leaves both channels at 2400.0
+        band = ("  - name: X\n    start_mhz: 2400.0\n    stop_mhz: 2400.0\n"
+                "    spacing_mhz: [1.0e-13]\n    expected_channels: 2")
+        scn = tmp_path / "scn.yaml"
+        scn.write_text(SCENARIO.replace(TESTBAND, band))
+        assert main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: band 'X': frequencies not strictly increasing\n"
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -1278,12 +1324,12 @@ class TestStartUp:
     """What a fresh interpreter loads, and what the BLAS thread count may change."""
 
     # occuscan.__all__ as it was when the package imported every submodule eagerly, less
-    # the object-form functions and classes removed since
+    # the object-form functions and classes removed since and the recording writer
     PUBLIC_NAMES = [
         "AcfVector", "BUILTIN_BANDS", "BandSpec", "CalibrationError", "Channel",
         "ComplexFrame", "CsvParseError", "DETECTORS", "DETECTOR_ACF1", "DETECTOR_CDIST",
         "DETECTOR_ED", "DETECTOR_TABLE", "DegenerateFrameError", "DetectorConfig",
-        "FrameConsistencyError", "MetaFormatError", "NoiseSpec", "OccupancySchedule",
+        "MetaFormatError", "NoiseSpec", "OccupancySchedule",
         "OccuscanError", "PlanError", "RecordingMeta", "RoutingError", "SampleDataError",
         "ScanRecord", "Scenario", "ScenarioError", "SignalSpec", "TruncationError",
         "UsageError", "acf", "acf1_statistic", "acf_vector", "block_statistics",
@@ -1291,7 +1337,7 @@ class TestStartUp:
         "correlation_distance", "detectors", "energy_statistic", "errors",
         "gen_channel_timeline", "gen_noise_frame", "gen_signal_frame", "iq", "load_reference",
         "read_meta", "report", "save_reference", "scan", "scan_channel", "scenario",
-        "snr_scale", "synth", "write_meta", "write_occupancy_csv", "write_recording",
+        "snr_scale", "synth", "write_occupancy_csv",
     ]
 
     def _python(self, *args, **env):

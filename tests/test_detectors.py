@@ -248,6 +248,12 @@ class TestCalibrateReference:
         with pytest.raises(CalibrationError):
             calibrate_reference_blocks([], 8)
 
+    def test_zero_energy_training_frame_rejected(self):
+        f = gen_signal_frame(128, SignalSpec(kind="tone", normalized_freq=0.1), 0)
+        blocks = [f.samples[None, :], np.stack([f.samples, np.zeros(128)])]
+        with pytest.raises(DegenerateFrameError, match="zero-energy frame"):
+            calibrate_reference_blocks(blocks, 8)
+
 
 class TestCorrelationDistance:
     def test_identical_vectors(self):

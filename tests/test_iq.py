@@ -1,4 +1,4 @@
-"""Frame model and .iq / .iq.meta round trips."""
+"""Frame model and the .iq / .iq.meta reader."""
 
 import struct
 
@@ -9,17 +9,14 @@ from hypothesis import strategies as st
 
 from occuscan import (
     ComplexFrame,
-    FrameConsistencyError,
     MetaFormatError,
     RecordingMeta,
     SampleDataError,
     TruncationError,
     read_meta,
-    write_meta,
-    write_recording,
 )
 from occuscan.iq import BLOCK_FRAMES, stream_recording
-from conftest import make_frame
+from conftest import make_frame, write_meta, write_recording
 
 
 class TestComplexFrame:
@@ -64,10 +61,9 @@ class TestComplexFrame:
 
 class TestMeta:
     def test_round_trip(self, tmp_path):
-        meta = RecordingMeta(2.4e6, 2412e6, 1700000000.25, 4096)
         p = tmp_path / "a.iq.meta"
-        write_meta(meta, p)
-        assert read_meta(p) == meta
+        write_meta(p, 4096, 2.4e6, 2412e6, 1700000000.25)
+        assert read_meta(p) == RecordingMeta(2.4e6, 2412e6, 1700000000.25, 4096)
 
     def test_unknown_keys_ignored_comments_skipped(self, tmp_path):
         p = tmp_path / "m"
@@ -104,22 +100,36 @@ class TestMeta:
         with pytest.raises(MetaFormatError):
             read_meta(p)
 
+    @pytest.mark.parametrize("start", ["nan", "inf", "-inf"])
+    def test_start_time_must_be_finite(self, tmp_path, start):
+        p = tmp_path / "m"
+        p.write_text(f"sample_rate_hz=1.0\ncenter_freq_hz=1.0\n"
+                     f"start_time_unix={start}\nnum_samples=1\n")
+        with pytest.raises(MetaFormatError, match="bad value: start_time_unix must be finite"):
+            read_meta(p)
+
 
 def _write_pair(tmp_path, payload: bytes, num_samples: int, rate=1e6, freq=100e6, start=0.0):
     iq = tmp_path / "cap.iq"
     meta = tmp_path / "cap.iq.meta"
     iq.write_bytes(payload)
-    write_meta(RecordingMeta(rate, freq, start, num_samples), meta)
+    write_meta(meta, num_samples, rate, freq, start)
     return iq, meta
 
 
 def _read(iq, meta, frame_len):
     """stream_recording's meta, every frame as one (frames x frame_len) array, and the
-    discarded sample count; also checks that no block holds more than BLOCK_FRAMES frames."""
-    meta, discarded, blocks = stream_recording(iq, meta, frame_len)
-    blocks = list(blocks)
-    assert all(1 <= len(b) <= BLOCK_FRAMES for b in blocks)
-    return meta, np.concatenate([np.empty((0, frame_len), np.complex128), *blocks]), discarded
+    discarded sample count; also checks that no block holds more than BLOCK_FRAMES frames
+    and that each frame k comes with its capture time, start + k * frame_len / rate."""
+    meta, discarded, pairs = stream_recording(iq, meta, frame_len)
+    pairs = list(pairs)
+    times, blocks = [t for t, _ in pairs], [b for _, b in pairs]
+    assert all(1 <= len(b) <= BLOCK_FRAMES and len(t) == len(b) for t, b in zip(times, blocks))
+    frames = np.concatenate([np.empty((0, frame_len), np.complex128), *blocks])
+    k = np.arange(len(frames))
+    np.testing.assert_array_equal(np.concatenate([np.empty(0), *times]),
+                                  meta.start_time + k * frame_len / meta.sample_rate_hz)
+    return meta, frames, discarded
 
 
 class TestReadRecording:
@@ -182,8 +192,30 @@ class TestReadRecording:
         with pytest.raises(ValueError):
             _read(iq, meta, frame_len=0)
 
+    def test_capture_times_across_blocks(self, tmp_path):
+        # 70 frames of 4 samples: blocks of 32, 32 and 6 frames, plus 3 discarded samples
+        iq, meta = _write_pair(tmp_path, b"\x00" * 8 * 283, 283, rate=3e3, start=1.7e9 + 0.25)
+        _, _, blocks = stream_recording(iq, meta, 4)
+        times = [t for t, _ in blocks]
+        assert [len(t) for t in times] == [32, 32, 6]
+        expected = [1.7e9 + 0.25 + k * 4 / 3e3 for k in range(70)]  # Python floats, one by one
+        assert np.concatenate(times).tolist() == expected
+
+    def test_last_capture_time_must_be_finite(self, tmp_path):
+        # two frames at 1e-320 Hz: frame 1 starts at 4 / 1e-320 s, which overflows to inf
+        iq, meta = _write_pair(tmp_path, b"\x00" * 8 * 9, 9, rate=1e-320, start=2.0)
+        with pytest.raises(MetaFormatError, match="capture times must be finite, but frame 1 "
+                                                  "would start at inf s"):
+            stream_recording(iq, meta, 4)  # refused before any block is read
+        # one frame starts at start_time_unix itself, whatever the rate
+        m, frames, discarded = _read(iq, meta, frame_len=5)
+        assert (len(frames), discarded, m.start_time) == (1, 4, 2.0)
+
 
 class TestWriteRecording:
+    """Recordings written as the tests write them (numpy's ``tofile`` of the samples as
+    little-endian complex64, plus the four sidecar lines) read back bit-exactly."""
+
     def test_round_trip_three_frames(self, tmp_path):
         rng = np.random.default_rng(1)
         blocks = rng.standard_normal((3, 2, 4)).astype(np.float32)
@@ -203,25 +235,6 @@ class TestWriteRecording:
         assert discarded == 0
         np.testing.assert_array_equal(back, [f.samples for f in frames])
         assert (m.start_time, m.sample_rate_hz, m.center_freq_hz) == (7.0, 1e3, 1e6)
-
-    def test_payload_bytes_exact(self, tmp_path):
-        frames = [make_frame([1 + 1j, 2 - 1j])]
-        iq = tmp_path / "w.iq"
-        write_recording(frames, iq, tmp_path / "w.iq.meta")
-        assert iq.read_bytes() == struct.pack("<4f", 1.0, 1.0, 2.0, -1.0)
-
-    def test_empty_sequence(self, tmp_path):
-        iq = tmp_path / "e.iq"
-        meta = tmp_path / "e.iq.meta"
-        write_recording([], iq, meta)
-        assert iq.read_bytes() == b""
-        m = read_meta(meta)
-        assert m.num_samples == 0
-
-    def test_mixed_tuning_rejected(self, tmp_path):
-        frames = [make_frame([1.0], freq=1e6), make_frame([1.0], freq=2e6)]
-        with pytest.raises(FrameConsistencyError):
-            write_recording(frames, tmp_path / "x.iq", tmp_path / "x.iq.meta")
 
 
 @settings(max_examples=50, deadline=None)

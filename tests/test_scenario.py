@@ -171,6 +171,24 @@ class TestValidationMessages:
         with pytest.raises(ScenarioError, match="matched"):
             s.eval_settings()
 
+    @pytest.mark.parametrize("old,new,read,message", [
+        ("frame_len: 64", 'frame_len: "x"', None, "frame_len: expected an integer, got str"),
+        ("frame_interval_s: 0.5\n", "", Scenario.frame_interval_s,
+         "frame_interval_s: required field is missing"),
+        (MINIMAL[MINIMAL.index("detector:"):MINIMAL.index("eval:")], "detector: x\n", None,
+         "detector: expected a mapping, got str"),
+        ("eval:\n  trials: 100", "eval: 5", Scenario.eval_settings,
+         "eval: expected a mapping, got int"),
+    ], ids=["type", "missing", "section-str", "section-int"])
+    def test_root_key_named_bare(self, tmp_path, old, new, read, message):
+        """Type and missing-key errors name a root key as bound and unknown-key errors
+        do, with no "scenario." before it, and name the expected kind in words."""
+        with pytest.raises(ScenarioError) as caught:  # at load, or where ``read`` reads it
+            scenario = Scenario.load(_write(tmp_path, MINIMAL.replace(old, new)))
+            if read:
+                read(scenario)
+        assert str(caught.value) == message
+
 
 class TestChannelParams:
     def test_defaults_apply(self, tmp_path):

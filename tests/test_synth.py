@@ -235,6 +235,11 @@ class TestSignal:
         with pytest.raises(ValueError, match="phase"):
             SignalSpec(kind="tone", phase=phase)
 
+    @pytest.mark.parametrize("kind", ["tone", "bpsk", "none"])
+    def test_rows_of_no_samples_rejected(self, kind):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            signal_rows(0, SignalSpec(kind=kind), [0, 1])
+
 
 class TestSchedule:
     def test_duty_cycle(self):
