@@ -6,9 +6,9 @@ outputs are byte-identical across repeated runs and across --workers counts.
 channels a task, and writes each window as it comes; ``eval`` parallelizes
 over chunks of trial indices. Both are pure functions of derived seeds.
 Start-up loads only what the command runs: the module sets OpenBLAS to one
-thread before numpy loads, each command imports its own modules (``report``
-loads no YAML parser and no synthesis), and the process pool is imported
-only when --workers > 1.
+thread and keeps OpenSSL's ``_hashlib`` out before numpy loads, each command
+imports its own modules (``report`` loads no YAML parser and no synthesis),
+and the process pool is imported only when --workers > 1.
 """
 
 from __future__ import annotations
@@ -29,6 +29,13 @@ from pathlib import Path
 # changes its bits: they matched at 1,024 and 8,192 samples and differed at
 # 16,384, 65,536 and 262,144, which would make outputs depend on the host.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+# No OpenSSL either: numpy.random imports secrets, hence hmac and hashlib, which
+# would map _hashlib and libcrypto (3.6 MB of RSS, about 5 ms) into every process
+# that draws. With None here the import raises ImportError, hashlib and hmac fall
+# back to CPython's built-in hashes, and secrets needs only hmac.compare_digest;
+# occuscan never asks numpy for OS entropy. A _hashlib already loaded stays.
+sys.modules.setdefault("_hashlib", None)
 
 from .errors import OccuscanError, PlanError, SampleDataError, UsageError
 

@@ -262,6 +262,23 @@ def correlation_distance(reference: AcfVector, observed: AcfVector) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
+def quantile(values, q: float) -> float:
+    """np.quantile's default (linear) q quantile of a non-empty sample, bit for bit.
+
+    Same partition indices, neighbours and rounding as numpy, without the
+    np.unique call through which np.quantile imports numpy.ma (1.3 MB).
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    v = (x.size - 1) * q
+    i = int(v) if v < x.size - 1 else -1  # from n - 1 up, numpy takes the last value twice
+    j = i + 1 if i >= 0 else -1
+    x = np.partition(x, sorted({-1, 0, i, j}))  # NaNs sort last
+    if np.isnan(x[-1]):
+        return float(x[-1])
+    a, b, g = float(x[i]), float(x[j]), v - i
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+
 def calibrate_ed_threshold_blocks(blocks, target_pfa: float, start: int = 0) -> float:
     """Empirical (1 - target_pfa) quantile of the energy statistic over (frames x N) noise blocks.
 
@@ -280,7 +297,7 @@ def calibrate_ed_threshold_blocks(blocks, target_pfa: float, start: int = 0) -> 
         raise CalibrationError(
             f"threshold calibration needs >= 100 noise frames, got {stats.size}"
         )
-    return float(np.quantile(stats, 1.0 - target_pfa))
+    return quantile(stats, 1.0 - target_pfa)
 
 
 def calibrate_ed_threshold(noise_frames, target_pfa: float) -> float:

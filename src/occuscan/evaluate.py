@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .detectors import DETECTOR_BY_NAME, DetectorConfig, block_statistics, decides_present
+from .detectors import (DETECTOR_BY_NAME, DetectorConfig, block_statistics, decides_present,
+                        quantile)
 from .iq import BLOCK_FRAMES
 from .scan import _FLOAT
 from .synth import NoiseSpec, SignalSpec, noise_rows, signal_rows, snr_scale
@@ -94,7 +95,7 @@ def tune_threshold_for_pfa(detector: str, h0_statistics, target_pfa: float) -> f
     if h0.size < 1:
         raise ValueError("need at least one H0 statistic")
     below = DETECTOR_BY_NAME[detector].direction == "<"
-    return float(np.quantile(h0, target_pfa if below else 1.0 - target_pfa))
+    return quantile(h0, target_pfa if below else 1.0 - target_pfa)
 
 
 def write_eval_csv(rows, path) -> None:

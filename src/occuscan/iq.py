@@ -90,6 +90,8 @@ class RecordingMeta:
     def __post_init__(self):
         if not self.sample_rate_hz > 0:
             raise ValueError("sample_rate_hz must be > 0")
+        if not math.isfinite(self.sample_rate_hz):  # every frame would share one capture time
+            raise ValueError("sample_rate_hz must be finite")
         if not self.center_freq_hz > 0:
             raise ValueError("center_freq_hz must be > 0")
         if not math.isfinite(self.start_time):

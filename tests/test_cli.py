@@ -408,9 +408,12 @@ class TestAnalyze:
         (dict(rate=1e-320), "capture times must be finite, but frame 1 would start at inf s "
                             "(sample_rate_hz=1e-320)"),
         (dict(rate=0.0), "bad value: sample_rate_hz must be > 0"),
+        # every frame would be captured at start_time_unix
+        (dict(rate=math.inf), "bad value: sample_rate_hz must be finite"),
         (dict(freq=0.0), "bad value: center_freq_hz must be > 0"),
         (dict(num_samples=-1), "bad value: num_samples must be >= 0"),
-    ], ids=["start-nan", "start-inf", "rate-tiny", "rate-0", "freq-0", "samples-negative"])
+    ], ids=["start-nan", "start-inf", "rate-tiny", "rate-0", "rate-inf", "freq-0",
+            "samples-negative"])
     def test_bad_sidecar_fails_cleanly_without_out(self, workspace, capsys, value, message):
         """A sidecar whose values would make capture times that are not finite, or that
         break a value rule, exits 1 naming the sidecar, before --out is created and
@@ -1362,15 +1365,19 @@ class TestStartUp:
         with pytest.raises(AttributeError):
             occuscan.no_such_name
 
-    # numpy.random alone adds about 6.5 MB of peak RSS, a fifth of analyze's
+    # numpy.random adds about 2.7 MB of peak RSS, and OpenSSL's _hashlib, which it would load
+    # through secrets, 3.6 MB more; numpy.ma, which np.unique imports, adds 1.3 MB. The CLI
+    # maps _hashlib to None in sys.modules, so a module counts as loaded only if it is not None.
     @pytest.mark.parametrize("command, unused", [
         ("report", ["yaml", "occuscan.scenario", "occuscan.synth", "occuscan.evaluate",
                     "numpy.random", "concurrent.futures"]),
-        ("calibrate", ["occuscan.scan", "occuscan.report", "occuscan.evaluate"]),
+        ("calibrate", ["occuscan.scan", "occuscan.report", "occuscan.evaluate", "_hashlib",
+                       "numpy.ma"]),
         ("analyze", ["occuscan.synth", "occuscan.evaluate", "occuscan.report", "numpy.random",
                      "concurrent.futures"]),
         # the main process derives seeds; only the pool workers draw
-        ("simulate", ["occuscan.report", "occuscan.evaluate", "numpy.random"]),
+        ("simulate", ["occuscan.report", "occuscan.evaluate", "numpy.random", "_hashlib"]),
+        ("eval", ["_hashlib", "numpy.ma", "occuscan.report", "concurrent.futures"]),
     ])
     def test_command_loads_only_what_it_runs(self, workspace, command, unused):
         records = workspace / "r.csv"
@@ -1384,11 +1391,59 @@ class TestStartUp:
                             "--meta", str(workspace / "cap.iq.meta"), "--center-mhz", "100"],
                 "calibrate": ["calibrate", "--scenario", str(workspace / "scn.yaml")],
                 "simulate": ["simulate", "--scenario", str(workspace / "scn.yaml"),
-                             "--workers", "2"]}[command]
+                             "--workers", "2"],
+                "eval": ["eval", "--scenario", str(workspace / "scn.yaml"),
+                         "--workers", "1"]}[command]
         code = ("import sys\nfrom occuscan.cli import main\nassert main(sys.argv[1:]) == 0\n"
-                f"print([m for m in {unused!r} if m in sys.modules])")
+                f"print([m for m in {unused!r} if sys.modules.get(m) is not None])")
         out = self._python("-c", code, *argv, "--out", str(workspace / "o"))
         assert out.splitlines()[-1] == "[]"
+
+    def test_sweep_workers_draw_without_openssl(self, workspace, tmp_path):
+        """A pool worker that has drawn its frames has not loaded _hashlib.
+
+        Asserted under the fork start method only, where workers inherit the CLI's
+        sys.modules entry: a forkserver (Python 3.14's default) may load hmac, and with it
+        _hashlib, for its own authentication before occuscan runs, and it could not find
+        this test's wrapper, which lives in the -c script's __main__.
+        """
+        code = """\
+import multiprocessing, os, sys
+if multiprocessing.get_start_method() != "fork":
+    print("start method:", multiprocessing.get_start_method())
+    sys.exit()
+import occuscan.cli as cli
+sweep_window = cli._sweep_window
+def drawn(task):  # runs in the worker, so it reports the worker's modules
+    result = sweep_window(task)
+    with open(os.path.join(sys.argv[1], str(os.getpid())), "w") as fh:
+        fh.write(repr([sys.modules.get(m) is not None for m in ("numpy.random", "_hashlib")]))
+    return result
+cli._sweep_window = drawn
+assert cli.main(sys.argv[2:]) == 0
+print("main", os.getpid())
+"""
+        reports = tmp_path / "workers"
+        reports.mkdir()
+        out = self._python("-c", code, str(reports), "simulate", "--scenario",
+                           str(workspace / "scn.yaml"), "--out", str(workspace / "o"),
+                           "--workers", "2")
+        if out.startswith("start method:"):
+            pytest.skip(out.strip())
+        workers = {p.name: p.read_text() for p in reports.iterdir()}
+        assert workers and out.split()[-1] not in workers
+        assert set(workers.values()) == {"[True, False]"}  # numpy.random drew, no _hashlib
+
+    def test_cli_process_still_hashes(self):
+        # with _hashlib kept out, hashlib and hmac run CPython's built-in hashes
+        code = ("import sys, occuscan.cli, hashlib, hmac, secrets\n"
+                "print(sys.modules['_hashlib'], hashlib.sha256(b'abc').hexdigest())\n"
+                "print(hmac.new(b'Jefe', b'what do ya want for nothing?', 'sha256').hexdigest(), "
+                "hmac.compare_digest(b'a', b'a'))")
+        assert self._python("-c", code).splitlines() == [
+            "None ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843 True",  # RFC 4231
+        ]
 
     def test_calibrate_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # a threaded BLAS dot product splits sums of 16,384 samples differently

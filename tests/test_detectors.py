@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from occuscan import (
@@ -36,6 +36,7 @@ from occuscan.detectors import (
     calibrate_reference_blocks,
     decide_block,
     decides_present,
+    quantile,
 )
 from occuscan.iq import BLOCK_FRAMES
 from occuscan.synth import channel_windows, noise_rows
@@ -352,6 +353,28 @@ class TestEdCalibration:
         frames = [make_frame(np.ones(4)) for _ in range(100)]
         with pytest.raises(ValueError):
             calibrate_ed_threshold(frames, 0.0)
+
+
+class TestQuantile:
+    """detectors.quantile against the installed numpy's np.quantile, whose default method
+    it reproduces without loading numpy.ma."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0, math.inf])),
+                        min_size=1, max_size=300),
+        q=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.05, 0.5, 0.95, 0.999])),
+    )
+    @example(values=[3.0, 1.0, 2.0, 4.0], q=0.5)  # 2.5
+    @example(values=[5.0], q=0.95)  # the index reaches n - 1
+    @example(values=[-0.0, -0.0], q=1.0)  # numpy gives +0.0 here
+    @example(values=[1.0, math.nan, 2.0], q=0.5)  # NaN
+    def test_bit_for_bit_np_quantile(self, values, q):
+        x = np.array(values)
+        with np.errstate(over="ignore", invalid="ignore"):  # b - a of huge or infinite values
+            expected = np.float64(np.quantile(x, q))
+        assert np.float64(quantile(x, q)).tobytes() == expected.tobytes()
+        assert x.tobytes() == np.array(values).tobytes()  # the input is not reordered
 
 
 class TestDetectorConfig:
