@@ -23,8 +23,8 @@ from itertools import islice
 from pathlib import Path
 
 # One BLAS thread, set before numpy loads and whatever the environment says.
-# The only BLAS call occuscan makes is one frame's dot product (the stacked
-# np.matmul in detectors._acf_block), so a thread pool only adds start-up
+# The only BLAS call occuscan makes is one frame's dot product (np.vecdot's
+# row dots in detectors._acf_block), so a thread pool only adds start-up
 # cost. Above 10,000 samples a threaded dot product also splits the sum and
 # changes its bits: they matched at 1,024 and 8,192 samples and differed at
 # 16,384, 65,536 and 262,144, which would make outputs depend on the host.

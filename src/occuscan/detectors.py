@@ -17,12 +17,13 @@ Correlation distance
 ACF pass over lags 0..L-1; every command feeds it blocks of at most
 BLOCK_FRAMES (32) frames, and ``calibrate`` feeds the same blocks to
 ``calibrate_reference_blocks`` and ``calibrate_ed_threshold_blocks``. Row
-sums are the per-frame functions' dot products, so both give identical
-bits. A frame whose energy sum is not finite raises SampleDataError, so no
-NaN statistic reaches an output: this one check covers a non-finite sample
-as well as finite samples whose power sum overflows, and it is the only
-check on frames the program makes. Every decision goes through DETECTOR_TABLE
-(statistic column, threshold field, direction).
+sums are np.vecdot's dot products, which give the bits of the per-frame
+functions' np.vdot and np.dot. A frame whose energy sum is not finite raises
+SampleDataError, so no NaN statistic reaches an output: this one check
+covers a non-finite sample as well as finite samples whose power sum
+overflows, and it is the only check on frames the program makes. Every
+decision goes through DETECTOR_TABLE (statistic column, threshold field,
+direction).
 
 All autocorrelations use the linear (non-circular) convention: terms whose
 lagged index would fall before the frame start are omitted. Ties on every
@@ -135,29 +136,33 @@ def _acf_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row ACF(0) and |ACF(l)| / ACF(0), l = 0..lags-1, of a (frames x N) block.
 
-    Row sums are BLAS dot products and magnitudes use hypot, as np.vdot,
-    np.dot and abs() do on one frame. Cauchy-Schwarz bounds the ratios by 1;
-    the clip guards roundoff. Zero-energy rows give NaN ratios. A row whose
-    energy is not finite (finite samples whose power sum overflows, or
-    non-finite samples) raises SampleDataError naming frame start + row.
+    Row sums are np.vecdot's BLAS dot products, which conjugate their first
+    argument without copying the block and give the bits of np.vdot and
+    np.dot on one frame; magnitudes use hypot, as abs() does.
+    Cauchy-Schwarz bounds the ratios by 1; the clip guards roundoff.
+    Zero-energy rows give NaN ratios. A row whose energy is not finite (finite
+    samples whose power sum overflows, or non-finite samples) raises
+    SampleDataError naming frame start + row.
     """
     n = block.shape[1]
     if not 1 <= lags <= n:
         raise ValueError(f"lags must lie in [2, {n}], got {lags}")
-    conj = block.conj()
     with np.errstate(over="ignore", invalid="ignore"):
-        energy = np.matmul(block[:, None, :], conj[:, :, None])[:, 0, 0].real
+        energy = np.vecdot(block, block).real
     finite = np.isfinite(energy)
     if not finite.all():
         bad = start + int(np.argmin(finite))
         raise SampleDataError(f"frame {bad}: energy is not finite "
                               "(a sample or the power sum overflows)", bad)
+    sums = np.empty((len(block), lags - 1), dtype=np.complex128)
+    for lag in range(1, lags):
+        np.vecdot(block[:, :-lag], block[:, lag:], out=sums[:, lag - 1])
     ratios = np.empty((len(block), lags))
     ratios[:, 0] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lag in range(1, lags):
-            c = np.matmul(block[:, None, lag:], conj[:, :-lag, None])[:, 0, 0]
-            np.minimum(np.hypot(c.real, c.imag) / energy, 1.0, out=ratios[:, lag])
+        np.hypot(sums.real, sums.imag, out=ratios[:, 1:])
+        np.divide(ratios[:, 1:], energy[:, None], out=ratios[:, 1:])
+        np.minimum(ratios[:, 1:], 1.0, out=ratios[:, 1:])
     return energy, ratios
 
 

@@ -35,7 +35,9 @@ def shared_trial_statistics(
     Returns a (1 + len(snr_dbs), len(trials), 3) array: [0] is H0, [1 + k] is
     H1 at snr_dbs[k] (noise frame i plus signal frame i at that SNR; H0 where
     the scale is 0), columns in DETECTOR_TABLE order. Frames are made once per
-    trial, BLOCK_FRAMES trials at a time, and only one block is held at once.
+    trial, BLOCK_FRAMES trials at a time. A block holds its noise frames, its
+    signal frames (one broadcast row for a tone) and one mix buffer refilled
+    for each SNR, and is freed before the next block is drawn.
     A frame whose energy is not finite raises SampleDataError naming its trial
     index as the frame.
     """
@@ -44,18 +46,25 @@ def shared_trial_statistics(
     out = np.empty((1 + len(alphas), len(trials), 3))
     for start in range(0, len(trials), BLOCK_FRAMES):
         idx = trials[start:start + BLOCK_FRAMES]
-        rows = slice(start, start + len(idx))
-        noise = noise_rows(n, noise_spec, idx)
-        out[:, rows] = block_statistics(noise, config.reference, idx[0])
-        if any(alphas):
-            sig = signal_rows(n, signal_spec, idx)
-            for k, alpha in enumerate(alphas, 1):
-                if alpha != 0.0:
-                    # an overflowing mix leaves a non-finite energy, which the kernel reports
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        mixed = alpha * sig + noise
-                    out[k, rows] = block_statistics(mixed, config.reference, idx[0])
+        _block_trial_statistics(out[:, start:start + len(idx)], config, signal_spec,
+                                noise_spec, alphas, n, idx)
     return out
+
+
+def _block_trial_statistics(out, config, signal_spec, noise_spec, alphas, n, idx) -> None:
+    """Fill out[:, i] with trial idx[i]'s statistics; the block's frames die on return."""
+    noise = noise_rows(n, noise_spec, idx)
+    out[:] = block_statistics(noise, config.reference, idx[0])
+    if any(alphas):
+        sig = signal_rows(n, signal_spec, idx)
+        mixed = np.empty_like(noise)
+        for k, alpha in enumerate(alphas, 1):
+            if alpha != 0.0:
+                # an overflowing mix leaves a non-finite energy, which the kernel reports
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.multiply(sig, alpha, out=mixed)
+                    mixed += noise
+                out[k] = block_statistics(mixed, config.reference, idx[0])
 
 
 def trial_statistics(

@@ -107,9 +107,10 @@ _POSITIVE = ((lambda v: 0 < v < math.inf, "must be a finite number > 0"),)
 # eval holds each trial's statistics (24 bytes a hypothesis) and calibrate each
 # threshold frame's energy in memory; a sweep spends time on each of its frames
 _MAX_FRAMES = 10**8
-# a kernel block of 32 frames of 2^20 samples is 512 MiB of complex128, plus
-# the kernel's conjugate copy. A BPSK symbol held longer than a frame gives the
-# same frames, but signal_rows repeats it divisor times before cutting the row.
+# a kernel block of 32 frames of 2^20 samples is 512 MiB of complex128, and
+# eval holds three (noise, BPSK signal, mix). A BPSK symbol held longer than a
+# frame gives the same frames, but signal_rows repeats it divisor times before
+# cutting the row.
 _FRAME_LEN = _at_most(2**20)
 # building the plan makes a Channel (some 160 bytes) a channel, and simulate
 # builds each channel's specs: 10^5 channels, some 800 times the builtin plan

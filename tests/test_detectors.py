@@ -462,22 +462,26 @@ class TestBlockKernel:
     @given(
         frames=st.integers(1, 33),
         lags=st.integers(2, 8),
-        extra=st.integers(0, 62),
+        extra=st.integers(0, 1100),
         log_scale=st.floats(-3.0, 3.0),
         seed=st.integers(0, 2**32 - 1),
         dead=st.sets(st.integers(0, 32), max_size=4),
+        stride=st.integers(1, 3),
     )
-    def test_matches_per_frame_oracle(self, frames, lags, extra, log_scale, seed, dead):
-        n = min(lags + extra, 64)
+    @example(frames=32, lags=8, extra=1016, log_scale=0.0, seed=0, dead=set(), stride=2)
+    def test_matches_per_frame_oracle(self, frames, lags, extra, log_scale, seed, dead, stride):
+        # bit for bit, on contiguous rows and on strided (non-contiguous) ones
+        n = lags + extra
         rng = np.random.default_rng(seed)
+        shape = (frames, n * stride)
         block = 10.0**log_scale * (
-            rng.standard_normal((frames, n)) + 1j * rng.standard_normal((frames, n))
-        )
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        )[:, ::stride]
         block[[i for i in dead if i < frames]] = 0.0
         reference = AcfVector(np.concatenate([[1.0], rng.uniform(0.0, 1.0, lags - 1)]))
         stats = block_statistics(block, reference)
         want = np.array([_per_frame_oracle(x, reference.values) for x in block])
-        np.testing.assert_allclose(stats, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(stats, want, strict=True)
 
         config = DetectorConfig(1.0, 0.25, 0.6, lags, reference)
         present = decide_block(stats, config)
