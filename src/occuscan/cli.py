@@ -37,7 +37,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 # occuscan never asks numpy for OS entropy. A _hashlib already loaded stays.
 sys.modules.setdefault("_hashlib", None)
 
-from .errors import OccuscanError, PlanError, SampleDataError, UsageError
+from .errors import OccuscanError, SampleDataError, UsageError
 
 
 def _check_options(args) -> None:
@@ -262,7 +262,7 @@ def cmd_analyze(args) -> int:
 # --- report ------------------------------------------------------------------
 
 def cmd_report(args) -> int:
-    from .report import aggregate_table, channel_slug, write_occupancy_csv, write_plot_data
+    from .report import aggregate_table, write_occupancy_csv, write_plot_data
     from .scan import read_record_chunks
 
     try:
@@ -270,21 +270,9 @@ def cmd_report(args) -> int:
     except ValueError as exc:  # a bad record raises CsvParseError, so only the bin length is left
         raise UsageError(f"--bins: {exc}") from exc
     out = _out_dir(args)
-    names: dict = {}  # plot file name -> channel id, channels in cell order
-    for c in dict.fromkeys(cells.chan.tolist()):
-        first = names.setdefault(channel_slug(cells.channels[c]), c)
-        if first != c:
-            a, b = cells.channels[first], cells.channels[c]
-            raise PlanError(f"plots/{channel_slug(b)}.dat: channels {a.band!r}:"
-                            f"{a.index_in_band} and {b.band!r}:{b.index_in_band} "
-                            "would both write this file")
+    plots = write_plot_data(cells, out / "plots")
     write_occupancy_csv(cells, args.bins, out / "occupancy.csv")
-
-    plots = out / "plots"
-    plots.mkdir(exist_ok=True)
-    for slug, c in names.items():
-        write_plot_data(cells, c, plots / f"{slug}.dat")
-    print(f"wrote {len(cells.chan)} occupancy cells and {len(names)} plot files to {out}")
+    print(f"wrote {len(cells.chan)} occupancy cells and {plots} plot files to {out}")
     return 0
 
 

@@ -10,19 +10,21 @@ Cells are columns from the record log to the files: ``aggregate_table``
 counts the cells of record table chunks (``scan.RecordTable``, as
 ``scan.read_record_chunks`` yields them) with numpy into a ``CellTable``, a
 chunk at a time, so ``report`` holds the cells and one chunk, not every
-record. ``write_occupancy_csv`` renders the cells' rows, and
-``write_plot_data`` writes one channel's (bins x 3) occupancy matrix.
+record. ``write_occupancy_csv`` renders the cells' rows, and one pass of
+``write_plot_data`` over the channels names, checks and writes every plot file.
 """
 
 from __future__ import annotations
 
 import re
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .channels import Channel
 from .detectors import DETECTORS
+from .errors import PlanError
 from .scan import _FLOAT, _TIME, _channel_fields, _chunks
 
 OCCUPANCY_CSV_HEADER = (
@@ -134,19 +136,32 @@ def channel_slug(channel: Channel) -> str:
     return f"{band}_ch{channel.index_in_band:03d}"
 
 
-def write_plot_data(cells: CellTable, chan: int, path) -> None:
-    """Channel channels[chan]'s `bin_start ed acf1 cdist` table, one row per bin with scans.
+def write_plot_data(cells: CellTable, directory) -> int:
+    """Write each channel's plot file, directory/<slug>.dat; return the number written.
 
-    The rows are the channel's (bins x 3) occupancy matrix; a detector with
-    no scans in a bin is NaN there, and prints as nan.
+    A file is the `bin_start ed acf1 cdist` table of the channel's (bins x 3)
+    occupancy matrix, NaN (printed nan) where a bin has no scans of a detector.
+    Cells sorted by (band, channel index) make a channel's cells one run. Only
+    channels of one band and index interleave, and they share a file name, so
+    two channels on one file raise PlanError, before ``directory`` is made.
     """
-    mine = cells.chan == chan
-    bins, row = np.unique(cells.bin_start[mine], return_inverse=True)
-    occupancy = np.full((len(bins), len(DETECTORS)), np.nan)
-    occupancy[row, cells.det[mine]] = cells.n_detected[mine] / cells.n_total[mine]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("bin_start ed acf1 cdist\n")
-        fh.write("".join(
-            f"{b:{_TIME}} {' '.join(format(v, _FLOAT) for v in vals)}\n"
-            for b, vals in zip(bins.tolist(), occupancy.tolist())
-        ))
+    starts = np.flatnonzero(np.diff(cells.chan, prepend=-1)).tolist()
+    names: dict = {}  # file name -> channel id, channels in cell order
+    for c in cells.chan[starts].tolist():
+        name = f"{channel_slug(cells.channels[c])}.dat"
+        if (first := names.setdefault(name, c)) != c:
+            a, b = cells.channels[first], cells.channels[c]
+            raise PlanError(f"plots/{name}: channels {a.band!r}:{a.index_in_band} and "
+                            f"{b.band!r}:{b.index_in_band} would both write this file")
+    Path(directory).mkdir(exist_ok=True)
+    for name, run in zip(names, map(slice, starts, starts[1:] + [len(cells.chan)])):
+        bins, row = np.unique(cells.bin_start[run], return_inverse=True)
+        occupancy = np.full((len(bins), len(DETECTORS)), np.nan)
+        occupancy[row, cells.det[run]] = cells.n_detected[run] / cells.n_total[run]
+        with open(Path(directory, name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("bin_start ed acf1 cdist\n")
+            fh.write("".join(
+                f"{b:{_TIME}} {' '.join(format(v, _FLOAT) for v in vals)}\n"
+                for b, vals in zip(bins.tolist(), occupancy.tolist())
+            ))
+    return len(names)

@@ -299,7 +299,7 @@ class Scenario:
         self.data = data
         self.path = Path(path) if path is not None else None
         self._plan = None
-        for key in ("name", "master_seed", "sample_rate_hz", "start_time_unix", "bin_len_s"):
+        for key in ("name", "master_seed", "start_time_unix"):
             setattr(self, key, _field(data, key))
         # every frame must hold all the ACF lags the detectors use
         lags = self.acf_lags()
@@ -414,18 +414,14 @@ class Scenario:
 
     # --- detector config ----------------------------------------------------
 
-    def resolve_path(self, rel) -> Path:
-        p = Path(rel)
-        if p.is_absolute() or self.path is None:
-            return p
-        return self.path.parent / p
-
     def acf_lags(self) -> int:
         return _field(_field(self.data, "detector"), "acf_lags", "detector", "detector")
 
     def detector_config(self) -> DetectorConfig:
         fields = _read("detector", _field(self.data, "detector", required=True), "detector")
-        ref_path = self.resolve_path(fields["reference"])
+        ref_path = Path(fields["reference"])
+        if self.path is not None:  # relative to the scenario file, unless absolute
+            ref_path = self.path.parent / ref_path
         try:
             fields["reference"] = load_reference(ref_path)
         except (OSError, UnicodeDecodeError) as exc:

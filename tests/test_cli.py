@@ -751,6 +751,18 @@ class TestBadInputs:
                                            "and 'ISM, 433':0 would both write this file\n")
         assert list((workspace / "o").iterdir()) == []
 
+    def test_report_refuses_channels_whose_cells_interleave(self, workspace, capsys):
+        # one band and index at two frequencies: the channels tie in the cell order, so
+        # their cells alternate by bin, and their plot files share a name
+        records = workspace / "tied.csv"
+        records.write_text(RECORD_CSV_HEADER + "\n" + "".join(
+            f"{t},X,0,{f},ed,1.5,1.1,1\n" for t in (0, 10, 20) for f in (101, 100)))
+        assert main(["report", "--records", str(records), "--out", str(workspace / "o"),
+                     "--bins", "5"]) == 1
+        assert capsys.readouterr().err == ("error: plots/X_ch000.dat: channels 'X':0 and "
+                                           "'X':0 would both write this file\n")
+        assert list((workspace / "o").iterdir()) == []
+
     def test_eval_minus_inf_snr_means_no_signal(self, workspace):
         scn = workspace / "absent.yaml"
         scn.write_text(SCENARIO.replace("snr_db_points: [0.0, 10.0]",
@@ -1366,11 +1378,12 @@ class TestStartUp:
             occuscan.no_such_name
 
     # numpy.random adds about 2.7 MB of peak RSS, and OpenSSL's _hashlib, which it would load
-    # through secrets, 3.6 MB more; numpy.ma, which np.unique imports, adds 1.3 MB. The CLI
-    # maps _hashlib to None in sys.modules, so a module counts as loaded only if it is not None.
+    # through secrets, 3.6 MB more; numpy.ma adds 1.3 MB, and np.unique imports it when
+    # called without return_inverse, as np.quantile calls it. The CLI maps _hashlib to None
+    # in sys.modules, so a module counts as loaded only if it is not None.
     @pytest.mark.parametrize("command, unused", [
         ("report", ["yaml", "occuscan.scenario", "occuscan.synth", "occuscan.evaluate",
-                    "numpy.random", "concurrent.futures"]),
+                    "numpy.random", "numpy.ma", "concurrent.futures"]),
         ("calibrate", ["occuscan.scan", "occuscan.report", "occuscan.evaluate", "_hashlib",
                        "numpy.ma"]),
         ("analyze", ["occuscan.synth", "occuscan.evaluate", "occuscan.report", "numpy.random",

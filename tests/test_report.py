@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from occuscan import Channel
 from occuscan.detectors import DETECTORS
+from occuscan.errors import PlanError
 from occuscan.report import (
     OCCUPANCY_CSV_HEADER,
     CellTable,
@@ -124,9 +125,8 @@ class TestAggregate:
 def _plot(tmp_path, records, bin_len_s) -> list[str]:
     """The lines of CH_A's plot file for (time, present, detector) records."""
     cells = aggregate_table([_table(records)], bin_len_s)
-    p = tmp_path / "plot.dat"
-    write_plot_data(cells, cells.channels.index(CH_A), p)
-    return p.read_text().splitlines()
+    write_plot_data(cells, tmp_path / "plots")
+    return (tmp_path / "plots" / f"{channel_slug(CH_A)}.dat").read_text().splitlines()
 
 
 class TestReportMatrix:
@@ -187,6 +187,54 @@ class TestExports:
     def test_channel_slug(self):
         assert channel_slug(Channel("2.4GHz", 5, 2427.0)) == "2.4GHz_ch005"
         assert channel_slug(Channel("GSM 850 UL", 0, 824.0)) == "GSM-850-UL_ch000"
+
+
+def _reference_plot(cells: CellTable, chan: int) -> str:
+    """Channel channels[chan]'s plot file, rendered by masking the whole cell table.
+
+    The per-channel renderer that the single pass over the channel runs replaced:
+    the reference for it.
+    """
+    mine = cells.chan == chan
+    bins, row = np.unique(cells.bin_start[mine], return_inverse=True)
+    occupancy = np.full((len(bins), len(DETECTORS)), np.nan)
+    occupancy[row, cells.det[mine]] = cells.n_detected[mine] / cells.n_total[mine]
+    return "bin_start ed acf1 cdist\n" + "".join(
+        f"{b:.6f} {' '.join(format(v, '.9g') for v in vals)}\n"
+        for b, vals in zip(bins.tolist(), occupancy.tolist()))
+
+
+class TestPlotFiles:
+    """write_plot_data's one pass over the channel runs of the cell table."""
+
+    def test_equals_per_channel_reference(self, tmp_path):
+        rng = np.random.default_rng(11)
+        channels = [Channel(band, i, 100.0 * k + i + 1.0)
+                    for k, band in enumerate(["A", "B 2", "c+"]) for i in range(80)]
+        n = 3000
+        records = [(float(t), bool(p), DETECTORS[d], channels[c]) for t, p, d, c in zip(
+            rng.uniform(-60.0, 60.0, n).round(3), rng.integers(0, 2, n), rng.integers(0, 3, n),
+            rng.integers(0, len(channels), n))]
+        cells = aggregate_table([_table(records)], 7.0)
+        assert write_plot_data(cells, tmp_path / "plots") == len(channels)
+        files = {p.name: p.read_bytes() for p in (tmp_path / "plots").iterdir()}
+        expected = {f"{channel_slug(cells.channels[c])}.dat": _reference_plot(cells, c).encode()
+                    for c in range(len(cells.channels))}
+        assert files == expected
+        text = b"".join(files.values())
+        assert b"\n-7.000000 " in text and b"\n0.000000 " in text and b"nan" in text
+
+    def test_interleaved_channels_are_refused_before_any_file(self, tmp_path):
+        records = [(float(t), True, "ed", ch) for t in (0, 10, 20) for ch in (CH_A2, CH_A)]
+        cells = aggregate_table([_table(records)], 5.0)
+        assert [cells.channels[c] for c in cells.chan.tolist()] == [CH_A2, CH_A] * 3
+        with pytest.raises(PlanError, match=r"^plots/X_ch000\.dat: channels 'X':0 and 'X':0 "):
+            write_plot_data(cells, tmp_path / "plots")
+        assert not (tmp_path / "plots").exists()
+
+    def test_no_cells_no_files(self, tmp_path):
+        assert write_plot_data(aggregate_table([_table([])], 1.0), tmp_path / "plots") == 0
+        assert list((tmp_path / "plots").iterdir()) == []
 
 
 def _reference_aggregate(rows, bin_len_s):

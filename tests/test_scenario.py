@@ -100,13 +100,11 @@ class TestParsing:
     def test_exponent_floats_without_sign(self, tmp_path):
         text = MINIMAL + "sample_rate_hz: 2.4e6\n"
         s = Scenario.load(_write(tmp_path, text))
-        assert s.sample_rate_hz == 2.4e6
+        assert s.data["sample_rate_hz"] == 2.4e6
 
     def test_defaults(self, tmp_path):
         s = Scenario.load(_write(tmp_path, MINIMAL))
-        assert s.sample_rate_hz == 1e6
         assert s.start_time_unix == 0.0
-        assert s.bin_len_s == 3600.0
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.yaml"
@@ -235,6 +233,13 @@ class TestDetectorConfig:
         cfg = s.detector_config()
         assert cfg.acf_lags == 8
         assert cfg.reference.values[0] == 1.0
+
+    def test_loads_absolute_reference_as_given(self, tmp_path):
+        _write(tmp_path, MINIMAL)  # writes tmp_path / "ref.txt"
+        (tmp_path / "sub").mkdir()
+        text = MINIMAL.replace("reference: ref.txt", f"reference: {tmp_path / 'ref.txt'}")
+        s = Scenario.load(_write(tmp_path / "sub", text, with_ref=False))
+        assert s.detector_config().reference.values[0] == 1.0
 
     def test_missing_reference_file(self, tmp_path):
         s = Scenario.load(_write(tmp_path, MINIMAL, with_ref=False))
