@@ -64,7 +64,7 @@ def _load_scenario(args):
 
     scenario = Scenario.load(args.scenario)
     if getattr(args, "seed", None) is not None:  # in range: _check_options checked it
-        scenario.master_seed = scenario.data["master_seed"] = args.seed
+        scenario.master_seed = args.seed
     return scenario
 
 

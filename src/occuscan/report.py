@@ -104,7 +104,7 @@ def aggregate_table(chunks, bin_len_s: float) -> CellTable:
         raise ValueError(f"bin numbers must be finite, but capture time {bad!r} / bin length "
                          f"{bin_len_s!r} is not")
     chan, det, bin_no, first, n_detected, n_total = _merge(parts)
-    bin_start = bin_no * bin_len_s
+    bin_start = bin_no * bin_len_s + 0.0  # a capture time of -0.0 starts bin 0.0, not -0.0
     band_index = sorted({(c.band, c.index_in_band) for c in channels})
     rank = {key: i for i, key in enumerate(band_index)}
     chan_rank = np.array([rank[c.band, c.index_in_band] for c in channels], dtype=np.intp)

@@ -9,10 +9,10 @@ key ends in "<path>.<key>: unknown key" instead of silently taking a
 default. Parse errors cite the YAML line; validation errors name the field.
 
 All randomness derives from ``master_seed``: a purpose tag plus the channel's
-(band position, index) feed SeedSequence's mixing (``derive_seeds``, which
-derives a whole plan's channel seeds in one batch), so any sub-result can be
-regenerated in isolation and no two purposes share a stream. An explicit
-``seed`` key on a signal/noise mapping overrides the derivation.
+(band position, index) feed SeedSequence's mixing (``derive_seeds``, one batch
+over columns of tags: a plan's signal or noise seeds at once), so any sub-result
+can be regenerated in isolation and no two purposes share a stream. An
+explicit ``seed`` key on a signal/noise mapping overrides the derivation.
 """
 
 from __future__ import annotations
@@ -60,15 +60,20 @@ SEED_EVAL_NOISE = 30
 SEED_EVAL_SIGNAL = 31
 
 
-def derive_seeds(master_seed: int, tag_rows) -> list[int]:
-    """The first uint64 that ``SeedSequence((master_seed, *tags))`` generates, for each tags.
+def derive_seeds(master_seed: int, *tag_columns) -> list[int]:
+    """The first uint64 that ``SeedSequence((master_seed, *tags))`` generates, for each row
+    of the tag columns, each one int or a list of one int per row.
 
-    ``synth.seed_u64`` mixes them in one batch without numpy.random, so a process
+    ``synth._seed_states`` mixes the rows in one batch without numpy.random, so a process
     that only derives seeds (simulate's, when pool workers draw) never loads it.
     """
-    from .synth import seed_u64
+    from .synth import _seed_states
 
-    return seed_u64([(master_seed, *tags) for tags in tag_rows])
+    for column in (master_seed, *tag_columns):
+        for value in column if isinstance(column, list) else [column]:
+            if not 0 <= value <= 2**64 - 1:
+                raise ValueError(f"seed entropy must be integers >= 0 and < 2**64, got {value}")
+    return _seed_states([master_seed, *tag_columns], 1)[:, 0].tolist()
 
 
 class Field(NamedTuple):
@@ -352,12 +357,12 @@ class Scenario:
         """Every plan channel's ChannelParams, in plan order; the seeds derive in one batch, and
         the defaults resolve once, named in errors by the first channel without an override."""
         band_pos = {band: i for i, band in enumerate(dict.fromkeys(c.band for c in self.plan()))}
-        seeds = derive_seeds(self.master_seed, [
-            (tag, band_pos[c.band], c.index_in_band) for c in self.plan()
-            for tag in (SEED_CHANNEL_SIGNAL, SEED_CHANNEL_NOISE)])
+        position = [band_pos[c.band] for c in self.plan()], [c.index_in_band for c in self.plan()]
+        signal_seeds, noise_seeds = (derive_seeds(self.master_seed, tag, *position)
+                                     for tag in (SEED_CHANNEL_SIGNAL, SEED_CHANNEL_NOISE))
         defaults, overrides = _field(self.data, "defaults"), self.data.get("channels", {})
         out, base = [], None
-        for channel, signal_seed, noise_seed in zip(self.plan(), seeds[::2], seeds[1::2]):
+        for channel, signal_seed, noise_seed in zip(self.plan(), signal_seeds, noise_seeds):
             key = f"{channel.band}:{channel.index_in_band}"
             override = overrides.get(key, {})
             if not isinstance(override, dict):
@@ -443,7 +448,7 @@ class Scenario:
         if signal is None:
             raise ScenarioError(f"{name}.signal: required (directly or via defaults.signal)")
         noise = section.get("noise", defaults.get("noise", {}))
-        seeds = derive_seeds(self.master_seed, [(signal_tag,), (noise_tag,)])
+        seeds = derive_seeds(self.master_seed, [signal_tag, noise_tag])
         return {"signal": _synth_spec("signal", signal, f"{name}.signal", seed=seeds[0]),
                 "noise": _synth_spec("noise", noise, f"{name}.noise", seed=seeds[1]),
                 **_read(name, section, name)}

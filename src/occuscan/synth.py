@@ -3,11 +3,11 @@
 Everything here is a pure function of its arguments: each frame's randomness
 comes from ``SeedSequence((seed, stream, frame_index))``, so regenerating a
 frame at any index, in any process, gives bit-identical samples. Seeding is
-apart from drawing: ``_frame_states`` runs SeedSequence's mixing once over a
-batch of (seed, stream, k) rows as uint32 array arithmetic (``_seed_pool``,
-which ``seed_u64`` shares, so deriving seeds loads no ``numpy.random``), then
-``_generators`` sets one reused PCG64 to each row's state. This is the only
-module that loads ``numpy.random``, and only where it draws.
+apart from drawing: ``_seed_states`` runs SeedSequence's mixing once over a
+batch of entropy rows in uint32 arithmetic, for ``_frame_states``' rows of
+(seed, stream, k) and derived seeds alike, then ``_generators`` sets one
+reused PCG64 to each frame's state. Only this module loads ``numpy.random``,
+and only where it draws, so deriving seeds does not.
 
 Frames are plain complex128 rows: ``noise_rows`` and ``signal_rows`` make
 (frames x N) blocks, and ``channel_windows`` is the one signal+noise mix. It
@@ -48,13 +48,12 @@ _U64_MAX = 2**64 - 1
 # 128-bit LCG multiplier. The hash constants run INIT, INIT*MULT, INIT*MULT**2,
 # ... (mod 2**32), as columns: filling and cross-mixing the 4-word pool takes
 # 4 + 12 hash calls, each word past the pool 4 more, generate_state(4, uint64) 8.
-_MASK32 = 0xFFFFFFFF
 _U128_MAX = 2**128 - 1
 
 
 def _hash_consts(init: int, mult: int, start: int, stop: int) -> np.ndarray:
     """init * mult**i (mod 2**32) for i in [start, stop), as a uint32 column."""
-    return np.array([init * pow(mult, i, 2**32) & _MASK32 for i in range(start, stop)],
+    return np.array([init * pow(mult, i, 2**32) % 2**32 for i in range(start, stop)],
                     np.uint32)[:, None]
 
 
@@ -67,10 +66,9 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 SIGNAL_KINDS = ("tone", "bpsk", "none")
 
 
-def _check_seed(seed: int) -> int:
+def _check_seed(seed: int) -> None:
     if not 0 <= int(seed) <= _U64_MAX:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -199,56 +197,37 @@ def _seed_pool(entropy: np.ndarray) -> np.ndarray:
     return pool
 
 
-def seed_u64(entropies) -> list[int]:
-    """``SeedSequence(e).generate_state(1, np.uint64)[0]`` for each e, without numpy.random.
+def _seed_states(entropy, words: int) -> np.ndarray:
+    """generate_state(words, uint64) of SeedSequence(row), words <= 4, for each row of the
+    ``entropy`` columns, each one value in [0, 2**64) or one per row.
 
-    Each e is ints >= 0, each int its 32-bit words, low first (0 is one word), as in
-    SeedSequence; one ``_seed_pool`` batch mixes the e of each word count.
+    A value >= 2**32 is two entropy words, low first, as in SeedSequence: a row's words are
+    its values' low words, each followed by its high word where that is not 0, and one
+    ``_seed_pool`` batch mixes the rows of each word count. It uses few numpy operations:
+    each one's first use maps more of numpy's code into the process.
     """
-    rows = []
-    for entropy in entropies:
-        rows.append([])
-        for value in map(int, entropy):
-            if value < 0:
-                raise ValueError(f"entropy must be integers >= 0, got {value}")
-            rows[-1].append(value & _MASK32)
-            while value := value >> 32:
-                rows[-1].append(value & _MASK32)
-    out = [0] * len(rows)
-    for words in dict.fromkeys(map(len, rows)):
-        at = [i for i, row in enumerate(rows) if len(row) == words]
-        pool = _seed_pool(np.array([rows[i] for i in at], np.uint32).T)
-        lo, hi = _hashmix(pool[:2], _HASH_B[:3]).tolist()
-        for i, low, high in zip(at, lo, hi):
-            out[i] = high << 32 | low
-    return out
+    columns = np.broadcast_arrays(*(np.asarray(c, "<u8") for c in entropy))
+    halves = np.column_stack(columns).view("<u4")  # per row: low, high, low, high, ...
+    keep = halves.astype(bool)
+    keep[:, ::2] = True
+    count = np.full(len(halves), len(columns))
+    for wide in keep[:, 1::2].T:
+        count[wide] += 1
+    out = np.empty((len(halves), 2 * words), "<u4")
+    for n in set(count.tolist()):
+        at = np.flatnonzero(count == n)
+        pool = _seed_pool(halves[at][keep[at]].reshape(len(at), n).T)
+        out[at] = _hashmix(np.tile(pool, (2, 1))[:2 * words], _HASH_B[:2 * words + 1]).T
+    return out.view("<u8")
 
 
 def _frame_states(seeds, stream: int, indices) -> np.ndarray:
-    """generate_state(4, uint64) of SeedSequence((seed, stream, k)) for each k in indices.
-
-    ``seeds`` is one seed or one per index. An int >= 2**32 is two entropy words (low
-    first), as in SeedSequence, so one ``_seed_pool`` batch mixes the rows whose seed and
-    index have the same word counts.
-    """
+    """``_seed_states`` of (seed, stream, k) for each k in indices, 4 words each; ``seeds``
+    is one seed or one per index."""
     k = [int(i) for i in indices]
     if k and not 0 <= min(k) <= max(k) <= _U64_MAX:
         raise ValueError("frame indices must lie in [0, 2**64)")
-    k = np.array(k, dtype=np.uint64)
-    s = np.broadcast_to(np.asarray(seeds, np.uint64), k.shape)
-    s_lo, s_hi, k_lo, k_hi = (w.astype(np.uint32) for c in (s, k) for w in (c, c >> 32))
-    mid = np.full(k.shape, stream, np.uint32)
-    out = np.empty((len(k), 8), "<u4")
-    # grouped with few distinct numpy operations: each one's first use maps more of numpy's
-    # code into a pool worker, and grouping by a word-count sum took 0.2 MB more of its RSS
-    by_seed = ([s_lo], np.flatnonzero(s_hi == 0)), ([s_lo, s_hi], np.flatnonzero(s_hi))
-    for s_words, s_rows in by_seed:
-        for k_words, rows in (([k_lo], s_rows[np.flatnonzero(k_hi[s_rows] == 0)]),
-                              ([k_lo, k_hi], s_rows[np.flatnonzero(k_hi[s_rows])])):
-            if rows.size:
-                pool = _seed_pool(np.vstack([w[rows] for w in s_words + [mid] + k_words]))
-                out[rows] = _hashmix(np.tile(pool, (2, 1)), _HASH_B).T
-    return out.view("<u8")
+    return _seed_states([seeds, stream, k], 4)
 
 
 def _generators(states: np.ndarray):

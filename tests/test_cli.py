@@ -1139,6 +1139,19 @@ class TestReport:
         # when the whole log was read before counting, and 250 as a list of row tuples
         assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) < 16
 
+    def test_bin_start_prints_without_sign_of_minus_zero(self, workspace):
+        """A capture time of -0.0 lies in the bin that starts at 0, printed 0.000000."""
+        records = workspace / "r.csv"
+        records.write_text(RECORD_CSV_HEADER + "\n"
+                           "-0.000000,B,0,100,ed,1.5,1.1,1\n"
+                           "0.500000,B,0,100,acf1,0.2,1.1,0\n")
+        assert main(["report", "--records", str(records), "--out", str(workspace / "o"),
+                     "--bins", "60"]) == 0
+        rows = (workspace / "o" / "occupancy.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3:5] for row in rows] == [["ed", "0.000000"], ["acf1", "0.000000"]]
+        plot = (workspace / "o" / "plots" / "B_ch000.dat").read_text()
+        assert plot.splitlines()[1:] == ["0.000000 1 0 nan"]
+
     def test_blank_line_changes_nothing(self, workspace, sim_out):
         """A blank line inside the record log is skipped, not read as a record."""
         lines = (sim_out / "records.csv").read_text().splitlines(keepends=True)

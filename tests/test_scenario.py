@@ -273,7 +273,7 @@ class TestCalibrationAndEval:
 
 
 def derive_seed(master_seed, *tags):
-    return derive_seeds(master_seed, [tags])[0]
+    return derive_seeds(master_seed, *tags)[0]
 
 
 class TestSeedDerivation:
@@ -288,17 +288,21 @@ class TestSeedDerivation:
 
     @settings(max_examples=300, deadline=None)
     @given(master_seed=st.integers(0, 2**64 - 1),
-           tags=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**100)),
+           tags=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
                          max_size=3))
     def test_equals_seed_sequence(self, master_seed, tags):
-        # one to four words past SeedSequence's 4-word pool when tags reach 2**32
-        expected = np.random.SeedSequence((master_seed, *tags)).generate_state(1, np.uint64)[0]
-        assert derive_seed(master_seed, *tags) == int(expected)
-        # in a batch, each keeps its own seed, whatever the row lengths and word counts
-        rows = [tags, [t ^ 1 for t in tags], tags, tags[1:], [*tags, 2**32 + 5], [7] * 6, tags]
-        assert derive_seeds(master_seed, rows) == [
-            int(np.random.SeedSequence((master_seed, *row)).generate_state(1, np.uint64)[0])
-            for row in rows]
+        # up to four words past SeedSequence's 4-word pool when the seed and tags reach 2**32
+        def expected(row):
+            return int(np.random.SeedSequence((master_seed, *row)).generate_state(1, np.uint64)[0])
+
+        assert derive_seed(master_seed, *tags) == expected(tags)
+        # in a batch of tag columns, each row keeps its own seed, whatever its word counts
+        rows = [tags, [t ^ 1 for t in tags], tags, [t ^ 2**32 for t in tags], tags]
+        columns = [list(column) for column in zip(*rows)]
+        if columns:
+            assert derive_seeds(master_seed, *columns) == [expected(row) for row in rows]
+            assert derive_seeds(master_seed, *columns, 2**40) == [
+                expected([*row, 2**40]) for row in rows]
 
     @pytest.mark.parametrize("master_seed", [0, 42, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1])
     def test_plan_seeds_equal_seed_sequence(self, tmp_path, master_seed):
@@ -319,6 +323,12 @@ class TestSeedDerivation:
     def test_negative_tag_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             derive_seed(42, -1)
+
+    @pytest.mark.parametrize("columns", [(2**64,), ([0, 2**64],), (5, [1, 2**70]),
+                                         ([3, 4], 2**64 + 1)])
+    def test_tag_of_2_64_or_more_rejected(self, columns):
+        with pytest.raises(ValueError, match=r"< 2\*\*64, got \d+$"):
+            derive_seeds(42, *columns)
 
     def test_all_distinct(self):
         seeds = {

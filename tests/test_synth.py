@@ -21,8 +21,8 @@ from occuscan import (
 )
 from occuscan.detectors import block_statistics
 from occuscan.errors import SampleDataError
-from occuscan.synth import (_frame_states, _generators, channel_windows, noise_rows,
-                            signal_rows)
+from occuscan.synth import (_frame_states, _generators, _seed_states, channel_windows,
+                            noise_rows, signal_rows)
 
 ALWAYS_ON = OccupancySchedule(1.0, ((0.0, 1.0),))
 
@@ -127,6 +127,29 @@ class TestBlockSeeder:
                                       [gen_signal_frame(20, spec, k).samples for k in ks])
 
     WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]
+
+    @staticmethod
+    def _seed_sequence_states(entropy, words):
+        rows = max((len(c) for c in entropy if isinstance(c, list)), default=1)
+        return [np.random.SeedSequence([c[i] if isinstance(c, list) else c for c in entropy])
+                .generate_state(words, np.uint64).tolist() for i in range(rows)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), columns=st.integers(1, 4), rows=st.integers(1, 12),
+           words=st.sampled_from([1, 4]))
+    def test_seed_states_equal_seed_sequence(self, data, columns, rows, words):
+        """Scalar and per-row columns; with 4 two-word values a row is 8 words, past the pool."""
+        value = st.sampled_from(self.WORD_EDGES) | st.integers(0, 2**64 - 1)
+        entropy = [data.draw(value | st.lists(value, min_size=rows, max_size=rows))
+                   for _ in range(columns)]
+        states = _seed_states(entropy, words)
+        assert states.dtype == np.uint64
+        assert states.tolist() == self._seed_sequence_states(entropy, words)
+
+    @pytest.mark.parametrize("words", [1, 4])
+    def test_seed_states_mix_one_and_two_word_values(self, words):
+        entropy = [[5, 2**32, 2**64 - 1, 0, 2**32 - 1], 7, [2**32 + 1, 3, 3, 2**40, 0]]
+        assert _seed_states(entropy, words).tolist() == self._seed_sequence_states(entropy, words)
 
     @settings(max_examples=150, deadline=None)
     @given(rows=st.lists(st.tuples(st.sampled_from(WORD_EDGES) | st.integers(0, 2**64 - 1),
