@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it; each submodule's name maps to itself
 _MODULE_OF = {name: module for module, names in {
     "channels": ("BUILTIN_BANDS", "BandSpec", "Channel", "build_channel_plan", "builtin_plan"),
-    "detectors": ("DETECTOR_ACF1", "DETECTOR_CDIST", "DETECTOR_ED", "DETECTOR_TABLE",
-                  "DETECTORS", "AcfVector", "DetectorConfig", "acf", "acf1_statistic",
-                  "acf_vector", "block_statistics", "calibrate_ed_threshold",
+    "detectors": ("DETECTOR_TABLE", "DETECTORS", "AcfVector", "DetectorConfig", "acf",
+                  "acf1_statistic", "acf_vector", "block_statistics", "calibrate_ed_threshold",
                   "correlation_distance", "energy_statistic", "load_reference",
                   "save_reference"),
     "errors": ("CalibrationError", "CsvParseError", "DegenerateFrameError", "MetaFormatError",

@@ -56,10 +56,6 @@ class Channel:
         if not 0 < self.center_freq_mhz < math.inf:
             raise ValueError("center_freq_mhz must be a finite number > 0")
 
-    @property
-    def center_freq_hz(self) -> float:
-        return self.center_freq_mhz * 1e6
-
 
 def build_channel_plan(specs) -> list[Channel]:
     """Expand band specs into channels, validating count and stop frequency.

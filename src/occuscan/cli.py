@@ -39,6 +39,13 @@ sys.modules.setdefault("_hashlib", None)
 
 from .errors import OccuscanError, SampleDataError, UsageError
 
+# The most pool processes --workers may ask for. With the fork start method a pool
+# starts all of its processes at the first task, and on the example scenario each
+# peaks near 31 MB, so 64 come to about 2 GB; a larger count only risks exhausting
+# the host's memory or process ids. A constant, not os.cpu_count(), so a command
+# line that runs on one host runs on any.
+MAX_WORKERS = 64
+
 
 def _check_options(args) -> None:
     """Reject out-of-range numeric options before any work starts."""
@@ -48,6 +55,8 @@ def _check_options(args) -> None:
     workers = getattr(args, "workers", 1)
     if workers < 1:
         raise UsageError(f"--workers: must be >= 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise UsageError(f"--workers: must be at most {MAX_WORKERS}, got {workers}")
     bins = getattr(args, "bins", 1.0)
     if not (math.isfinite(bins) and bins > 0):
         raise UsageError(f"--bins: must be a finite number > 0, got {bins}")
@@ -347,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ana = sub.add_parser("analyze", help="scan an IQ recording offline")
-    common(p_ana)
+    common(p_ana, seed=False)  # analyze draws nothing
     p_ana.add_argument("--iq", required=True, help=".iq payload path")
     p_ana.add_argument("--meta", required=True, help=".iq.meta sidecar path")
     p_ana.add_argument("--center-mhz", type=float, required=True,

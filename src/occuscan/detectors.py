@@ -40,10 +40,6 @@ import numpy as np
 from .errors import CalibrationError, DegenerateFrameError, SampleDataError
 from .iq import ComplexFrame
 
-DETECTOR_ED = "ed"
-DETECTOR_ACF1 = "acf1"
-DETECTOR_CDIST = "cdist"
-
 
 class Detector(NamedTuple):
     """One detector: its statistic column, threshold field and test direction."""
@@ -64,9 +60,9 @@ class Detector(NamedTuple):
 
 # canonical order: energy, lag-1 ACF, correlation distance
 DETECTOR_TABLE = (
-    Detector(DETECTOR_ED, 0, "lambda_ed", ">"),
-    Detector(DETECTOR_ACF1, 1, "lambda_acf", ">"),
-    Detector(DETECTOR_CDIST, 2, "gamma", "<"),
+    Detector("ed", 0, "lambda_ed", ">"),
+    Detector("acf1", 1, "lambda_acf", ">"),
+    Detector("cdist", 2, "gamma", "<"),
 )
 DETECTORS = tuple(d.name for d in DETECTOR_TABLE)
 DETECTOR_BY_NAME = {d.name: d for d in DETECTOR_TABLE}
@@ -214,9 +210,7 @@ def acf(frame: ComplexFrame, lag: int) -> complex:
         raise ValueError("lag must be >= 0")
     if lag >= n:
         raise ValueError(f"lag {lag} out of range for frame of {n} samples")
-    if lag == 0:
-        return complex(np.vdot(x, x))
-    return complex(np.dot(x[lag:], np.conj(x[:-lag])))
+    return complex(np.vecdot(x[:n - lag], x[lag:]))
 
 
 def acf1_statistic(frame: ComplexFrame) -> float:

@@ -114,8 +114,10 @@ def read_meta(meta_path) -> RecordingMeta:
                 continue
             if "=" not in line:
                 raise MetaFormatError(f"{meta_path}:{lineno}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key, _, val = (part.strip() for part in line.partition("="))
+            if key in values:
+                raise MetaFormatError(f"{meta_path}:{lineno}: duplicate key {key!r}")
+            values[key] = val
     missing = [k for k in _META_KEYS if k not in values]
     if missing:
         raise MetaFormatError(f"{meta_path}: missing keys: {', '.join(missing)}")

@@ -29,7 +29,6 @@ import numpy as np
 
 from .channels import Channel
 from .detectors import (
-    DETECTOR_ED,
     DETECTOR_TABLE,
     DETECTORS,
     DetectorConfig,
@@ -50,13 +49,7 @@ _DETECTOR_POS = {name: i for i, name in enumerate(DETECTORS)}
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """One (time, channel, detector) observation.
-
-    ``degenerate`` marks acf1/cdist records from a zero-energy frame: their
-    statistics are the no-signal sentinels (0 correlation, maximal distance)
-    rather than computed values. The flag is in-memory only; the record CSV
-    schema does not carry it.
-    """
+    """One (time, channel, detector) observation: one row of the record log."""
 
     capture_time: float
     channel: Channel
@@ -64,7 +57,6 @@ class ScanRecord:
     statistic: float
     threshold: float
     present: bool
-    degenerate: bool = False
 
 
 def check_tuning(center_freq_hz: float, channel: Channel, freq_tol_mhz: float) -> None:
@@ -87,19 +79,14 @@ def scan_channel(
     """Run all three detectors on one frame; returns [ed, acf1, cdist] records.
 
     The frame must be tuned to the channel within freq_tol_mhz. A zero-energy
-    frame (dead channel) is not an error: the energy record is normal
-    (statistic 0) and the ACF-based records decide absent with the
-    degenerate marker set.
+    frame (dead channel) is not an error: its ed record reads 0, and its acf1
+    and cdist records hold the no-signal sentinels 0 and 1, which decide absent.
     """
     check_tuning(frame.center_freq_hz, channel, freq_tol_mhz)
     stats = block_statistics(frame.samples[None, :], config.reference)
     row, present = stats[0].tolist(), decide_block(stats, config)[0].tolist()
-    dead = row[0] == 0.0
-    return [
-        ScanRecord(frame.capture_time, channel, d.name, row[d.column], d.threshold(config),
-                   present[d.column], degenerate=dead and d.name != DETECTOR_ED)
-        for d in DETECTOR_TABLE
-    ]
+    return [ScanRecord(frame.capture_time, channel, d.name, row[d.column], d.threshold(config),
+                       present[d.column]) for d in DETECTOR_TABLE]
 
 
 # --- record columns -----------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Hashable
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -33,11 +34,27 @@ if TYPE_CHECKING:  # synth is imported where specs are built: analyze makes no f
 
 
 class _ScenarioLoader(yaml.SafeLoader):
-    """SafeLoader that also accepts exponent floats without a sign (1.0e6).
+    """SafeLoader that also accepts exponent floats without a sign (1.0e6), and refuses a
+    key given twice in one mapping.
 
     Stock pyyaml follows YAML 1.1, where "1.0e6" is a string unless written
-    "1.0e+6"; sample rates trip over that constantly.
+    "1.0e+6"; sample rates trip over that constantly. It also keeps the last of
+    two equal keys without a word.
     """
+
+    def construct_mapping(self, node, deep=False):
+        if isinstance(node, yaml.MappingNode):
+            seen = set()
+            for key_node, _ in node.value:  # a "<<" merge's keys are overridden, not repeated
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node, deep=True)
+                if isinstance(key, Hashable):  # the base constructor refuses the others
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(
+                            None, None, f"duplicate key {key!r}", key_node.start_mark)
+                    seen.add(key)
+        return super().construct_mapping(node, deep)
 
 
 _ScenarioLoader.add_implicit_resolver(

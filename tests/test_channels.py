@@ -109,9 +109,6 @@ class TestBuiltinPlan:
 
 
 class TestChannel:
-    def test_hz_conversion(self):
-        assert Channel("2.4GHz", 2, 2412.0).center_freq_hz == 2412e6
-
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             Channel("X", -1, 100.0)

@@ -1,5 +1,7 @@
 """End-to-end command behavior through the argparse entry point."""
 
+import argparse
+import concurrent.futures
 import contextlib
 import copy
 import io
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from occuscan import (
     ComplexFrame,
+    UsageError,
     acf_vector,
     energy_statistic,
     gen_noise_frame,
@@ -27,7 +30,7 @@ from occuscan import (
 )
 from occuscan import scenario as scenario_module
 from occuscan.channels import Channel
-from occuscan.cli import RUN_CHANNELS, main
+from occuscan.cli import MAX_WORKERS, RUN_CHANNELS, _check_options, main
 from occuscan.report import OCCUPANCY_CSV_HEADER
 from occuscan.scan import RECORD_CSV_HEADER, TRUTH_CSV_HEADER, RecordTable, scan_channel
 from occuscan.scenario import SCHEMA, Scenario
@@ -623,6 +626,23 @@ class TestBadInputs:
     def test_zero_workers(self, workspace, capsys, cmd):
         self._fails_with(capsys, [cmd, "--scenario", str(workspace / "scn.yaml"),
                                   "--out", str(workspace / "o"), "--workers", "0"], "--workers")
+
+    def test_workers_bound(self):
+        _check_options(argparse.Namespace(workers=MAX_WORKERS))
+        with pytest.raises(UsageError, match=rf"^--workers: must be at most {MAX_WORKERS}, "
+                                             rf"got {MAX_WORKERS + 1}$"):
+            _check_options(argparse.Namespace(workers=MAX_WORKERS + 1))
+
+    @pytest.mark.parametrize("cmd", ["simulate", "eval"])
+    def test_too_many_workers(self, workspace, capsys, monkeypatch, cmd):
+        def refuse(*args, **kwargs):  # a pool of that size must never start
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", refuse)
+        self._fails_with(capsys, [cmd, "--scenario", str(workspace / "scn.yaml"),
+                                  "--out", str(workspace / "o"),
+                                  "--workers", str(MAX_WORKERS + 1)], "--workers")
+        assert not (workspace / "o").exists()
 
     def test_scenario_seed_out_of_range(self, workspace, capsys):
         scn = workspace / "neg.yaml"
@@ -1220,6 +1240,15 @@ class TestErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_analyze_takes_no_seed(self, tmp_path, capsys):
+        # analyze draws nothing, so a seed would change no byte of its output
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--scenario", str(tmp_path / "scn.yaml"), "--out", str(tmp_path),
+                  "--iq", "cap.iq", "--meta", "cap.iq.meta", "--center-mhz", "100",
+                  "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -1352,11 +1381,12 @@ class TestStartUp:
     """What a fresh interpreter loads, and what the BLAS thread count may change."""
 
     # occuscan.__all__ as it was when the package imported every submodule eagerly, less
-    # the object-form functions and classes removed since and the recording writer
+    # the object-form functions and classes removed since, the recording writer and the
+    # DETECTOR_ED, DETECTOR_ACF1 and DETECTOR_CDIST aliases of DETECTOR_TABLE's names
     PUBLIC_NAMES = [
         "AcfVector", "BUILTIN_BANDS", "BandSpec", "CalibrationError", "Channel",
-        "ComplexFrame", "CsvParseError", "DETECTORS", "DETECTOR_ACF1", "DETECTOR_CDIST",
-        "DETECTOR_ED", "DETECTOR_TABLE", "DegenerateFrameError", "DetectorConfig",
+        "ComplexFrame", "CsvParseError", "DETECTORS", "DETECTOR_TABLE", "DegenerateFrameError",
+        "DetectorConfig",
         "MetaFormatError", "NoiseSpec", "OccupancySchedule",
         "OccuscanError", "PlanError", "RecordingMeta", "RoutingError", "SampleDataError",
         "ScanRecord", "Scenario", "ScenarioError", "SignalSpec", "TruncationError",

@@ -85,6 +85,13 @@ class TestMeta:
         with pytest.raises(MetaFormatError, match="start_time_unix"):
             read_meta(p)
 
+    def test_duplicate_key_cites_lineno(self, tmp_path):
+        p = tmp_path / "m"
+        p.write_text("sample_rate_hz=1000.0\ncenter_freq_hz=1.0\nstart_time_unix=0.0\n"
+                     "num_samples=1\ncenter_freq_hz=2.0\n")
+        with pytest.raises(MetaFormatError, match=":5: duplicate key 'center_freq_hz'$"):
+            read_meta(p)
+
     def test_malformed_line_cites_lineno(self, tmp_path):
         p = tmp_path / "m"
         p.write_text("sample_rate_hz=1000.0\nwhat even is this\n")

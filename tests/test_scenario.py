@@ -128,6 +128,28 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=r"broken\.yaml:\d+"):
             Scenario.load(p)
 
+    @pytest.mark.parametrize("extra, key", [
+        ("total_s: 5.0\n", "total_s"),
+        ('channels:\n  "A:1": {snr_db: 1.0}\n  "A:1": {snr_db: 2.0}\n', "A:1"),
+        ('channels:\n  "A:1": {snr_db: 1.0, snr_db: 2.0}\n', "snr_db"),
+    ])
+    def test_duplicate_key_refused(self, tmp_path, extra, key):
+        text = MINIMAL + extra
+        line = len(text.splitlines())  # each case repeats its key on the file's last line
+        with pytest.raises(ScenarioError, match=rf"scn\.yaml:{line}: duplicate key '{key}'$"):
+            Scenario.load(_write(tmp_path, text))
+
+    def test_merge_key_override_is_not_a_duplicate(self, tmp_path):
+        text = MINIMAL.replace("  signal:\n", "  signal: &tone\n") + (
+            "\nchannels:\n"
+            "  \"A:1\":\n"
+            "    signal:\n"
+            "      <<: *tone\n"
+            "      normalized_freq: 0.2\n"
+        )
+        _, p1, _ = Scenario.load(_write(tmp_path, text)).sweep_params()
+        assert (p1.signal.kind, p1.signal.normalized_freq) == ("tone", 0.2)
+
 
 class TestValidationMessages:
     def test_missing_field_named(self, tmp_path):

@@ -3,10 +3,13 @@ the names its docs cite."""
 
 import ast
 import re
+import shlex
 from importlib import import_module
 from pathlib import Path
 
 import pytest
+
+from occuscan.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "occuscan"
@@ -102,3 +105,25 @@ def test_every_cited_name_exists(doc):
     cited = sorted(set(_cited_names(doc.read_text(encoding="utf-8"))))
     missing = [f"{m}.{n}" for m, n in cited if not hasattr(import_module(f"occuscan.{m}"), n)]
     assert not missing, f"{doc.name} cites names its modules lack: {missing}"
+
+
+def _command_lines(text: str):
+    """Each ``occuscan ...`` command line in a document's fenced blocks, with its
+    backslash continuations joined."""
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("occuscan "):
+                yield line
+
+
+def test_every_documented_command_parses():
+    """Each command line the README and the docs show is one the CLI accepts."""
+    docs = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+    lines = [line for doc in docs for line in _command_lines(doc.read_text(encoding="utf-8"))]
+    assert {shlex.split(line)[1] for line in lines} == {
+        "calibrate", "simulate", "report", "eval", "analyze"}
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"the CLI refuses a documented command line: {line}")
