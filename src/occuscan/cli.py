@@ -5,10 +5,14 @@ outputs are byte-identical across repeated runs and across --workers counts.
 ``simulate`` makes its frames in record-log order, a frame window of a run of
 channels a task, and writes each window as it comes; ``eval`` parallelizes
 over chunks of trial indices. Both are pure functions of derived seeds.
+Streams hold one block: ``simulate`` drops a window's run parts once they
+are stitched and the window before it makes the next, and ``analyze`` keeps
+only a recording block's statistics once they are made.
 Start-up loads only what the command runs: the module sets OpenBLAS to one
 thread and keeps OpenSSL's ``_hashlib`` out before numpy loads, each command
 imports its own modules (``report`` loads no YAML parser and no synthesis),
-and the process pool is imported only when --workers > 1.
+and the process pool is imported only when --workers > 1. A pool has at
+most one process per task.
 """
 
 from __future__ import annotations
@@ -87,16 +91,19 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _map(fn, tasks, workers: int):
-    """fn(t) for each task, in order and lazily; a pool of ``workers`` processes runs them.
+def _map(fn, tasks, n_tasks: int, workers: int):
+    """fn(t) for each of the n_tasks tasks, in order and lazily.
 
-    At most 2 * workers results wait at a time. The pool class is looked up as
-    this module's ProcessPoolExecutor attribute, so a tool that replaces the
-    attribute (bench/tracer.py traces the pool's tasks that way) has its class used.
+    With workers > 1 a pool of min(workers, n_tasks) processes runs them, so no
+    process starts that would get no task, and at most two results a process
+    wait at a time. The pool class is looked up as this module's
+    ProcessPoolExecutor attribute, so a tool that replaces the attribute
+    (bench/tracer.py traces the pool's tasks that way) has its class used.
     """
-    if workers == 1:
+    if workers == 1 or n_tasks == 0:
         yield from map(fn, tasks)
         return
+    workers = min(workers, n_tasks)
     with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
         ahead = []  # one pool.map a task, so tasks are taken only as results are read
         for task in tasks:
@@ -189,25 +196,32 @@ def _sweep_blocks(plan, params, config, n, interval, n_frames, start, workers):
     """(times, chan, stats, labels) blocks of plan[i] with params[i], a frame window each.
 
     Channels share one time grid: frame k of each in plan order, then frame k + 1,
-    is the record log's order, so nothing is sorted."""
-    import numpy as np
-
+    is the record log's order, so nothing is sorted. A window is held from its
+    stitching until the caller asks for the next one: no name here keeps it."""
     from .iq import BLOCK_FRAMES
 
     run = list(zip(plan, params))
     runs = [run[i:i + RUN_CHANNELS] for i in range(0, len(run), RUN_CHANNELS)]
     frames = range(n_frames)
+    windows = frames[::BLOCK_FRAMES] if plan else frames[:0]  # no runs, no blocks
     tasks = ((frames[k:k + BLOCK_FRAMES], r, config, n, interval, start)
-             for k in frames[::BLOCK_FRAMES] for r in runs)
-    with closing(_map(_sweep_window, tasks, workers)) as results:
-        while parts := list(islice(results, len(runs))):  # a window's runs
-            errors = [part for part in parts if isinstance(part, SampleDataError)]
-            if errors:
-                raise min(errors, key=lambda e: e.frame)
-            times = parts[0][0]  # the same in every run's part
-            stats, labels = (np.concatenate(col, axis=1) for col in list(zip(*parts))[1:])
-            yield (np.repeat(times, len(plan)), np.tile(np.arange(len(plan)), len(times)),
-                   stats.reshape(-1, stats.shape[2]), labels.ravel())
+             for k in windows for r in runs)
+    with closing(_map(_sweep_window, tasks, len(windows) * len(runs), workers)) as results:
+        for _ in windows:
+            yield _stitch(list(islice(results, len(runs))), len(plan))
+
+
+def _stitch(parts, channels: int):
+    """One window's (times, chan, stats, labels) block from its runs' parts, in plan order."""
+    import numpy as np
+
+    errors = [part for part in parts if isinstance(part, SampleDataError)]
+    if errors:
+        raise min(errors, key=lambda e: e.frame)
+    times = parts[0][0]  # the same in every run's part
+    stats, labels = (np.concatenate(col, axis=1) for col in list(zip(*parts))[1:])
+    return (np.repeat(times, channels), np.tile(np.arange(channels), len(times)),
+            stats.reshape(-1, stats.shape[2]), labels.ravel())
 
 
 def cmd_simulate(args) -> int:
@@ -253,13 +267,14 @@ def cmd_analyze(args) -> int:
         nonlocal frames
         for times, block in blocks:
             stats = block_statistics(block, config.reference, frames)
-            yield times, np.zeros(len(block), dtype=np.intp), stats
+            frames += len(block)
+            del block  # only its statistics are held while the next block is read
+            yield times, np.zeros(len(stats), dtype=np.intp), stats
             if args.verbose:
                 for t, (ed, acf1, cdist) in zip(times.tolist(), stats.tolist()):
                     # the unscaled distance, cdist * sqrt(L); absent for a zero-energy frame
                     raw = f" raw_dist={cdist * math.sqrt(config.acf_lags):.9g}" if ed else ""
                     print(f"t={t:.6f} ed={ed:.9g} acf1={acf1:.9g} cdist={cdist:.9g}{raw}")
-            frames += len(block)
 
     with _replace_on_success(out / "records.csv") as part:
         write_records(channels, rows(), config, part)
@@ -307,7 +322,7 @@ def cmd_eval(args) -> int:
     step = -(-ev["trials"] // (BLOCK_FRAMES * args.workers)) * BLOCK_FRAMES
     chunks = [range(i, min(i + step, ev["trials"])) for i in range(0, ev["trials"], step)]
     try:
-        stats = np.concatenate(list(_map(run, chunks, args.workers)), axis=1)
+        stats = np.concatenate(list(_map(run, chunks, len(chunks), args.workers)), axis=1)
     except SampleDataError as exc:
         raise SampleDataError(f"eval: {exc}") from exc
 

@@ -142,7 +142,7 @@ def _acf_block(
     """
     n = block.shape[1]
     if not 1 <= lags <= n:
-        raise ValueError(f"lags must lie in [2, {n}], got {lags}")
+        raise ValueError(f"lags must lie in [1, {n}], got {lags}")
     with np.errstate(over="ignore", invalid="ignore"):
         energy = np.vecdot(block, block).real
     finite = np.isfinite(energy)

@@ -13,10 +13,11 @@ sample read converts exactly.
 
 ``stream_recording`` reads a payload in blocks of at most BLOCK_FRAMES (32)
 frames, each with its frames' capture times, so memory does not grow with
-the file. Frame k is captured at ``start_time_unix + k * frame_len /
-sample_rate_hz``; this module is the only place that computes it, and a
-recording whose last frame's time is not finite is refused before any
-block is read.
+the file: it holds one block and, while converting it, that block's float32
+read, and drops a yielded block before it reads the next. Frame k is
+captured at ``start_time_unix + k * frame_len / sample_rate_hz``; this
+module is the only place that computes it, and a recording whose last
+frame's time is not finite is refused before any block is read.
 
 ComplexFrame is the type of the one-frame API. In every command, frames
 travel as plain (frames x N) arrays, checked once: ``stream_recording``
@@ -182,5 +183,7 @@ def _read_blocks(payload_path, meta: RecordingMeta, frame_len: int):
             frames = raw.size // frame_len
             if frames:
                 k = np.arange(start // frame_len, start // frame_len + frames)
-                yield (meta.start_time + k * frame_len / meta.sample_rate_hz,
-                       raw[: frames * frame_len].astype(np.complex128).reshape(frames, frame_len))
+                block = raw[: frames * frame_len].astype(np.complex128).reshape(frames, frame_len)
+                del raw  # the float32 read dies once converted
+                yield meta.start_time + k * frame_len / meta.sample_rate_hz, block
+                del block  # and the block before the next read

@@ -145,7 +145,8 @@ def write_plot_data(cells: CellTable, directory) -> int:
     channels of one band and index interleave, and they share a file name, so
     two channels on one file raise PlanError, before ``directory`` is made.
     """
-    starts = np.flatnonzero(np.diff(cells.chan, prepend=-1)).tolist()
+    new = np.diff(cells.chan, prepend=-1) != 0
+    starts = np.flatnonzero(new)
     names: dict = {}  # file name -> channel id, channels in cell order
     for c in cells.chan[starts].tolist():
         name = f"{channel_slug(cells.channels[c])}.dat"
@@ -154,14 +155,22 @@ def write_plot_data(cells: CellTable, directory) -> int:
             raise PlanError(f"plots/{name}: channels {a.band!r}:{a.index_in_band} and "
                             f"{b.band!r}:{b.index_in_band} would both write this file")
     Path(directory).mkdir(exist_ok=True)
-    for name, run in zip(names, map(slice, starts, starts[1:] + [len(cells.chan)])):
-        bins, row = np.unique(cells.bin_start[run], return_inverse=True)
-        occupancy = np.full((len(bins), len(DETECTORS)), np.nan)
-        occupancy[row, cells.det[run]] = cells.n_detected[run] / cells.n_total[run]
+    # one sort by (channel run, bin start) moves cells only within their run, so each
+    # file's rows are one slice of one stacked (bins x 3) occupancy matrix
+    order = np.lexsort((cells.bin_start, np.cumsum(new)))
+    bin_start = cells.bin_start[order]
+    first_in_row = new.copy()  # a row starts at a new channel or a new bin
+    first_in_row[1:] |= bin_start[1:] != bin_start[:-1]
+    row = np.cumsum(first_in_row) - 1
+    bins = bin_start[first_in_row]
+    occupancy = np.full((len(bins), len(DETECTORS)), np.nan)
+    occupancy[row, cells.det[order]] = cells.n_detected[order] / cells.n_total[order]
+    bounds = row[starts].tolist() + [len(bins)]
+    for name, rows in zip(names, map(slice, bounds, bounds[1:])):
         with open(Path(directory, name), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("bin_start ed acf1 cdist\n")
             fh.write("".join(
                 f"{b:{_TIME}} {' '.join(format(v, _FLOAT) for v in vals)}\n"
-                for b, vals in zip(bins.tolist(), occupancy.tolist())
+                for b, vals in zip(bins[rows].tolist(), occupancy[rows].tolist())
             ))
     return len(names)

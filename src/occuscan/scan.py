@@ -11,8 +11,11 @@ frame follow DETECTOR_TABLE order.
 The record log (and the truth log beside it) is written block by block
 straight from the kernel's (times, chan, stats) rows by ``write_records``
 and read back by ``read_record_chunks`` as RecordTable chunks of columns,
-both CSV_CHUNK_ROWS lines at a time; ScanRecord objects exist only where
-``scan_channel`` returns one frame's records.
+both CSV_CHUNK_ROWS lines at a time. Each holds one block or chunk: the
+writer drops a block's columns, decisions and text before it pulls the next
+block, the reader a chunk's lines and rows before it reads the next.
+ScanRecord objects exist only where ``scan_channel`` returns one frame's
+records.
 """
 
 from __future__ import annotations
@@ -154,7 +157,9 @@ def write_records(channels, blocks, config: DetectorConfig, path, truth_path=Non
         fh.write(RECORD_CSV_HEADER + "\n")
         if truth:
             truth.write(TRUTH_CSV_HEADER + "\n")
-        for times, chan, stats, *labels in blocks:
+
+        # one block's rows; its columns, decisions and text die on return
+        def write(times, chan, stats, *labels):
             present = decide_block(stats, config).astype(np.uint8)
             for i in range(0, len(times), step):
                 rows = slice(i, i + step)
@@ -170,6 +175,10 @@ def write_records(channels, blocks, config: DetectorConfig, path, truth_path=Non
                 if truth:
                     truth.write("".join(f"{h}{p}\n" for h, p in zip(
                         frames, labels[0][rows].astype(np.uint8).tolist())))
+
+        for block in blocks:
+            write(*block)
+            del block  # so none of it is held while the next block is made
 
 
 def _csv_rows(fh, path):
@@ -232,6 +241,7 @@ def read_record_chunks(path):
                 except ValueError as exc:
                     raise CsvParseError(f"{path}:{lineno}: {exc}") from exc
             cols = np.array(rows, dtype=float).reshape(-1, 6).T
+            del chunk, rows  # so the next chunk is parsed with none of this one's objects held
             yield RecordTable(channels, cols[0], cols[1].astype(np.intp),
                               cols[2].astype(np.intp), cols[3], cols[4], cols[5].astype(bool))
 

@@ -1455,6 +1455,31 @@ class TestStartUp:
         out = self._python("-c", code, *argv, "--out", str(workspace / "o"))
         assert out.splitlines()[-1] == "[]"
 
+    @pytest.mark.parametrize("command, scenario, workers, size", [
+        # 40 trials make two 32-trial chunks
+        ("eval", SCENARIO.replace("trials: 200", "trials: 40"), 4, 2),
+        # 10 frames of 3 channels, one task, which still runs in a pool
+        ("simulate", SCENARIO, 2, 1),
+        # 20 frames of 41 channels, one window of two runs
+        ("simulate", wide_scenario().replace("total_s: 20.0", "total_s: 10.0"), 4, 2),
+    ], ids=["eval", "simulate-one-task", "simulate-two-tasks"])
+    def test_pool_starts_no_process_without_a_task(self, workspace, monkeypatch, command,
+                                                   scenario, workers, size):
+        sizes = []
+        init = concurrent.futures.ProcessPoolExecutor.__init__
+
+        def record(pool, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            init(pool, max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", record)
+        scn = workspace / "pool.yaml"
+        scn.write_text(scenario)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--scenario", str(scn), "--out", str(workspace / "o"),
+                         "--workers", str(workers)]) == 0
+        assert sizes == [size]
+
     def test_sweep_workers_draw_without_openssl(self, workspace, tmp_path):
         """A pool worker that has drawn its frames has not loaded _hashlib.
 

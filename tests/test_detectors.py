@@ -525,6 +525,13 @@ class TestBlockKernel:
         with pytest.raises(ValueError):
             block_statistics(np.ones((2, 4), dtype=np.complex128), _ref(8))
 
+    def test_lags_range_message_states_the_checked_range(self):
+        # the kernel takes 1 lag (energy alone) up to the frame length
+        with pytest.raises(ValueError, match=r"^lags must lie in \[1, 4\], got 8$"):
+            block_statistics(np.ones((2, 4), dtype=np.complex128), _ref(8))
+        assert block_statistics(np.ones((2, 4), dtype=np.complex128), _ref(4)).shape == (2, 3)
+        assert energy_statistic(make_frame([2.0])) == 4.0  # one sample, one lag
+
     def test_ed_threshold_of_frames_equals_blocks(self):
         """One-row blocks of ComplexFrames give the bits of BLOCK_FRAMES-row blocks."""
         rows = noise_rows(64, NoiseSpec(1.0, seed=9), range(150))
