@@ -143,9 +143,10 @@ def cmd_calibrate(args) -> int:
     out = _out_dir(args)
     n, n_ref = scenario.frame_len(), cal["reference_frames"]
 
-    def rows(snr_db, frames):  # always on, so every frame is mixed at snr_db
-        channel = (cal["signal"], cal["noise"], OccupancySchedule(1.0, ((0.0, 1.0),)), snr_db)
-        return (block for _, block, _ in channel_windows([channel], n, 1.0, frames))
+    def rows(snr_db, frames):  # a one-row spec table, always on: every frame mixed at snr_db
+        table = ([(cal["signal"], cal["noise"], OccupancySchedule(1.0, ((0.0, 1.0),)), snr_db)],
+                 [0], [cal["signal"].seed], [cal["noise"].seed])
+        return (block for _, block, _ in channel_windows(table, n, 1.0, frames))
 
     # threshold frames are drawn past the reference indices so the quantile
     # never sees the training noise
@@ -171,62 +172,69 @@ RUN_CHANNELS = 32  # a pool task makes one frame window of this many consecutive
 
 
 def _sweep_window(task):
-    """A frame window of a run of channels: its times, (frames x channels x 3) statistics and
-    (frames x channels) labels, or its first bad frame's SampleDataError. Runs in workers."""
+    """A frame window of a run of channels: its times, (F x C x 3) statistics and (F x C)
+    labels, or a list of its bad frames' (frame, channel in the run, message). Runs in workers."""
     import numpy as np
 
     from .detectors import block_statistics
     from .synth import channel_windows
 
-    frames, run, config, n, interval, start = task
-    windows = channel_windows([p for _, p in run], n, interval, frames, start_time=start)
+    frames, table, config, n, interval, start = task
     stats, labels, errors = [], [], []
-    for (c, _), (times, rows, on) in zip(run, windows):
+    for j, (times, rows, on) in enumerate(
+            channel_windows(table, n, interval, frames, start_time=start)):
         labels.append(on)
         try:
             stats.append(block_statistics(rows, config.reference, frames.start))
         except SampleDataError as exc:
-            errors.append(SampleDataError(f"channel {c.band}:{c.index_in_band}: {exc}", exc.frame))
-    if errors:
-        return min(errors, key=lambda e: e.frame)
-    return times, np.stack(stats, axis=1), np.stack(labels, axis=1)
+            errors.append((exc.frame, j, str(exc)))
+    return errors or (times, np.stack(stats, axis=1), np.stack(labels, axis=1))
 
 
-def _sweep_blocks(plan, params, config, n, interval, n_frames, start, workers):
-    """(times, chan, stats, labels) blocks of plan[i] with params[i], a frame window each.
+def _sweep_blocks(plan, table, config, n, interval, n_frames, start, workers):
+    """(times, stats, labels) frame-major blocks of the plan, a frame window each: times (F),
+    stats (F x C x 3) and labels (F x C), plan[i] drawn from row i of the spec table.
 
     Channels share one time grid: frame k of each in plan order, then frame k + 1,
-    is the record log's order, so nothing is sorted. A window is held from its
+    is the record log's order, so nothing is sorted. A task is a window of a run: its
+    slice of the columns, with only the specs it uses. A window is held from its
     stitching until the caller asks for the next one: no name here keeps it."""
+    import numpy as np
+
     from .iq import BLOCK_FRAMES
 
-    run = list(zip(plan, params))
-    runs = [run[i:i + RUN_CHANNELS] for i in range(0, len(run), RUN_CHANNELS)]
+    specs, spec, signal_seeds, noise_seeds = table
+    runs = []
+    for i in range(0, len(plan), RUN_CHANNELS):
+        used, index = np.unique(spec[i:i + RUN_CHANNELS], return_inverse=True)
+        runs.append(([specs[s] for s in used.tolist()], index,
+                     signal_seeds[i:i + RUN_CHANNELS], noise_seeds[i:i + RUN_CHANNELS]))
     frames = range(n_frames)
     windows = frames[::BLOCK_FRAMES] if plan else frames[:0]  # no runs, no blocks
     tasks = ((frames[k:k + BLOCK_FRAMES], r, config, n, interval, start)
              for k in windows for r in runs)
     with closing(_map(_sweep_window, tasks, len(windows) * len(runs), workers)) as results:
         for _ in windows:
-            yield _stitch(list(islice(results, len(runs))), len(plan))
+            yield _stitch(list(islice(results, len(runs))), plan)
 
 
-def _stitch(parts, channels: int):
-    """One window's (times, chan, stats, labels) block from its runs' parts, in plan order."""
+def _stitch(parts, plan):
+    """One window's (times, stats, labels) block: its runs' parts joined along the channel
+    axis. A bad frame raises, the first in record-log order named by its channel."""
     import numpy as np
 
-    errors = [part for part in parts if isinstance(part, SampleDataError)]
-    if errors:
-        raise min(errors, key=lambda e: e.frame)
-    times = parts[0][0]  # the same in every run's part
+    bad = [(frame, r * RUN_CHANNELS + j, why) for r, part in enumerate(parts)
+           if isinstance(part, list) for frame, j, why in part]
+    if bad:
+        frame, i, why = min(bad)  # (frame, channel): record-log order
+        raise SampleDataError(f"channel {plan[i].band}:{plan[i].index_in_band}: {why}", frame)
     stats, labels = (np.concatenate(col, axis=1) for col in list(zip(*parts))[1:])
-    return (np.repeat(times, channels), np.tile(np.arange(channels), len(times)),
-            stats.reshape(-1, stats.shape[2]), labels.ravel())
+    return parts[0][0], stats, labels  # the times are the same in every run's part
 
 
 def cmd_simulate(args) -> int:
     from .detectors import DETECTOR_TABLE
-    from .scan import write_plan_csv, write_records
+    from .scan import channel_fields, write_plan_csv, write_records
 
     scenario = _load_scenario(args)
     plan = scenario.plan()
@@ -238,8 +246,9 @@ def cmd_simulate(args) -> int:
     with _replace_on_success(out / "plan.csv") as plan_csv, \
             _replace_on_success(out / "records.csv") as records, \
             _replace_on_success(out / "truth.csv") as truth, closing(blocks):
-        write_records(plan, blocks, config, records, truth)
-        write_plan_csv(plan, plan_csv)
+        heads = channel_fields(plan)
+        write_records(heads, blocks, config, records, truth)
+        write_plan_csv(heads, plan_csv)
     print(f"wrote {len(DETECTOR_TABLE) * n_frames * len(plan)} records for {len(plan)} "
           f"channels to {out}")
     return 0
@@ -248,18 +257,16 @@ def cmd_simulate(args) -> int:
 # --- analyze -----------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    import numpy as np
-
     from .channels import Channel
     from .detectors import DETECTOR_TABLE, block_statistics
     from .iq import stream_recording
-    from .scan import check_tuning, write_records
+    from .scan import channel_fields, check_tuning, write_records
 
     scenario = _load_scenario(args)
     config = scenario.detector_config()
     meta, discarded, blocks = stream_recording(args.iq, args.meta, scenario.frame_len())
-    channels = [Channel("recording", 0, args.center_mhz)]
-    check_tuning(meta.center_freq_hz, channels[0], args.freq_tol_mhz)
+    channel = Channel("recording", 0, args.center_mhz)
+    check_tuning(meta.center_freq_hz, channel, args.freq_tol_mhz)
     out = _out_dir(args)
     frames = 0
 
@@ -269,7 +276,7 @@ def cmd_analyze(args) -> int:
             stats = block_statistics(block, config.reference, frames)
             frames += len(block)
             del block  # only its statistics are held while the next block is read
-            yield times, np.zeros(len(stats), dtype=np.intp), stats
+            yield times, stats[:, None]  # one channel
             if args.verbose:
                 for t, (ed, acf1, cdist) in zip(times.tolist(), stats.tolist()):
                     # the unscaled distance, cdist * sqrt(L); absent for a zero-energy frame
@@ -277,7 +284,7 @@ def cmd_analyze(args) -> int:
                     print(f"t={t:.6f} ed={ed:.9g} acf1={acf1:.9g} cdist={cdist:.9g}{raw}")
 
     with _replace_on_success(out / "records.csv") as part:
-        write_records(channels, rows(), config, part)
+        write_records(channel_fields([channel]), rows(), config, part)
     print(f"analyzed {frames} frames ({discarded} samples discarded), "
           f"wrote {len(DETECTOR_TABLE) * frames} records")
     return 0

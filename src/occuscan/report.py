@@ -25,7 +25,7 @@ import numpy as np
 from .channels import Channel
 from .detectors import DETECTORS
 from .errors import PlanError
-from .scan import _FLOAT, _TIME, _channel_fields, _chunks
+from .scan import _FLOAT, _TIME, _chunks, channel_fields
 
 OCCUPANCY_CSV_HEADER = (
     "band,channel_index,center_freq_mhz,detector,bin_start_unix,bin_len_s,"
@@ -115,7 +115,7 @@ def aggregate_table(chunks, bin_len_s: float) -> CellTable:
 
 def write_occupancy_csv(cells: CellTable, bin_len_s: float, path) -> None:
     """Write one occupancy.csv row per cell, in table order."""
-    heads = _channel_fields(cells.channels)
+    heads = channel_fields(cells.channels)
     dets = [f"{name}," for name in DETECTORS]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(OCCUPANCY_CSV_HEADER + "\n")

@@ -2,18 +2,18 @@
 
 Every scan of a frame produces exactly three records (energy, lag-1 ACF,
 correlation distance), all computed on the identical frame so the detectors
-are directly comparable. Inside the system a sweep is columns: frames come
-as (times, chan, stats, labels) blocks, with one ``block_statistics`` row
-(ed, acf1, cdist) per frame, already in the record log's order: by capture
-time, then band position in the plan, then channel index. Records within a
-frame follow DETECTOR_TABLE order.
+are directly comparable. Inside the system a sweep is columns: frames come as
+frame-major blocks of times (F), ``block_statistics`` rows (ed, acf1, cdist)
+(F x C x 3) and labels (F x C) for the plan's C channels, already in the record
+log's order: by capture time, then band position in the plan, then channel
+index. Records within a frame follow DETECTOR_TABLE order.
 
 The record log (and the truth log beside it) is written block by block
-straight from the kernel's (times, chan, stats) rows by ``write_records``
-and read back by ``read_record_chunks`` as RecordTable chunks of columns,
-both CSV_CHUNK_ROWS lines at a time. Each holds one block or chunk: the
-writer drops a block's columns, decisions and text before it pulls the next
-block, the reader a chunk's lines and rows before it reads the next.
+straight from the kernel's rows by ``write_records``, each frame's time
+formatted once, and read back by ``read_record_chunks`` as RecordTable chunks
+of columns, both CSV_CHUNK_ROWS lines at a time. Each holds one block or chunk:
+the writer drops a block's columns, decisions and text before it pulls the
+next block, the reader a chunk's lines and rows before it reads the next.
 ScanRecord objects exist only where ``scan_channel`` returns one frame's
 records.
 """
@@ -126,7 +126,7 @@ def _chunks(n: int):
     return (slice(i, i + CSV_CHUNK_ROWS) for i in range(0, n, CSV_CHUNK_ROWS))
 
 
-def _channel_fields(channels) -> list[str]:
+def channel_fields(channels) -> list[str]:
     """Each channel's "band,channel_index,center_freq_mhz," row prefix, csv-quoted."""
     fields = []
     for c in channels:
@@ -138,16 +138,16 @@ def _channel_fields(channels) -> list[str]:
     return fields
 
 
-def write_records(channels, blocks, config: DetectorConfig, path, truth_path=None) -> None:
+def write_records(heads, blocks, config: DetectorConfig, path, truth_path=None) -> None:
     """Write the record log from the kernel's rows, three records per frame.
 
-    ``blocks`` yields (times, chan, stats) columns: frame i was captured at
-    times[i] on channels[chan[i]], and stats[i] is its block_statistics row.
-    Its ed, acf1 and cdist records follow in that (DETECTOR_TABLE) order.
-    With ``truth_path``, each block also carries labels, and the truth log is
-    written beside the records: frame i's row ends in labels[i].
+    ``blocks`` yields frame-major (times, stats) blocks of C channels, whose row prefixes
+    ``heads`` are: stats[f, c] is the block_statistics row of channel c's frame captured at
+    times[f], and its ed, acf1 and cdist records follow in that (DETECTOR_TABLE) order.
+    With ``truth_path``, each block also carries (F x C) labels, and the truth log is
+    written beside the records: the row of channel c at times[f] ends in labels[f, c].
     """
-    heads = _channel_fields(channels)
+    width = len(heads)
     # each detector's "name," and ",threshold," text, made once a file
     (ed, ed_thr), (acf1, acf1_thr), (cdist, cdist_thr) = (
         (f"{d.name},", f",{d.threshold(config):{_FLOAT}},") for d in DETECTOR_TABLE)
@@ -158,14 +158,16 @@ def write_records(channels, blocks, config: DetectorConfig, path, truth_path=Non
         if truth:
             truth.write(TRUTH_CSV_HEADER + "\n")
 
-        # one block's rows; its columns, decisions and text die on return
-        def write(times, chan, stats, *labels):
+        # one block's (frame, channel) rows; its columns, decisions and text die on return
+        def write(times, stats, *labels):
+            stamps = [f"{t:{_TIME}}," for t in times.tolist()]
+            stats = stats.reshape(-1, len(DETECTOR_TABLE))
             present = decide_block(stats, config).astype(np.uint8)
-            for i in range(0, len(times), step):
+            for i in range(0, len(stats), step):
                 rows = slice(i, i + step)
-                # each frame's "time,band,channel_index,center_freq_mhz," text, made once
-                frames = [f"{t:{_TIME}},{heads[c]}"
-                          for t, c in zip(times[rows].tolist(), chan[rows].tolist())]
+                # each row's "time,band,channel_index,center_freq_mhz," text
+                frames = [stamps[r // width] + heads[r % width]
+                          for r in range(i, min(i + step, len(stats)))]
                 fh.write("".join([
                     f"{h}{ed}{a:{_FLOAT}}{ed_thr}{x}\n{h}{acf1}{b:{_FLOAT}}{acf1_thr}{y}\n"
                     f"{h}{cdist}{e:{_FLOAT}}{cdist_thr}{z}\n"
@@ -174,7 +176,7 @@ def write_records(channels, blocks, config: DetectorConfig, path, truth_path=Non
                 ]))
                 if truth:
                     truth.write("".join(f"{h}{p}\n" for h, p in zip(
-                        frames, labels[0][rows].astype(np.uint8).tolist())))
+                        frames, labels[0].reshape(-1)[rows].astype(np.uint8).tolist())))
 
         for block in blocks:
             write(*block)
@@ -246,6 +248,6 @@ def read_record_chunks(path):
                               cols[2].astype(np.intp), cols[3], cols[4], cols[5].astype(bool))
 
 
-def write_plan_csv(plan, path) -> None:
+def write_plan_csv(heads, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join([PLAN_CSV_HEADER + "\n"] + [f"{h[:-1]}\n" for h in _channel_fields(plan)]))
+        fh.write("".join([PLAN_CSV_HEADER + "\n"] + [f"{h[:-1]}\n" for h in heads]))

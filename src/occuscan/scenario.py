@@ -21,16 +21,14 @@ import math
 import re
 from collections.abc import Hashable
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+import numpy as np
 import yaml
 
 from .channels import BUILTIN_BANDS, BandSpec, Channel, build_channel_plan
 from .detectors import DETECTORS, DetectorConfig, load_reference
 from .errors import ScenarioError
-
-if TYPE_CHECKING:  # synth is imported where specs are built: analyze makes no frames
-    from .synth import NoiseSpec, OccupancySchedule, SignalSpec
 
 
 class _ScenarioLoader(yaml.SafeLoader):
@@ -302,15 +300,6 @@ def _check_power(signal, snr_dbs: dict, path: str) -> None:
                             "(use a larger amplitude, or snr_db -.inf)")
 
 
-class ChannelParams(NamedTuple):
-    """Fully resolved synthesis parameters for one channel: ``synth.channel_windows``' input."""
-
-    signal: SignalSpec
-    noise: NoiseSpec
-    schedule: OccupancySchedule
-    snr_db: float
-
-
 class Scenario:
     """Parsed scenario document plus the path it was loaded from."""
 
@@ -370,40 +359,45 @@ class Scenario:
 
     # --- per-channel synthesis ----------------------------------------------
 
-    def sweep_params(self) -> list[ChannelParams]:
-        """Every plan channel's ChannelParams, in plan order; the seeds derive in one batch, and
-        the defaults resolve once, named in errors by the first channel without an override."""
-        band_pos = {band: i for i, band in enumerate(dict.fromkeys(c.band for c in self.plan()))}
-        position = [band_pos[c.band] for c in self.plan()], [c.index_in_band for c in self.plan()]
-        signal_seeds, noise_seeds = (derive_seeds(self.master_seed, tag, *position)
-                                     for tag in (SEED_CHANNEL_SIGNAL, SEED_CHANNEL_NOISE))
+    def sweep_params(self) -> tuple:
+        """The plan's spec table, ``synth.channel_windows``' input: (specs, spec, signal_seeds,
+        noise_seeds), plan[i] drawn from specs[spec[i]] with signal_seeds[i] and noise_seeds[i].
+
+        The specs are the defaults, named in errors by the first channel without an override,
+        and each override, resolved once each in plan order. The seed columns derive in one
+        batch; an explicit ``seed`` key is written into its channels' column.
+        """
+        plan = self.plan()
+        band_pos = {band: i for i, band in enumerate(dict.fromkeys(c.band for c in plan))}
+        position = [band_pos[c.band] for c in plan], [c.index_in_band for c in plan]
+        seeds = {name: np.array(derive_seeds(self.master_seed, tag, *position), np.uint64)
+                 for name, tag in (("signal", SEED_CHANNEL_SIGNAL), ("noise", SEED_CHANNEL_NOISE))}
         defaults, overrides = _field(self.data, "defaults"), self.data.get("channels", {})
-        out, base = [], None
-        for channel, signal_seed, noise_seed in zip(self.plan(), signal_seeds, noise_seeds):
-            key = f"{channel.band}:{channel.index_in_band}"
-            override = overrides.get(key, {})
+        at = {f"{c.band}:{c.index_in_band}": i for i, c in enumerate(plan)} if overrides else {}
+        own = {at[key]: override for key, override in overrides.items() if override != {}}
+        default = next((i for i in range(len(plan)) if i not in own), None)
+        row = {i: r for r, i in enumerate(sorted({*own, default} - {None}))}
+        spec = np.full(len(plan), row.get(default, 0), np.intp)
+        spec[list(own)] = [row[i] for i in own]
+        specs = []
+        for i in row:
+            key, override = f"{plan[i].band}:{plan[i].index_in_band}", own.get(i, {})
             if not isinstance(override, dict):
                 raise ScenarioError(f"channels.{key}: expected a mapping")
-            if override or base is None:
-                m, where = {**defaults, **override}, f"channel {key}"
-                if not {"signal", "noise", "schedule"} <= m.keys():
-                    raise ScenarioError(f"{where}: needs signal, noise and schedule "
-                                        "(from defaults or a channels override)")
-                params = ChannelParams(
-                    snr_db=_field(m, "snr_db", "channel", where, required=True),  # load-checked
-                    signal=_synth_spec("signal", m["signal"], f"{where}.signal", seed=0),
-                    noise=_synth_spec("noise", m["noise"], f"{where}.noise", seed=0),
-                    schedule=_synth_spec("schedule", m["schedule"], f"{where}.schedule"),
-                )
-                _check_power(params.signal, {f"{where}.snr_db": params.snr_db}, f"{where}.signal")
-                resolved = params, [name for name in ("signal", "noise") if "seed" not in m[name]]
-                base = base if override else resolved
-            params, derived = resolved if override else base
-            out.append(params._replace(**{
-                name: type(spec)(**{**vars(spec), "seed": seed}) for name, spec, seed in
-                (("signal", params.signal, signal_seed), ("noise", params.noise, noise_seed))
-                if name in derived}))
-        return out
+            m, where = {**defaults, **override}, f"channel {key}"
+            if not {"signal", "noise", "schedule"} <= m.keys():
+                raise ScenarioError(f"{where}: needs signal, noise and schedule "
+                                    "(from defaults or a channels override)")
+            snr_db = _field(m, "snr_db", "channel", where, required=True)  # load-checked
+            signal = _synth_spec("signal", m["signal"], f"{where}.signal")
+            noise = _synth_spec("noise", m["noise"], f"{where}.noise")
+            schedule = _synth_spec("schedule", m["schedule"], f"{where}.schedule")
+            _check_power(signal, {f"{where}.snr_db": snr_db}, f"{where}.signal")
+            specs.append((signal, noise, schedule, snr_db))
+            for name, given in (("signal", signal), ("noise", noise)):
+                if "seed" in m[name]:
+                    seeds[name][spec == row[i] if i == default else i] = given.seed
+        return specs, spec, seeds["signal"], seeds["noise"]
 
     # --- sweep timing -------------------------------------------------------
 

@@ -11,13 +11,14 @@ and only where it draws, so deriving seeds does not.
 
 Frames are plain complex128 rows: ``noise_rows`` and ``signal_rows`` make
 (frames x N) blocks, and ``channel_windows`` is the one signal+noise mix. It
-makes channels' frames window by window of at most BLOCK_FRAMES, seeding all
-of a window's noise in one pass, and adds ``alpha * signal`` to the frames
-each schedule labels present: the sweep calls it for a run of channels,
-``calibrate`` for one channel that is always on. The rows are not checked
-here: a mix that overflows leaves a non-finite sample, and a frame's power
-sum can overflow even when every sample is finite; the detector kernel's
-energy check catches both before any output is written.
+makes the channels of a spec table (spec and seed columns) window by window of
+at most BLOCK_FRAMES, seeding all of a window's noise in one pass, and adds
+``alpha * signal`` to the frames each schedule labels present: the sweep calls
+it for a run of channels, ``calibrate`` for a one-row table that is always on.
+The rows are not checked here: a mix that overflows leaves a non-finite
+sample, and a frame's power sum can overflow even when every sample is
+finite; the detector kernel's energy check catches both before any output is
+written.
 ``gen_noise_frame``, ``gen_signal_frame`` and ``gen_channel_timeline`` wrap
 the same rows in ComplexFrames for the API (sample rate and center frequency
 1 unless given).
@@ -151,12 +152,9 @@ class OccupancySchedule:
     def duty_cycle(self) -> float:
         return sum(b - a for a, b in self.on_intervals) / self.period_s
 
-    def is_on(self, t: float) -> bool:
-        phase = t % self.period_s
-        return any(a <= phase < b for a, b in self.on_intervals)
-
     def on_mask(self, t: np.ndarray) -> np.ndarray:
-        """``is_on`` of each time in ``t``: np.mod rounds and signs as Python's float % does."""
+        """Whether each time in ``t``, modulo the period (np.mod rounds and signs as Python's
+        float % does), lands in an on interval."""
         phase, on = np.mod(t, self.period_s), np.zeros(len(t), dtype=bool)
         for a, b in self.on_intervals:  # not a 2-D compare and any(): 0.2 MB more worker RSS
             on |= (a <= phase) & (phase < b)
@@ -265,13 +263,13 @@ def noise_rows(n: int, spec: NoiseSpec, indices) -> np.ndarray:
     return out
 
 
-def signal_rows(n: int, spec: SignalSpec, indices) -> np.ndarray:
+def signal_rows(n: int, spec: SignalSpec, indices, seed: int | None = None) -> np.ndarray:
     """(len(indices), n) samples of the spec'd waveform; row i is frame indices[i]'s.
 
     tone: amplitude * exp(j*(2*pi*normalized_freq*m + phase)), the same for
     every frame (the rows are a read-only broadcast of one row).
     bpsk: amplitude * (+/-1) symbols, each held symbol_rate_divisor samples,
-    symbol signs drawn from (seed, frame_index). none: zeros.
+    symbol signs drawn from (``seed``, else spec.seed, frame_index). none: zeros.
     """
     if n < 1:
         raise ValueError("n must be >= 1 (empty frames are not representable)")
@@ -282,7 +280,8 @@ def signal_rows(n: int, spec: SignalSpec, indices) -> np.ndarray:
     out = np.zeros((len(indices), n), dtype=np.complex128)
     if spec.kind == "bpsk":
         n_sym = -(-n // spec.symbol_rate_divisor)
-        for row, rng in zip(out, _generators(_frame_states(spec.seed, _BPSK_STREAM, indices))):
+        seed = spec.seed if seed is None else seed
+        for row, rng in zip(out, _generators(_frame_states(seed, _BPSK_STREAM, indices))):
             symbols = rng.integers(0, 2, size=n_sym) * 2 - 1
             row[:] = spec.amplitude * np.repeat(symbols, spec.symbol_rate_divisor)[:n]
     return out
@@ -331,48 +330,44 @@ def frame_count(total_s: float, frame_interval_s: float) -> int:
     return int(math.floor(total_s / frame_interval_s + 1e-9))
 
 
-def channel_windows(channels, frame_len: int, frame_interval_s: float, frames: range, *,
+def channel_windows(table, frame_len: int, frame_interval_s: float, frames: range, *,
                     start_time: float = 0.0):
     """Yield (times, rows, labels) for each window of at most BLOCK_FRAMES of ``frames``
-    and, in it, each (signal, noise, schedule, snr_db) of the ``channels`` list.
+    and, in it, each channel of the spec table ``table``: (specs, spec, signal_seeds,
+    noise_seeds), channel i being drawn from specs[spec[i]], a (signal, noise, schedule,
+    snr_db) tuple, with signal_seeds[i] and noise_seeds[i], not its specs' own seeds.
 
     Frame k, captured at start_time + k*frame_interval_s, is labeled present and is
     signal+noise at snr_db where the schedule is on, else the same noise draw alone.
     Each window seeds every channel's noise in one pass, and its ``rows`` is one buffer
-    refilled for each channel: use it before taking the next.
+    refilled for each channel: use it before taking the next. An overflowing scale or
+    mix leaves a non-finite sample, whose energy the kernel reports.
     """
-    tones: dict = {}
+    specs, spec, signal_seeds, noise_seeds = table
+    alphas = [snr_scale(signal.nominal_power, noise.total_power, snr_db)
+              if signal.kind != "none" else 0.0 for signal, noise, _, snr_db in specs]
+    with np.errstate(over="ignore", invalid="ignore"):  # each tone spec's scaled row
+        tones = [alpha * signal_rows(frame_len, signal, [0])[0] if signal.kind == "tone" else 0
+                 for (signal, *_), alpha in zip(specs, alphas)]
     for k in frames[::BLOCK_FRAMES]:
         window = range(k, min(k + BLOCK_FRAMES, frames.stop))
         times = start_time + np.arange(window.start, window.stop) * frame_interval_s
-        seeds = [noise.seed for _, noise, _, _ in channels for _ in window]
-        rngs = _generators(_frame_states(seeds, _NOISE_STREAM, list(window) * len(channels)))
+        labels = [schedule.on_mask(times - start_time) for _, _, schedule, _ in specs]
+        rngs = _generators(_frame_states(np.repeat(np.asarray(noise_seeds, np.uint64),
+                                                   len(window)), _NOISE_STREAM,
+                                         list(window) * len(spec)))
         rows = np.empty((len(window), frame_len), dtype=np.complex128)
-        for signal, noise, schedule, snr_db in channels:
-            alpha = snr_scale(signal.nominal_power, noise.total_power, snr_db) \
-                if signal.kind != "none" else 0.0
-            labels = schedule.on_mask(times - start_time)
+        for s, seed in zip(spec, signal_seeds):
+            (signal, noise, _, _), on = specs[s], labels[s]
             _normal_rows(islice(rngs, len(window)), rows, math.sqrt(noise.total_power / 2.0))
-            _add_signal(rows, signal, alpha, k, labels, tones)
-            yield times, rows, labels
-
-
-def _add_signal(rows: np.ndarray, signal: SignalSpec, alpha: float, start: int, on: np.ndarray,
-                tones: dict) -> None:
-    """Add alpha * signal to the rows where ``on``, row i being frame start + i; ``tones``
-    keeps each scaled tone row. An overflowing scale or mix leaves a non-finite sample,
-    whose energy the kernel reports."""
-    if alpha == 0.0 or not on.any():
-        return
-    n, key = rows.shape[1], (signal.normalized_freq, signal.amplitude, signal.phase, alpha)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if signal.kind == "tone":
-            if key not in tones:
-                tones[key] = alpha * signal_rows(n, signal, [0])[0]
-            np.add(rows, tones[key], out=rows, where=on[:, None])
-        else:
-            k = np.flatnonzero(on)
-            rows[k] += alpha * signal_rows(n, signal, start + k)
+            if alphas[s] and on.any():
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if signal.kind == "tone":
+                        np.add(rows, tones[s], out=rows, where=on[:, None])
+                    else:
+                        i = np.flatnonzero(on)
+                        rows[i] += alphas[s] * signal_rows(frame_len, signal, k + i, seed)
+            yield times, rows, on
 
 
 def gen_channel_timeline(
@@ -389,8 +384,8 @@ def gen_channel_timeline(
 ) -> list[tuple[ComplexFrame, bool]]:
     """``channel_windows``' frames k = 0 .. floor(total_s/frame_interval_s)-1 of one
     channel as (frame, truth_label) pairs."""
-    windows = channel_windows([(signal, noise, schedule, snr_db)], frame_len, frame_interval_s,
-                              range(frame_count(total_s, frame_interval_s)),
-                              start_time=start_time)
+    table = [(signal, noise, schedule, snr_db)], [0], [signal.seed], [noise.seed]
+    windows = channel_windows(table, frame_len, frame_interval_s,
+                              range(frame_count(total_s, frame_interval_s)), start_time=start_time)
     return [(ComplexFrame(row, 1.0, center_freq_hz, t), label) for times, rows, labels in windows
             for t, row, label in zip(times.tolist(), rows, labels.tolist())]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 
@@ -8,8 +9,8 @@ import pytest
 from occuscan import ComplexFrame
 from occuscan.detectors import DETECTOR_TABLE, DETECTORS, block_statistics, decide_block
 from occuscan.iq import BLOCK_FRAMES
-from occuscan.scan import (RECORD_CSV_HEADER, TRUTH_CSV_HEADER, RecordTable, read_record_chunks,
-                           write_plan_csv, write_records)
+from occuscan.scan import (PLAN_CSV_HEADER, RECORD_CSV_HEADER, TRUTH_CSV_HEADER, RecordTable,
+                           read_record_chunks)
 from occuscan.synth import noise_rows, signal_rows, snr_scale
 
 
@@ -40,6 +41,13 @@ def write_recording(frames, payload_path, meta_path) -> None:
     samples.astype("<c8").tofile(payload_path)
     write_meta(meta_path, samples.size, frames[0].sample_rate_hz, frames[0].center_freq_hz,
                frames[0].capture_time)
+
+
+def spec_table(channels):
+    """The spec table of the given (signal, noise, schedule, snr_db) channels, a spec each,
+    drawn with each channel's specs' own seeds: ``synth.channel_windows``' input."""
+    return (list(channels), np.arange(len(channels)), [c[0].seed for c in channels],
+            [c[1].seed for c in channels])
 
 
 def record_table(channels, times, chan, stats, config) -> RecordTable:
@@ -99,7 +107,8 @@ def timeline_blocks(schedule, signal, noise, snr_db, frame_len, frame_interval_s
     alpha = snr_scale(signal.nominal_power, noise.total_power, snr_db) \
         if signal.kind != "none" else 0.0
     times = start_time + np.arange(n_frames) * frame_interval_s
-    labels = np.array([schedule.is_on(t - start_time) for t in times.tolist()], dtype=bool)
+    labels = np.array([any(a <= (t - start_time) % schedule.period_s < b
+                           for a, b in schedule.on_intervals) for t in times.tolist()], dtype=bool)
     for start in range(0, n_frames, BLOCK_FRAMES):
         k = np.arange(start, min(start + BLOCK_FRAMES, n_frames))
         frames = noise_rows(frame_len, noise, k)
@@ -140,18 +149,28 @@ def merge_sweep(plan, results):
 def write_reference_sweep(scenario, out) -> None:
     """Write a scenario's plan.csv, records.csv and truth.csv on the per-channel path.
 
-    Each channel's timeline is scanned on its own, then all are merged and
-    sorted, and the truth rows are rendered by csv.writer.
+    Each channel's specs, given its seeds from the sweep_params columns, make its
+    timeline, which is scanned on its own; then all are merged and sorted. The records
+    are rendered by write_record_tables, the plan and truth rows by csv.writer.
     """
     plan, config = scenario.plan(), scenario.detector_config()
-    results = [scan_blocks(timeline_blocks(
-        p.schedule, p.signal, p.noise, p.snr_db, scenario.frame_len(),
-        scenario.frame_interval_s(), scenario.data["total_s"], start_time=scenario.start_time_unix),
-        config) for p in scenario.sweep_params()]
+    specs, spec, signal_seeds, noise_seeds = scenario.sweep_params()
+    results = []
+    for i in range(len(plan)):
+        signal, noise, schedule, snr_db = specs[spec[i]]
+        results.append(scan_blocks(timeline_blocks(
+            schedule, dataclasses.replace(signal, seed=int(signal_seeds[i])),
+            dataclasses.replace(noise, seed=int(noise_seeds[i])), snr_db,
+            scenario.frame_len(), scenario.frame_interval_s(), scenario.data["total_s"],
+            start_time=scenario.start_time_unix), config))
     times, chan, stats, labels = merge_sweep(plan, results)
     out.mkdir(parents=True, exist_ok=True)
-    write_plan_csv(plan, out / "plan.csv")
-    write_records(plan, [(times, chan, stats)], config, out / "records.csv")
+    write_record_tables([record_table(plan, times, chan, stats, config)], out / "records.csv")
+    with open(out / "plan.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(PLAN_CSV_HEADER.split(","))
+        for c in plan:
+            writer.writerow([c.band, c.index_in_band, f"{c.center_freq_mhz:.9g}"])
     with open(out / "truth.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRUTH_CSV_HEADER.split(","))

@@ -40,7 +40,7 @@ from occuscan.detectors import (
 )
 from occuscan.iq import BLOCK_FRAMES
 from occuscan.synth import channel_windows, noise_rows
-from conftest import make_frame
+from conftest import make_frame, spec_table
 
 
 def _ref(lags=8):
@@ -240,7 +240,8 @@ class TestCalibrateReference:
         sig = SignalSpec(kind="tone", normalized_freq=0.13)
         noise = NoiseSpec(total_power=1.0, seed=23)
         always_on = OccupancySchedule(1.0, ((0.0, 1.0),))
-        windows = channel_windows([(sig, noise, always_on, 20.0)], 1024, 1.0, range(100))
+        windows = channel_windows(spec_table([(sig, noise, always_on, 20.0)]), 1024, 1.0,
+                                  range(100))
         ref = calibrate_reference_blocks((rows for _, rows, _ in windows), 8)
         clean = acf_vector(gen_signal_frame(1024, sig, 0), 8)
         np.testing.assert_allclose(ref.values, clean.values, atol=0.05)

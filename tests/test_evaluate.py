@@ -42,6 +42,7 @@ from occuscan.synth import (
     gen_signal_frame,
     snr_scale,
 )
+from conftest import spec_table
 
 SIG = SignalSpec(kind="tone", normalized_freq=0.13, seed=5)
 NOISE = NoiseSpec(total_power=1.0, seed=6)
@@ -170,7 +171,8 @@ class TestSharedTrialStatistics:
         noise = NoiseSpec(total_power=sigma2, seed=11)
         channel = (SignalSpec(kind="none"), noise, OccupancySchedule(1.0), -math.inf)
         lam = calibrate_ed_threshold_blocks(
-            (rows for _, rows, _ in channel_windows([channel], n, 1.0, range(frames))), pfa)
+            (rows for _, rows, _ in channel_windows(spec_table([channel]), n, 1.0,
+                                                    range(frames))), pfa)
         z = (gammainc(n, n * lam / sigma2) - (1 - pfa)) / math.sqrt(pfa * (1 - pfa) / frames)
         assert abs(z) <= 4.0, (lam, sigma2 * gammaincinv(n, 1 - pfa) / n, z)
 
@@ -304,7 +306,7 @@ class TestTuneThreshold:
 
 def _channel_stats(schedule, config, snr_db, n, interval, total_s):
     """One channel's block_statistics rows over all its scans, a kernel block per window."""
-    windows = channel_windows([(SIG, NOISE, schedule, snr_db)], n, interval,
+    windows = channel_windows(spec_table([(SIG, NOISE, schedule, snr_db)]), n, interval,
                               range(frame_count(total_s, interval)))
     return np.concatenate([np.empty((0, 3))] + [
         block_statistics(rows, config.reference, i * BLOCK_FRAMES)

@@ -20,7 +20,7 @@ from occuscan.detectors import save_reference
 from occuscan.evaluate import shared_trial_statistics
 from occuscan.iq import BLOCK_FRAMES
 from occuscan.report import aggregate_table
-from occuscan.scan import CSV_CHUNK_ROWS, read_record_chunks, write_records
+from occuscan.scan import CSV_CHUNK_ROWS, channel_fields, read_record_chunks, write_records
 
 N = 4096
 BLOCK_BYTES = BLOCK_FRAMES * N * 16
@@ -131,13 +131,12 @@ def test_analyze_holds_one_block_at_a_time(tmp_path, capsys):
 
 def test_report_fold_holds_one_chunk_of_rows(tmp_path):
     channels, frames = 41, 180  # 22,140 records: 22 chunks
-    times = np.repeat(np.arange(frames, dtype=float), channels)
-    chan = np.tile(np.arange(channels), frames)
-    stats = np.random.default_rng(6).random((len(times), 3))
+    times = np.arange(frames, dtype=float)
+    stats = np.random.default_rng(6).random((frames, channels, 3))
     config = DetectorConfig(1.05, 0.25, 0.6, 8, _reference())
-    write_records([Channel("B", i, 100.0 + i) for i in range(channels)],
-                  [(times, chan, stats)], config, tmp_path / "r.csv")
-    assert 3 * len(times) >= 20 * CSV_CHUNK_ROWS
+    write_records(channel_fields([Channel("B", i, 100.0 + i) for i in range(channels)]),
+                  [(times, stats)], config, tmp_path / "r.csv")
+    assert 3 * frames * channels >= 20 * CSV_CHUNK_ROWS
 
     def fold():
         aggregate_table(read_record_chunks(tmp_path / "r.csv"), 60.0)
@@ -156,6 +155,7 @@ def test_simulate_holds_one_window_at_a_time(tmp_path, capsys):
             "--out", str(tmp_path / "o"), "--workers", "1"]
     per_window_frame = _main_peak(argv) / (channels * BLOCK_FRAMES)
     # the plan and one window: its runs' parts while they are stitched, or its columns,
-    # decisions and text while they are written; 90-92 B a window frame measured. Holding
-    # the previous window while the next is made and stitched measured 135 B.
-    assert per_window_frame < 115
+    # decisions and text while they are written; 60-61 B a window frame measured. Holding
+    # the previous window while the next is made and stitched measured 85.6 B. (While a
+    # window also held per-frame time and channel columns: 90-92 B and 135 B.)
+    assert per_window_frame < 75

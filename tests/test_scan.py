@@ -28,12 +28,13 @@ from occuscan.scan import (
     PLAN_CSV_HEADER,
     RECORD_CSV_HEADER,
     TRUTH_CSV_HEADER,
+    channel_fields,
     write_plan_csv,
     write_records,
 )
-from occuscan.scenario import ChannelParams
 from occuscan.errors import CsvParseError
-from conftest import make_frame, read_record_table, record_table, write_record_tables
+from conftest import (make_frame, read_record_table, record_table, spec_table,
+                      write_record_tables)
 
 
 def _config(lags=8):
@@ -107,11 +108,24 @@ def _sweep(plan, n_scans=10, snr_db=10.0, n=64, interval=0.25, workers=1):
     """The sweep of a plan, noise seed 100 + i on plan[i], as (times, chan, stats, labels)."""
     sched = OccupancySchedule(period_s=1.0, on_intervals=((0.0, 0.5),))
     sig = SignalSpec(kind="tone", normalized_freq=0.1, seed=1)
-    params = [ChannelParams(sig, NoiseSpec(1.0, seed=100 + i), sched, snr_db)
-              for i in range(len(plan))]
-    blocks = _sweep_blocks(plan, params, _config(), n, interval, n_scans, 0.0, workers)
+    table = spec_table([(sig, NoiseSpec(1.0, seed=100 + i), sched, snr_db)
+                          for i in range(len(plan))])
+    return _flat(_sweep_blocks(plan, table, _config(), n, interval, n_scans, 0.0, workers))
+
+
+def _flat(blocks):
+    """Frame-major (times, stats, labels) blocks as (times, chan, stats, labels) columns with
+    one row a (frame, channel) pair, in block order."""
     empty = (np.empty(0), np.empty(0, np.intp), np.empty((0, 3)), np.empty(0, bool))
-    return tuple(np.concatenate(col) for col in zip(empty, *blocks))
+    rows = [(np.repeat(t, s.shape[1]), np.tile(np.arange(s.shape[1]), len(t)), s.reshape(-1, 3),
+             labels.ravel()) for t, s, labels in blocks]
+    return tuple(np.concatenate(col) for col in zip(empty, *rows))
+
+
+def _frame_major(channels, times, stats, *labels):
+    """``_flat``'s rows of ``channels`` as one frame-major block."""
+    c = len(channels)
+    return (times[::c], stats.reshape(-1, c, 3), *(col.reshape(-1, c) for col in labels))
 
 
 def _rows(table):
@@ -182,7 +196,7 @@ class TestRecordCsv:
         """
         plan = _plan2()
         times, chan, stats, labels = _sweep(plan, n_scans=4, snr_db=5.0, n=32, interval=0.5)
-        write_records(plan, [(times, chan, stats)], _config(), path)
+        write_records(channel_fields(plan), [_frame_major(plan, times, stats)], _config(), path)
         return record_table(plan, times, chan, stats, _config()), (plan, times, chan, labels)
 
     def test_header(self, tmp_path):
@@ -236,7 +250,8 @@ class TestRecordCsv:
         plan = _plan2()
         times, chan, stats, labels = _sweep(plan, n_scans=4, snr_db=5.0, n=32, interval=0.5)
         p = tmp_path / "truth.csv"
-        write_records(plan, [(times, chan, stats, labels)], _config(), tmp_path / "records.csv", p)
+        write_records(channel_fields(plan), [_frame_major(plan, times, stats, labels)], _config(),
+                      tmp_path / "records.csv", p)
         lines = p.read_text().splitlines()
         assert lines[0] == TRUTH_CSV_HEADER
         assert len(lines) == 1 + len(times)
@@ -244,7 +259,7 @@ class TestRecordCsv:
     def test_plan_csv(self, tmp_path):
         plan = _plan2()
         p = tmp_path / "plan.csv"
-        write_plan_csv(plan, p)
+        write_plan_csv(channel_fields(plan), p)
         lines = p.read_text().splitlines()
         assert lines[0] == PLAN_CSV_HEADER
         assert lines[1] == "A,0,100"
@@ -252,57 +267,73 @@ class TestRecordCsv:
 
 
 class TestWriteRecords:
-    """write_records against the per-record reference renderer (conftest.write_record_tables)."""
+    """write_records on frame-major blocks against the per-record reference renderer
+    (conftest.write_record_tables) and the per-record truth csv.writer loop."""
 
     CHANNELS = [Channel("A", 0, 100.0), Channel("ISM, 433", 1, 433.075),
                 Channel('say "hi"', 0, 2412.0)]
 
-    def _columns(self, case, cfg):
-        """(times, chan, stats) of a case's frames."""
+    def _channels(self, case):
+        if case == "wide block":  # more channels than one records chunk holds
+            return self.CHANNELS + [Channel("W", i, 1000.0 + 0.25 * i) for i in range(397)]
+        if case == "one channel":  # analyze's block: one channel, C = 1
+            return [Channel("recording", 0, 100.0)]
+        return self.CHANNELS
+
+    def _columns(self, case, channels, cfg):
+        """(times, stats, labels) of a case's frames: times (F), stats (F x C x 3) and labels
+        (F x C) for the C channels."""
         rng = np.random.default_rng(7)
         n = {"quoted band": 70, "chunk boundary": 2800, "zero energy": 40, "ties": 40,
-             "no frames": 0}[case]
+             "no frames": 0, "wide block": 3, "one channel": 700}[case]
         times = 1767225600.0 + 0.25 * np.arange(n) + rng.uniform(0, 1e-3, n)
-        chan = rng.integers(0, len(self.CHANNELS), n)
+        shape = (n, len(channels), 3)
         # statistics over many decades, so %.9g writes both fixed and exponent forms
-        stats = rng.uniform(0, 2, (n, 3)) * 10.0 ** rng.integers(-12, 12, (n, 3))
-        if case == "zero energy":  # every third frame is dead: the sentinels acf1 0, cdist 1
-            stats[::3] = block_statistics(np.zeros((len(stats[::3]), 64), complex),
-                                          cfg.reference)
-        if case == "ties":  # every other frame sits on all three thresholds: absent
-            stats[::2] = [cfg.lambda_ed, cfg.lambda_acf, cfg.gamma]
-        return times, chan, stats
+        stats = rng.uniform(0, 2, shape) * 10.0 ** rng.integers(-12, 12, shape)
+        rows = stats.reshape(-1, 3)  # a view: one row a (frame, channel) pair
+        if case == "zero energy":  # every third row is dead: the sentinels acf1 0, cdist 1
+            rows[::3] = block_statistics(np.zeros((len(rows[::3]), 64), complex), cfg.reference)
+        if case == "ties":  # every other row sits on all three thresholds: absent
+            rows[::2] = [cfg.lambda_ed, cfg.lambda_acf, cfg.gamma]
+        return times, stats, rng.random(shape[:2]) < 0.5
 
     @pytest.mark.parametrize("case, block_frames", [
         ("quoted band", 32), ("chunk boundary", 2800), ("zero energy", 32), ("ties", 7),
-        ("no frames", 32),
+        ("no frames", 32), ("wide block", 3), ("one channel", 32),
     ])
     def test_bytes_equal_reference(self, tmp_path, case, block_frames):
-        cfg = _config()
-        times, chan, stats = self._columns(case, cfg)
+        cfg, channels = _config(), self._channels(case)
+        times, stats, labels = self._columns(case, channels, cfg)
         if case == "chunk boundary":
             assert len(times) > scan_module.CSV_CHUNK_ROWS // 3
-        blocks = [(times[i:i + block_frames], chan[i:i + block_frames],
-                   stats[i:i + block_frames]) for i in range(0, len(times), block_frames)]
-        write_records(self.CHANNELS, blocks, cfg, tmp_path / "records.csv")
-        write_record_tables([record_table(self.CHANNELS, times, chan, stats, cfg)],
+        if case == "wide block":  # one block, each of whose frames spans two chunks
+            assert len(channels) > scan_module.CSV_CHUNK_ROWS // 3 and block_frames == len(times)
+        blocks = [(times[i:i + block_frames], stats[i:i + block_frames],
+                   labels[i:i + block_frames]) for i in range(0, len(times), block_frames)]
+        write_records(channel_fields(channels), blocks, cfg, tmp_path / "records.csv",
+                      tmp_path / "truth.csv")
+        row_times = np.repeat(times, len(channels))
+        chan = np.tile(np.arange(len(channels)), len(times))
+        write_record_tables([record_table(channels, row_times, chan, stats.reshape(-1, 3), cfg)],
                             tmp_path / "reference.csv")
         written = (tmp_path / "records.csv").read_text()
         assert written == (tmp_path / "reference.csv").read_text()
+        assert (tmp_path / "truth.csv").read_bytes() == _reference_truth_csv(zip(
+            row_times.tolist(), [channels[c] for c in chan.tolist()], labels.ravel().tolist()))
         lines = written.splitlines()
-        assert len(lines) == 1 + 3 * len(times)
+        assert len(lines) == 1 + 3 * len(row_times)
         if case == "quoted band":
             assert any(',"ISM, 433",1,433.075,' in ln for ln in lines)
             assert any(',"say ""hi""",0,2412,' in ln for ln in lines)
         if case == "zero energy":
-            assert sum(",acf1,0,0.25,0" in ln for ln in lines) == len(times[::3])
-            assert sum(",cdist,1,0.6,0" in ln for ln in lines) == len(times[::3])
+            assert sum(",acf1,0,0.25,0" in ln for ln in lines) == len(row_times[::3])
+            assert sum(",cdist,1,0.6,0" in ln for ln in lines) == len(row_times[::3])
         if case == "ties":
-            assert sum(",ed,1.05,1.05,0" in ln for ln in lines) == len(times[::2])
-            assert sum(",cdist,0.6,0.6,0" in ln for ln in lines) == len(times[::2])
+            assert sum(",ed,1.05,1.05,0" in ln for ln in lines) == len(row_times[::2])
+            assert sum(",cdist,0.6,0.6,0" in ln for ln in lines) == len(row_times[::2])
 
     def test_no_blocks_writes_the_header(self, tmp_path):
-        write_records(self.CHANNELS, [], _config(), tmp_path / "records.csv")
+        write_records(channel_fields(self.CHANNELS), [], _config(), tmp_path / "records.csv")
         assert (tmp_path / "records.csv").read_text() == RECORD_CSV_HEADER + "\n"
 
 
@@ -357,9 +388,9 @@ class TestColumnarSweep:
         start, interval, n_frames = 1767225600.0, 0.25, 40  # windows of 32 and 8 frames
         total = n_frames * interval
         params = self._params(plan)
-        sweep = [ChannelParams(sig, noise, sched, snr) for sig, noise, sched, snr in params]
-        blocks = list(_sweep_blocks(plan, sweep, cfg, 64, interval, n_frames, start, 1))
-        times, chan, stats, labels = (np.concatenate(col) for col in zip(*blocks))
+        blocks = list(_sweep_blocks(plan, spec_table(params), cfg, 64, interval, n_frames,
+                                    start, 1))
+        times, chan, stats, labels = _flat(blocks)
 
         # the reference: scan_channel frame by frame, then a stable sort on the canonical key
         band_pos = {"ZULU": 0, "ISM, 433": 1, "ALPHA": 2}
@@ -383,7 +414,8 @@ class TestColumnarSweep:
             assert np.float64(stat).view(np.int64) == np.float64(rec[3]).view(np.int64)
         assert labels.tolist() == [present for _, _, present in truths]
 
-        write_records(plan, blocks, cfg, tmp_path / "records.csv", tmp_path / "truth.csv")
+        write_records(channel_fields(plan), blocks, cfg, tmp_path / "records.csv",
+                      tmp_path / "truth.csv")
         assert (tmp_path / "records.csv").read_bytes() == _reference_records_csv(records)
         assert (tmp_path / "truth.csv").read_bytes() == _reference_truth_csv(truths)
 
@@ -391,9 +423,10 @@ class TestColumnarSweep:
         """Blocks split over several chunks, and several blocks, write the same bytes."""
         plan, cfg = _plan2(), _config()
         times, chan, stats, _ = _sweep(plan, n_scans=4, snr_db=5.0, n=32, interval=0.5)
-        monkeypatch.setattr(scan_module, "CSV_CHUNK_ROWS", 7)  # 2 frames a chunk
-        blocks = [(times[:7], chan[:7], stats[:7]), (times[7:], chan[7:], stats[7:])]
-        write_records(plan, blocks, cfg, tmp_path / "r.csv")
+        monkeypatch.setattr(scan_module, "CSV_CHUNK_ROWS", 7)  # 2 rows a chunk, of 3 a frame
+        frame_times, frame_stats = _frame_major(plan, times, stats)
+        blocks = [(frame_times[:3], frame_stats[:3]), (frame_times[3:], frame_stats[3:])]
+        write_records(channel_fields(plan), blocks, cfg, tmp_path / "r.csv")
         assert (tmp_path / "r.csv").read_bytes() == \
             _reference_records_csv(_rows(record_table(plan, times, chan, stats, cfg)))
 
@@ -402,11 +435,11 @@ class TestColumnarSweep:
         per-record csv.writer loop, however the blocks and the chunks split the frames."""
         plan, cfg = _plan2(), _config()
         times, chan, stats, labels = _sweep(plan, n_scans=4, snr_db=5.0, n=32, interval=0.5)
-        monkeypatch.setattr(scan_module, "CSV_CHUNK_ROWS", 7)  # 2 frames a records chunk
-        cols = (times, chan, stats, labels)
-        blocks = [tuple(col[:5] for col in cols), tuple(col[5:] for col in cols)]
-        write_records(plan, blocks, cfg, tmp_path / "r.csv", tmp_path / "t.csv")
-        write_records(plan, [(times, chan, stats)], cfg, tmp_path / "reference.csv")
+        monkeypatch.setattr(scan_module, "CSV_CHUNK_ROWS", 7)  # 2 rows a records chunk
+        cols = _frame_major(plan, times, stats, labels)
+        blocks = [tuple(col[:2] for col in cols), tuple(col[2:] for col in cols)]
+        write_records(channel_fields(plan), blocks, cfg, tmp_path / "r.csv", tmp_path / "t.csv")
+        write_records(channel_fields(plan), [cols[:2]], cfg, tmp_path / "reference.csv")
         assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
         assert (tmp_path / "t.csv").read_bytes() == _reference_truth_csv(
             zip(times.tolist(), [plan[c] for c in chan.tolist()], labels.tolist()))

@@ -147,8 +147,9 @@ class TestParsing:
             "      <<: *tone\n"
             "      normalized_freq: 0.2\n"
         )
-        _, p1, _ = Scenario.load(_write(tmp_path, text)).sweep_params()
-        assert (p1.signal.kind, p1.signal.normalized_freq) == ("tone", 0.2)
+        specs, spec, _, _ = Scenario.load(_write(tmp_path, text)).sweep_params()
+        signal = specs[spec[1]][0]
+        assert (signal.kind, signal.normalized_freq) == ("tone", 0.2)
 
 
 class TestValidationMessages:
@@ -210,13 +211,19 @@ class TestValidationMessages:
         assert str(caught.value) == message
 
 
+def _channel(table, i):
+    """Channel i's resolved (signal, noise, schedule, snr_db) spec in a sweep_params table."""
+    specs, spec, _, _ = table
+    return specs[spec[i]]
+
+
 class TestChannelParams:
     def test_defaults_apply(self, tmp_path):
         s = Scenario.load(_write(tmp_path, MINIMAL))
-        params = s.sweep_params()[0]
-        assert params.snr_db == 10.0
-        assert params.signal.kind == "tone"
-        assert params.schedule.duty_cycle == pytest.approx(0.5)
+        signal, _, schedule, snr_db = _channel(s.sweep_params(), 0)
+        assert snr_db == 10.0
+        assert signal.kind == "tone"
+        assert schedule.duty_cycle == pytest.approx(0.5)
 
     def test_override_wins(self, tmp_path):
         text = MINIMAL + (
@@ -228,16 +235,16 @@ class TestChannelParams:
             "      on_intervals: []\n"
         )
         s = Scenario.load(_write(tmp_path, text))
-        p0, p1, _ = s.sweep_params()
-        assert p0.snr_db == 10.0
-        assert p1.snr_db == -3.0
-        assert p1.schedule.duty_cycle == 0.0
+        p0, p1, _ = (_channel(s.sweep_params(), i) for i in range(3))
+        assert p0[3] == 10.0
+        assert p1[3] == -3.0
+        assert p1[2].duty_cycle == 0.0
         # non-overridden sections still come from defaults
-        assert p1.signal.kind == "tone"
+        assert p1[0].kind == "tone"
 
     def test_seeds_differ_per_channel(self, tmp_path):
         s = Scenario.load(_write(tmp_path, MINIMAL))
-        seeds = {p.noise.seed for p in s.sweep_params()}
+        seeds = set(s.sweep_params()[3].tolist())
         assert len(seeds) == len(s.plan())
 
     def test_explicit_seed_wins(self, tmp_path):
@@ -246,7 +253,27 @@ class TestChannelParams:
             "  noise:\n    total_power: 1.0\n    seed: 999\n",
         )
         s = Scenario.load(_write(tmp_path, text))
-        assert s.sweep_params()[0].noise.seed == 999
+        assert s.sweep_params()[3].tolist() == [999] * 3
+
+    @pytest.mark.parametrize("channels", [3, 20000])
+    def test_specs_resolve_once(self, tmp_path, channels):
+        """A defaults-only plan resolves one spec, however many channels it has, and each
+        override adds one, in plan order; an empty override is no override."""
+        text = MINIMAL.replace("stop_mhz: 110.0", f"stop_mhz: {100.0 + 5 * (channels - 1)}") \
+            .replace("expected_channels: 3", f"expected_channels: {channels}")
+        specs, spec, _, _ = Scenario.load(_write(tmp_path, text)).sweep_params()
+        assert len(specs) == 1 and spec.tolist() == [0] * channels
+        text += ('\nchannels:\n  "A:2":\n    snr_db: 1.0\n  "A:0":\n    snr_db: 2.0\n'
+                 '  "A:1": {}\n')
+        specs, spec, _, _ = Scenario.load(_write(tmp_path, text)).sweep_params()
+        assert [snr_db for *_, snr_db in specs] == [2.0, 10.0, 1.0]
+        assert spec.tolist() == [0, 1, 2] + [1] * (channels - 3)
+
+    def test_error_names_first_channel_without_override(self, tmp_path):
+        text = MINIMAL.replace("    kind: tone\n", "") + \
+            '\nchannels:\n  "A:0":\n    signal:\n      kind: none\n'
+        with pytest.raises(ScenarioError, match=r"^channel A:1\.signal\.kind: required"):
+            Scenario.load(_write(tmp_path, text)).sweep_params()
 
 
 class TestDetectorConfig:
@@ -334,11 +361,11 @@ class TestSeedDerivation:
             "    spacing_mhz: [5]\n    expected_channels: 3\n", "plan: builtin\n")
         s = Scenario.load(_write(tmp_path, text))
         band_pos = {band.name: i for i, band in enumerate(BUILTIN_BANDS)}
-        plan, params = s.plan(), s.sweep_params()
-        assert len(params) == len(plan) == 123
-        for c, p in zip(plan, params):
-            for tag, seed in ((SEED_CHANNEL_SIGNAL, p.signal.seed),
-                              (SEED_CHANNEL_NOISE, p.noise.seed)):
+        plan, (_, spec, signal_seeds, noise_seeds) = s.plan(), s.sweep_params()
+        assert len(spec) == len(plan) == 123
+        for c, signal_seed, noise_seed in zip(plan, signal_seeds.tolist(), noise_seeds.tolist()):
+            for tag, seed in ((SEED_CHANNEL_SIGNAL, signal_seed),
+                              (SEED_CHANNEL_NOISE, noise_seed)):
                 sq = np.random.SeedSequence((master_seed, tag, band_pos[c.band], c.index_in_band))
                 assert seed == int(sq.generate_state(1, np.uint64)[0])
 

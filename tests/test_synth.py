@@ -23,14 +23,15 @@ from occuscan.detectors import block_statistics
 from occuscan.errors import SampleDataError
 from occuscan.synth import (_frame_states, _generators, _seed_states, channel_windows,
                             noise_rows, signal_rows)
+from conftest import spec_table
 
 ALWAYS_ON = OccupancySchedule(1.0, ((0.0, 1.0),))
 
 
 def window_rows(signal, noise, snr_db, n, frames):
     """An always-on channel's rows from ``channel_windows``, a block per window of ``frames``."""
-    return [rows for _, rows, _ in channel_windows([(signal, noise, ALWAYS_ON, snr_db)], n, 1.0,
-                                                   frames)]
+    return [rows for _, rows, _ in channel_windows(
+        spec_table([(signal, noise, ALWAYS_ON, snr_db)]), n, 1.0, frames)]
 
 
 class TestNoise:
@@ -270,18 +271,15 @@ class TestSchedule:
         assert s.duty_cycle == pytest.approx(0.3)
         assert OccupancySchedule(10.0).duty_cycle == 0.0
 
-    def test_is_on_half_open_and_periodic(self):
+    def test_on_mask_half_open_and_periodic(self):
         s = OccupancySchedule(period_s=1.0, on_intervals=((0.0, 0.3),))
-        assert s.is_on(0.0)
-        assert s.is_on(0.29999)
-        assert not s.is_on(0.3)
-        assert s.is_on(1.25)
-        assert not s.is_on(1.5)
+        assert s.on_mask(np.array([0.0, 0.29999, 0.3, 1.25, 1.5])).tolist() == [
+            True, True, False, True, False]
 
     def test_multiple_intervals(self):
         s = OccupancySchedule(period_s=2.0, on_intervals=((0.0, 0.5), (1.0, 1.25)))
         assert s.duty_cycle == pytest.approx(0.375)
-        assert s.is_on(1.1) and not s.is_on(0.75)
+        assert s.on_mask(np.array([1.1, 0.75])).tolist() == [True, False]
 
     @settings(max_examples=300, deadline=None)
     @given(period=st.sampled_from([1.0, 0.1, 60.0, 86400.0]) | st.floats(1e-3, 1e6),
@@ -289,15 +287,17 @@ class TestSchedule:
            start=st.sampled_from([0.0, 1767225600.0, 1e10]) | st.floats(-1e10, 1e10),
            interval=st.sampled_from([0.1, 1.0, 1e-3]) | st.floats(1e-6, 1e3),
            offsets=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=50))
-    def test_on_mask_equals_is_on(self, period, cuts, start, interval, offsets):
-        """The sweep's vector labels are is_on of each frame's time, at every edge."""
+    def test_on_mask_equals_per_time_rule(self, period, cuts, start, interval, offsets):
+        """The sweep's vector labels are, at every edge, whether each frame's time modulo
+        the period (Python's float %) lands in an on interval."""
         edges = sorted({period * c for c in cuts})  # 0, period / 2 and period are exact
         schedule = OccupancySchedule(period, tuple(zip(edges[::2], edges[1::2])))
         offsets += [round(period / interval * m) for m in (0, 0.5, 1, 2)]
         times = start + np.array(offsets, dtype=np.float64) * interval
         assume(np.isfinite(times).all())
         assert schedule.on_mask(times - start).tolist() == [
-            schedule.is_on(t - start) for t in times.tolist()]
+            any(a <= (t - start) % period < b for a, b in schedule.on_intervals)
+            for t in times.tolist()]
 
     def test_rejects_bad_intervals(self):
         with pytest.raises(ValueError):
@@ -421,8 +421,8 @@ class TestTimeline:
     def test_blocks_match_timeline(self):
         """Windows of 32 and 8 of 40 frames are the timeline's times, frames and labels."""
         for signal in (self.SIGNAL, SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=5)):
-            windows = list(channel_windows([(signal, self.NOISE, self.SCHEDULE, 3.0)], 16, 0.1,
-                                           range(40), start_time=50.0))
+            windows = list(channel_windows(spec_table([(signal, self.NOISE, self.SCHEDULE, 3.0)]),
+                                           16, 0.1, range(40), start_time=50.0))
             assert [len(rows) for _, rows, _ in windows] == [32, 8]
             tl = gen_channel_timeline(self.SCHEDULE, signal, self.NOISE, 3.0, 16, 0.1, 4.0,
                                       start_time=50.0)
@@ -439,12 +439,31 @@ class TestTimeline:
                 OccupancySchedule(0.7, ((0.2, 0.5),)), 1.0)
         channels = [(self.SIGNAL, self.NOISE, self.SCHEDULE, 3.0), bpsk]
         together = [(t, rows.copy(), on) for t, rows, on in
-                    channel_windows(channels, 16, 0.1, range(40), start_time=5.0)]
-        alone = [list(channel_windows([c], 16, 0.1, range(40), start_time=5.0)) for c in channels]
+                    channel_windows(spec_table(channels), 16, 0.1, range(40), start_time=5.0)]
+        alone = [list(channel_windows(spec_table([c]), 16, 0.1, range(40), start_time=5.0))
+                 for c in channels]
         assert len(together) == 4
         for got, want in zip(together, [alone[0][0], alone[1][0], alone[0][1], alone[1][1]]):
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
+
+    def test_seed_columns_replace_the_specs_seeds(self):
+        """Channels of one spec draw with their own seed columns, as that spec given each
+        channel's seeds would, and not with the spec's own seeds."""
+        bpsk = SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=5)
+        seeds = [(7, 11), (2**40 + 3, 2**63 + 9)]
+        table = ([(bpsk, self.NOISE, self.SCHEDULE, 3.0)], np.zeros(2, np.intp),
+                 *(np.array(column, np.uint64) for column in zip(*seeds)))
+        together = [rows.copy() for _, rows, _ in channel_windows(table, 16, 0.1, range(40))]
+        alone = [rows for signal_seed, noise_seed in seeds for _, rows, _ in channel_windows(
+            spec_table([(SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=signal_seed),
+                           NoiseSpec(self.NOISE.total_power, seed=noise_seed),
+                           self.SCHEDULE, 3.0)]), 16, 0.1, range(40))]
+        for got, want in zip(together, [alone[0], alone[2], alone[1], alone[3]]):
+            np.testing.assert_array_equal(got, want)
+        spec_seeds = [rows for _, rows, _ in channel_windows(
+            spec_table([(bpsk, self.NOISE, self.SCHEDULE, 3.0)]), 16, 0.1, range(40))]
+        assert not np.array_equal(together[0], spec_seeds[0])
 
     def test_signal_rows_are_frames(self):
         for spec in (self.SIGNAL, SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=5),
@@ -461,8 +480,8 @@ class TestTimeline:
         message = "^frame 0: energy is not finite \\(a sample or the power sum overflows\\)$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy RuntimeWarning may escape either
-            [(_, rows, _)] = channel_windows([(self.SIGNAL, noise, self.SCHEDULE, 10.0)], 16, 0.1,
-                                             range(10))
+            [(_, rows, _)] = channel_windows(
+                spec_table([(self.SIGNAL, noise, self.SCHEDULE, 10.0)]), 16, 0.1, range(10))
             with pytest.raises(SampleDataError, match=message):
                 block_statistics(rows, config.reference)
             [block] = window_rows(self.SIGNAL, noise, 10.0, 16, range(5, 30))
@@ -487,8 +506,8 @@ class TestTimeline:
         schedule = OccupancySchedule(5.0, ((0.0, 2.0),))
         for signal in (self.SIGNAL, SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=5)):
             alpha = snr_scale(signal.nominal_power, 1.0, 7.0)
-            windows = list(channel_windows([(signal, self.NOISE, schedule, 7.0)], 16, 1.0,
-                                           range(60, 103)))
+            windows = list(channel_windows(spec_table([(signal, self.NOISE, schedule, 7.0)]),
+                                           16, 1.0, range(60, 103)))
             assert np.concatenate([on for _, _, on in windows]).tolist() == labels.tolist()
             blocks = [rows for _, rows, _ in windows]
             assert [len(b) for b in blocks] == [32, 11]
