@@ -134,8 +134,11 @@ def _replace_on_success(path: Path):
 # --- calibrate ---------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
-    from .detectors import (calibrate_ed_threshold_blocks, calibrate_reference_blocks,
+    import numpy as np
+
+    from .detectors import (DETECTOR_TABLE, block_statistics, calibrate_reference_blocks,
                             save_reference)
+    from .iq import BLOCK_FRAMES
     from .synth import OccupancySchedule, channel_windows
 
     scenario = _load_scenario(args)
@@ -148,21 +151,22 @@ def cmd_calibrate(args) -> int:
                  [0], [cal["signal"].seed], [cal["noise"].seed])
         return (block for _, block, _ in channel_windows(table, n, 1.0, frames))
 
-    # threshold frames are drawn past the reference indices so the quantile
-    # never sees the training noise
+    # threshold frames are drawn past the reference indices so the quantiles
+    # never see the training noise; one kernel pass gives every detector's H0 sample
     noise_only = range(n_ref, n_ref + cal["threshold_frames"])
     try:
         reference = calibrate_reference_blocks(rows(cal["snr_db"], range(n_ref)),
                                                cal["acf_lags"])
-        lambda_ed = calibrate_ed_threshold_blocks(rows(-math.inf, noise_only),
-                                                  cal["target_pfa"], n_ref)
+        h0 = np.concatenate([block_statistics(block, reference, k) for k, block in
+                             zip(noise_only[::BLOCK_FRAMES], rows(-math.inf, noise_only))])
     except SampleDataError as exc:
         raise SampleDataError(f"calibration: {exc}") from exc
     ref_path = out / "reference.txt"
     save_reference(reference, ref_path)
 
     print(f"reference={ref_path}")
-    print(f"lambda_ed={lambda_ed!r}")
+    for d in DETECTOR_TABLE:  # named like the scenario's detector keys
+        print(f"{d.threshold_field}={d.tune(h0[:, d.column], cal['target_pfa'])!r}")
     return 0
 
 

@@ -15,15 +15,16 @@ Correlation distance
 
 ``block_statistics`` computes all three for a (frames x N) block from one
 ACF pass over lags 0..L-1; every command feeds it blocks of at most
-BLOCK_FRAMES (32) frames, and ``calibrate`` feeds the same blocks to
-``calibrate_reference_blocks`` and ``calibrate_ed_threshold_blocks``. Row
-sums are np.vecdot's dot products, which give the bits of the per-frame
-functions' np.vdot and np.dot. A frame whose energy sum is not finite raises
-SampleDataError, so no NaN statistic reaches an output: this one check
-covers a non-finite sample as well as finite samples whose power sum
-overflows, and it is the only check on frames the program makes. Every
-decision goes through DETECTOR_TABLE (statistic column, threshold field,
-direction).
+BLOCK_FRAMES (32) frames (``calibrate`` its threshold frames, once it has fed
+its reference frames to ``calibrate_reference_blocks``). Row sums are
+np.vecdot's dot products, which give the bits of the per-frame functions'
+np.vdot and np.dot. A frame whose energy sum is not finite raises
+SampleDataError, so no NaN statistic reaches an output: this one check covers
+a non-finite sample as well as finite samples whose power sum overflows, and
+it is the only check on frames the program makes. Every decision goes through
+DETECTOR_TABLE (statistic column, threshold field, direction), and every
+threshold is tuned by its row's ``Detector.tune``, a quantile of noise-only
+statistics.
 
 All autocorrelations use the linear (non-circular) convention: terms whose
 lagged index would fall before the frame start are omitted. Ties on every
@@ -56,6 +57,16 @@ class Detector(NamedTuple):
         """Vectorized decision; a statistic equal to the threshold decides absent."""
         statistic = np.asarray(statistic)
         return statistic < threshold if self.direction == "<" else statistic > threshold
+
+    def tune(self, h0, target_pfa: float) -> float:
+        """Threshold giving target_pfa on the noise-only (H0) statistics h0: their
+        (1 - target_pfa) quantile for a ">" row, their target_pfa quantile for a "<" row."""
+        if not 0.0 < target_pfa < 1.0:
+            raise ValueError("target_pfa must lie in (0, 1)")
+        h0 = np.asarray(h0, dtype=np.float64)
+        if h0.size < 1:
+            raise ValueError("need at least one H0 statistic")
+        return quantile(h0, target_pfa if self.direction == "<" else 1.0 - target_pfa)
 
 
 # canonical order: energy, lag-1 ACF, correlation distance
@@ -278,30 +289,18 @@ def quantile(values, q: float) -> float:
     return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
-def calibrate_ed_threshold_blocks(blocks, target_pfa: float, start: int = 0) -> float:
-    """Empirical (1 - target_pfa) quantile of the energy statistic over (frames x N) noise blocks.
-
-    Linear interpolation between order statistics (numpy's default quantile
-    method). Needs at least 100 noise-only frames. Errors number the frames
-    from ``start``.
-    """
-    if not 0.0 < target_pfa < 1.0:
-        raise ValueError("target_pfa must lie in (0, 1)")
-    stats = [np.empty(0)]
-    for block in blocks:
-        stats.append(_acf_block(block, 1, start)[0] / block.shape[1])
-        start += len(block)
-    stats = np.concatenate(stats)
-    if stats.size < 100:
-        raise CalibrationError(
-            f"threshold calibration needs >= 100 noise frames, got {stats.size}"
-        )
-    return quantile(stats, 1.0 - target_pfa)
-
-
 def calibrate_ed_threshold(noise_frames, target_pfa: float) -> float:
-    """``calibrate_ed_threshold_blocks`` over ComplexFrames, one frame per block."""
-    return calibrate_ed_threshold_blocks((f.samples[None, :] for f in noise_frames), target_pfa)
+    """``ed``'s ``Detector.tune`` over the energies of at least 100 noise-only ComplexFrames.
+
+    A frame whose energy is not finite raises SampleDataError naming its position.
+    """
+    stats = [_acf_block(f.samples[None, :], 1, k)[0][0] / len(f)
+             for k, f in enumerate(noise_frames)]
+    if len(stats) < 100:
+        raise CalibrationError(
+            f"threshold calibration needs >= 100 noise frames, got {len(stats)}"
+        )
+    return DETECTOR_BY_NAME["ed"].tune(stats, target_pfa)
 
 
 # --- reference-vector file format -------------------------------------------

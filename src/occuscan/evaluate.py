@@ -6,15 +6,16 @@ every SNR, so all thresholds, SNRs and detectors see the same randomness (ROC
 curves are monotone by construction; detectors compare at matched pfa). Trial
 i draws from (spec seed, i) only, so results depend on neither order nor chunks.
 Results stay arrays: ``operating_points`` gives pd and pfa over a threshold
-list, and ``write_eval_csv`` renders plain row tuples.
+list, and ``write_eval_csv`` renders plain row tuples. Thresholds are tuned
+to a target pfa by the detector table's ``Detector.tune``, which
+``tune_threshold_for_pfa`` looks up by name.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .detectors import (DETECTOR_BY_NAME, DetectorConfig, block_statistics, decides_present,
-                        quantile)
+from .detectors import DETECTOR_BY_NAME, DetectorConfig, block_statistics, decides_present
 from .iq import BLOCK_FRAMES
 from .scan import _FLOAT
 from .synth import NoiseSpec, SignalSpec, noise_rows, signal_rows, snr_scale
@@ -92,19 +93,8 @@ def operating_points(detector: str, h0, h1, thresholds) -> tuple[np.ndarray, np.
 
 
 def tune_threshold_for_pfa(detector: str, h0_statistics, target_pfa: float) -> float:
-    """Threshold achieving the target false-alarm rate on the given H0 sample.
-
-    For ed/acf1 (present above threshold) this is the empirical
-    (1 - target_pfa) quantile; for cdist (present below) the target_pfa
-    quantile.
-    """
-    if not 0.0 < target_pfa < 1.0:
-        raise ValueError("target_pfa must lie in (0, 1)")
-    h0 = np.asarray(h0_statistics, dtype=np.float64)
-    if h0.size < 1:
-        raise ValueError("need at least one H0 statistic")
-    below = DETECTOR_BY_NAME[detector].direction == "<"
-    return quantile(h0, target_pfa if below else 1.0 - target_pfa)
+    """The named detector's ``Detector.tune``: its threshold for target_pfa on an H0 sample."""
+    return DETECTOR_BY_NAME[detector].tune(h0_statistics, target_pfa)
 
 
 def write_eval_csv(rows, path) -> None:

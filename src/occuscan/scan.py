@@ -32,8 +32,8 @@ import numpy as np
 
 from .channels import Channel
 from .detectors import (
+    DETECTOR_BY_NAME,
     DETECTOR_TABLE,
-    DETECTORS,
     DetectorConfig,
     block_statistics,
     decide_block,
@@ -46,9 +46,6 @@ RECORD_CSV_HEADER = (
 )
 TRUTH_CSV_HEADER = "time_unix,band,channel_index,center_freq_mhz,truth_present"
 PLAN_CSV_HEADER = "band,channel_index,center_freq_mhz"
-
-_DETECTOR_POS = {name: i for i, name in enumerate(DETECTORS)}
-
 
 @dataclass(frozen=True)
 class ScanRecord:
@@ -128,13 +125,14 @@ def _chunks(n: int):
 
 def channel_fields(channels) -> list[str]:
     """Each channel's "band,channel_index,center_freq_mhz," row prefix, csv-quoted."""
+    buf = io.StringIO()
+    writerow = csv.writer(buf, lineterminator="\n").writerow  # one writer, emptied after each row
     fields = []
     for c in channels:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(
-            [c.band, c.index_in_band, format(c.center_freq_mhz, _FLOAT), ""]
-        )
+        writerow([c.band, c.index_in_band, format(c.center_freq_mhz, _FLOAT), ""])
         fields.append(buf.getvalue()[:-1])
+        buf.seek(0)
+        buf.truncate()
     return fields
 
 
@@ -224,7 +222,7 @@ def read_record_chunks(path):
                     continue
                 try:
                     t, band, idx, freq, det, stat, thr, present = row
-                    if det not in _DETECTOR_POS:
+                    if det not in DETECTOR_BY_NAME:
                         raise ValueError(f"unknown detector {det!r}")
                     if present not in ("0", "1"):
                         raise ValueError(f"present must be 0 or 1, got {present!r}")
@@ -238,7 +236,7 @@ def read_record_chunks(path):
                             ids[channel] = len(channels)
                             channels.append(channel)
                         c = keys[band, idx, freq] = ids[channel]
-                    rows.append((time, c, _DETECTOR_POS[det], float(stat), float(thr),
+                    rows.append((time, c, DETECTOR_BY_NAME[det].column, float(stat), float(thr),
                                  present == "1"))
                 except ValueError as exc:
                     raise CsvParseError(f"{path}:{lineno}: {exc}") from exc

@@ -23,6 +23,21 @@ def make_frame(samples, rate=1e6, freq=100e6, t=0.0) -> ComplexFrame:
     )
 
 
+def wilson(k: int, n: int, z: float) -> tuple[float, float]:
+    """Wilson score interval of a binomial proportion k/n at z standard errors."""
+    p = k / n
+    denom = 1.0 + z * z / n
+    center = (p + z * z / (2 * n)) / denom
+    half = z / denom * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n))
+    return center - half, center + half
+
+
+def csv_rows(path) -> list:
+    """A CSV file's rows after its header, as csv.reader lists."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
+
+
 def write_meta(meta_path, num_samples, rate=1e6, freq=100e6, start=0.0) -> None:
     """Write an .iq.meta sidecar: its four key=value lines, values as given."""
     with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 from occuscan import (
     ComplexFrame,
     UsageError,
+    acf1_statistic,
     acf_vector,
+    correlation_distance,
     energy_statistic,
     gen_noise_frame,
     gen_signal_frame,
@@ -31,6 +33,7 @@ from occuscan import (
 from occuscan import scenario as scenario_module
 from occuscan.channels import Channel
 from occuscan.cli import MAX_WORKERS, RUN_CHANNELS, _check_options, main
+from occuscan.evaluate import tune_threshold_for_pfa
 from occuscan.report import OCCUPANCY_CSV_HEADER
 from occuscan.scan import RECORD_CSV_HEADER, TRUTH_CSV_HEADER, RecordTable, scan_channel
 from occuscan.scenario import SCHEMA, Scenario
@@ -146,7 +149,9 @@ class TestCalibrate:
         with monkeypatch.context() as patch:
             patch.setattr(ComplexFrame, "__post_init__", refuse)
             assert main(["calibrate", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
-        lambda_ed = capsys.readouterr().out.splitlines()[1]
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split("=")[0] for line in printed] == ["reference", "lambda_ed",
+                                                             "lambda_acf", "gamma"]
         # the reference: per-frame statistics of alpha * signal + noise, averaged in a loop
         cal = Scenario.load(scn).calibration()
         sig, noise, n = cal["signal"], cal["noise"], 256
@@ -159,9 +164,18 @@ class TestCalibrate:
         reference[0] = 1.0
         assert load_reference(tmp_path / "reference.txt").values.tolist() == \
             np.clip(reference, 0.0, 1.0).tolist()
-        energies = [energy_statistic(gen_noise_frame(n, noise, 50 + k)) for k in range(500)]
+        frames = [gen_noise_frame(n, noise, 50 + k) for k in range(500)]
+        energies = [energy_statistic(f) for f in frames]
         threshold = float(np.quantile(energies, 1.0 - cal["target_pfa"]))
-        assert lambda_ed == f"lambda_ed={threshold!r}"
+        assert printed[1] == f"lambda_ed={threshold!r}"
+        # acf1 and cdist: the one tuner over the per-frame statistics, the saved reference's
+        saved = load_reference(tmp_path / "reference.txt")
+        for line, name, stats in (
+                (printed[2], "acf1", [acf1_statistic(f) for f in frames]),
+                (printed[3], "cdist", [correlation_distance(saved, acf_vector(f, cal["acf_lags"]))
+                                       for f in frames])):
+            value = tune_threshold_for_pfa(name, stats, cal["target_pfa"])
+            assert line.split("=")[1] == repr(value), name
 
     def test_process_pool_is_not_imported_at_start_up(self):
         code = "import sys, occuscan.cli; print('concurrent.futures.process' in sys.modules)"

@@ -32,7 +32,7 @@ from occuscan import (
     save_reference,
 )
 from occuscan.detectors import (
-    calibrate_ed_threshold_blocks,
+    DETECTOR_BY_NAME,
     calibrate_reference_blocks,
     decide_block,
     decides_present,
@@ -516,7 +516,8 @@ class TestBlockKernel:
             with pytest.raises(SampleDataError, match=f"^frame {start + 3}: energy is not finite"):
                 block_statistics(block, _ref(8), start)
             with pytest.raises(SampleDataError, match="^frame 23: "):
-                calibrate_ed_threshold_blocks([np.ones((20, 16)), block], 0.05)
+                calibrate_ed_threshold([make_frame(r) for r in np.ones((20, 16))]
+                                       + [make_frame(r) for r in block], 0.05)
             with pytest.raises(SampleDataError, match="^frame 3: "):
                 calibrate_reference_blocks([block], 8)
             with pytest.raises(SampleDataError, match="^frame 0: "):
@@ -533,9 +534,12 @@ class TestBlockKernel:
         assert block_statistics(np.ones((2, 4), dtype=np.complex128), _ref(4)).shape == (2, 3)
         assert energy_statistic(make_frame([2.0])) == 4.0  # one sample, one lag
 
-    def test_ed_threshold_of_frames_equals_blocks(self):
-        """One-row blocks of ComplexFrames give the bits of BLOCK_FRAMES-row blocks."""
-        rows = noise_rows(64, NoiseSpec(1.0, seed=9), range(150))
-        blocks = [rows[i:i + BLOCK_FRAMES] for i in range(0, len(rows), BLOCK_FRAMES)]
-        assert calibrate_ed_threshold([make_frame(r) for r in rows], 0.05) == \
-            calibrate_ed_threshold_blocks(blocks, 0.05)
+    def test_kernel_ed_column_is_the_per_frame_energy(self):
+        """calibrate tunes lambda_ed from the kernel's ed column: it holds each frame's
+        energy_statistic bits, so the threshold is calibrate_ed_threshold's."""
+        rows = noise_rows(64, NoiseSpec(1.0, seed=9), range(2016))
+        ed = np.concatenate([block_statistics(rows[i:i + BLOCK_FRAMES], _ref())[:, 0]
+                             for i in range(0, len(rows), BLOCK_FRAMES)])
+        frames = [make_frame(r) for r in rows]
+        assert ed.tolist() == [energy_statistic(f) for f in frames]
+        assert DETECTOR_BY_NAME["ed"].tune(ed, 0.05) == calibrate_ed_threshold(frames, 0.05)

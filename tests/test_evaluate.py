@@ -21,7 +21,6 @@ from occuscan.detectors import (
     acf1_statistic,
     acf_vector,
     block_statistics,
-    calibrate_ed_threshold_blocks,
     correlation_distance,
     energy_statistic,
 )
@@ -42,7 +41,7 @@ from occuscan.synth import (
     gen_signal_frame,
     snr_scale,
 )
-from conftest import spec_table
+from conftest import spec_table, wilson
 
 SIG = SignalSpec(kind="tone", normalized_freq=0.13, seed=5)
 NOISE = NoiseSpec(total_power=1.0, seed=6)
@@ -94,14 +93,6 @@ class TestTrialStatistics:
             trial_statistics("ed", _config(), SIG, NOISE, 0.0, 128, 0)
 
 
-def _wilson(hits: int, n: int, z: float) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
-    p = hits / n
-    center = (p + z * z / (2 * n)) / (1 + z * z / n)
-    half = z / (1 + z * z / n) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
-    return center - half, center + half
-
-
 class TestSharedTrialStatistics:
     @pytest.mark.parametrize("signal", [
         SIG,
@@ -142,7 +133,7 @@ class TestSharedTrialStatistics:
         trials = 4000
         h0 = shared_trial_statistics(_config(), SignalSpec(kind="none"), noise, [], n,
                                      range(trials))[0, :, 0]
-        lo, hi = _wilson(int(np.count_nonzero(h0 > lam * 2.0)), trials, z=4.0)
+        lo, hi = wilson(int(np.count_nonzero(h0 > lam * 2.0)), trials, z=4.0)
         assert lo <= gammaincc(n, n * lam) <= hi
 
     @pytest.mark.parametrize("signal", [
@@ -159,20 +150,22 @@ class TestSharedTrialStatistics:
         for k, snr_db in enumerate(snr_dbs, 1):
             for lam in (2.1, 2.3):
                 hits = int(np.count_nonzero(stats[k, :, 0] > lam))
-                lo, hi = _wilson(hits, trials, z=4.0)
+                lo, hi = wilson(hits, trials, z=4.0)
                 pd = ncx2.sf(2 * n * lam / sigma2, 2 * n, 2 * n * 10 ** (snr_db / 10))
                 assert lo <= pd <= hi, (snr_db, lam, hits / trials, pd)
 
     def test_calibrated_ed_threshold_matches_gamma_quantile(self):
-        """The calibrated lambda_ed is the noise-only energy's (1 - pfa) quantile, whose
+        """The tuned lambda_ed is the noise-only energy's (1 - pfa) quantile, whose
         theory value is sigma^2 * gammaincinv(N, 1 - pfa) / N. Its rank under the Gamma law
         is asymptotically normal, mean 1 - pfa and variance pfa (1 - pfa) / frames."""
         n, sigma2, frames, pfa = 64, 2.0, 10_000, 0.05
         noise = NoiseSpec(total_power=sigma2, seed=11)
         channel = (SignalSpec(kind="none"), noise, OccupancySchedule(1.0), -math.inf)
-        lam = calibrate_ed_threshold_blocks(
-            (rows for _, rows, _ in channel_windows(spec_table([channel]), n, 1.0,
-                                                    range(frames))), pfa)
+        ed, reference = DETECTOR_TABLE[0], _config().reference
+        lam = ed.tune(np.concatenate([
+            block_statistics(rows, reference)[:, ed.column]
+            for _, rows, _ in channel_windows(spec_table([channel]), n, 1.0, range(frames))]),
+            pfa)
         z = (gammainc(n, n * lam / sigma2) - (1 - pfa)) / math.sqrt(pfa * (1 - pfa) / frames)
         assert abs(z) <= 4.0, (lam, sigma2 * gammaincinv(n, 1 - pfa) / n, z)
 
@@ -187,7 +180,7 @@ class TestSharedTrialStatistics:
         trials = 4000
         h0 = shared_trial_statistics(_config(lags=4), SignalSpec(kind="none"), NOISE, [], n,
                                      range(trials))[0, :, 1]
-        lo, hi = _wilson(int(np.count_nonzero(h0 > lam)), trials, z=4.0)
+        lo, hi = wilson(int(np.count_nonzero(h0 > lam)), trials, z=4.0)
         assert lo <= math.exp(-lam * lam * n * n / (n - 1)) <= hi
 
 
@@ -298,9 +291,9 @@ class TestTuneThreshold:
         assert abs(pfa - 0.05) < 0.01
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^target_pfa must lie in \(0, 1\)$"):
             tune_threshold_for_pfa("ed", [1.0], 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least one H0 statistic$"):
             tune_threshold_for_pfa("ed", [], 0.05)
 
 

@@ -24,20 +24,12 @@ from scipy.special import gammaincc, gammainccinv
 from occuscan import NoiseSpec, SignalSpec, acf_vector, gen_signal_frame
 from occuscan.detectors import DETECTOR_BY_NAME, block_statistics
 from occuscan.synth import noise_rows
+from conftest import wilson
 
 N, LAGS, TRIALS, BLOCK, SEED, Z = 1024, 8, 10_000, 1_000, 7, 5.0
 ED, ACF1 = DETECTOR_BY_NAME["ed"], DETECTOR_BY_NAME["acf1"]
 REFERENCE = acf_vector(gen_signal_frame(N, SignalSpec(kind="tone", normalized_freq=0.13), 0),
                        LAGS)
-
-
-def _wilson(k: int, n: int, z: float = Z) -> tuple[float, float]:
-    """Wilson score interval of a binomial proportion k/n at z standard errors."""
-    p = k / n
-    denom = 1.0 + z * z / n
-    center = (p + z * z / (2 * n)) / denom
-    half = z / denom * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n))
-    return center - half, center + half
 
 
 def _h0_statistics(power_db: float) -> np.ndarray:
@@ -55,7 +47,7 @@ def unit_power():
 @pytest.mark.parametrize("lam", [0.01, 0.03, 0.05, 0.1])
 def test_acf1_tail_matches_closed_form(unit_power, lam):
     k = int(np.count_nonzero(unit_power[:, ACF1.column] > lam))
-    lo, hi = _wilson(k, TRIALS)
+    lo, hi = wilson(k, TRIALS, Z)
     expected = math.exp(-N * N * lam * lam / (N - 1))
     assert lo <= expected <= hi, (k / TRIALS, expected)
 
@@ -68,7 +60,7 @@ def test_noise_power_moves_only_energy_pfa(unit_power, power_db, pfa):
     expected = gammaincc(N, N * lambda_ed / 10.0 ** (power_db / 10.0))
     assert expected == pytest.approx(pfa, abs=5e-5)  # the wall: +0.5 dB takes 0.05 to 0.98
     stats = _h0_statistics(power_db)
-    lo, hi = _wilson(int(np.count_nonzero(ED.decide(stats[:, ED.column], lambda_ed))), TRIALS)
+    lo, hi = wilson(int(np.count_nonzero(ED.decide(stats[:, ED.column], lambda_ed))), TRIALS, Z)
     assert lo <= expected <= hi, (lo, hi, expected)
     # acf1 and cdist see the same draws at another scale: the same statistics
     np.testing.assert_allclose(stats[:, 1:], unit_power[:, 1:], rtol=1e-12, atol=0)

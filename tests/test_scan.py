@@ -265,6 +265,22 @@ class TestRecordCsv:
         assert lines[1] == "A,0,100"
         assert lines[-1] == "B,0,200"
 
+    def test_channel_fields_equal_a_writer_per_channel(self):
+        """The one reused writer quotes each row as a fresh csv.writer would, with nothing
+        left over from the row before: a comma, a quote and a newline in band names."""
+        channels = [Channel("ISM, 433", 0, 433.05), Channel('say "hi"', 1, 100.0),
+                    Channel("two\nlines", 2, 1e-7), Channel("plain", 3, 2400.5),
+                    Channel("", 4, 5.0)]
+        fields = []
+        for c in channels:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow(
+                [c.band, c.index_in_band, f"{c.center_freq_mhz:.9g}", ""])
+            fields.append(buf.getvalue()[:-1])
+        assert channel_fields(channels) == fields
+        assert fields[:3] == ['"ISM, 433",0,433.05,', '"say ""hi""",1,100,',
+                              '"two\nlines",2,1e-07,']
+
 
 class TestWriteRecords:
     """write_records on frame-major blocks against the per-record reference renderer
