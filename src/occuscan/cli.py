@@ -11,8 +11,8 @@ only a recording block's statistics once they are made.
 Start-up loads only what the command runs: the module sets OpenBLAS to one
 thread and keeps OpenSSL's ``_hashlib`` out before numpy loads, each command
 imports its own modules (``report`` loads no YAML parser and no synthesis),
-and the process pool is imported only when --workers > 1. A pool has at
-most one process per task.
+and only --workers > 1 imports ``forkmap``, which forks at most one worker a
+task and pickles no task.
 """
 
 from __future__ import annotations
@@ -43,11 +43,10 @@ sys.modules.setdefault("_hashlib", None)
 
 from .errors import OccuscanError, SampleDataError, UsageError
 
-# The most pool processes --workers may ask for. With the fork start method a pool
-# starts all of its processes at the first task, and on the example scenario each
-# peaks near 31 MB, so 64 come to about 2 GB; a larger count only risks exhausting
-# the host's memory or process ids. A constant, not os.cpu_count(), so a command
-# line that runs on one host runs on any.
+# The most worker processes --workers may ask for. All of them fork at the first task,
+# and on the example scenario each peaks near 29 MB, so 64 come to about 1.9 GB; a
+# larger count only risks exhausting the host's memory or process ids. A constant,
+# not os.cpu_count(), so a command line that runs on one host runs on any.
 MAX_WORKERS = 64
 
 
@@ -61,6 +60,8 @@ def _check_options(args) -> None:
         raise UsageError(f"--workers: must be >= 1, got {workers}")
     if workers > MAX_WORKERS:
         raise UsageError(f"--workers: must be at most {MAX_WORKERS}, got {workers}")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise UsageError(f"--workers: must be 1 where os.fork is missing, got {workers}")
     bins = getattr(args, "bins", 1.0)
     if not (math.isfinite(bins) and bins > 0):
         raise UsageError(f"--bins: must be a finite number > 0, got {bins}")
@@ -81,37 +82,15 @@ def _load_scenario(args):
     return scenario
 
 
-def __getattr__(name: str):
-    # the process pool is imported on first use, not at start-up: the import
-    # costs about 20 ms (2-vCPU host), and only --workers > 1 needs it
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _map(fn, tasks, n_tasks: int, workers: int):
-    """fn(t) for each of the n_tasks tasks, in order and lazily.
-
-    With workers > 1 a pool of min(workers, n_tasks) processes runs them, so no
-    process starts that would get no task, and at most two results a process
-    wait at a time. The pool class is looked up as this module's
-    ProcessPoolExecutor attribute, so a tool that replaces the attribute
-    (bench/tracer.py traces the pool's tasks that way) has its class used.
-    """
+    """fn(t) for each of the n_tasks tasks, in order and lazily: in this process with one
+    worker, else in min(workers, n_tasks) forked ones (forkmap.fork_map)."""
     if workers == 1 or n_tasks == 0:
         yield from map(fn, tasks)
-        return
-    workers = min(workers, n_tasks)
-    with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
-        ahead = []  # one pool.map a task, so tasks are taken only as results are read
-        for task in tasks:
-            ahead.append(pool.map(fn, [task]))
-            if len(ahead) >= 2 * workers:
-                yield from ahead.pop(0)
-        for results in ahead:
-            yield from results
+    else:
+        from .forkmap import fork_map
+
+        yield from fork_map(fn, tasks, n_tasks, workers)
 
 
 def _out_dir(args) -> Path:

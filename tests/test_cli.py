@@ -1,12 +1,13 @@
 """End-to-end command behavior through the argparse entry point."""
 
 import argparse
-import concurrent.futures
 import contextlib
 import copy
+import errno
 import io
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -30,6 +31,8 @@ from occuscan import (
     load_reference,
     snr_scale,
 )
+from occuscan import cli as cli_module
+from occuscan import scan as scan_module
 from occuscan import scenario as scenario_module
 from occuscan.channels import Channel
 from occuscan.cli import MAX_WORKERS, RUN_CHANNELS, _check_options, main
@@ -178,11 +181,12 @@ class TestCalibrate:
             assert line.split("=")[1] == repr(value), name
 
     def test_process_pool_is_not_imported_at_start_up(self):
-        code = "import sys, occuscan.cli; print('concurrent.futures.process' in sys.modules)"
+        code = ("import sys, occuscan.cli\nprint([m for m in ('occuscan.forkmap', "
+                "'concurrent.futures') if m in sys.modules])")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
-        assert out.stdout == "False\n"
+        assert out.stdout == "[]\n"
 
     def test_seed_override_changes_reference(self, tmp_path, workspace):
         scn = workspace / "scn.yaml"
@@ -280,8 +284,8 @@ class TestSimulate:
             assert (out / name).read_bytes() == (workspace / "reference" / name).read_bytes()
 
     def test_spawned_pool_byte_identical(self, workspace):
-        """Workers started in fresh interpreters (spawn; forkserver is Python 3.14's default)
-        write the bytes of one process: no worker relies on state filled in the parent."""
+        """With multiprocessing set to spawn, the workers still fork, whatever the start
+        method, and write the bytes of one process."""
         scn = workspace / "wide.yaml"
         scn.write_text(wide_scenario(channels=self.MIXED_SEEDS))
         probe = ("import multiprocessing, sys\nmultiprocessing.set_start_method('spawn')\n"
@@ -649,13 +653,23 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("cmd", ["simulate", "eval"])
     def test_too_many_workers(self, workspace, capsys, monkeypatch, cmd):
-        def refuse(*args, **kwargs):  # a pool of that size must never start
-            raise AssertionError("a process pool was started")
+        def refuse():  # no worker of that count may be forked
+            raise AssertionError("a worker process was forked")
 
-        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
         self._fails_with(capsys, [cmd, "--scenario", str(workspace / "scn.yaml"),
                                   "--out", str(workspace / "o"),
                                   "--workers", str(MAX_WORKERS + 1)], "--workers")
+        assert not (workspace / "o").exists()
+
+    @pytest.mark.parametrize("cmd", ["simulate", "eval"])
+    def test_workers_need_fork(self, workspace, capsys, monkeypatch, cmd):
+        monkeypatch.delattr(os, "fork")
+        _check_options(argparse.Namespace(workers=1))
+        assert main([cmd, "--scenario", str(workspace / "scn.yaml"),
+                     "--out", str(workspace / "o"), "--workers", "2"]) == 1
+        assert capsys.readouterr().err == \
+            "error: --workers: must be 1 where os.fork is missing, got 2\n"
         assert not (workspace / "o").exists()
 
     def test_scenario_seed_out_of_range(self, workspace, capsys):
@@ -1006,6 +1020,7 @@ class TestBadInputs:
         scn.write_text(SCENARIO.replace("eval:\n", "eval:\n  noise:\n    total_power: 1.0e308\n"))
         self._energy_overflows(capsys, workspace, ["eval", "--scenario", str(scn),
                                                    "--workers", workers], "eval", "eval.csv")
+        assert_no_child_left()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_never_on_channel_energy_overflows(self, workspace, capsys, workers):
@@ -1445,8 +1460,9 @@ class TestStartUp:
                        "numpy.ma"]),
         ("analyze", ["occuscan.synth", "occuscan.evaluate", "occuscan.report", "numpy.random",
                      "concurrent.futures"]),
-        # the main process derives seeds; only the pool workers draw
-        ("simulate", ["occuscan.report", "occuscan.evaluate", "numpy.random", "_hashlib"]),
+        # the main process derives seeds; only the workers draw
+        ("simulate", ["occuscan.report", "occuscan.evaluate", "numpy.random", "_hashlib",
+                      "concurrent.futures", "multiprocessing"]),
         ("eval", ["_hashlib", "numpy.ma", "occuscan.report", "concurrent.futures"]),
     ])
     def test_command_loads_only_what_it_runs(self, workspace, command, unused):
@@ -1479,34 +1495,26 @@ class TestStartUp:
     ], ids=["eval", "simulate-one-task", "simulate-two-tasks"])
     def test_pool_starts_no_process_without_a_task(self, workspace, monkeypatch, command,
                                                    scenario, workers, size):
-        sizes = []
-        init = concurrent.futures.ProcessPoolExecutor.__init__
+        forks = []
+        fork = os.fork
 
-        def record(pool, max_workers=None, *args, **kwargs):
-            sizes.append(max_workers)
-            init(pool, max_workers, *args, **kwargs)
+        def counted():
+            forks.append(None)
+            return fork()
 
-        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", record)
+        monkeypatch.setattr(os, "fork", counted)
         scn = workspace / "pool.yaml"
         scn.write_text(scenario)
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([command, "--scenario", str(scn), "--out", str(workspace / "o"),
                          "--workers", str(workers)]) == 0
-        assert sizes == [size]
+        assert len(forks) == size
 
     def test_sweep_workers_draw_without_openssl(self, workspace, tmp_path):
-        """A pool worker that has drawn its frames has not loaded _hashlib.
-
-        Asserted under the fork start method only, where workers inherit the CLI's
-        sys.modules entry: a forkserver (Python 3.14's default) may load hmac, and with it
-        _hashlib, for its own authentication before occuscan runs, and it could not find
-        this test's wrapper, which lives in the -c script's __main__.
-        """
+        """A worker that has drawn its frames has not loaded _hashlib: it forks from the
+        CLI process, on every Python version, and inherits its sys.modules entry."""
         code = """\
-import multiprocessing, os, sys
-if multiprocessing.get_start_method() != "fork":
-    print("start method:", multiprocessing.get_start_method())
-    sys.exit()
+import os, sys
 import occuscan.cli as cli
 sweep_window = cli._sweep_window
 def drawn(task):  # runs in the worker, so it reports the worker's modules
@@ -1523,8 +1531,6 @@ print("main", os.getpid())
         out = self._python("-c", code, str(reports), "simulate", "--scenario",
                            str(workspace / "scn.yaml"), "--out", str(workspace / "o"),
                            "--workers", "2")
-        if out.startswith("start method:"):
-            pytest.skip(out.strip())
         workers = {p.name: p.read_text() for p in reports.iterdir()}
         assert workers and out.split()[-1] not in workers
         assert set(workers.values()) == {"[True, False]"}  # numpy.random drew, no _hashlib
@@ -1553,3 +1559,64 @@ print("main", os.getpid())
                                   "--out", str(out), OPENBLAS_NUM_THREADS=threads)
             outputs.append(((out / "reference.txt").read_bytes(), stdout.splitlines()[1]))
         assert outputs[0] == outputs[1]
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWorkers:
+    """--workers > 1 forks its workers, and none outlives the command, however it ends."""
+
+    def _sweep(self, workspace):
+        """simulate --workers 2 on 41 channels x 40 frames: two windows of two runs, four
+        tasks."""
+        scn = workspace / "wide.yaml"
+        scn.write_text(wide_scenario())
+        with contextlib.redirect_stdout(io.StringIO()):
+            return main(["simulate", "--scenario", str(scn), "--out", str(workspace / "o"),
+                         "--workers", "2"])
+
+    @pytest.mark.parametrize("cmd", ["simulate", "eval"])
+    def test_fork_without_threads_leaves_no_child(self, workspace, cmd):
+        # Python 3.12+ warns when a process with a live thread forks: the child may deadlock
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error", DeprecationWarning)
+            assert main([cmd, "--scenario", str(workspace / "scn.yaml"),
+                         "--out", str(workspace / "o"), "--workers", "2"]) == 0
+        assert_no_child_left()
+
+    def test_killed_worker(self, workspace, capsys, monkeypatch):
+        sweep_window = cli_module._sweep_window
+
+        def killed(task):  # the second window's first run: worker 0's second task, task 2
+            frames, (_, _, signal_seeds, _) = task[:2]
+            if frames.start and len(signal_seeds) == RUN_CHANNELS:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return sweep_window(task)
+
+        monkeypatch.setattr(cli_module, "_sweep_window", killed)
+        assert self._sweep(workspace) == 1
+        assert capsys.readouterr().err == ("error: --workers: a worker process was killed by "
+                                           f"signal {signal.SIGKILL.value} before its result "
+                                           "for task 2\n")
+        assert list((workspace / "o").iterdir()) == []
+        assert_no_child_left()
+
+    def test_failed_record_write(self, workspace, capsys, monkeypatch):
+        write_records = scan_module.write_records
+
+        def disk_full(heads, blocks, *args):  # the first window is written, then the disk fills
+            def first_window():
+                yield next(blocks)
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            return write_records(heads, first_window(), *args)
+
+        monkeypatch.setattr(scan_module, "write_records", disk_full)
+        assert self._sweep(workspace) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert list((workspace / "o").iterdir()) == []
+        assert_no_child_left()
