@@ -277,10 +277,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_report(args) -> int:
     from .report import aggregate_table, write_occupancy_csv, write_plot_data
-    from .scan import read_record_chunks
+    from .scan import read_records
 
+    channels: list = []
     try:
-        cells = aggregate_table(read_record_chunks(args.records), args.bins)
+        cells = aggregate_table(read_records(args.records, channels), channels, args.bins)
     except ValueError as exc:  # a bad record raises CsvParseError, so only the bin length is left
         raise UsageError(f"--bins: {exc}") from exc
     out = _out_dir(args)

@@ -6,16 +6,17 @@ present-decided scans to total scans in that bin. Bins are half-open
 one bin; bins with no scans are omitted (no scans is not the same as zero
 occupancy).
 
-Cells are columns from the record log to the files: ``aggregate_table``
-counts the cells of record table chunks (``scan.RecordTable``, as
-``scan.read_record_chunks`` yields them) with numpy into a ``CellTable``, a
-chunk at a time, so ``report`` holds the cells and one chunk, not every
-record. ``write_occupancy_csv`` renders the cells' rows, and one pass of
+``aggregate_table`` folds the record log's rows, as ``scan.read_records``
+yields them, into a count per cell, so ``report`` holds the cells, not the
+records; the cells then become a ``CellTable`` of columns, sorted once.
+``write_occupancy_csv`` renders the cells' rows, and one pass of
 ``write_plot_data`` over the channels names, checks and writes every plot file.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import re
 from pathlib import Path
 from typing import NamedTuple
@@ -49,68 +50,43 @@ class CellTable(NamedTuple):
     n_total: np.ndarray
 
 
-def _merge(parts) -> tuple:
-    """One cell per (chan, det, bin number) of the concatenated cell columns ``parts``.
+def aggregate_table(rows, channels: list, bin_len_s: float) -> CellTable:
+    """Fold record rows into occupancy cells.
 
-    Each part is (chan, det, bin_no, first, n_detected, n_total) columns, one
-    row per record or per cell; a merged cell keeps its smallest ``first``
-    (its first record's index) and that row's bin number.
-    """
-    chan, det, bin_no, first, n_detected, n_total = (np.concatenate(c) for c in zip(*parts))
-    order = np.lexsort((first, bin_no, det, chan))
-    chan, det, bin_no, first = chan[order], det[order], bin_no[order], first[order]
-    new = np.ones(len(chan), dtype=bool)
-    new[1:] = (chan[1:] != chan[:-1]) | (det[1:] != det[:-1]) | (bin_no[1:] != bin_no[:-1])
-    starts = np.flatnonzero(new)
-    return (chan[starts], det[starts], bin_no[starts], first[starts],
-            np.add.reduceat(n_detected[order], starts), np.add.reduceat(n_total[order], starts))
-
-
-def aggregate_table(chunks, bin_len_s: float) -> CellTable:
-    """Fold record table chunks into occupancy cells.
-
-    ``chunks`` yields ``scan.RecordTable`` chunks whose channel ids are global
-    (``scan.read_record_chunks``). Grouping key is (channel, detector,
-    floor(time / bin_len_s)); no records fold to no cells. The chunks not
-    yet counted are merged into the cells once they hold as many rows as
-    the cells do, so memory follows the number of cells, not of records.
-    Cells come back sorted by (band, channel index, detector, bin start),
-    ties in order of first appearance. Raises ValueError when a bin number
-    is not finite (a non-finite time, or a bin length so short that time /
-    bin_len_s overflows), once every chunk is read: an error raised while
-    reading a later chunk comes first.
+    ``rows`` yields (time, channel id, detector column, statistic, threshold,
+    present) rows whose channel ids index ``channels``, as ``scan.read_records``
+    yields them. Grouping key is (channel, detector, floor(time / bin_len_s));
+    no records fold to no cells. Cells come back sorted by (band, channel
+    index, detector, bin start), ties in order of first appearance. Raises
+    ValueError when a bin number is not finite (a non-finite time, or a bin
+    length so short that time / bin_len_s overflows), once every row is read:
+    an error raised while reading a later row comes first.
     """
     if not bin_len_s > 0:
         raise ValueError("bin_len_s must be > 0")
-    ints, floats = np.empty(0, dtype=np.intp), np.empty(0)
-    parts, pending, records = [(ints, ints, floats, ints, ints, ints)], 0, 0  # cells first
-    channels, bad = [], None
-    for table in chunks:
-        channels = table.channels
-        with np.errstate(over="ignore"):
-            bin_no = np.floor(table.time / bin_len_s)
-        finite = np.isfinite(bin_no)
-        if bad is None and not finite.all():
-            bad = float(table.time[np.argmin(finite)])
-        if bad is not None:
-            continue
-        n = len(bin_no)
-        parts.append((table.chan, table.det, bin_no, np.arange(records, records + n),
-                      table.present.astype(np.intp), np.ones(n, dtype=np.intp)))
-        records, pending = records + n, pending + n
-        if pending >= len(parts[0][0]):
-            parts, pending = [_merge(parts)], 0
+    counts: dict = {}  # (channel id, detector column, bin number) -> (n_detected, n_total)
+    bad = None
+    for time, chan, det, _, _, present in rows:
+        bin_no = time / bin_len_s
+        if bad is None and not math.isfinite(bin_no):
+            bad = time
+        if bad is None:
+            key = (chan, det, math.floor(bin_no))
+            n_detected, n_total = counts.get(key, (0, 0))
+            counts[key] = (n_detected + present, n_total + 1)
     if bad is not None:
         raise ValueError(f"bin numbers must be finite, but capture time {bad!r} / bin length "
                          f"{bin_len_s!r} is not")
-    chan, det, bin_no, first, n_detected, n_total = _merge(parts)
+    chan, det, bin_no = np.array(list(counts), dtype=float).reshape(-1, 3).T
+    n_detected, n_total = np.array(list(counts.values()), dtype=np.intp).reshape(-1, 2).T
+    del counts  # freed before sorting; lexsort is stable, so ties keep the dict's order
     bin_start = bin_no * bin_len_s + 0.0  # a capture time of -0.0 starts bin 0.0, not -0.0
     band_index = sorted({(c.band, c.index_in_band) for c in channels})
     rank = {key: i for i, key in enumerate(band_index)}
     chan_rank = np.array([rank[c.band, c.index_in_band] for c in channels], dtype=np.intp)
-    order = np.lexsort((first, bin_start, det, chan_rank[chan]))
-    return CellTable(channels, chan[order], det[order], bin_start[order],
-                     n_detected[order], n_total[order])
+    order = np.lexsort((bin_start, det, chan_rank[chan.astype(np.intp)]))
+    return CellTable(channels, chan[order].astype(np.intp), det[order].astype(np.intp),
+                     bin_start[order], n_detected[order], n_total[order])
 
 
 def write_occupancy_csv(cells: CellTable, bin_len_s: float, path) -> None:
@@ -166,8 +142,9 @@ def write_plot_data(cells: CellTable, directory) -> int:
     occupancy = np.full((len(bins), len(DETECTORS)), np.nan)
     occupancy[row, cells.det[order]] = cells.n_detected[order] / cells.n_total[order]
     bounds = row[starts].tolist() + [len(bins)]
+    directory = os.fspath(directory)  # os.path.join costs a third of what Path(...) does
     for name, rows in zip(names, map(slice, bounds, bounds[1:])):
-        with open(Path(directory, name), "w", encoding="utf-8", newline="\n") as fh:
+        with open(os.path.join(directory, name), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("bin_start ed acf1 cdist\n")
             fh.write("".join(
                 f"{b:{_TIME}} {' '.join(format(v, _FLOAT) for v in vals)}\n"

@@ -10,10 +10,9 @@ index. Records within a frame follow DETECTOR_TABLE order.
 
 The record log (and the truth log beside it) is written block by block
 straight from the kernel's rows by ``write_records``, each frame's time
-formatted once, and read back by ``read_record_chunks`` as RecordTable chunks
-of columns, both CSV_CHUNK_ROWS lines at a time. Each holds one block or chunk:
-the writer drops a block's columns, decisions and text before it pulls the
-next block, the reader a chunk's lines and rows before it reads the next.
+formatted once, CSV_CHUNK_ROWS lines at a time; the writer drops a block's
+columns, decisions and text before it pulls the next block. ``read_records``
+reads it back one validated row at a time and holds no row it has yielded.
 ScanRecord objects exist only where ``scan_channel`` returns one frame's
 records.
 """
@@ -25,8 +24,6 @@ import io
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import islice
-from typing import NamedTuple
 
 import numpy as np
 
@@ -89,30 +86,10 @@ def scan_channel(
                        present[d.column]) for d in DETECTOR_TABLE]
 
 
-# --- record columns -----------------------------------------------------------
-
-class RecordTable(NamedTuple):
-    """Records as columns: a record log, or one chunk of it.
-
-    Record i is (time[i], channels[chan[i]], DETECTORS[det[i]], statistic[i],
-    threshold[i], present[i]).
-    """
-
-    channels: list
-    time: np.ndarray
-    chan: np.ndarray
-    det: np.ndarray
-    statistic: np.ndarray
-    threshold: np.ndarray
-    present: np.ndarray
-
-
 # --- CSV surfaces -----------------------------------------------------------
 # Floats are written with 9 significant digits ("%.9g"), times with
 # microsecond resolution, presence as 1/0; fixed formatting keeps repeated
-# runs byte-identical. Rows are written and read at most CSV_CHUNK_ROWS at a
-# time. A chunk being read is Python objects, about 1.5 KB a line: 8,192 lines
-# added some 12 MB to report's peak RSS, 1,024 add under 2 MB.
+# runs byte-identical. Rows are written at most CSV_CHUNK_ROWS at a time.
 
 _FLOAT = ".9g"
 _TIME = ".6f"
@@ -199,51 +176,46 @@ def _csv_rows(fh, path):
         raise CsvParseError(f"{path}: {exc}") from exc
 
 
-def read_record_chunks(path):
-    """Yield a record log as RecordTable chunks of at most CSV_CHUNK_ROWS lines.
+def read_records(path, channels: list):
+    """Yield each record of a record log as one validated row.
 
-    Channel ids are global across chunks: every chunk's ``channels`` is one
-    list, which grows as channels first appear. Only one chunk's rows are
-    held as Python objects. Raises CsvParseError naming path:line.
+    A row is (time, channel id, detector column, statistic, threshold, present);
+    the channel id indexes ``channels``, to which each channel is appended the
+    first time it appears. Raises CsvParseError naming path:line, also for a
+    file with no header line.
     """
     keys: dict = {}  # (band, index, freq) text -> channel id
-    ids: dict = {}  # Channel -> channel id
-    channels: list = []
+    ids = {c: i for i, c in enumerate(channels)}  # Channel -> channel id
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = _csv_rows(fh, path)
         header = next(reader, None)
-        if header is not None and header != RECORD_CSV_HEADER.split(","):
-            raise CsvParseError(f"{path}:1: unexpected header {header}")
-        lines = enumerate(reader, start=2)
-        while chunk := list(islice(lines, CSV_CHUNK_ROWS)):
-            rows = []
-            for lineno, row in chunk:
-                if not row:
-                    continue
-                try:
-                    t, band, idx, freq, det, stat, thr, present = row
-                    if det not in DETECTOR_BY_NAME:
-                        raise ValueError(f"unknown detector {det!r}")
-                    if present not in ("0", "1"):
-                        raise ValueError(f"present must be 0 or 1, got {present!r}")
-                    time = float(t)
-                    if not math.isfinite(time):
-                        raise ValueError(f"time_unix must be finite, got {t!r}")
-                    c = keys.get((band, idx, freq))
-                    if c is None:
-                        channel = Channel(band, int(idx), float(freq))
-                        if channel not in ids:
-                            ids[channel] = len(channels)
-                            channels.append(channel)
-                        c = keys[band, idx, freq] = ids[channel]
-                    rows.append((time, c, DETECTOR_BY_NAME[det].column, float(stat), float(thr),
-                                 present == "1"))
-                except ValueError as exc:
-                    raise CsvParseError(f"{path}:{lineno}: {exc}") from exc
-            cols = np.array(rows, dtype=float).reshape(-1, 6).T
-            del chunk, rows  # so the next chunk is parsed with none of this one's objects held
-            yield RecordTable(channels, cols[0], cols[1].astype(np.intp),
-                              cols[2].astype(np.intp), cols[3], cols[4], cols[5].astype(bool))
+        if header != RECORD_CSV_HEADER.split(","):
+            raise CsvParseError(f"{path}:1: " + ("no header line" if header is None
+                                                 else f"unexpected header {header}"))
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                t, band, idx, freq, det, stat, thr, present = row
+                if det not in DETECTOR_BY_NAME:
+                    raise ValueError(f"unknown detector {det!r}")
+                if present not in ("0", "1"):
+                    raise ValueError(f"present must be 0 or 1, got {present!r}")
+                time = float(t)
+                if not math.isfinite(time):
+                    raise ValueError(f"time_unix must be finite, got {t!r}")
+                c = keys.get((band, idx, freq))
+                if c is None:
+                    channel = Channel(band, int(idx), float(freq))
+                    if channel not in ids:
+                        ids[channel] = len(channels)
+                        channels.append(channel)
+                    c = keys[band, idx, freq] = ids[channel]
+                record = (time, c, DETECTOR_BY_NAME[det].column, float(stat), float(thr),
+                          present == "1")
+            except ValueError as exc:
+                raise CsvParseError(f"{path}:{lineno}: {exc}") from exc
+            yield record
 
 
 def write_plan_csv(heads, path) -> None:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ import pytest
 from occuscan import ComplexFrame
 from occuscan.detectors import DETECTOR_TABLE, DETECTORS, block_statistics, decide_block
 from occuscan.iq import BLOCK_FRAMES
-from occuscan.scan import (PLAN_CSV_HEADER, RECORD_CSV_HEADER, TRUTH_CSV_HEADER, RecordTable,
-                           read_record_chunks)
+from occuscan.scan import PLAN_CSV_HEADER, RECORD_CSV_HEADER, TRUTH_CSV_HEADER, read_records
 from occuscan.synth import noise_rows, signal_rows, snr_scale
 
 
@@ -65,6 +65,22 @@ def spec_table(channels):
             [c[1].seed for c in channels])
 
 
+class RecordTable(NamedTuple):
+    """Records as columns: the reference container for record logs.
+
+    Record i is (time[i], channels[chan[i]], DETECTORS[det[i]], statistic[i],
+    threshold[i], present[i]).
+    """
+
+    channels: list
+    time: np.ndarray
+    chan: np.ndarray
+    det: np.ndarray
+    statistic: np.ndarray
+    threshold: np.ndarray
+    present: np.ndarray
+
+
 def record_table(channels, times, chan, stats, config) -> RecordTable:
     """The [ed, acf1, cdist] records of each block_statistics row, in row order.
 
@@ -103,11 +119,17 @@ def write_record_tables(tables, path) -> None:
             ))
 
 
+def table_of_rows(rows, channels) -> RecordTable:
+    """Record rows, as ``scan.read_records`` yields them, as one RecordTable."""
+    cols = np.array(list(rows), dtype=float).reshape(-1, 6).T
+    return RecordTable(channels, cols[0], cols[1].astype(np.intp), cols[2].astype(np.intp),
+                       cols[3], cols[4], cols[5].astype(bool))
+
+
 def read_record_table(path) -> RecordTable:
-    """A record log with at least one record as one RecordTable: its chunks concatenated."""
-    chunks = list(read_record_chunks(path))
-    return RecordTable(chunks[-1].channels,
-                       *map(np.concatenate, zip(*(chunk[1:] for chunk in chunks))))
+    """A record log as one RecordTable of the rows ``scan.read_records`` yields."""
+    channels: list = []
+    return table_of_rows(read_records(path, channels), channels)
 
 
 # --- the per-channel sweep: the byte reference for simulate's time-major sweep ---

@@ -38,9 +38,10 @@ from occuscan.channels import Channel
 from occuscan.cli import MAX_WORKERS, RUN_CHANNELS, _check_options, main
 from occuscan.evaluate import tune_threshold_for_pfa
 from occuscan.report import OCCUPANCY_CSV_HEADER
-from occuscan.scan import RECORD_CSV_HEADER, TRUTH_CSV_HEADER, RecordTable, scan_channel
+from occuscan.scan import RECORD_CSV_HEADER, TRUTH_CSV_HEADER, scan_channel
 from occuscan.scenario import SCHEMA, Scenario
-from conftest import write_meta, write_record_tables, write_recording, write_reference_sweep
+from conftest import (RecordTable, write_meta, write_record_tables, write_recording,
+                      write_reference_sweep)
 
 SCENARIO = """\
 name: cli-test
@@ -1004,6 +1005,15 @@ class TestBadInputs:
             f"error: {records}:2502: present must be 0 or 1, got 'yes'\n"
         assert not (workspace / "o").exists()
 
+    def test_report_refuses_a_log_without_header(self, workspace, capsys):
+        # simulate and analyze always write the header, so a file without one is
+        # truncated or not a record log
+        records = workspace / "r.csv"
+        records.write_bytes(b"")
+        assert main(["report", "--records", str(records), "--out", str(workspace / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {records}:1: no header line\n"
+        assert not (workspace / "o").exists()
+
     # Finite noise whose power sum overflows: every sample is finite, the energy is not.
     def _energy_overflows(self, capsys, workspace, argv, where, output):
         with warnings.catch_warnings():
@@ -1164,8 +1174,8 @@ class TestReport:
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
     def test_peak_memory_per_record(self, tmp_path):
-        # the record log is parsed and counted in chunks: peak memory holds the
-        # cells and one chunk, not a row or a column entry per record
+        # the record log is parsed and counted row by row: peak memory holds the
+        # cells, not a row or a column entry per record
         probe = ("import sys\nfrom occuscan.cli import main\nassert main(sys.argv[1:]) == 0\n"
                  "print([ln for ln in open('/proc/self/status') if 'VmHWM' in ln][0].strip())")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -1183,7 +1193,7 @@ class TestReport:
                 env=env, capture_output=True, text=True, check=True,
             ).stdout
             peaks.append(int(out.splitlines()[-1].split()[1]) * 1024)  # kB to bytes
-        # cells are counted a chunk at a time, so peak memory grows with the cells
+        # cells are counted a row at a time, so peak memory grows with the cells
         # (about 4,000 here), not with the records: it grew about 125 bytes a record
         # when the whole log was read before counting, and 250 as a list of row tuples
         assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) < 16
@@ -1211,6 +1221,14 @@ class TestReport:
                          "--bins", "2.0"]) == 0
         assert ((workspace / "rep5" / "occupancy.csv").read_bytes()
                 == (workspace / "rep4" / "occupancy.csv").read_bytes())
+
+    def test_header_only_log_has_no_cells(self, workspace, capsys):
+        records = workspace / "r.csv"
+        records.write_text(RECORD_CSV_HEADER + "\n")
+        assert main(["report", "--records", str(records), "--out", str(workspace / "o")]) == 0
+        assert (workspace / "o" / "occupancy.csv").read_text() == OCCUPANCY_CSV_HEADER + "\n"
+        assert list((workspace / "o" / "plots").iterdir()) == []
+        assert capsys.readouterr().out.startswith("wrote 0 occupancy cells and 0 plot files")
 
     def test_missing_records_file(self, workspace, capsys):
         rc = main(["report", "--records", str(workspace / "nope.csv"),

@@ -3,10 +3,10 @@
 numpy reports its data buffers to tracemalloc, so a traced peak counts every
 array a call allocates, and Python objects too. Kernel and recording peaks are
 in blocks: one block is BLOCK_FRAMES frames of complex128 samples. A stream
-(analyze's recording, report's record log, simulate's windows) holds one block
-or chunk at a time; each stream test's limit lies between the peak of a stream
-that still held its previous block while it made the next and that of one
-that does not.
+(analyze's recording, simulate's windows) holds one block at a time, and
+report's record log one row; each stream test's limit lies between the peak of
+a stream that still held what it had read or made before and that of one that
+does not.
 """
 
 import tracemalloc
@@ -20,7 +20,7 @@ from occuscan.detectors import save_reference
 from occuscan.evaluate import shared_trial_statistics
 from occuscan.iq import BLOCK_FRAMES
 from occuscan.report import aggregate_table
-from occuscan.scan import CSV_CHUNK_ROWS, channel_fields, read_record_chunks, write_records
+from occuscan.scan import channel_fields, read_records, write_records
 
 N = 4096
 BLOCK_BYTES = BLOCK_FRAMES * N * 16
@@ -129,22 +129,22 @@ def test_analyze_holds_one_block_at_a_time(tmp_path, capsys):
     assert _main_peak(argv) / BLOCK_BYTES < 2.0
 
 
-def test_report_fold_holds_one_chunk_of_rows(tmp_path):
-    channels, frames = 41, 180  # 22,140 records: 22 chunks
+def test_report_fold_holds_no_rows(tmp_path):
+    channels, frames = 41, 180  # 22,140 records
     times = np.arange(frames, dtype=float)
     stats = np.random.default_rng(6).random((frames, channels, 3))
     config = DetectorConfig(1.05, 0.25, 0.6, 8, _reference())
     write_records(channel_fields([Channel("B", i, 100.0 + i) for i in range(channels)]),
                   [(times, stats)], config, tmp_path / "r.csv")
-    assert 3 * frames * channels >= 20 * CSV_CHUNK_ROWS
 
     def fold():
-        aggregate_table(read_record_chunks(tmp_path / "r.csv"), 60.0)
+        plan: list = []
+        aggregate_table(read_records(tmp_path / "r.csv", plan), plan, 60.0)
 
     fold()
-    # one chunk's rows as Python objects, while they are parsed: 0.79 MB measured. Keeping
-    # a chunk's lines and parsed rows while the next chunk is read measured 1.19 MB.
-    assert _peak_bytes(fold) < 1.0e6
+    # the 369 cells and the channels, each row dropped once counted: 0.09 MB measured.
+    # Reading 1,024 rows at a time into columns measured 0.79 MB.
+    assert _peak_bytes(fold) < 0.3e6
 
 
 def test_simulate_holds_one_window_at_a_time(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from occuscan import Channel
@@ -18,28 +18,36 @@ from occuscan.report import (
     write_occupancy_csv,
     write_plot_data,
 )
-from occuscan import scan as scan_module
-from occuscan.scan import RecordTable, read_record_chunks
-from conftest import read_record_table, write_record_tables
+from occuscan.scan import read_records
+from conftest import RecordTable, table_of_rows, write_record_tables
 
 CH_A = Channel("X", 0, 100.0)
 CH_B = Channel("X", 1, 105.0)
 
 
-def _table(rows) -> RecordTable:
-    """(time, present[, detector[, channel]]) rows as a RecordTable; ed on CH_A by default."""
-    rows = [(t, present, *rest) + ("ed", CH_A)[len(rest):] for t, present, *rest in rows]
+def _rows(records) -> tuple[list, list]:
+    """(time, present[, detector[, channel]]) records as aggregate_table's rows and
+    channels; ed on CH_A by default."""
+    records = [(t, present, *rest) + ("ed", CH_A)[len(rest):] for t, present, *rest in records]
     ids: dict = {}
-    chan = [ids.setdefault(c, len(ids)) for _, _, _, c in rows]
-    return RecordTable(
-        list(ids),
-        np.array([t for t, *_ in rows], dtype=float),
-        np.array(chan, dtype=np.intp),
-        np.array([DETECTORS.index(d) for _, _, d, _ in rows], dtype=np.intp),
-        np.ones(len(rows)),
-        np.full(len(rows), 0.5),
-        np.array([p for _, p, _, _ in rows], dtype=bool),
-    )
+    rows = [(t, ids.setdefault(c, len(ids)), DETECTORS.index(d), 1.0, 0.5, p)
+            for t, p, d, c in records]
+    return rows, list(ids)
+
+
+def _table(records) -> RecordTable:
+    return table_of_rows(*_rows(records))
+
+
+def _aggregate(records, bin_len_s) -> CellTable:
+    rows, channels = _rows(records)
+    return aggregate_table(rows, channels, bin_len_s)
+
+
+def _fold_file(path, bin_len_s) -> CellTable:
+    """The cells of a record log, its rows read by scan.read_records."""
+    channels: list = []
+    return aggregate_table(read_records(path, channels), channels, bin_len_s)
 
 
 def _cells(table: CellTable) -> list[tuple]:
@@ -52,25 +60,25 @@ def _cells(table: CellTable) -> list[tuple]:
 class TestAggregate:
     def test_known_ratio(self):
         records = [(float(i), i % 5 == 0) for i in range(180)]
-        cells = aggregate_table([_table(records)], 1000.0)
+        cells = _aggregate(records, 1000.0)
         assert _cells(cells) == [(CH_A, "ed", 0.0, 36, 180)]
         assert cells.n_detected[0] / cells.n_total[0] == 0.2
 
     def test_bin_split(self):
         # 10 scans at t=0..9, bin length 3: bins [0,3) [3,6) [6,9) [9,12)
         records = [(float(i), True) for i in range(10)]
-        cells = aggregate_table([_table(records)], 3.0)
+        cells = _aggregate(records, 3.0)
         assert cells.bin_start.tolist() == [0.0, 3.0, 6.0, 9.0]
         assert cells.n_total.tolist() == [3, 3, 3, 1]
 
     def test_half_open_bin_edges(self):
         records = [(0.0, True), (3.0, True)]
-        cells = aggregate_table([_table(records)], 3.0)
+        cells = _aggregate(records, 3.0)
         assert cells.bin_start.tolist() == [0.0, 3.0]
         assert cells.n_total.tolist() == [1, 1]
 
     def test_empty_log(self):
-        cells = aggregate_table([_table([])], 10.0)
+        cells = _aggregate([], 10.0)
         assert _cells(cells) == []
         assert all(len(col) == 0 for col in cells[1:])
 
@@ -80,7 +88,7 @@ class TestAggregate:
             (0.0, False, "acf1", CH_A),
             (0.0, True, "ed", CH_B),
         ]
-        cells = aggregate_table([_table(records)], 10.0)
+        cells = _aggregate(records, 10.0)
         keys = [(ch.index_in_band, det) for ch, det, *_ in _cells(cells)]
         assert keys == [(0, "ed"), (0, "acf1"), (1, "ed")]
 
@@ -90,7 +98,7 @@ class TestAggregate:
             (0.0, True, "acf1"),
             (0.0, True, "ed"),
         ]
-        cells = aggregate_table([_table(records)], 10.0)
+        cells = _aggregate(records, 10.0)
         assert [DETECTORS[d] for d in cells.det] == ["ed", "acf1", "cdist"]
 
     def test_conservation_across_bins(self):
@@ -98,13 +106,13 @@ class TestAggregate:
         times = rng.uniform(0.0, 100.0, size=500)
         flags = rng.integers(0, 2, size=500).astype(bool)
         records = [(float(t), bool(p)) for t, p in zip(times, flags)]
-        cells = aggregate_table([_table(records)], 7.0)
+        cells = _aggregate(records, 7.0)
         assert cells.n_total.sum() == 500
         assert cells.n_detected.sum() == int(flags.sum())
 
     def test_bad_bin_len(self):
         with pytest.raises(ValueError):
-            aggregate_table([_table([])], 0.0)
+            _aggregate([], 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -115,8 +123,8 @@ class TestAggregate:
         """Counts in a coarse bin equal the sum over its aligned finer bins."""
         records = [(t, int(t) % 2 == 0) for t in times]
         fine = 10.0
-        cells_fine = _cells(aggregate_table([_table(records)], fine))
-        for _, _, start, n_det, n_tot in _cells(aggregate_table([_table(records)], fine * coarse)):
+        cells_fine = _cells(_aggregate(records, fine))
+        for _, _, start, n_det, n_tot in _cells(_aggregate(records, fine * coarse)):
             members = [fc for fc in cells_fine if start <= fc[2] < start + fine * coarse]
             assert sum(m[4] for m in members) == n_tot
             assert sum(m[3] for m in members) == n_det
@@ -124,7 +132,7 @@ class TestAggregate:
 
 def _plot(tmp_path, records, bin_len_s) -> list[str]:
     """The lines of CH_A's plot file for (time, present, detector) records."""
-    cells = aggregate_table([_table(records)], bin_len_s)
+    cells = _aggregate(records, bin_len_s)
     write_plot_data(cells, tmp_path / "plots")
     return (tmp_path / "plots" / f"{channel_slug(CH_A)}.dat").read_text().splitlines()
 
@@ -154,7 +162,7 @@ class TestReportMatrix:
 class TestExports:
     def test_occupancy_csv_shape(self, tmp_path):
         records = [(float(i), i % 5 == 0) for i in range(180)]
-        cells = aggregate_table([_table(records)], 1000.0)
+        cells = _aggregate(records, 1000.0)
         p = tmp_path / "occ.csv"
         write_occupancy_csv(cells, 1000.0, p)
         lines = p.read_text().splitlines()
@@ -165,7 +173,7 @@ class TestExports:
         band = Channel("ISM, 433", 2, 433.05)
         records = [(5.0, True, "cdist", band), (0.5, False, "ed", CH_B), (1.0, True, "ed", CH_B)]
         p = tmp_path / "occ.csv"
-        write_occupancy_csv(aggregate_table([_table(records)], 2.5), 2.5, p)
+        write_occupancy_csv(_aggregate(records, 2.5), 2.5, p)
         assert p.read_text().splitlines()[1:] == [
             '"ISM, 433",2,433.05,cdist,5.000000,2.5,1,1,1',
             "X,1,105,ed,0.000000,2.5,1,2,0.5",
@@ -215,7 +223,7 @@ class TestPlotFiles:
         records = [(float(t), bool(p), DETECTORS[d], channels[c]) for t, p, d, c in zip(
             rng.uniform(-60.0, 60.0, n).round(3), rng.integers(0, 2, n), rng.integers(0, 3, n),
             rng.integers(0, len(channels), n))]
-        cells = aggregate_table([_table(records)], 7.0)
+        cells = _aggregate(records, 7.0)
         assert write_plot_data(cells, tmp_path / "plots") == len(channels)
         files = {p.name: p.read_bytes() for p in (tmp_path / "plots").iterdir()}
         expected = {f"{channel_slug(cells.channels[c])}.dat": _reference_plot(cells, c).encode()
@@ -226,14 +234,14 @@ class TestPlotFiles:
 
     def test_interleaved_channels_are_refused_before_any_file(self, tmp_path):
         records = [(float(t), True, "ed", ch) for t in (0, 10, 20) for ch in (CH_A2, CH_A)]
-        cells = aggregate_table([_table(records)], 5.0)
+        cells = _aggregate(records, 5.0)
         assert [cells.channels[c] for c in cells.chan.tolist()] == [CH_A2, CH_A] * 3
         with pytest.raises(PlanError, match=r"^plots/X_ch000\.dat: channels 'X':0 and 'X':0 "):
             write_plot_data(cells, tmp_path / "plots")
         assert not (tmp_path / "plots").exists()
 
     def test_no_cells_no_files(self, tmp_path):
-        assert write_plot_data(aggregate_table([_table([])], 1.0), tmp_path / "plots") == 0
+        assert write_plot_data(_aggregate([], 1.0), tmp_path / "plots") == 0
         assert list((tmp_path / "plots").iterdir()) == []
 
 
@@ -259,7 +267,8 @@ CH_A2 = Channel("X", 0, 101.0)
 
 
 class TestColumnarAggregate:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         rows=st.lists(
             st.tuples(st.floats(-50.0, 1e4), st.sampled_from([CH_A, CH_B, CH_A2,
@@ -269,10 +278,23 @@ class TestColumnarAggregate:
         ),
         bin_len=st.sampled_from([0.7, 3.0, 60.0, 1e5]),
     )
-    def test_matches_reference_loop(self, rows, bin_len):
-        records = [(t, present, det, ch) for t, ch, det, present in rows]
-        assert _cells(aggregate_table([_table(records)], bin_len)) == \
-            _reference_aggregate(records, bin_len)
+    # CH_A2 comes first in the log and in the ed cell, CH_A first in the acf1 cell, and
+    # CH_A's ed cell recurs after a later bin
+    @example(rows=[(0.0, CH_A2, "ed", True), (1.0, CH_A, "ed", False), (2.0, CH_A, "acf1", True),
+                   (3.0, CH_A2, "acf1", False), (200.0, CH_A2, "ed", True),
+                   (4.0, CH_A, "ed", True)], bin_len=60.0)
+    def test_matches_reference_loop(self, tmp_path, rows, bin_len):
+        """Cells of a written and re-read record log equal the reference loop's.
+
+        Channel ids come from the file. CH_A and CH_A2 tie in the cell order, so
+        their cells' order rests on each cell's first appearance in the whole
+        log, not on the channel's; and a cell's records may recur anywhere in it.
+        """
+        # times as the log holds them, to the microsecond
+        records = [(float(f"{t:.6f}"), present, det, ch) for t, ch, det, present in rows]
+        p = tmp_path / "records.csv"
+        write_record_tables([_table(records)], p)
+        assert _cells(_fold_file(p, bin_len)) == _reference_aggregate(records, bin_len)
 
     def test_report_cells_equal_object_path(self, tmp_path):
         """Cells of a written and re-read record log equal the reference loop's."""
@@ -280,32 +302,8 @@ class TestColumnarAggregate:
                    for i in range(200)]
         p = tmp_path / "records.csv"
         write_record_tables([_table(records)], p)
-        assert _cells(aggregate_table([read_record_table(p)], 4.0)) == \
-            _reference_aggregate(records, 4.0)
-
-    @pytest.mark.parametrize("chunk_rows", [1, 7, 64])
-    def test_chunked_fold_equals_one_chunk(self, tmp_path, monkeypatch, chunk_rows):
-        """Cells counted across chunk boundaries equal the cells of the log as one chunk.
-
-        Channels CH_A and CH_A2 tie in the cell order, so their order rests on
-        record indices carried across chunks; cells recur in later chunks.
-        """
-        rng = np.random.default_rng(5)
-        channels = [CH_B, CH_A2, CH_A, Channel("W", 3, 7.5)]
-        records = [(float(t), bool(p), DETECTORS[d], channels[c]) for t, p, d, c in zip(
-            np.sort(rng.uniform(-20.0, 300.0, 400)).round(6), rng.integers(0, 2, 400),
-            rng.integers(0, 3, 400), rng.integers(0, 4, 400))]
-        p = tmp_path / "records.csv"
-        write_record_tables([_table(records)], p)
-        whole = aggregate_table([read_record_table(p)], 30.0)
-        write_occupancy_csv(whole, 30.0, tmp_path / "whole.csv")
-        monkeypatch.setattr(scan_module, "CSV_CHUNK_ROWS", chunk_rows)
-        assert len(list(read_record_chunks(p))) == -(-400 // chunk_rows)
-        chunked = aggregate_table(read_record_chunks(p), 30.0)
-        write_occupancy_csv(chunked, 30.0, tmp_path / "chunked.csv")
-        assert _cells(chunked) == _cells(whole) == _reference_aggregate(records, 30.0)
-        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert _cells(_fold_file(p, 4.0)) == _reference_aggregate(records, 4.0)
 
     def test_non_finite_time_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            aggregate_table([_table([(float("nan"), True)])], 1.0)
+            _aggregate([(float("nan"), True)], 1.0)

@@ -29,6 +29,7 @@ from occuscan.scan import (
     RECORD_CSV_HEADER,
     TRUTH_CSV_HEADER,
     channel_fields,
+    read_records,
     write_plan_csv,
     write_records,
 )
@@ -232,19 +233,25 @@ class TestRecordCsv:
         p = tmp_path / "bad.csv"
         p.write_text(RECORD_CSV_HEADER + "\n0.000000,A,0,100,ed,nope,1.05,1\n")
         with pytest.raises(CsvParseError, match=":2:"):
-            read_record_table(p)
+            list(read_records(p, []))
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("time,stuff\n")
         with pytest.raises(CsvParseError, match=":1:"):
-            read_record_table(p)
+            list(read_records(p, []))
+
+    def test_no_header_rejected(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_bytes(b"")
+        with pytest.raises(CsvParseError, match=r"empty\.csv:1: no header line$"):
+            list(read_records(p, []))
 
     def test_unknown_detector_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text(RECORD_CSV_HEADER + "\n0.000000,A,0,100,matched,0.5,1.05,1\n")
         with pytest.raises(CsvParseError):
-            read_record_table(p)
+            list(read_records(p, []))
 
     def test_truth_csv_header(self, tmp_path):
         plan = _plan2()
@@ -487,4 +494,4 @@ class TestColumnarSweep:
         p = tmp_path / "bad.csv"
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(CsvParseError, match=f"bad.csv:{bad_line}: .*{reason}"):
-            read_record_table(p)
+            list(read_records(p, []))
