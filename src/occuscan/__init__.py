@@ -19,10 +19,10 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it; each submodule's name maps to itself
 _MODULE_OF = {name: module for module, names in {
     "channels": ("BUILTIN_BANDS", "BandSpec", "Channel", "build_channel_plan", "builtin_plan"),
-    "detectors": ("DETECTOR_TABLE", "DETECTORS", "AcfVector", "DetectorConfig", "acf",
-                  "acf1_statistic", "acf_vector", "block_statistics", "calibrate_ed_threshold",
-                  "correlation_distance", "energy_statistic", "load_reference",
-                  "save_reference"),
+    "detector_table": ("DETECTOR_TABLE", "DETECTORS"),
+    "detectors": ("AcfVector", "DetectorConfig", "acf", "acf1_statistic", "acf_vector",
+                  "block_statistics", "calibrate_ed_threshold", "correlation_distance",
+                  "energy_statistic", "load_reference", "save_reference"),
     "errors": ("CalibrationError", "CsvParseError", "DegenerateFrameError", "MetaFormatError",
                "OccuscanError", "PlanError", "RoutingError", "SampleDataError", "ScenarioError",
                "TruncationError", "UsageError"),

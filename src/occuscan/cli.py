@@ -10,9 +10,9 @@ are stitched and the window before it makes the next, and ``analyze`` keeps
 only a recording block's statistics once they are made.
 Start-up loads only what the command runs: the module sets OpenBLAS to one
 thread and keeps OpenSSL's ``_hashlib`` out before numpy loads, each command
-imports its own modules (``report`` loads no YAML parser and no synthesis),
-and only --workers > 1 imports ``forkmap``, which forks at most one worker a
-task and pickles no task.
+imports its own modules (``report`` runs on the standard library: no numpy,
+no kernel, no YAML parser), and only --workers > 1 imports ``forkmap``, which
+forks at most one worker a task and pickles no task.
 """
 
 from __future__ import annotations
@@ -286,8 +286,8 @@ def cmd_report(args) -> int:
         raise UsageError(f"--bins: {exc}") from exc
     out = _out_dir(args)
     plots = write_plot_data(cells, out / "plots")
-    write_occupancy_csv(cells, args.bins, out / "occupancy.csv")
-    print(f"wrote {len(cells.chan)} occupancy cells and {plots} plot files to {out}")
+    write_occupancy_csv(cells, out / "occupancy.csv")
+    print(f"wrote {len(cells.keys)} occupancy cells and {plots} plot files to {out}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""The three sensing statistics, their block kernel and the detector table.
+"""The three sensing statistics and their block kernel.
 
 Energy detection
     T = (1/N) * sum |y(n)|^2, present when T exceeds a fixed threshold.
@@ -22,9 +22,9 @@ np.vdot and np.dot. A frame whose energy sum is not finite raises
 SampleDataError, so no NaN statistic reaches an output: this one check covers
 a non-finite sample as well as finite samples whose power sum overflows, and
 it is the only check on frames the program makes. Every decision goes through
-DETECTOR_TABLE (statistic column, threshold field, direction), and every
-threshold is tuned by its row's ``Detector.tune``, a quantile of noise-only
-statistics.
+``detector_table.DETECTOR_TABLE`` (statistic column, threshold field, direction),
+and every threshold is tuned by its row's ``Detector.tune``, a quantile of
+noise-only statistics.
 
 All autocorrelations use the linear (non-circular) convention: terms whose
 lagged index would fall before the frame start are omitted. Ties on every
@@ -34,49 +34,12 @@ threshold resolve to absent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
+from .detector_table import DETECTOR_BY_NAME, DETECTOR_TABLE
 from .errors import CalibrationError, DegenerateFrameError, SampleDataError
 from .iq import ComplexFrame
-
-
-class Detector(NamedTuple):
-    """One detector: its statistic column, threshold field and test direction."""
-
-    name: str
-    column: int  # column of block_statistics output
-    threshold_field: str  # DetectorConfig attribute
-    direction: str  # ">": present above the threshold, "<": present below
-
-    def threshold(self, config: DetectorConfig) -> float:
-        return getattr(config, self.threshold_field)
-
-    def decide(self, statistic, threshold):
-        """Vectorized decision; a statistic equal to the threshold decides absent."""
-        statistic = np.asarray(statistic)
-        return statistic < threshold if self.direction == "<" else statistic > threshold
-
-    def tune(self, h0, target_pfa: float) -> float:
-        """Threshold giving target_pfa on the noise-only (H0) statistics h0: their
-        (1 - target_pfa) quantile for a ">" row, their target_pfa quantile for a "<" row."""
-        if not 0.0 < target_pfa < 1.0:
-            raise ValueError("target_pfa must lie in (0, 1)")
-        h0 = np.asarray(h0, dtype=np.float64)
-        if h0.size < 1:
-            raise ValueError("need at least one H0 statistic")
-        return quantile(h0, target_pfa if self.direction == "<" else 1.0 - target_pfa)
-
-
-# canonical order: energy, lag-1 ACF, correlation distance
-DETECTOR_TABLE = (
-    Detector("ed", 0, "lambda_ed", ">"),
-    Detector("acf1", 1, "lambda_acf", ">"),
-    Detector("cdist", 2, "gamma", "<"),
-)
-DETECTORS = tuple(d.name for d in DETECTOR_TABLE)
-DETECTOR_BY_NAME = {d.name: d for d in DETECTOR_TABLE}
 
 
 def decides_present(name: str, statistic, threshold: float):
@@ -277,8 +240,11 @@ def quantile(values, q: float) -> float:
 
     Same partition indices, neighbours and rounding as numpy, without the
     np.unique call through which np.quantile imports numpy.ma (1.3 MB).
+    An empty sample (no H0 statistic to tune on) raises ValueError.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
+    if x.size < 1:
+        raise ValueError("need at least one H0 statistic")
     v = (x.size - 1) * q
     i = int(v) if v < x.size - 1 else -1  # from n - 1 up, numpy takes the last value twice
     j = i + 1 if i >= 0 else -1

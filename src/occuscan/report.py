@@ -8,9 +8,10 @@ occupancy).
 
 ``aggregate_table`` folds the record log's rows, as ``scan.read_records``
 yields them, into a count per cell, so ``report`` holds the cells, not the
-records; the cells then become a ``CellTable`` of columns, sorted once.
+records, and puts the cells' keys in order with three stable list sorts.
 ``write_occupancy_csv`` renders the cells' rows, and one pass of
-``write_plot_data`` over the channels names, checks and writes every plot file.
+``write_plot_data`` over the channels' runs of cells names, checks and writes
+every plot file. No numpy: the module runs on the standard library.
 """
 
 from __future__ import annotations
@@ -18,15 +19,15 @@ from __future__ import annotations
 import math
 import os
 import re
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from .channels import Channel
-from .detectors import DETECTORS
+from .detector_table import DETECTORS
 from .errors import PlanError
-from .scan import _FLOAT, _TIME, _chunks, channel_fields
+from .scan import _FLOAT, _TIME, CSV_CHUNK_ROWS, channel_fields
 
 OCCUPANCY_CSV_HEADER = (
     "band,channel_index,center_freq_mhz,detector,bin_start_unix,bin_len_s,"
@@ -34,30 +35,30 @@ OCCUPANCY_CSV_HEADER = (
 )
 
 
-class CellTable(NamedTuple):
-    """Occupancy cells as columns.
+class Cells(NamedTuple):
+    """Occupancy cells, in report order.
 
-    Cell i counts n_detected[i] present decisions among the n_total[i] >= 1
-    scans of DETECTORS[det[i]] on channels[chan[i]] in the bin that starts at
-    bin_start[i]; its occupancy is n_detected[i] / n_total[i].
+    keys[i] = (channel id, detector column, bin number) names cell i: the scans
+    of DETECTORS[detector column] on channels[channel id] in the bin that starts
+    at bin number * bin_len_s. counts[keys[i]] = (n_detected, n_total), with
+    n_total >= 1, and the cell's occupancy is n_detected / n_total.
     """
 
     channels: list
-    chan: np.ndarray
-    det: np.ndarray
-    bin_start: np.ndarray
-    n_detected: np.ndarray
-    n_total: np.ndarray
+    keys: list
+    counts: dict
+    bin_len_s: float
 
 
-def aggregate_table(rows, channels: list, bin_len_s: float) -> CellTable:
+def aggregate_table(rows, channels: list, bin_len_s: float) -> Cells:
     """Fold record rows into occupancy cells.
 
     ``rows`` yields (time, channel id, detector column, statistic, threshold,
     present) rows whose channel ids index ``channels``, as ``scan.read_records``
     yields them. Grouping key is (channel, detector, floor(time / bin_len_s));
     no records fold to no cells. Cells come back sorted by (band, channel
-    index, detector, bin start), ties in order of first appearance. Raises
+    index, detector, bin number), ties (channels of one band and index) in
+    order of first appearance; the sorts make no key object per cell. Raises
     ValueError when a bin number is not finite (a non-finite time, or a bin
     length so short that time / bin_len_s overflows), once every row is read:
     an error raised while reading a later row comes first.
@@ -77,32 +78,29 @@ def aggregate_table(rows, channels: list, bin_len_s: float) -> CellTable:
     if bad is not None:
         raise ValueError(f"bin numbers must be finite, but capture time {bad!r} / bin length "
                          f"{bin_len_s!r} is not")
-    chan, det, bin_no = np.array(list(counts), dtype=float).reshape(-1, 3).T
-    n_detected, n_total = np.array(list(counts.values()), dtype=np.intp).reshape(-1, 2).T
-    del counts  # freed before sorting; lexsort is stable, so ties keep the dict's order
-    bin_start = bin_no * bin_len_s + 0.0  # a capture time of -0.0 starts bin 0.0, not -0.0
-    band_index = sorted({(c.band, c.index_in_band) for c in channels})
-    rank = {key: i for i, key in enumerate(band_index)}
-    chan_rank = np.array([rank[c.band, c.index_in_band] for c in channels], dtype=np.intp)
-    order = np.lexsort((bin_start, det, chan_rank[chan.astype(np.intp)]))
-    return CellTable(channels, chan[order].astype(np.intp), det[order].astype(np.intp),
-                     bin_start[order], n_detected[order], n_total[order])
+    rank = {key: i for i, key in enumerate(sorted({(c.band, c.index_in_band) for c in channels}))}
+    chan_rank = [rank[c.band, c.index_in_band] for c in channels]
+    # stable sorts, the least significant key first, so ties keep the dict's order
+    keys = list(counts)
+    keys.sort(key=itemgetter(2))
+    keys.sort(key=itemgetter(1))
+    keys.sort(key=lambda k: chan_rank[k[0]])
+    return Cells(channels, keys, counts, bin_len_s)
 
 
-def write_occupancy_csv(cells: CellTable, bin_len_s: float, path) -> None:
-    """Write one occupancy.csv row per cell, in table order."""
+def write_occupancy_csv(cells: Cells, path) -> None:
+    """Write one occupancy.csv row per cell, in cell order."""
     heads = channel_fields(cells.channels)
     dets = [f"{name}," for name in DETECTORS]
+    keys, counts, bin_len_s = cells.keys, cells.counts, cells.bin_len_s
+    bin_len = f",{bin_len_s:{_FLOAT}},"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(OCCUPANCY_CSV_HEADER + "\n")
-        for rows in _chunks(len(cells.chan)):
-            fh.write("".join(
-                f"{heads[c]}{dets[d]}{b:{_TIME}},{bin_len_s:{_FLOAT}},{k},{n},{k / n:{_FLOAT}}\n"
-                for c, d, b, k, n in zip(
-                    cells.chan[rows].tolist(), cells.det[rows].tolist(),
-                    cells.bin_start[rows].tolist(), cells.n_detected[rows].tolist(),
-                    cells.n_total[rows].tolist(),
-                )
+        for i in range(0, len(keys), CSV_CHUNK_ROWS):
+            rows = keys[i:i + CSV_CHUNK_ROWS]
+            fh.write("".join(  # + 0.0: a capture time of -0.0 starts bin 0.0, not -0.0
+                f"{heads[c]}{dets[d]}{b * bin_len_s + 0.0:{_TIME}}{bin_len}{k},{n},"
+                f"{k / n:{_FLOAT}}\n" for (c, d, b), (k, n) in zip(rows, map(counts.get, rows))
             ))
 
 
@@ -112,42 +110,33 @@ def channel_slug(channel: Channel) -> str:
     return f"{band}_ch{channel.index_in_band:03d}"
 
 
-def write_plot_data(cells: CellTable, directory) -> int:
+def write_plot_data(cells: Cells, directory) -> int:
     """Write each channel's plot file, directory/<slug>.dat; return the number written.
 
     A file is the `bin_start ed acf1 cdist` table of the channel's (bins x 3)
-    occupancy matrix, NaN (printed nan) where a bin has no scans of a detector.
-    Cells sorted by (band, channel index) make a channel's cells one run. Only
-    channels of one band and index interleave, and they share a file name, so
-    two channels on one file raise PlanError, before ``directory`` is made.
+    occupancy matrix, nan where a bin has no scans of a detector. Cells sorted
+    by (band, channel index) make a channel's cells one run. Only channels of
+    one band and index interleave, and they share a file name, so two channels
+    on one file raise PlanError, before ``directory`` is made.
     """
-    new = np.diff(cells.chan, prepend=-1) != 0
-    starts = np.flatnonzero(new)
     names: dict = {}  # file name -> channel id, channels in cell order
-    for c in cells.chan[starts].tolist():
+    for c, _ in groupby(cells.keys, itemgetter(0)):
         name = f"{channel_slug(cells.channels[c])}.dat"
         if (first := names.setdefault(name, c)) != c:
             a, b = cells.channels[first], cells.channels[c]
             raise PlanError(f"plots/{name}: channels {a.band!r}:{a.index_in_band} and "
                             f"{b.band!r}:{b.index_in_band} would both write this file")
     Path(directory).mkdir(exist_ok=True)
-    # one sort by (channel run, bin start) moves cells only within their run, so each
-    # file's rows are one slice of one stacked (bins x 3) occupancy matrix
-    order = np.lexsort((cells.bin_start, np.cumsum(new)))
-    bin_start = cells.bin_start[order]
-    first_in_row = new.copy()  # a row starts at a new channel or a new bin
-    first_in_row[1:] |= bin_start[1:] != bin_start[:-1]
-    row = np.cumsum(first_in_row) - 1
-    bins = bin_start[first_in_row]
-    occupancy = np.full((len(bins), len(DETECTORS)), np.nan)
-    occupancy[row, cells.det[order]] = cells.n_detected[order] / cells.n_total[order]
-    bounds = row[starts].tolist() + [len(bins)]
+    counts, bin_len_s, nan = cells.counts, cells.bin_len_s, math.nan
     directory = os.fspath(directory)  # os.path.join costs a third of what Path(...) does
-    for name, rows in zip(names, map(slice, bounds, bounds[1:])):
+    for name, (_, run) in zip(names, groupby(cells.keys, itemgetter(0))):
+        rows: dict = {}  # bin start -> the bin's occupancy by detector column
+        for key in run:  # a later cell of one bin start and detector overwrites an earlier one
+            k, n = counts[key]
+            rows.setdefault(key[2] * bin_len_s + 0.0, [nan, nan, nan])[key[1]] = k / n
         with open(os.path.join(directory, name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("bin_start ed acf1 cdist\n")
-            fh.write("".join(
-                f"{b:{_TIME}} {' '.join(format(v, _FLOAT) for v in vals)}\n"
-                for b, vals in zip(bins[rows].tolist(), occupancy[rows].tolist())
+            fh.write("bin_start ed acf1 cdist\n" + "".join(
+                f"{b:{_TIME}} {ed:{_FLOAT}} {acf1:{_FLOAT}} {cdist:{_FLOAT}}\n"
+                for b, (ed, acf1, cdist) in sorted(rows.items())
             ))
     return len(names)

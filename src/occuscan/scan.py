@@ -14,7 +14,8 @@ formatted once, CSV_CHUNK_ROWS lines at a time; the writer drops a block's
 columns, decisions and text before it pulls the next block. ``read_records``
 reads it back one validated row at a time and holds no row it has yielded.
 ScanRecord objects exist only where ``scan_channel`` returns one frame's
-records.
+records. Only ``scan_channel`` and ``write_records`` load numpy and the
+kernel, so reading the log loads neither.
 """
 
 from __future__ import annotations
@@ -24,19 +25,15 @@ import io
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .channels import Channel
-from .detectors import (
-    DETECTOR_BY_NAME,
-    DETECTOR_TABLE,
-    DetectorConfig,
-    block_statistics,
-    decide_block,
-)
+from .detector_table import DETECTOR_BY_NAME, DETECTOR_TABLE
 from .errors import CsvParseError, RoutingError
-from .iq import ComplexFrame
+
+if TYPE_CHECKING:
+    from .detectors import DetectorConfig
+    from .iq import ComplexFrame
 
 RECORD_CSV_HEADER = (
     "time_unix,band,channel_index,center_freq_mhz,detector,statistic,threshold,present"
@@ -79,6 +76,8 @@ def scan_channel(
     frame (dead channel) is not an error: its ed record reads 0, and its acf1
     and cdist records hold the no-signal sentinels 0 and 1, which decide absent.
     """
+    from .detectors import block_statistics, decide_block
+
     check_tuning(frame.center_freq_hz, channel, freq_tol_mhz)
     stats = block_statistics(frame.samples[None, :], config.reference)
     row, present = stats[0].tolist(), decide_block(stats, config)[0].tolist()
@@ -94,10 +93,6 @@ def scan_channel(
 _FLOAT = ".9g"
 _TIME = ".6f"
 CSV_CHUNK_ROWS = 1024
-
-
-def _chunks(n: int):
-    return (slice(i, i + CSV_CHUNK_ROWS) for i in range(0, n, CSV_CHUNK_ROWS))
 
 
 def channel_fields(channels) -> list[str]:
@@ -122,6 +117,10 @@ def write_records(heads, blocks, config: DetectorConfig, path, truth_path=None) 
     With ``truth_path``, each block also carries (F x C) labels, and the truth log is
     written beside the records: the row of channel c at times[f] ends in labels[f, c].
     """
+    import numpy as np
+
+    from .detectors import decide_block
+
     width = len(heads)
     # each detector's "name," and ",threshold," text, made once a file
     (ed, ed_thr), (acf1, acf1_thr), (cdist, cdist_thr) = (
@@ -158,10 +157,9 @@ def write_records(heads, blocks, config: DetectorConfig, path, truth_path=None) 
             del block  # so none of it is held while the next block is made
 
 
-def _csv_rows(fh, path):
-    """The csv.reader rows of fh; a malformed or non-UTF-8 line raises CsvParseError naming
-    path:line."""
-    reader = csv.reader(fh)
+def _csv_rows(reader, path):
+    """The rows of a csv.reader of path; a malformed or non-UTF-8 line raises CsvParseError
+    naming path:line."""
     try:
         yield from reader
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
@@ -181,18 +179,19 @@ def read_records(path, channels: list):
 
     A row is (time, channel id, detector column, statistic, threshold, present);
     the channel id indexes ``channels``, to which each channel is appended the
-    first time it appears. Raises CsvParseError naming path:line, also for a
-    file with no header line.
+    first time it appears. Raises CsvParseError naming path:line, the last
+    physical line of the bad record, also for a file with no header line.
     """
     keys: dict = {}  # (band, index, freq) text -> channel id
     ids = {c: i for i, c in enumerate(channels)}  # Channel -> channel id
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv_rows(fh, path)
-        header = next(reader, None)
+        reader = csv.reader(fh)  # its line_num: the last physical line of the row read
+        rows = _csv_rows(reader, path)
+        header = next(rows, None)
         if header != RECORD_CSV_HEADER.split(","):
             raise CsvParseError(f"{path}:1: " + ("no header line" if header is None
                                                  else f"unexpected header {header}"))
-        for lineno, row in enumerate(reader, start=2):
+        for row in rows:
             if not row:
                 continue
             try:
@@ -213,8 +212,8 @@ def read_records(path, channels: list):
                     c = keys[band, idx, freq] = ids[channel]
                 record = (time, c, DETECTOR_BY_NAME[det].column, float(stat), float(thr),
                           present == "1")
-            except ValueError as exc:
-                raise CsvParseError(f"{path}:{lineno}: {exc}") from exc
+            except ValueError as exc:  # a quoted band name may hold a newline: cite line_num
+                raise CsvParseError(f"{path}:{reader.line_num}: {exc}") from exc
             yield record
 
 

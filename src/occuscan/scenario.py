@@ -27,7 +27,8 @@ import numpy as np
 import yaml
 
 from .channels import BUILTIN_BANDS, BandSpec, Channel, build_channel_plan
-from .detectors import DETECTORS, DetectorConfig, load_reference
+from .detector_table import DETECTORS
+from .detectors import DetectorConfig, load_reference
 from .errors import ScenarioError
 
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from occuscan import ComplexFrame
-from occuscan.detectors import DETECTOR_TABLE, DETECTORS, block_statistics, decide_block
+from occuscan.detector_table import DETECTOR_TABLE, DETECTORS
+from occuscan.detectors import block_statistics, decide_block
 from occuscan.iq import BLOCK_FRAMES
 from occuscan.scan import PLAN_CSV_HEADER, RECORD_CSV_HEADER, TRUTH_CSV_HEADER, read_records
 from occuscan.synth import noise_rows, signal_rows, snr_scale

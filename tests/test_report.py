@@ -8,11 +8,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from occuscan import Channel
-from occuscan.detectors import DETECTORS
+from occuscan.detector_table import DETECTORS
 from occuscan.errors import PlanError
 from occuscan.report import (
     OCCUPANCY_CSV_HEADER,
-    CellTable,
+    Cells,
     aggregate_table,
     channel_slug,
     write_occupancy_csv,
@@ -39,22 +39,21 @@ def _table(records) -> RecordTable:
     return table_of_rows(*_rows(records))
 
 
-def _aggregate(records, bin_len_s) -> CellTable:
+def _aggregate(records, bin_len_s) -> Cells:
     rows, channels = _rows(records)
     return aggregate_table(rows, channels, bin_len_s)
 
 
-def _fold_file(path, bin_len_s) -> CellTable:
+def _fold_file(path, bin_len_s) -> Cells:
     """The cells of a record log, its rows read by scan.read_records."""
     channels: list = []
     return aggregate_table(read_records(path, channels), channels, bin_len_s)
 
 
-def _cells(table: CellTable) -> list[tuple]:
-    """A cell table's rows as (channel, detector, bin_start, n_detected, n_total) tuples."""
-    return list(zip([table.channels[c] for c in table.chan.tolist()],
-                    [DETECTORS[d] for d in table.det.tolist()], table.bin_start.tolist(),
-                    table.n_detected.tolist(), table.n_total.tolist()))
+def _cells(cells: Cells) -> list[tuple]:
+    """Cells as (channel, detector, bin_start, n_detected, n_total) tuples, in cell order."""
+    return [(cells.channels[c], DETECTORS[d], b * cells.bin_len_s + 0.0, *cells.counts[c, d, b])
+            for c, d, b in cells.keys]
 
 
 class TestAggregate:
@@ -62,25 +61,26 @@ class TestAggregate:
         records = [(float(i), i % 5 == 0) for i in range(180)]
         cells = _aggregate(records, 1000.0)
         assert _cells(cells) == [(CH_A, "ed", 0.0, 36, 180)]
-        assert cells.n_detected[0] / cells.n_total[0] == 0.2
+        n_detected, n_total = cells.counts[cells.keys[0]]
+        assert n_detected / n_total == 0.2
 
     def test_bin_split(self):
         # 10 scans at t=0..9, bin length 3: bins [0,3) [3,6) [6,9) [9,12)
         records = [(float(i), True) for i in range(10)]
-        cells = _aggregate(records, 3.0)
-        assert cells.bin_start.tolist() == [0.0, 3.0, 6.0, 9.0]
-        assert cells.n_total.tolist() == [3, 3, 3, 1]
+        cells = _cells(_aggregate(records, 3.0))
+        assert [c[2] for c in cells] == [0.0, 3.0, 6.0, 9.0]
+        assert [c[4] for c in cells] == [3, 3, 3, 1]
 
     def test_half_open_bin_edges(self):
         records = [(0.0, True), (3.0, True)]
-        cells = _aggregate(records, 3.0)
-        assert cells.bin_start.tolist() == [0.0, 3.0]
-        assert cells.n_total.tolist() == [1, 1]
+        cells = _cells(_aggregate(records, 3.0))
+        assert [c[2] for c in cells] == [0.0, 3.0]
+        assert [c[4] for c in cells] == [1, 1]
 
     def test_empty_log(self):
         cells = _aggregate([], 10.0)
         assert _cells(cells) == []
-        assert all(len(col) == 0 for col in cells[1:])
+        assert cells.keys == [] and cells.counts == {}
 
     def test_groups_by_channel_and_detector(self):
         records = [
@@ -99,16 +99,16 @@ class TestAggregate:
             (0.0, True, "ed"),
         ]
         cells = _aggregate(records, 10.0)
-        assert [DETECTORS[d] for d in cells.det] == ["ed", "acf1", "cdist"]
+        assert [det for _, det, *_ in _cells(cells)] == ["ed", "acf1", "cdist"]
 
     def test_conservation_across_bins(self):
         rng = np.random.default_rng(0)
         times = rng.uniform(0.0, 100.0, size=500)
         flags = rng.integers(0, 2, size=500).astype(bool)
         records = [(float(t), bool(p)) for t, p in zip(times, flags)]
-        cells = _aggregate(records, 7.0)
-        assert cells.n_total.sum() == 500
-        assert cells.n_detected.sum() == int(flags.sum())
+        cells = _cells(_aggregate(records, 7.0))
+        assert sum(c[4] for c in cells) == 500
+        assert sum(c[3] for c in cells) == int(flags.sum())
 
     def test_bad_bin_len(self):
         with pytest.raises(ValueError):
@@ -164,7 +164,7 @@ class TestExports:
         records = [(float(i), i % 5 == 0) for i in range(180)]
         cells = _aggregate(records, 1000.0)
         p = tmp_path / "occ.csv"
-        write_occupancy_csv(cells, 1000.0, p)
+        write_occupancy_csv(cells, p)
         lines = p.read_text().splitlines()
         assert lines[0] == OCCUPANCY_CSV_HEADER
         assert lines[1:] == ["X,0,100,ed,0.000000,1000,36,180,0.2"]
@@ -173,7 +173,7 @@ class TestExports:
         band = Channel("ISM, 433", 2, 433.05)
         records = [(5.0, True, "cdist", band), (0.5, False, "ed", CH_B), (1.0, True, "ed", CH_B)]
         p = tmp_path / "occ.csv"
-        write_occupancy_csv(_aggregate(records, 2.5), 2.5, p)
+        write_occupancy_csv(_aggregate(records, 2.5), p)
         assert p.read_text().splitlines()[1:] == [
             '"ISM, 433",2,433.05,cdist,5.000000,2.5,1,1,1',
             "X,1,105,ed,0.000000,2.5,1,2,0.5",
@@ -197,16 +197,18 @@ class TestExports:
         assert channel_slug(Channel("GSM 850 UL", 0, 824.0)) == "GSM-850-UL_ch000"
 
 
-def _reference_plot(cells: CellTable, chan: int) -> str:
-    """Channel channels[chan]'s plot file, rendered by masking the whole cell table.
+def _reference_plot(cells: Cells, chan: int) -> str:
+    """Channel channels[chan]'s plot file, rendered from the channel's cells picked out of
+    all of them, with numpy.
 
     The per-channel renderer that the single pass over the channel runs replaced:
     the reference for it.
     """
-    mine = cells.chan == chan
-    bins, row = np.unique(cells.bin_start[mine], return_inverse=True)
+    mine = [(DETECTORS.index(d), b, k / n) for c, d, b, k, n in _cells(cells)
+            if c == cells.channels[chan]]
+    bins, row = np.unique([b for _, b, _ in mine], return_inverse=True)
     occupancy = np.full((len(bins), len(DETECTORS)), np.nan)
-    occupancy[row, cells.det[mine]] = cells.n_detected[mine] / cells.n_total[mine]
+    occupancy[row, [d for d, _, _ in mine]] = [o for _, _, o in mine]
     return "bin_start ed acf1 cdist\n" + "".join(
         f"{b:.6f} {' '.join(format(v, '.9g') for v in vals)}\n"
         for b, vals in zip(bins.tolist(), occupancy.tolist()))
@@ -235,7 +237,7 @@ class TestPlotFiles:
     def test_interleaved_channels_are_refused_before_any_file(self, tmp_path):
         records = [(float(t), True, "ed", ch) for t in (0, 10, 20) for ch in (CH_A2, CH_A)]
         cells = _aggregate(records, 5.0)
-        assert [cells.channels[c] for c in cells.chan.tolist()] == [CH_A2, CH_A] * 3
+        assert [cells.channels[c] for c, _, _ in cells.keys] == [CH_A2, CH_A] * 3
         with pytest.raises(PlanError, match=r"^plots/X_ch000\.dat: channels 'X':0 and 'X':0 "):
             write_plot_data(cells, tmp_path / "plots")
         assert not (tmp_path / "plots").exists()
@@ -246,7 +248,7 @@ class TestPlotFiles:
 
 
 def _reference_aggregate(rows, bin_len_s):
-    """The dict-and-sort loop that the columnar aggregation replaced: the reference.
+    """A dict-and-sort loop with one tuple sort key per cell: the reference.
 
     ``rows`` are (time, present, detector, channel) tuples; cells come back as
     (channel, detector, bin_start, n_detected, n_total) tuples.

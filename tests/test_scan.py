@@ -21,7 +21,8 @@ from occuscan import (
     gen_channel_timeline,
     scan_channel,
 )
-from occuscan.detectors import DETECTORS, block_statistics
+from occuscan.detector_table import DETECTORS
+from occuscan.detectors import block_statistics
 from occuscan import scan as scan_module
 from occuscan.cli import RUN_CHANNELS, _sweep_blocks
 from occuscan.scan import (
