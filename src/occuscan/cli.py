@@ -2,9 +2,9 @@
 
 Every command is deterministic given its inputs and the master seed; CSV
 outputs are byte-identical across repeated runs and across --workers counts.
-``simulate`` makes its frames in record-log order, a frame window of a run of
-channels a task, and writes each window as it comes; ``eval`` parallelizes
-over chunks of trial indices. Both are pure functions of derived seeds.
+``simulate`` makes its frames in record-log order, a task a frame window of a
+slice of plan channels, and writes each window as it comes; ``eval``
+parallelizes over chunks of trial indices. Both are pure functions of derived seeds.
 Streams hold one block: ``simulate`` drops a window's run parts once they
 are stitched and the window before it makes the next, and ``analyze`` keeps
 only a recording block's statistics once they are made.
@@ -117,27 +117,21 @@ def cmd_calibrate(args) -> int:
 
     from .detectors import (DETECTOR_TABLE, block_statistics, calibrate_reference_blocks,
                             save_reference)
-    from .iq import BLOCK_FRAMES
-    from .synth import OccupancySchedule, channel_windows
+    from .synth import trial_rows
 
     scenario = _load_scenario(args)
     cal = scenario.calibration()
     out = _out_dir(args)
-    n, n_ref = scenario.frame_len(), cal["reference_frames"]
-
-    def rows(snr_db, frames):  # a one-row spec table, always on: every frame mixed at snr_db
-        table = ([(cal["signal"], cal["noise"], OccupancySchedule(1.0, ((0.0, 1.0),)), snr_db)],
-                 [0], [cal["signal"].seed], [cal["noise"].seed])
-        return (block for _, block, _ in channel_windows(table, n, 1.0, frames))
-
-    # threshold frames are drawn past the reference indices so the quantiles
-    # never see the training noise; one kernel pass gives every detector's H0 sample
+    trials = partial(trial_rows, scenario.frame_len(), cal["signal"], cal["noise"])
+    n_ref = cal["reference_frames"]
     noise_only = range(n_ref, n_ref + cal["threshold_frames"])
+    # paired trials as eval draws them: H1 trials 0 .. n_ref - 1 train the reference, and the
+    # H0 trials past them, unseen in training, give every detector's H0 sample in one pass
     try:
-        reference = calibrate_reference_blocks(rows(cal["snr_db"], range(n_ref)),
-                                               cal["acf_lags"])
-        h0 = np.concatenate([block_statistics(block, reference, k) for k, block in
-                             zip(noise_only[::BLOCK_FRAMES], rows(-math.inf, noise_only))])
+        reference = calibrate_reference_blocks(
+            (rows for _, h, rows in trials([cal["snr_db"]], range(n_ref)) if h), cal["acf_lags"])
+        h0 = np.concatenate([block_statistics(rows, reference, noise_only[i])
+                             for i, _, rows in trials([], noise_only)])
     except SampleDataError as exc:
         raise SampleDataError(f"calibration: {exc}") from exc
     ref_path = out / "reference.txt"
@@ -154,23 +148,24 @@ def cmd_calibrate(args) -> int:
 RUN_CHANNELS = 32  # a pool task makes one frame window of this many consecutive plan channels
 
 
-def _sweep_window(task):
-    """A frame window of a run of channels: its times, (F x C x 3) statistics and (F x C)
-    labels, or a list of its bad frames' (frame, channel in the run, message). Runs in workers."""
+def _sweep_window(table, config, n, interval, start, task):
+    """A task's frame window of its slice of plan channels, plan[i] drawn from row i of the
+    spec table: its times, (F x C x 3) statistics and (F x C) labels, or a list of its bad
+    frames' (frame, plan channel, message). Runs in workers."""
     import numpy as np
 
     from .detectors import block_statistics
     from .synth import channel_windows
 
-    frames, table, config, n, interval, start = task
+    frames, channels = task
     stats, labels, errors = [], [], []
     for j, (times, rows, on) in enumerate(
-            channel_windows(table, n, interval, frames, start_time=start)):
+            channel_windows(table, n, interval, frames, channels, start_time=start)):
         labels.append(on)
         try:
             stats.append(block_statistics(rows, config.reference, frames.start))
         except SampleDataError as exc:
-            errors.append((exc.frame, j, str(exc)))
+            errors.append((exc.frame, channels.start + j, str(exc)))
     return errors or (times, np.stack(stats, axis=1), np.stack(labels, axis=1))
 
 
@@ -179,24 +174,17 @@ def _sweep_blocks(plan, table, config, n, interval, n_frames, start, workers):
     stats (F x C x 3) and labels (F x C), plan[i] drawn from row i of the spec table.
 
     Channels share one time grid: frame k of each in plan order, then frame k + 1,
-    is the record log's order, so nothing is sorted. A task is a window of a run: its
-    slice of the columns, with only the specs it uses. A window is held from its
-    stitching until the caller asks for the next one: no name here keeps it."""
-    import numpy as np
-
+    is the record log's order, so nothing is sorted. A task is a frame window and a slice
+    of plan channels. A window is held from its stitching until the caller asks for the
+    next one: no name here keeps it."""
     from .iq import BLOCK_FRAMES
 
-    specs, spec, signal_seeds, noise_seeds = table
-    runs = []
-    for i in range(0, len(plan), RUN_CHANNELS):
-        used, index = np.unique(spec[i:i + RUN_CHANNELS], return_inverse=True)
-        runs.append(([specs[s] for s in used.tolist()], index,
-                     signal_seeds[i:i + RUN_CHANNELS], noise_seeds[i:i + RUN_CHANNELS]))
     frames = range(n_frames)
     windows = frames[::BLOCK_FRAMES] if plan else frames[:0]  # no runs, no blocks
-    tasks = ((frames[k:k + BLOCK_FRAMES], r, config, n, interval, start)
-             for k in windows for r in runs)
-    with closing(_map(_sweep_window, tasks, len(windows) * len(runs), workers)) as results:
+    runs = [slice(i, i + RUN_CHANNELS) for i in range(0, len(plan), RUN_CHANNELS)]
+    tasks = ((frames[k:k + BLOCK_FRAMES], r) for k in windows for r in runs)
+    window = partial(_sweep_window, table, config, n, interval, start)
+    with closing(_map(window, tasks, len(windows) * len(runs), workers)) as results:
         for _ in windows:
             yield _stitch(list(islice(results, len(runs))), plan)
 
@@ -206,10 +194,9 @@ def _stitch(parts, plan):
     axis. A bad frame raises, the first in record-log order named by its channel."""
     import numpy as np
 
-    bad = [(frame, r * RUN_CHANNELS + j, why) for r, part in enumerate(parts)
-           if isinstance(part, list) for frame, j, why in part]
+    bad = [error for part in parts if isinstance(part, list) for error in part]
     if bad:
-        frame, i, why = min(bad)  # (frame, channel): record-log order
+        frame, i, why = min(bad)  # (frame, plan channel): record-log order
         raise SampleDataError(f"channel {plan[i].band}:{plan[i].index_in_band}: {why}", frame)
     stats, labels = (np.concatenate(col, axis=1) for col in list(zip(*parts))[1:])
     return parts[0][0], stats, labels  # the times are the same in every run's part

@@ -4,7 +4,7 @@ Trials are paired: trial i's noise frame serves the signal-absent and every
 signal-present hypothesis, and one generation pass scores every detector at
 every SNR, so all thresholds, SNRs and detectors see the same randomness (ROC
 curves are monotone by construction; detectors compare at matched pfa). Trial
-i draws from (spec seed, i) only, so results depend on neither order nor chunks.
+i is ``synth.trial_rows``' draw from (spec seed, i), whatever the chunks.
 Results stay arrays: ``operating_points`` gives pd and pfa over a threshold
 list, and ``write_eval_csv`` renders plain row tuples. Thresholds are tuned
 to a target pfa by the detector table's ``Detector.tune``, which
@@ -16,9 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .detectors import DETECTOR_BY_NAME, DetectorConfig, block_statistics, decides_present
-from .iq import BLOCK_FRAMES
 from .scan import _FLOAT
-from .synth import NoiseSpec, SignalSpec, noise_rows, signal_rows, snr_scale
+from .synth import NoiseSpec, SignalSpec, trial_rows
 
 EVAL_CSV_HEADER = "detector,scenario,snr_db,threshold,trials,pd,pfa"
 
@@ -36,36 +35,16 @@ def shared_trial_statistics(
     Returns a (1 + len(snr_dbs), len(trials), 3) array: [0] is H0, [1 + k] is
     H1 at snr_dbs[k] (noise frame i plus signal frame i at that SNR; H0 where
     the scale is 0), columns in DETECTOR_TABLE order. Frames are made once per
-    trial, BLOCK_FRAMES trials at a time. A block holds its noise frames, its
-    signal frames (one broadcast row for a tone) and one mix buffer refilled
-    for each SNR, and is freed before the next block is drawn.
+    trial, BLOCK_FRAMES trials at a time, by ``synth.trial_rows``: the blocks
+    share one noise buffer and one mix buffer, and a block's signal frames (one
+    row for a tone) are freed before the next block's are drawn.
     A frame whose energy is not finite raises SampleDataError naming its trial
     index as the frame.
     """
-    powers = (signal_spec.nominal_power, noise_spec.total_power)
-    alphas = [snr_scale(*powers, s) if signal_spec.kind != "none" else 0.0 for s in snr_dbs]
-    out = np.empty((1 + len(alphas), len(trials), 3))
-    for start in range(0, len(trials), BLOCK_FRAMES):
-        idx = trials[start:start + BLOCK_FRAMES]
-        _block_trial_statistics(out[:, start:start + len(idx)], config, signal_spec,
-                                noise_spec, alphas, n, idx)
+    out = np.empty((1 + len(snr_dbs), len(trials), 3))
+    for i, h, rows in trial_rows(n, signal_spec, noise_spec, snr_dbs, trials):
+        out[h, i:i + len(rows)] = block_statistics(rows, config.reference, trials[i])
     return out
-
-
-def _block_trial_statistics(out, config, signal_spec, noise_spec, alphas, n, idx) -> None:
-    """Fill out[:, i] with trial idx[i]'s statistics; the block's frames die on return."""
-    noise = noise_rows(n, noise_spec, idx)
-    out[:] = block_statistics(noise, config.reference, idx[0])
-    if any(alphas):
-        sig = signal_rows(n, signal_spec, idx)
-        mixed = np.empty_like(noise)
-        for k, alpha in enumerate(alphas, 1):
-            if alpha != 0.0:
-                # an overflowing mix leaves a non-finite energy, which the kernel reports
-                with np.errstate(over="ignore", invalid="ignore"):
-                    np.multiply(sig, alpha, out=mixed)
-                    mixed += noise
-                out[k] = block_statistics(mixed, config.reference, idx[0])
 
 
 def trial_statistics(

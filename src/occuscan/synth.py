@@ -10,11 +10,11 @@ reused PCG64 to each frame's state. Only this module loads ``numpy.random``,
 and only where it draws, so deriving seeds does not.
 
 Frames are plain complex128 rows: ``noise_rows`` and ``signal_rows`` make
-(frames x N) blocks, and ``channel_windows`` is the one signal+noise mix. It
-makes the channels of a spec table (spec and seed columns) window by window of
-at most BLOCK_FRAMES, seeding all of a window's noise in one pass, and adds
-``alpha * signal`` to the frames each schedule labels present: the sweep calls
-it for a run of channels, ``calibrate`` for a one-row table that is always on.
+(frames x N) blocks, and only this module's two frame makers add them, at one
+scale rule (``_scale``). ``channel_windows`` makes the sweep's channels of a
+spec table window by window, adding ``alpha * signal`` where each schedule is
+on; ``trial_rows`` makes paired trials block by block, noise alone (H0) and
+then mixed at each SNR (H1), for ``eval`` and ``calibrate``.
 The rows are not checked here: a mix that overflows leaves a non-finite
 sample, and a frame's power sum can overflow even when every sample is
 finite; the detector kernel's energy check catches both before any output is
@@ -251,13 +251,13 @@ def _normal_rows(rngs, out: np.ndarray, scale: float) -> None:
     flat *= scale
 
 
-def noise_rows(n: int, spec: NoiseSpec, indices) -> np.ndarray:
-    """(len(indices), n) complex Gaussian noise; row i is frame indices[i]'s draw.
+def noise_rows(n: int, spec: NoiseSpec, indices, out: np.ndarray | None = None) -> np.ndarray:
+    """(len(indices), n) complex Gaussian noise, into ``out`` if given; row i draws indices[i].
 
     A row is the 2n standard normal draws of (seed, frame index), taken as
     (re, im) pairs and scaled by sqrt(total_power / 2).
     """
-    out = np.empty((len(indices), n), dtype=np.complex128)
+    out = np.empty((len(indices), n), dtype=np.complex128) if out is None else out
     rngs = _generators(_frame_states(spec.seed, _NOISE_STREAM, indices))
     _normal_rows(rngs, out, math.sqrt(spec.total_power / 2.0))
     return out
@@ -320,6 +320,36 @@ def snr_scale(signal_power: float, noise_power: float, snr_db: float) -> float:
     return math.sqrt(ratio * noise_power / signal_power)
 
 
+def _scale(signal: SignalSpec, noise: NoiseSpec, snr_db: float) -> float:
+    """snr_scale at snr_db; 0 for a ``kind: none`` signal, which has no power to scale."""
+    if signal.kind == "none":
+        return 0.0
+    return snr_scale(signal.nominal_power, noise.total_power, snr_db)
+
+
+def trial_rows(n: int, signal: SignalSpec, noise: NoiseSpec, snr_dbs, trials):
+    """Yield (i, h, rows) for each block of at most BLOCK_FRAMES paired trials from trials[i]:
+    h = 0 and its noise (H0), then h = 1 + k and noise + alpha * signal at snr_dbs[k] (H1;
+    the noise where alpha is 0). Blocks reuse one noise buffer and one mix buffer, or mix in
+    place where one SNR is asked for: use each block's rows before taking the next."""
+    alphas = [_scale(signal, noise, snr_db) for snr_db in snr_dbs]
+    buffer = np.empty((min(len(trials), BLOCK_FRAMES), n), dtype=np.complex128)
+    mix_buffer = np.empty_like(buffer) if len(alphas) > 1 and any(alphas) else None
+    for i in range(0, len(trials), BLOCK_FRAMES):
+        sig = None  # the last block's signal rows go before this block's are drawn
+        block = trials[i:i + BLOCK_FRAMES]
+        rows = noise_rows(n, noise, block, buffer[:len(block)])
+        mixed = rows if mix_buffer is None else mix_buffer[:len(block)]
+        for h, alpha in enumerate([0.0, *alphas]):  # H0 is the noise rows, at scale 0
+            if alpha:  # an overflowing mix leaves a non-finite energy, which the kernel reports
+                if sig is None:  # drawn after H0 is used; a tone's rows are one row
+                    sig = signal_rows(n, signal, block[:1] if signal.kind == "tone" else block)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.add(rows, np.multiply(sig, alpha, out=None if mixed is rows else mixed),
+                           out=mixed)
+            yield i, h, mixed if alpha else rows
+
+
 def frame_count(total_s: float, frame_interval_s: float) -> int:
     """Frames in one channel's sweep: floor(total_s / frame_interval_s)."""
     if not frame_interval_s > 0:
@@ -330,35 +360,37 @@ def frame_count(total_s: float, frame_interval_s: float) -> int:
     return int(math.floor(total_s / frame_interval_s + 1e-9))
 
 
-def channel_windows(table, frame_len: int, frame_interval_s: float, frames: range, *,
-                    start_time: float = 0.0):
+def channel_windows(table, frame_len: int, frame_interval_s: float, frames: range,
+                    channels: slice = slice(None), *, start_time: float = 0.0):
     """Yield (times, rows, labels) for each window of at most BLOCK_FRAMES of ``frames``
-    and, in it, each channel of the spec table ``table``: (specs, spec, signal_seeds,
-    noise_seeds), channel i being drawn from specs[spec[i]], a (signal, noise, schedule,
-    snr_db) tuple, with signal_seeds[i] and noise_seeds[i], not its specs' own seeds.
+    and, in it, each of the ``channels`` of the spec table ``table``: (specs, spec,
+    signal_seeds, noise_seeds), channel i being drawn from specs[spec[i]], a (signal, noise,
+    schedule, snr_db) tuple, with signal_seeds[i] and noise_seeds[i], not its specs' own seeds.
 
     Frame k, captured at start_time + k*frame_interval_s, is labeled present and is
     signal+noise at snr_db where the schedule is on, else the same noise draw alone.
-    Each window seeds every channel's noise in one pass, and its ``rows`` is one buffer
-    refilled for each channel: use it before taking the next. An overflowing scale or
-    mix leaves a non-finite sample, whose energy the kernel reports.
+    Only the specs the channels use get scales, tone rows and labels. Each window seeds every
+    channel's noise in one pass, and its ``rows`` is one buffer refilled for each channel:
+    use it before taking the next. An overflowing scale or mix leaves a non-finite sample,
+    whose energy the kernel reports.
     """
-    specs, spec, signal_seeds, noise_seeds = table
-    alphas = [snr_scale(signal.nominal_power, noise.total_power, snr_db)
-              if signal.kind != "none" else 0.0 for signal, noise, _, snr_db in specs]
+    specs, *columns = table
+    spec, signal_seeds, noise_seeds = (column[channels] for column in columns)
+    used = {s: specs[s] for s in dict.fromkeys(spec)}
+    alphas = {s: _scale(signal, noise, snr_db) for s, (signal, noise, _, snr_db) in used.items()}
     with np.errstate(over="ignore", invalid="ignore"):  # each tone spec's scaled row
-        tones = [alpha * signal_rows(frame_len, signal, [0])[0] if signal.kind == "tone" else 0
-                 for (signal, *_), alpha in zip(specs, alphas)]
+        tones = {s: alphas[s] * signal_rows(frame_len, signal, [0])[0]
+                 for s, (signal, *_) in used.items() if signal.kind == "tone"}
     for k in frames[::BLOCK_FRAMES]:
         window = range(k, min(k + BLOCK_FRAMES, frames.stop))
         times = start_time + np.arange(window.start, window.stop) * frame_interval_s
-        labels = [schedule.on_mask(times - start_time) for _, _, schedule, _ in specs]
+        labels = {s: schedule.on_mask(times - start_time) for s, (*_, schedule, _) in used.items()}
         rngs = _generators(_frame_states(np.repeat(np.asarray(noise_seeds, np.uint64),
                                                    len(window)), _NOISE_STREAM,
                                          list(window) * len(spec)))
         rows = np.empty((len(window), frame_len), dtype=np.complex128)
         for s, seed in zip(spec, signal_seeds):
-            (signal, noise, _, _), on = specs[s], labels[s]
+            (signal, noise, _, _), on = used[s], labels[s]
             _normal_rows(islice(rngs, len(window)), rows, math.sqrt(noise.total_power / 2.0))
             if alphas[s] and on.any():
                 with np.errstate(over="ignore", invalid="ignore"):

@@ -1570,8 +1570,8 @@ class TestStartUp:
 import os, sys
 import occuscan.cli as cli
 sweep_window = cli._sweep_window
-def drawn(task):  # runs in the worker, so it reports the worker's modules
-    result = sweep_window(task)
+def drawn(*args):  # runs in the worker, so it reports the worker's modules
+    result = sweep_window(*args)
     with open(os.path.join(sys.argv[1], str(os.getpid())), "w") as fh:
         fh.write(repr([sys.modules.get(m) is not None for m in ("numpy.random", "_hashlib")]))
     return result
@@ -1644,11 +1644,11 @@ class TestForkedWorkers:
     def test_killed_worker(self, workspace, capsys, monkeypatch):
         sweep_window = cli_module._sweep_window
 
-        def killed(task):  # the second window's first run: worker 0's second task, task 2
-            frames, (_, _, signal_seeds, _) = task[:2]
-            if frames.start and len(signal_seeds) == RUN_CHANNELS:
+        def killed(*args):  # the second window's first run: worker 0's second task, task 2
+            frames, channels = args[-1]
+            if frames.start and channels.start == 0:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return sweep_window(task)
+            return sweep_window(*args)
 
         monkeypatch.setattr(cli_module, "_sweep_window", killed)
         assert self._sweep(workspace) == 1

@@ -19,6 +19,8 @@ from test_acceptance import ACCEPTANCE_SCENARIO
 GOLDEN = {
     "reference.txt": "38275bcc973c2af4432a84e21b7196302d82f439b0245072cd78c60ef3988428",
     "lambda_ed": "067075ab60226f0bd678dd747664c8c8a3090b437e4c4b40fcdc0d781306c839",
+    "lambda_acf": "18c9d4fff96fee84dc8160d76c9f40a2db313b7491d5326c032f6642ecbdc0a0",
+    "gamma": "f4caf608e6899ca5eb42b208772beb89197293a497acff8c07e2cdf64008afd5",
     "plan.csv": "2651f67e91174a7dfad680ead7324dcddd4dabecbcda4145d31394a8678cfdee",
     "records.csv": "2b41461e635bd80918f455818975bd880cdb2e2f633660b3af9d9ceb20eeaebe",
     "truth.csv": "af9a17048332506916e1152d5aa3b2999977841abbe740b02e71ada7d8c5b7eb",
@@ -71,9 +73,10 @@ def outputs(tmp_path_factory):
     with contextlib.redirect_stdout(buf):
         run(["calibrate", "--scenario", str(scn), "--out", str(root)])
     out["reference.txt"] = (root / "reference.txt").read_bytes()
-    out["lambda_ed"] = next(
-        ln for ln in buf.getvalue().splitlines() if ln.startswith("lambda_ed=")
-    ).encode()
+    for key in ("lambda_ed", "lambda_acf", "gamma"):
+        out[key] = next(
+            ln for ln in buf.getvalue().splitlines() if ln.startswith(f"{key}=")
+        ).encode()
 
     for workers in (1, 2):
         sim = root / f"sim-w{workers}"
@@ -101,7 +104,8 @@ def outputs(tmp_path_factory):
 
 def test_calibrate_golden(outputs):
     assert _sha(outputs["reference.txt"]) == GOLDEN["reference.txt"]
-    assert _sha(outputs["lambda_ed"]) == GOLDEN["lambda_ed"]
+    for key in ("lambda_ed", "lambda_acf", "gamma"):
+        assert _sha(outputs[key]) == GOLDEN[key], key
 
 
 @pytest.mark.parametrize("workers", [1, 2])

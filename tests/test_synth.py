@@ -21,8 +21,9 @@ from occuscan import (
 )
 from occuscan.detectors import block_statistics
 from occuscan.errors import SampleDataError
+from occuscan import synth
 from occuscan.synth import (_frame_states, _generators, _seed_states, channel_windows,
-                            noise_rows, signal_rows)
+                            noise_rows, signal_rows, trial_rows)
 from conftest import spec_table
 
 ALWAYS_ON = OccupancySchedule(1.0, ((0.0, 1.0),))
@@ -365,6 +366,41 @@ class TestMix:
         [mixed] = window_rows(SignalSpec(kind="tone"), NoiseSpec(1.0), -math.inf, 8, range(1))
         np.testing.assert_array_equal(mixed, [gen_noise_frame(8, NoiseSpec(1.0), 0).samples])
 
+    @pytest.mark.parametrize("signal", [
+        SignalSpec(kind="tone", normalized_freq=0.1),
+        SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=5),
+        SignalSpec(kind="none"),
+    ], ids=["tone", "bpsk", "none"])
+    @pytest.mark.parametrize("snr_dbs", [[6.0], [-math.inf], [6.0, -math.inf, -3.0]],
+                             ids=["one", "zero-scale", "three"])
+    def test_trial_rows_are_paired_frames(self, signal, snr_dbs):
+        """Blocks of 32 + 11 trials: the noise frames (H0), then alpha * signal + noise at
+        each SNR (H1; the noise where the scale is 0), bit for bit, in one mix or in many."""
+        noise, trials = NoiseSpec(2.0, seed=4), range(60, 103)
+        got = {}
+        for i, h, rows in trial_rows(16, signal, noise, snr_dbs, trials):
+            got.setdefault(h, []).append((i, rows.copy()))
+        for h, blocks in got.items():
+            assert [(i, len(rows)) for i, rows in blocks] == [(0, 32), (32, 11)]
+        assert sorted(got) == list(range(1 + len(snr_dbs)))
+        noise_frames = [gen_noise_frame(16, noise, k).samples for k in trials]
+        np.testing.assert_array_equal(np.concatenate([r for _, r in got[0]]), noise_frames)
+        for h, snr_db in enumerate(snr_dbs, 1):
+            # kind none has no power to scale: 0 at any SNR
+            alpha = 0.0 if signal.kind == "none" else snr_scale(signal.nominal_power, 2.0,
+                                                                 snr_db)
+            want = ([alpha * gen_signal_frame(16, signal, k).samples + n
+                     for k, n in zip(trials, noise_frames)] if alpha else noise_frames)
+            np.testing.assert_array_equal(np.concatenate([r for _, r in got[h]]), want)
+
+    def test_kind_none_scales_to_zero_at_any_snr(self):
+        rows = [r.copy() for _, _, r in trial_rows(8, SignalSpec(kind="none"), NoiseSpec(1.0),
+                                                    [10.0], range(3))]
+        np.testing.assert_array_equal(rows[1], rows[0])
+        [(_, rows, _)] = channel_windows(spec_table(
+            [(SignalSpec(kind="none"), NoiseSpec(1.0), ALWAYS_ON, 10.0)]), 8, 1.0, range(3))
+        np.testing.assert_array_equal(rows, noise_rows(8, NoiseSpec(1.0), range(3)))
+
 
 class TestTimeline:
     SCHEDULE = OccupancySchedule(period_s=1.0, on_intervals=((0.0, 0.3),))
@@ -446,6 +482,33 @@ class TestTimeline:
         for got, want in zip(together, [alone[0][0], alone[1][0], alone[0][1], alone[1][1]]):
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
+
+    def test_slice_builds_only_the_tone_rows_it_uses(self, monkeypatch):
+        """A 32-channel slice of a 200-spec table builds one tone row for each distinct spec
+        its channels use, whatever the table holds, and draws as that slice's own table."""
+        specs = [(SignalSpec(kind="tone", normalized_freq=0.4 * i / 200), self.NOISE,
+                  self.SCHEDULE, 3.0) for i in range(200)]
+        spec = np.arange(400) // 2 % 200  # channels 2j and 2j + 1 share spec j
+        table = specs, spec, np.arange(400, dtype=np.uint64), np.arange(400, dtype=np.uint64)
+        channels = slice(101, 133)  # specs 50 .. 66: 17 of them
+        built = []
+        rows_of = synth.signal_rows
+
+        def counted(n, signal, indices, seed=None):
+            built.append(signal)
+            return rows_of(n, signal, indices, seed)
+
+        monkeypatch.setattr(synth, "signal_rows", counted)
+        windows = [rows.copy() for _, rows, _ in
+                   channel_windows(table, 16, 0.1, range(40), channels, start_time=5.0)]
+        assert len(built) == len(set(spec[channels].tolist())) == 17
+        assert built == [specs[s][0] for s in dict.fromkeys(spec[channels].tolist())]
+        own = ([specs[s] for s in range(200)], spec[channels], *(c[channels] for c in table[2:]))
+        alone = [rows.copy() for _, rows, _ in channel_windows(own, 16, 0.1, range(40),
+                                                               start_time=5.0)]
+        assert len(windows) == len(alone) == 64
+        for got, want in zip(windows, alone):
+            np.testing.assert_array_equal(got, want)
 
     def test_seed_columns_replace_the_specs_seeds(self):
         """Channels of one spec draw with their own seed columns, as that spec given each
