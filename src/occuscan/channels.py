@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import PlanError
+from .errors import OccuscanError
 
 _STOP_TOL_MHZ = 1e-9
 
@@ -60,7 +60,7 @@ class Channel:
 def build_channel_plan(specs) -> list[Channel]:
     """Expand band specs into channels, validating count and stop frequency.
 
-    Raises PlanError naming the offending band when two bands share a name,
+    Raises OccuscanError naming the offending band when two bands share a name,
     or when the generated layout does not hit expected_channels or does not
     end at stop_mhz.
     """
@@ -68,7 +68,7 @@ def build_channel_plan(specs) -> list[Channel]:
     names = set()
     for spec in specs:
         if spec.name in names:
-            raise PlanError(f"band {spec.name!r}: the plan already has a band of this name")
+            raise OccuscanError(f"band {spec.name!r}: the plan already has a band of this name")
         names.add(spec.name)
         freqs = [spec.start_mhz]
         step_i = 0
@@ -76,13 +76,13 @@ def build_channel_plan(specs) -> list[Channel]:
             freqs.append(freqs[-1] + spec.spacing_mhz[step_i % len(spec.spacing_mhz)])
             step_i += 1
         if abs(freqs[-1] - spec.stop_mhz) > _STOP_TOL_MHZ:
-            raise PlanError(
+            raise OccuscanError(
                 f"band {spec.name!r}: {spec.expected_channels} channels end at "
                 f"{freqs[-1]} MHz, not the declared stop {spec.stop_mhz} MHz"
             )
         for i, f in enumerate(freqs):
             if i and f <= freqs[i - 1]:
-                raise PlanError(f"band {spec.name!r}: frequencies not strictly increasing")
+                raise OccuscanError(f"band {spec.name!r}: frequencies not strictly increasing")
             plan.append(Channel(spec.name, i, f))
     return plan
 

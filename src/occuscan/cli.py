@@ -269,7 +269,7 @@ def cmd_report(args) -> int:
     channels: list = []
     try:
         cells = aggregate_table(read_records(args.records, channels), channels, args.bins)
-    except ValueError as exc:  # a bad record raises CsvParseError, so only the bin length is left
+    except ValueError as exc:  # a bad record raises OccuscanError, so only the bin length is left
         raise UsageError(f"--bins: {exc}") from exc
     out = _out_dir(args)
     plots = write_plot_data(cells, out / "plots")
@@ -337,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override the scenario master_seed (u64)")
 
     p_cal = sub.add_parser("calibrate", help="write the reference ACF vector and "
-                           "print the calibrated energy threshold")
+                           "print the calibrated lambda_ed, lambda_acf and gamma")
     common(p_cal)
     p_cal.set_defaults(func=cmd_calibrate)
 
-    p_sim = sub.add_parser("simulate", help="run the synthetic sweep, write record "
-                           "and truth CSVs")
+    p_sim = sub.add_parser("simulate", help="run the synthetic sweep, write record, "
+                           "truth and plan CSVs")
     common(p_sim)
     p_sim.add_argument("--workers", type=int, default=1,
                        help="parallel channel workers (output is identical for any count)")

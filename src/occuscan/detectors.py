@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector_table import DETECTOR_BY_NAME, DETECTOR_TABLE
-from .errors import CalibrationError, DegenerateFrameError, SampleDataError
+from .errors import OccuscanError, SampleDataError
 from .iq import ComplexFrame
 
 
@@ -162,7 +162,7 @@ def decide_block(stats: np.ndarray, config: DetectorConfig) -> np.ndarray:
 def _frame_acf(frame: ComplexFrame, lags: int) -> np.ndarray:
     energy, ratios = _acf_block(frame.samples[None, :], lags)
     if energy[0] == 0.0:
-        raise DegenerateFrameError("zero-energy frame: normalized ACF undefined")
+        raise OccuscanError("zero-energy frame: normalized ACF undefined")
     return ratios[0]
 
 
@@ -191,7 +191,7 @@ def acf1_statistic(frame: ComplexFrame) -> float:
     """Normalized lag-1 coefficient |ACF(1)| / ACF(0), in [0, 1].
 
     Invariant under global amplitude scaling and phase rotation of the frame.
-    Raises DegenerateFrameError for a zero-energy frame.
+    Raises OccuscanError for a zero-energy frame.
     """
     ratios = _frame_acf(frame, min(2, len(frame)))
     return float(ratios[1]) if ratios.size > 1 else 0.0
@@ -215,10 +215,10 @@ def calibrate_reference_blocks(blocks, lags: int) -> AcfVector:
         energy, ratios = _acf_block(block, lags, start)
         start += len(block)
         if np.any(energy == 0.0):
-            raise DegenerateFrameError("zero-energy frame: normalized ACF undefined")
+            raise OccuscanError("zero-energy frame: normalized ACF undefined")
         vectors.append(ratios)
     if not vectors:
-        raise CalibrationError("reference calibration needs at least 1 training frame")
+        raise OccuscanError("reference calibration needs at least 1 training frame")
     mean = np.concatenate(vectors).mean(axis=0)
     mean[0] = 1.0
     np.clip(mean, 0.0, 1.0, out=mean)
@@ -263,7 +263,7 @@ def calibrate_ed_threshold(noise_frames, target_pfa: float) -> float:
     stats = [_acf_block(f.samples[None, :], 1, k)[0][0] / len(f)
              for k, f in enumerate(noise_frames)]
     if len(stats) < 100:
-        raise CalibrationError(
+        raise OccuscanError(
             f"threshold calibration needs >= 100 noise frames, got {len(stats)}"
         )
     return DETECTOR_BY_NAME["ed"].tune(stats, target_pfa)
@@ -283,15 +283,15 @@ def load_reference(path) -> AcfVector:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("lags="):
-        raise CalibrationError(f"{path}: first line must be lags=<L>")
+        raise OccuscanError(f"{path}: first line must be lags=<L>")
     try:
         lags = int(lines[0][len("lags="):])
         values = [float(v) for v in lines[1:]]
     except ValueError as exc:
-        raise CalibrationError(f"{path}: {exc}") from exc
+        raise OccuscanError(f"{path}: {exc}") from exc
     if len(values) != lags:
-        raise CalibrationError(f"{path}: expected {lags} values, found {len(values)}")
+        raise OccuscanError(f"{path}: expected {lags} values, found {len(values)}")
     try:
         return AcfVector(np.array(values))
     except ValueError as exc:
-        raise CalibrationError(f"{path}: {exc}") from exc
+        raise OccuscanError(f"{path}: {exc}") from exc

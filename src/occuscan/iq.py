@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MetaFormatError, SampleDataError, TruncationError
+from .errors import OccuscanError, SampleDataError
 
 # Frames per block, for streamed reading and for every detector-kernel call:
 # large enough to amortize per-call overhead, small enough that a block's
@@ -102,26 +102,26 @@ class RecordingMeta:
 
 
 def read_meta(meta_path) -> RecordingMeta:
-    """Parse a sidecar file. Raises MetaFormatError on malformed content."""
+    """Parse a sidecar file. Raises OccuscanError on malformed content."""
     values = {}
     with open(meta_path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()  # newlines already translated to "\n"
         except UnicodeDecodeError as exc:
-            raise MetaFormatError(f"{meta_path}: {exc}") from exc
+            raise OccuscanError(f"{meta_path}: {exc}") from exc
         for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise MetaFormatError(f"{meta_path}:{lineno}: expected key=value, got {line!r}")
+                raise OccuscanError(f"{meta_path}:{lineno}: expected key=value, got {line!r}")
             key, _, val = (part.strip() for part in line.partition("="))
             if key in values:
-                raise MetaFormatError(f"{meta_path}:{lineno}: duplicate key {key!r}")
+                raise OccuscanError(f"{meta_path}:{lineno}: duplicate key {key!r}")
             values[key] = val
     missing = [k for k in _META_KEYS if k not in values]
     if missing:
-        raise MetaFormatError(f"{meta_path}: missing keys: {', '.join(missing)}")
+        raise OccuscanError(f"{meta_path}: missing keys: {', '.join(missing)}")
     try:
         return RecordingMeta(
             sample_rate_hz=float(values["sample_rate_hz"]),
@@ -130,7 +130,7 @@ def read_meta(meta_path) -> RecordingMeta:
             num_samples=int(values["num_samples"]),
         )
     except ValueError as exc:
-        raise MetaFormatError(f"{meta_path}: bad value: {exc}") from exc
+        raise OccuscanError(f"{meta_path}: bad value: {exc}") from exc
 
 
 def stream_recording(payload_path, meta_path, frame_len: int):
@@ -143,9 +143,9 @@ def stream_recording(payload_path, meta_path, frame_len: int):
     the energy statistic downward); ``discarded`` is its sample count.
 
     Raises:
-        MetaFormatError: malformed sidecar, num_samples disagrees with the payload,
-            or the last frame's capture time is not finite.
-        TruncationError: payload byte length not a multiple of 8.
+        OccuscanError: malformed sidecar, num_samples disagrees with the payload,
+            payload byte length not a multiple of 8, or the last frame's
+            capture time is not finite.
         SampleDataError: from ``blocks``, on a NaN/Inf sample (discarded ones
             included); the message names its index in the recording.
     """
@@ -154,18 +154,18 @@ def stream_recording(payload_path, meta_path, frame_len: int):
     meta = read_meta(meta_path)
     size = os.path.getsize(payload_path)
     if size % 8 != 0:
-        raise TruncationError(
+        raise OccuscanError(
             f"{payload_path}: {size} bytes is not a whole number of float32 I/Q pairs"
         )
     if size // 8 != meta.num_samples:
-        raise MetaFormatError(
+        raise OccuscanError(
             f"{meta_path}: num_samples={meta.num_samples} but payload holds {size // 8} samples"
         )
     last = meta.num_samples // frame_len - 1  # times rise with k, so the last is the largest
     end = meta.start_time + last * frame_len / meta.sample_rate_hz
     if last >= 0 and not math.isfinite(end):
-        raise MetaFormatError(f"{meta_path}: capture times must be finite, but frame {last} "
-                              f"would start at {end!r} s (sample_rate_hz={meta.sample_rate_hz!r})")
+        raise OccuscanError(f"{meta_path}: capture times must be finite, but frame {last} "
+                            f"would start at {end!r} s (sample_rate_hz={meta.sample_rate_hz!r})")
     return meta, meta.num_samples % frame_len, _read_blocks(payload_path, meta, frame_len)
 
 
@@ -176,7 +176,7 @@ def _read_blocks(payload_path, meta: RecordingMeta, frame_len: int):
         for start in range(0, n, step):
             raw = np.fromfile(fh, dtype="<c8", count=min(step, n - start))
             if raw.size != min(step, n - start):
-                raise TruncationError(f"{payload_path}: payload shrank while being read")
+                raise OccuscanError(f"{payload_path}: payload shrank while being read")
             if not np.isfinite(raw.view("<f4")).all():
                 bad = int(np.flatnonzero(~np.isfinite(raw))[0])
                 raise SampleDataError(f"{payload_path}: non-finite sample at index {start + bad}")

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .channels import Channel
 from .detector_table import DETECTORS
-from .errors import PlanError
+from .errors import OccuscanError
 from .scan import _FLOAT, _TIME, CSV_CHUNK_ROWS, channel_fields
 
 OCCUPANCY_CSV_HEADER = (
@@ -117,15 +117,15 @@ def write_plot_data(cells: Cells, directory) -> int:
     occupancy matrix, nan where a bin has no scans of a detector. Cells sorted
     by (band, channel index) make a channel's cells one run. Only channels of
     one band and index interleave, and they share a file name, so two channels
-    on one file raise PlanError, before ``directory`` is made.
+    on one file raise OccuscanError, before ``directory`` is made.
     """
     names: dict = {}  # file name -> channel id, channels in cell order
     for c, _ in groupby(cells.keys, itemgetter(0)):
         name = f"{channel_slug(cells.channels[c])}.dat"
         if (first := names.setdefault(name, c)) != c:
             a, b = cells.channels[first], cells.channels[c]
-            raise PlanError(f"plots/{name}: channels {a.band!r}:{a.index_in_band} and "
-                            f"{b.band!r}:{b.index_in_band} would both write this file")
+            raise OccuscanError(f"plots/{name}: channels {a.band!r}:{a.index_in_band} and "
+                                f"{b.band!r}:{b.index_in_band} would both write this file")
     Path(directory).mkdir(exist_ok=True)
     counts, bin_len_s, nan = cells.counts, cells.bin_len_s, math.nan
     directory = os.fspath(directory)  # os.path.join costs a third of what Path(...) does

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 from .channels import Channel
 from .detector_table import DETECTOR_BY_NAME, DETECTOR_TABLE
-from .errors import CsvParseError, RoutingError
+from .errors import OccuscanError
 
 if TYPE_CHECKING:
     from .detectors import DetectorConfig
@@ -54,10 +54,10 @@ class ScanRecord:
 
 
 def check_tuning(center_freq_hz: float, channel: Channel, freq_tol_mhz: float) -> None:
-    """Raise RoutingError unless a capture at center_freq_hz is tuned to channel."""
+    """Raise OccuscanError unless a capture at center_freq_hz is tuned to channel."""
     offset_mhz = abs(center_freq_hz / 1e6 - channel.center_freq_mhz)
     if not offset_mhz <= freq_tol_mhz:  # a NaN offset or tolerance fails too
-        raise RoutingError(
+        raise OccuscanError(
             f"frame at {center_freq_hz / 1e6} MHz does not match channel "
             f"{channel.band}[{channel.index_in_band}] at {channel.center_freq_mhz} MHz "
             f"(tolerance {freq_tol_mhz} MHz)"
@@ -158,20 +158,20 @@ def write_records(heads, blocks, config: DetectorConfig, path, truth_path=None) 
 
 
 def _csv_rows(reader, path):
-    """The rows of a csv.reader of path; a malformed or non-UTF-8 line raises CsvParseError
+    """The rows of a csv.reader of path; a malformed or non-UTF-8 line raises OccuscanError
     naming path:line."""
     try:
         yield from reader
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        raise CsvParseError(f"{path}:{reader.line_num}: {exc}") from exc
+        raise OccuscanError(f"{path}:{reader.line_num}: {exc}") from exc
     except UnicodeDecodeError as exc:  # text is decoded ahead of the reader: find the line
         with open(path, "rb") as raw:
             for lineno, line in enumerate(raw, start=1):
                 try:
                     line.decode("utf-8")
                 except UnicodeDecodeError as bad:
-                    raise CsvParseError(f"{path}:{lineno}: {bad}") from exc
-        raise CsvParseError(f"{path}: {exc}") from exc
+                    raise OccuscanError(f"{path}:{lineno}: {bad}") from exc
+        raise OccuscanError(f"{path}: {exc}") from exc
 
 
 def read_records(path, channels: list):
@@ -179,7 +179,7 @@ def read_records(path, channels: list):
 
     A row is (time, channel id, detector column, statistic, threshold, present);
     the channel id indexes ``channels``, to which each channel is appended the
-    first time it appears. Raises CsvParseError naming path:line, the last
+    first time it appears. Raises OccuscanError naming path:line, the last
     physical line of the bad record, also for a file with no header line.
     """
     keys: dict = {}  # (band, index, freq) text -> channel id
@@ -189,7 +189,7 @@ def read_records(path, channels: list):
         rows = _csv_rows(reader, path)
         header = next(rows, None)
         if header != RECORD_CSV_HEADER.split(","):
-            raise CsvParseError(f"{path}:1: " + ("no header line" if header is None
+            raise OccuscanError(f"{path}:1: " + ("no header line" if header is None
                                                  else f"unexpected header {header}"))
         for row in rows:
             if not row:
@@ -213,7 +213,7 @@ def read_records(path, channels: list):
                 record = (time, c, DETECTOR_BY_NAME[det].column, float(stat), float(thr),
                           present == "1")
             except ValueError as exc:  # a quoted band name may hold a newline: cite line_num
-                raise CsvParseError(f"{path}:{reader.line_num}: {exc}") from exc
+                raise OccuscanError(f"{path}:{reader.line_num}: {exc}") from exc
             yield record
 
 

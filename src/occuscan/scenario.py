@@ -29,7 +29,7 @@ import yaml
 from .channels import BUILTIN_BANDS, BandSpec, Channel, build_channel_plan
 from .detector_table import DETECTORS
 from .detectors import DetectorConfig, load_reference
-from .errors import ScenarioError
+from .errors import OccuscanError
 
 
 class _ScenarioLoader(yaml.SafeLoader):
@@ -198,13 +198,13 @@ def _value(value, field: Field, where: str):
             value, (int, float) if field.kind is float else field.kind):
         expected = {float: "a number", int: "an integer", str: "a string", list: "a list",
                     dict: "a mapping"}[field.kind]
-        raise ScenarioError(f"{where}: expected {expected}, got {type(value).__name__}")
+        raise OccuscanError(f"{where}: expected {expected}, got {type(value).__name__}")
     if field.kind is list and field.bounds:
         return _numbers(value, where, field.bounds)
     value = float(value) if field.kind is float else value
     for ok, why in field.bounds:
         if not ok(value):
-            raise ScenarioError(f"{where}: {why.format(v=value)}")
+            raise OccuscanError(f"{where}: {why.format(v=value)}")
     return value
 
 
@@ -219,12 +219,12 @@ def _field(mapping, key: str, section="scenario", path="", required=False):
     ``required`` makes an optional key required.
     """
     if not isinstance(mapping, dict):
-        raise ScenarioError(f"{path}: expected a mapping, got {type(mapping).__name__}")
+        raise OccuscanError(f"{path}: expected a mapping, got {type(mapping).__name__}")
     field = SCHEMA[section][key]
     if key in mapping:
         return _value(mapping[key], field, _key_path(path, key))
     if required or field.default is REQUIRED:
-        raise ScenarioError(f"{_key_path(path, key)}: required field is missing")
+        raise OccuscanError(f"{_key_path(path, key)}: required field is missing")
     return field.default
 
 
@@ -241,13 +241,13 @@ def _read(section: str, mapping, path: str) -> dict:
 def _check(node: dict, section="scenario", path="") -> None:
     """Check the keys of ``node``, and of every mapping below it, against SCHEMA.
 
-    An unknown key, or a bad value of a ``load`` key, raises a ScenarioError
+    An unknown key, or a bad value of a ``load`` key, raises an OccuscanError
     naming it; any other value is left to its reader.
     """
     for key, value in node.items():
         field, where = SCHEMA[section].get(key), _key_path(path, key)
         if field is None:
-            raise ScenarioError(f"{where}: unknown key")
+            raise OccuscanError(f"{where}: unknown key")
         if field.load:
             _value(value, field, where)
         if field.section is None or not isinstance(value, field.kind):
@@ -261,11 +261,11 @@ def _check(node: dict, section="scenario", path="") -> None:
 
 
 def _spec(cls, path: str, fields: dict):
-    """cls(**fields), its TypeError or ValueError raised as a ScenarioError naming ``path``."""
+    """cls(**fields), its TypeError or ValueError raised as an OccuscanError naming ``path``."""
     try:
         return cls(**fields)
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        raise OccuscanError(f"{path}: {exc}") from exc
 
 
 def _synth_spec(section: str, mapping, path: str, **given):
@@ -279,7 +279,7 @@ def _synth_spec(section: str, mapping, path: str, **given):
     pairs = fields.get("on_intervals", ())
     for i, pair in enumerate(pairs):
         if not isinstance(pair, list) or len(pair) != 2:
-            raise ScenarioError(f"{path}.on_intervals[{i}]: expected [start_s, end_s]")
+            raise OccuscanError(f"{path}.on_intervals[{i}]: expected [start_s, end_s]")
     if pairs:
         fields["on_intervals"] = tuple(tuple(_numbers(pair, f"{path}.on_intervals[{i}]"))
                                        for i, pair in enumerate(pairs))
@@ -296,7 +296,7 @@ def _check_power(signal, snr_dbs: dict, path: str) -> None:
     """
     finite = [(name, snr) for name, snr in snr_dbs.items() if snr != -math.inf]
     if signal.kind != "none" and signal.nominal_power == 0 and finite:
-        raise ScenarioError(f"{path}.amplitude: {signal.amplitude!r} gives the {signal.kind} "
+        raise OccuscanError(f"{path}.amplitude: {signal.amplitude!r} gives the {signal.kind} "
                             f"signal no power to scale to {finite[0][0]} {finite[0][1]!r} "
                             "(use a larger amplitude, or snr_db -.inf)")
 
@@ -306,7 +306,7 @@ class Scenario:
 
     def __init__(self, data: dict, path: Path | None = None):
         if not isinstance(data, dict):
-            raise ScenarioError(f"scenario root: expected a mapping, got {type(data).__name__}")
+            raise OccuscanError(f"scenario root: expected a mapping, got {type(data).__name__}")
         _check(data)
         self.data = data
         self.path = Path(path) if path is not None else None
@@ -317,13 +317,13 @@ class Scenario:
         lags = self.acf_lags()
         for name, section in (("frame_len", data), ("eval.frame_len", data.get("eval"))):
             if isinstance(section, dict) and section.get("frame_len", lags) < lags:
-                raise ScenarioError(f"{name}: must be >= detector.acf_lags ({lags})")
+                raise OccuscanError(f"{name}: must be >= detector.acf_lags ({lags})")
         # cross-check override keys early so typos fail loudly
         if "channels" in data:
             plan_keys = {f"{c.band}:{c.index_in_band}" for c in self.plan()}
             for key in data["channels"]:
                 if key not in plan_keys:
-                    raise ScenarioError(f"channels.{key}: channel is not in the plan")
+                    raise OccuscanError(f"channels.{key}: channel is not in the plan")
 
     @classmethod
     def load(cls, path) -> "Scenario":
@@ -331,13 +331,13 @@ class Scenario:
         try:
             data = yaml.load(path.read_text(encoding="utf-8"), Loader=_ScenarioLoader)
         except (OSError, UnicodeDecodeError) as exc:
-            raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
+            raise OccuscanError(f"cannot read scenario {path}: {exc}") from exc
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)  # the line, where the reader knows it
             where, why = (path, exc) if mark is None else (f"{path}:{mark.line + 1}", exc.problem)
-            raise ScenarioError(f"{where}: {why}") from exc
+            raise OccuscanError(f"{where}: {why}") from exc
         if data is None:
-            raise ScenarioError(f"{path}: scenario file is empty")
+            raise OccuscanError(f"{path}: scenario file is empty")
         return cls(data, path)
 
     # --- plan ---------------------------------------------------------------
@@ -347,13 +347,13 @@ class Scenario:
         if self._plan is None:
             plan = self.data.get("plan", "builtin")
             if plan != "builtin" and not isinstance(plan, list):
-                raise ScenarioError("plan: expected 'builtin' or a list of band mappings")
+                raise OccuscanError("plan: expected 'builtin' or a list of band mappings")
             specs = BUILTIN_BANDS if plan == "builtin" else [
                 _spec(BandSpec, f"plan[{i}]", _read("plan", row, f"plan[{i}]"))
                 for i, row in enumerate(plan)]
             channels = sum(spec.expected_channels for spec in specs)
             if channels > _MAX_CHANNELS:
-                raise ScenarioError(f"plan: the bands would hold {channels:,} channels, "
+                raise OccuscanError(f"plan: the bands would hold {channels:,} channels, "
                                     f"more than {_MAX_CHANNELS:,}")
             self._plan = build_channel_plan(specs)
         return self._plan
@@ -384,10 +384,10 @@ class Scenario:
         for i in row:
             key, override = f"{plan[i].band}:{plan[i].index_in_band}", own.get(i, {})
             if not isinstance(override, dict):
-                raise ScenarioError(f"channels.{key}: expected a mapping")
+                raise OccuscanError(f"channels.{key}: expected a mapping")
             m, where = {**defaults, **override}, f"channel {key}"
             if not {"signal", "noise", "schedule"} <= m.keys():
-                raise ScenarioError(f"{where}: needs signal, noise and schedule "
+                raise OccuscanError(f"{where}: needs signal, noise and schedule "
                                     "(from defaults or a channels override)")
             snr_db = _field(m, "snr_db", "channel", where, required=True)  # load-checked
             signal = _synth_spec("signal", m["signal"], f"{where}.signal")
@@ -420,12 +420,12 @@ class Scenario:
         interval, total = self.frame_interval_s(), _field(self.data, "total_s")
         channels = len(self.plan())
         if not channels * (total / interval) <= _MAX_FRAMES:
-            raise ScenarioError(f"total_s: the sweep would make {channels * (total / interval):.3g}"
+            raise OccuscanError(f"total_s: the sweep would make {channels * (total / interval):.3g}"
                                 f" frames ({channels} channels), more than {_MAX_FRAMES:,}")
         frames, start = frame_count(total, interval), self.start_time_unix
         limit = (abs(start) + frames * interval) * 2**-50
         if frames > 1 and not interval > limit:
-            raise ScenarioError(f"frame_interval_s: {interval!r} must exceed {limit:.3g}, or frame "
+            raise OccuscanError(f"frame_interval_s: {interval!r} must exceed {limit:.3g}, or frame "
                                 f"times from start_time_unix {start!r} round to one float")
         return frames
 
@@ -442,7 +442,7 @@ class Scenario:
         try:
             fields["reference"] = load_reference(ref_path)
         except (OSError, UnicodeDecodeError) as exc:
-            raise ScenarioError(f"detector.reference: cannot read {ref_path}: {exc}") from exc
+            raise OccuscanError(f"detector.reference: cannot read {ref_path}: {exc}") from exc
         return _spec(DetectorConfig, "detector", fields)
 
     # --- calibration and eval -----------------------------------------------
@@ -458,7 +458,7 @@ class Scenario:
         defaults = _field(self.data, "defaults")
         signal = section.get("signal", defaults.get("signal"))
         if signal is None:
-            raise ScenarioError(f"{name}.signal: required (directly or via defaults.signal)")
+            raise OccuscanError(f"{name}.signal: required (directly or via defaults.signal)")
         noise = section.get("noise", defaults.get("noise", {}))
         seeds = derive_seeds(self.master_seed, [signal_tag, noise_tag])
         return {"signal": _synth_spec("signal", signal, f"{name}.signal", seed=seeds[0]),
@@ -468,7 +468,7 @@ class Scenario:
     def calibration(self) -> dict:
         cal = self._section("calibration", SEED_CAL_SIGNAL, SEED_CAL_NOISE)
         if cal["signal"].kind == "none" and cal["snr_db"] != -math.inf:
-            raise ScenarioError("calibration.signal.kind: 'none' has no power to scale to "
+            raise OccuscanError("calibration.signal.kind: 'none' has no power to scale to "
                                 f"calibration.snr_db {cal['snr_db']} "
                                 "(use tone or bpsk, or snr_db -.inf)")
         _check_power(cal["signal"], {"calibration.snr_db": cal["snr_db"]}, "calibration.signal")
@@ -480,12 +480,12 @@ class Scenario:
         for det, thrs in ev["roc_thresholds"].items():
             path = f"eval.roc_thresholds.{det}"
             if det not in DETECTORS:
-                raise ScenarioError(f"{path}: unknown detector")
+                raise OccuscanError(f"{path}: unknown detector")
             if not isinstance(thrs, list) or len(thrs) < 2:
-                raise ScenarioError(f"{path}: expected a list of >= 2 thresholds")
+                raise OccuscanError(f"{path}: expected a list of >= 2 thresholds")
             thresholds[det] = _numbers(thrs, path)
             if not all(a < b for a, b in zip(thresholds[det], thresholds[det][1:])):
-                raise ScenarioError(f"{path}: must be strictly increasing")
+                raise OccuscanError(f"{path}: must be strictly increasing")
         snr_dbs = {f"eval.snr_db_points[{i}]": v for i, v in enumerate(ev["snr_db_points"])}
         _check_power(ev["signal"], {**snr_dbs, "eval.roc_snr_db": ev["roc_snr_db"]}, "eval.signal")
         return {**ev, "frame_len": ev.get("frame_len") or self.frame_len(),

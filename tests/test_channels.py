@@ -5,7 +5,7 @@ import math
 import pytest
 
 from occuscan import BUILTIN_BANDS, BandSpec, Channel, build_channel_plan, builtin_plan
-from occuscan.errors import PlanError
+from occuscan.errors import OccuscanError
 
 
 class TestBuildPlan:
@@ -16,7 +16,7 @@ class TestBuildPlan:
 
     def test_duplicate_band_name_rejected(self):
         spec = BandSpec("ISM", 2402.0, 2412.0, (5.0,), 3)
-        with pytest.raises(PlanError, match="'ISM'"):
+        with pytest.raises(OccuscanError, match="'ISM'"):
             build_channel_plan([spec, BandSpec("ISM", 5725.0, 5725.0, (5.0,), 1)])
 
     def test_flat_spacing(self):
@@ -40,7 +40,7 @@ class TestBuildPlan:
 
     def test_stop_mismatch_names_band(self):
         spec = BandSpec("BROKEN", 100.0, 120.0, (5.0,), 3)
-        with pytest.raises(PlanError, match="BROKEN"):
+        with pytest.raises(OccuscanError, match="BROKEN"):
             build_channel_plan([spec])
 
     def test_stop_tolerance_absorbs_float_dust(self):

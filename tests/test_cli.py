@@ -1333,6 +1333,12 @@ class TestErrors:
             main(["--help"])
         assert exc.value.code == 0
         assert "calibrate" in capsys.readouterr().out
+        # python -m occuscan.cli runs main through the module's __main__ guard
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-m", "occuscan.cli", "--help"], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert "calibrate" in out.stdout
 
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example-scenario.yaml"
@@ -1460,16 +1466,14 @@ class TestStartUp:
     """What a fresh interpreter loads, and what the BLAS thread count may change."""
 
     # occuscan.__all__ as it was when the package imported every submodule eagerly, less
-    # the object-form functions and classes removed since, the recording writer and the
-    # DETECTOR_ED, DETECTOR_ACF1 and DETECTOR_CDIST aliases of DETECTOR_TABLE's names
+    # the object-form functions and classes removed since, the recording writer, the
+    # DETECTOR_ED, DETECTOR_ACF1 and DETECTOR_CDIST aliases of DETECTOR_TABLE's names and
+    # the error classes that OccuscanError replaced
     PUBLIC_NAMES = [
-        "AcfVector", "BUILTIN_BANDS", "BandSpec", "CalibrationError", "Channel",
-        "ComplexFrame", "CsvParseError", "DETECTORS", "DETECTOR_TABLE", "DegenerateFrameError",
-        "DetectorConfig",
-        "MetaFormatError", "NoiseSpec", "OccupancySchedule",
-        "OccuscanError", "PlanError", "RecordingMeta", "RoutingError", "SampleDataError",
-        "ScanRecord", "Scenario", "ScenarioError", "SignalSpec", "TruncationError",
-        "UsageError", "acf", "acf1_statistic", "acf_vector", "block_statistics",
+        "AcfVector", "BUILTIN_BANDS", "BandSpec", "Channel", "ComplexFrame", "DETECTORS",
+        "DETECTOR_TABLE", "DetectorConfig", "NoiseSpec", "OccupancySchedule",
+        "OccuscanError", "RecordingMeta", "SampleDataError", "ScanRecord", "Scenario",
+        "SignalSpec", "UsageError", "acf", "acf1_statistic", "acf_vector", "block_statistics",
         "build_channel_plan", "builtin_plan", "calibrate_ed_threshold", "channels",
         "correlation_distance", "detector_table", "detectors", "energy_statistic", "errors",
         "gen_channel_timeline", "gen_noise_frame", "gen_signal_frame", "iq", "load_reference",

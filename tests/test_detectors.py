@@ -12,12 +12,11 @@ from occuscan import (
     DETECTOR_TABLE,
     DETECTORS,
     AcfVector,
-    CalibrationError,
-    DegenerateFrameError,
     DetectorConfig,
     SampleDataError,
     NoiseSpec,
     OccupancySchedule,
+    OccuscanError,
     SignalSpec,
     acf,
     acf1_statistic,
@@ -129,7 +128,7 @@ class TestAcf1:
         assert acf1_statistic(make_frame([5.0])) == 0.0
 
     def test_zero_frame_degenerate(self):
-        with pytest.raises(DegenerateFrameError):
+        with pytest.raises(OccuscanError, match="^zero-energy frame: normalized ACF undefined$"):
             acf1_statistic(make_frame(np.zeros(8)))
 
     def test_noise_stays_low(self):
@@ -187,7 +186,7 @@ class TestAcfVector:
             acf_vector(f, 5)
 
     def test_zero_frame_degenerate(self):
-        with pytest.raises(DegenerateFrameError):
+        with pytest.raises(OccuscanError, match="^zero-energy frame: normalized ACF undefined$"):
             acf_vector(make_frame(np.zeros(8)), 4)
 
     def test_validation(self):
@@ -247,13 +246,13 @@ class TestCalibrateReference:
         np.testing.assert_allclose(ref.values, clean.values, atol=0.05)
 
     def test_empty_training_rejected(self):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(OccuscanError, match="needs at least 1 training frame"):
             calibrate_reference_blocks([], 8)
 
     def test_zero_energy_training_frame_rejected(self):
         f = gen_signal_frame(128, SignalSpec(kind="tone", normalized_freq=0.1), 0)
         blocks = [f.samples[None, :], np.stack([f.samples, np.zeros(128)])]
-        with pytest.raises(DegenerateFrameError, match="zero-energy frame"):
+        with pytest.raises(OccuscanError, match="zero-energy frame"):
             calibrate_reference_blocks(blocks, 8)
 
 
@@ -347,7 +346,7 @@ class TestEdCalibration:
 
     def test_too_few_frames(self):
         frames = [make_frame(np.ones(4)) for _ in range(99)]
-        with pytest.raises(CalibrationError):
+        with pytest.raises(OccuscanError, match=">= 100 noise frames, got 99$"):
             calibrate_ed_threshold(frames, 0.05)
 
     def test_bad_pfa(self):
@@ -422,25 +421,25 @@ class TestReferenceFile:
     def test_bad_header(self, tmp_path):
         p = tmp_path / "ref.txt"
         p.write_text("wrong=3\n1.0\n0.5\n0.2\n")
-        with pytest.raises(CalibrationError):
+        with pytest.raises(OccuscanError, match="first line must be lags=<L>$"):
             load_reference(p)
 
     def test_count_mismatch(self, tmp_path):
         p = tmp_path / "ref.txt"
         p.write_text("lags=3\n1.0\n0.5\n")
-        with pytest.raises(CalibrationError):
+        with pytest.raises(OccuscanError, match="expected 3 values, found 2$"):
             load_reference(p)
 
     def test_junk_value(self, tmp_path):
         p = tmp_path / "ref.txt"
         p.write_text("lags=2\n1.0\npotato\n")
-        with pytest.raises(CalibrationError):
+        with pytest.raises(OccuscanError, match="could not convert string to float: 'potato'$"):
             load_reference(p)
 
     def test_nan_value(self, tmp_path):
         p = tmp_path / "ref.txt"
         p.write_text("lags=3\n1.0\nnan\n0.5\n")
-        with pytest.raises(CalibrationError, match="finite"):
+        with pytest.raises(OccuscanError, match="finite"):
             load_reference(p)
 
 

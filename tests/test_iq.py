@@ -1,5 +1,7 @@
 """Frame model and the .iq / .iq.meta reader."""
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -9,10 +11,9 @@ from hypothesis import strategies as st
 
 from occuscan import (
     ComplexFrame,
-    MetaFormatError,
+    OccuscanError,
     RecordingMeta,
     SampleDataError,
-    TruncationError,
     read_meta,
 )
 from occuscan.iq import BLOCK_FRAMES, stream_recording
@@ -57,6 +58,9 @@ class TestComplexFrame:
             make_frame([1.0], rate=0.0)
         with pytest.raises(ValueError):
             make_frame([1.0], freq=-5.0)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^capture_time must be finite$"):
+                make_frame([1.0], t=t)
 
 
 class TestMeta:
@@ -82,20 +86,20 @@ class TestMeta:
     def test_missing_key_is_error(self, tmp_path):
         p = tmp_path / "m"
         p.write_text("sample_rate_hz=1000.0\ncenter_freq_hz=1.0\nnum_samples=0\n")
-        with pytest.raises(MetaFormatError, match="start_time_unix"):
+        with pytest.raises(OccuscanError, match="start_time_unix"):
             read_meta(p)
 
     def test_duplicate_key_cites_lineno(self, tmp_path):
         p = tmp_path / "m"
         p.write_text("sample_rate_hz=1000.0\ncenter_freq_hz=1.0\nstart_time_unix=0.0\n"
                      "num_samples=1\ncenter_freq_hz=2.0\n")
-        with pytest.raises(MetaFormatError, match=":5: duplicate key 'center_freq_hz'$"):
+        with pytest.raises(OccuscanError, match=":5: duplicate key 'center_freq_hz'$"):
             read_meta(p)
 
     def test_malformed_line_cites_lineno(self, tmp_path):
         p = tmp_path / "m"
         p.write_text("sample_rate_hz=1000.0\nwhat even is this\n")
-        with pytest.raises(MetaFormatError, match=":2:"):
+        with pytest.raises(OccuscanError, match=":2:"):
             read_meta(p)
 
     def test_bad_value(self, tmp_path):
@@ -104,7 +108,8 @@ class TestMeta:
             "sample_rate_hz=fast\ncenter_freq_hz=1.0\n"
             "start_time_unix=0.0\nnum_samples=1\n"
         )
-        with pytest.raises(MetaFormatError):
+        with pytest.raises(OccuscanError,
+                           match="bad value: could not convert string to float: 'fast'$"):
             read_meta(p)
 
     @pytest.mark.parametrize("start", ["nan", "inf", "-inf"])
@@ -112,7 +117,7 @@ class TestMeta:
         p = tmp_path / "m"
         p.write_text(f"sample_rate_hz=1.0\ncenter_freq_hz=1.0\n"
                      f"start_time_unix={start}\nnum_samples=1\n")
-        with pytest.raises(MetaFormatError, match="bad value: start_time_unix must be finite"):
+        with pytest.raises(OccuscanError, match="bad value: start_time_unix must be finite"):
             read_meta(p)
 
 
@@ -180,13 +185,20 @@ class TestReadRecording:
 
     def test_truncated_payload(self, tmp_path):
         iq, meta = _write_pair(tmp_path, b"\x00" * 13, 1)
-        with pytest.raises(TruncationError, match="13 bytes"):
+        with pytest.raises(OccuscanError, match="13 bytes"):
             _read(iq, meta, frame_len=1)
 
     def test_num_samples_mismatch(self, tmp_path):
         iq, meta = _write_pair(tmp_path, struct.pack("<4f", 0, 0, 0, 0), 7)
-        with pytest.raises(MetaFormatError, match="num_samples=7"):
+        with pytest.raises(OccuscanError, match="num_samples=7"):
             _read(iq, meta, frame_len=1)
+
+    def test_payload_shrinks_while_read(self, tmp_path):
+        iq, meta = _write_pair(tmp_path, b"\x00" * 8 * 6, 6)
+        _, _, blocks = stream_recording(iq, meta, 2)  # the size checks pass here
+        os.truncate(iq, 8 * 5)
+        with pytest.raises(OccuscanError, match=r"cap\.iq: payload shrank while being read$"):
+            next(blocks)
 
     def test_nonfinite_sample_names_index(self, tmp_path):
         payload = struct.pack("<6f", 0, 0, 1, float("nan"), 2, 2)
@@ -211,8 +223,8 @@ class TestReadRecording:
     def test_last_capture_time_must_be_finite(self, tmp_path):
         # two frames at 1e-320 Hz: frame 1 starts at 4 / 1e-320 s, which overflows to inf
         iq, meta = _write_pair(tmp_path, b"\x00" * 8 * 9, 9, rate=1e-320, start=2.0)
-        with pytest.raises(MetaFormatError, match="capture times must be finite, but frame 1 "
-                                                  "would start at inf s"):
+        with pytest.raises(OccuscanError, match="capture times must be finite, but frame 1 "
+                                                "would start at inf s"):
             stream_recording(iq, meta, 4)  # refused before any block is read
         # one frame starts at start_time_unix itself, whatever the rate
         m, frames, discarded = _read(iq, meta, frame_len=5)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from occuscan import Channel
 from occuscan.detector_table import DETECTORS
-from occuscan.errors import PlanError
+from occuscan.errors import OccuscanError
 from occuscan.report import (
     OCCUPANCY_CSV_HEADER,
     Cells,
@@ -238,7 +238,7 @@ class TestPlotFiles:
         records = [(float(t), True, "ed", ch) for t in (0, 10, 20) for ch in (CH_A2, CH_A)]
         cells = _aggregate(records, 5.0)
         assert [cells.channels[c] for c, _, _ in cells.keys] == [CH_A2, CH_A] * 3
-        with pytest.raises(PlanError, match=r"^plots/X_ch000\.dat: channels 'X':0 and 'X':0 "):
+        with pytest.raises(OccuscanError, match=r"^plots/X_ch000\.dat: channels 'X':0 and 'X':0 "):
             write_plot_data(cells, tmp_path / "plots")
         assert not (tmp_path / "plots").exists()
 

@@ -14,7 +14,7 @@ from occuscan import (
     DetectorConfig,
     NoiseSpec,
     OccupancySchedule,
-    RoutingError,
+    OccuscanError,
     SignalSpec,
     build_channel_plan,
     builtin_plan,
@@ -34,7 +34,6 @@ from occuscan.scan import (
     write_plan_csv,
     write_records,
 )
-from occuscan.errors import CsvParseError
 from conftest import (make_frame, read_record_table, record_table, spec_table,
                       write_record_tables)
 
@@ -95,14 +94,14 @@ class TestScanChannel:
 
     def test_frequency_routing_guard(self):
         f = make_frame(np.ones(16), freq=103e6)
-        with pytest.raises(RoutingError, match="103"):
+        with pytest.raises(OccuscanError, match="103"):
             scan_channel(f, self.CH, _config(), freq_tol_mhz=1.0)
         # within tolerance passes
         scan_channel(f, self.CH, _config(), freq_tol_mhz=5.0)
 
     def test_nan_tolerance_rejected(self):
         f = make_frame(np.ones(16), freq=915e6)
-        with pytest.raises(RoutingError, match="915"):
+        with pytest.raises(OccuscanError, match="915"):
             scan_channel(f, Channel("x", 0, 2412.0), _config(), freq_tol_mhz=math.nan)
 
 
@@ -233,25 +232,25 @@ class TestRecordCsv:
     def test_parse_error_cites_line(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text(RECORD_CSV_HEADER + "\n0.000000,A,0,100,ed,nope,1.05,1\n")
-        with pytest.raises(CsvParseError, match=":2:"):
+        with pytest.raises(OccuscanError, match=":2:"):
             list(read_records(p, []))
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("time,stuff\n")
-        with pytest.raises(CsvParseError, match=":1:"):
+        with pytest.raises(OccuscanError, match=":1:"):
             list(read_records(p, []))
 
     def test_no_header_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_bytes(b"")
-        with pytest.raises(CsvParseError, match=r"empty\.csv:1: no header line$"):
+        with pytest.raises(OccuscanError, match=r"empty\.csv:1: no header line$"):
             list(read_records(p, []))
 
     def test_unknown_detector_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text(RECORD_CSV_HEADER + "\n0.000000,A,0,100,matched,0.5,1.05,1\n")
-        with pytest.raises(CsvParseError):
+        with pytest.raises(OccuscanError, match=r"bad\.csv:2: unknown detector 'matched'$"):
             list(read_records(p, []))
 
     def test_truth_csv_header(self, tmp_path):
@@ -494,5 +493,5 @@ class TestColumnarSweep:
         lines[bad_line - 1] = row
         p = tmp_path / "bad.csv"
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CsvParseError, match=f"bad.csv:{bad_line}: .*{reason}"):
+        with pytest.raises(OccuscanError, match=f"bad.csv:{bad_line}: .*{reason}"):
             list(read_records(p, []))

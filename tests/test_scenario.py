@@ -10,7 +10,7 @@ import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from occuscan import BUILTIN_BANDS, Scenario, ScenarioError
+from occuscan import BUILTIN_BANDS, OccuscanError, Scenario
 from occuscan.detectors import acf_vector, save_reference
 from occuscan.scenario import (
     REQUIRED,
@@ -109,23 +109,23 @@ class TestParsing:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.yaml"
         p.write_text("")
-        with pytest.raises(ScenarioError, match="empty"):
+        with pytest.raises(OccuscanError, match="empty"):
             Scenario.load(p)
 
     def test_root_must_be_mapping(self, tmp_path):
         p = tmp_path / "list.yaml"
         p.write_text("- 1\n- 2\n")
-        with pytest.raises(ScenarioError, match="mapping"):
+        with pytest.raises(OccuscanError, match="mapping"):
             Scenario.load(p)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ScenarioError, match="cannot read"):
+        with pytest.raises(OccuscanError, match="cannot read"):
             Scenario.load(tmp_path / "nope.yaml")
 
     def test_yaml_error_cites_line(self, tmp_path):
         p = tmp_path / "broken.yaml"
         p.write_text("name: x\nplan: [unclosed\n")
-        with pytest.raises(ScenarioError, match=r"broken\.yaml:\d+"):
+        with pytest.raises(OccuscanError, match=r"broken\.yaml:\d+"):
             Scenario.load(p)
 
     @pytest.mark.parametrize("extra, key", [
@@ -136,7 +136,7 @@ class TestParsing:
     def test_duplicate_key_refused(self, tmp_path, extra, key):
         text = MINIMAL + extra
         line = len(text.splitlines())  # each case repeats its key on the file's last line
-        with pytest.raises(ScenarioError, match=rf"scn\.yaml:{line}: duplicate key '{key}'$"):
+        with pytest.raises(OccuscanError, match=rf"scn\.yaml:{line}: duplicate key '{key}'$"):
             Scenario.load(_write(tmp_path, text))
 
     def test_merge_key_override_is_not_a_duplicate(self, tmp_path):
@@ -156,30 +156,30 @@ class TestValidationMessages:
     def test_missing_field_named(self, tmp_path):
         text = MINIMAL.replace("frame_len: 64\n", "")
         s = Scenario.load(_write(tmp_path, text))
-        with pytest.raises(ScenarioError, match="frame_len"):
+        with pytest.raises(OccuscanError, match="frame_len"):
             s.frame_len()
 
     def test_wrong_type_named(self, tmp_path):
         text = MINIMAL.replace("frame_interval_s: 0.5", "frame_interval_s: soon")
         s = Scenario.load(_write(tmp_path, text))
-        with pytest.raises(ScenarioError, match="frame_interval_s"):
+        with pytest.raises(OccuscanError, match="frame_interval_s"):
             s.frame_interval_s()
 
     def test_nested_field_path(self, tmp_path):
         text = MINIMAL.replace("    kind: tone\n", "")
         s = Scenario.load(_write(tmp_path, text))
-        with pytest.raises(ScenarioError, match=r"signal\.kind"):
+        with pytest.raises(OccuscanError, match=r"signal\.kind"):
             s.sweep_params()
 
     def test_unknown_channel_override_key(self, tmp_path):
         text = MINIMAL + "\nchannels:\n  \"A:9\":\n    snr_db: 0.0\n"
-        with pytest.raises(ScenarioError, match="A:9"):
+        with pytest.raises(OccuscanError, match="A:9"):
             Scenario.load(_write(tmp_path, text))
 
     def test_detector_missing_threshold(self, tmp_path):
         text = MINIMAL.replace("  lambda_ed: 1.05\n", "")
         s = Scenario.load(_write(tmp_path, text))
-        with pytest.raises(ScenarioError, match="lambda_ed"):
+        with pytest.raises(OccuscanError, match="lambda_ed"):
             s.detector_config()
 
     def test_bad_roc_detector_name(self, tmp_path):
@@ -189,7 +189,7 @@ class TestValidationMessages:
             "eval:\n  trials: 100\n  roc_thresholds:\n    matched: [0.1, 0.2]\n",
         )
         s = Scenario.load(_write(tmp_path, text))
-        with pytest.raises(ScenarioError, match="matched"):
+        with pytest.raises(OccuscanError, match="matched"):
             s.eval_settings()
 
     @pytest.mark.parametrize("old,new,read,message", [
@@ -204,7 +204,7 @@ class TestValidationMessages:
     def test_root_key_named_bare(self, tmp_path, old, new, read, message):
         """Type and missing-key errors name a root key as bound and unknown-key errors
         do, with no "scenario." before it, and name the expected kind in words."""
-        with pytest.raises(ScenarioError) as caught:  # at load, or where ``read`` reads it
+        with pytest.raises(OccuscanError) as caught:  # at load, or where ``read`` reads it
             scenario = Scenario.load(_write(tmp_path, MINIMAL.replace(old, new)))
             if read:
                 read(scenario)
@@ -272,7 +272,7 @@ class TestChannelParams:
     def test_error_names_first_channel_without_override(self, tmp_path):
         text = MINIMAL.replace("    kind: tone\n", "") + \
             '\nchannels:\n  "A:0":\n    signal:\n      kind: none\n'
-        with pytest.raises(ScenarioError, match=r"^channel A:1\.signal\.kind: required"):
+        with pytest.raises(OccuscanError, match=r"^channel A:1\.signal\.kind: required"):
             Scenario.load(_write(tmp_path, text)).sweep_params()
 
 
@@ -292,7 +292,7 @@ class TestDetectorConfig:
 
     def test_missing_reference_file(self, tmp_path):
         s = Scenario.load(_write(tmp_path, MINIMAL, with_ref=False))
-        with pytest.raises(ScenarioError, match="reference"):
+        with pytest.raises(OccuscanError, match="reference"):
             s.detector_config()
 
 
@@ -317,7 +317,7 @@ class TestCalibrationAndEval:
     def test_eval_requires_section(self, tmp_path):
         text = MINIMAL.replace("eval:\n  trials: 100\n", "")
         s = Scenario.load(_write(tmp_path, text))
-        with pytest.raises(ScenarioError, match="eval"):
+        with pytest.raises(OccuscanError, match="eval"):
             s.eval_settings()
 
 
@@ -408,7 +408,7 @@ class TestSweepTiming:
         data.update(start_time_unix=start, frame_interval_s=interval, total_s=frames * interval)
         try:
             n = Scenario(data).sweep_frames()
-        except ScenarioError as exc:
+        except OccuscanError as exc:
             assert str(exc).startswith("frame_interval_s: ")
             return
         assert n >= frames - 1
@@ -421,7 +421,7 @@ class TestSweepTiming:
         data.update(start_time_unix=1.7e9, frame_interval_s=1e-7, total_s=3e-7)
         times = 1.7e9 + np.arange(3) * 1e-7
         assert times[0] == times[1]
-        with pytest.raises(ScenarioError, match=r"^frame_interval_s: 1e-07 must exceed 1.51e-06, "
+        with pytest.raises(OccuscanError, match=r"^frame_interval_s: 1e-07 must exceed 1.51e-06, "
                                                 r"or frame times from start_time_unix 1700000000.0"):
             Scenario(data).sweep_frames()
 
