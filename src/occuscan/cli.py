@@ -13,11 +13,14 @@ thread and keeps OpenSSL's ``_hashlib`` out before numpy loads, each command
 imports its own modules (``report`` runs on the standard library: no numpy,
 no kernel, no YAML parser), and only --workers > 1 imports ``forkmap``, which
 forks at most one worker a task and pickles no task.
+The command and ``python -m occuscan.cli`` enter through ``run()``, which freezes the heap
+before the exit; ``main()`` never does, so tests and library callers keep a collectable heap.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -387,5 +390,20 @@ def main(argv=None) -> int:
         return 1
 
 
+def run():
+    """Exit with main()'s code after a flush of stdout (one whose reader has gone is an error)
+    and gc.freeze(), so the interpreter's last collection skips every object the command left."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # point stdout at devnull, where Python's own flush at exit goes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code == 0:  # a failed command has printed its error line
+            print(f"error: stdout: {exc.strerror}", file=sys.stderr)
+        code = 1
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import copy
 import errno
+import gc
 import io
 import math
 import os
@@ -1339,6 +1340,85 @@ class TestErrors:
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert "calibrate" in out.stdout
+
+
+class TestEntryPoint:
+    """``run()``, the command's entry: main(), a flush of stdout, gc.freeze() and the exit."""
+
+    @pytest.fixture
+    def freezes(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli_module.gc, "freeze", lambda: calls.append(1))
+        return calls
+
+    def _run(self, monkeypatch, *argv) -> int:
+        monkeypatch.setattr(sys, "argv", ["occuscan", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli_module.run()
+        return exc.value.code
+
+    def test_main_never_freezes(self, workspace):
+        frozen = gc.get_freeze_count()
+        scn = str(workspace / "scn.yaml")
+        assert main(["calibrate", "--scenario", scn, "--out", str(workspace / "cal")]) == 0
+        assert main(["eval", "--scenario", scn, "--out", str(workspace / "ev")]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_exits_with_mains_code_after_one_freeze(self, workspace, monkeypatch, capsys,
+                                                    freezes):
+        scn = str(workspace / "scn.yaml")
+        assert self._run(monkeypatch, "eval", "--scenario", scn, "--out", str(workspace)) == 0
+        assert freezes == [1]
+        assert capsys.readouterr().err == ""
+        assert self._run(monkeypatch, "eval", "--scenario", scn + ".missing",
+                         "--out", str(workspace)) == 1
+        assert freezes == [1, 1]
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "scn.yaml.missing" in line
+
+    def test_argparse_exits_pass_through(self, monkeypatch, capsys, freezes):
+        assert self._run(monkeypatch, "--help") == 0
+        assert "calibrate" in capsys.readouterr().out
+        assert self._run(monkeypatch, "frobnicate") == 2
+        assert freezes == []
+
+    def test_console_script_is_run(self):
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.strip() == 'occuscan = "occuscan.cli:run"'
+
+    @pytest.mark.parametrize("frames, bad, error", [
+        (0, False, "error: stdout: Broken pipe"),
+        (1000, False, "error: [Errno 32] Broken pipe"),
+        (35, True, "error: {iq}: non-finite sample at index 8959"),  # frame 34's last
+    ], ids=["calibrate", "analyze-verbose", "analyze-bad-frame"])
+    def test_closed_stdout_is_one_error_line(self, workspace, frames, bad, error):
+        """A reader that has gone: calibrate's lines fail at run()'s flush, once reference.txt
+        is written; analyze --verbose's 1,000 lines fail in a print, which main() reports;
+        and where a bad sample fails analyze first, its error line is the only one, though the
+        32 lines before it fail at the flush. Each exits 1."""
+        argv = ["calibrate"]
+        if frames:
+            samples = np.ones(frames * 256, "<c8")
+            if bad:  # in the second block, after the first block's 32 lines
+                samples[-1] = np.inf
+            samples.tofile(workspace / "cap.iq")
+            write_meta(workspace / "cap.iq.meta", samples.size, freq=2412e6)
+            argv = ["analyze", "--iq", str(workspace / "cap.iq"), "--center-mhz", "2412",
+                    "--meta", str(workspace / "cap.iq.meta"), "--verbose"]
+        out = workspace / "out"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, as in a shell pipeline
+        read, write = os.pipe()
+        os.close(read)
+        with os.fdopen(write, "wb") as stdout:
+            proc = subprocess.Popen([sys.executable, "-m", "occuscan.cli", *argv,
+                                     "--scenario", str(workspace / "scn.yaml"),
+                                     "--out", str(out)],
+                                    stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, error.format(iq=workspace / "cap.iq") + "\n")
+        assert (out / ("records.csv" if frames else "reference.txt")).exists() == (not frames)
 
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example-scenario.yaml"
