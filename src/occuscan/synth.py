@@ -45,7 +45,7 @@ _BPSK_STREAM = 2
 
 _U64_MAX = 2**64 - 1
 
-SEED_TRIALS = 1024  # trials per trial_rows seeding call: 32 kernel blocks, 32 KB of states
+SEED_TRIALS = 1024  # trials per trial_rows noise seeding call: 32 kernel blocks, 32 KB of states
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and PCG64's
 # 128-bit LCG multiplier. The hash constants run INIT, INIT*MULT, INIT*MULT**2,
@@ -265,15 +265,13 @@ def noise_rows(n: int, spec: NoiseSpec, indices, out: np.ndarray | None = None) 
     return out
 
 
-def signal_rows(n: int, spec: SignalSpec, indices, seed: int | None = None,
-                rngs=None) -> np.ndarray:
+def signal_rows(n: int, spec: SignalSpec, indices, seed: int | None = None) -> np.ndarray:
     """(len(indices), n) samples of the spec'd waveform; row i is frame indices[i]'s.
 
     tone: amplitude * exp(j*(2*pi*normalized_freq*m + phase)), the same for
     every frame (the rows are a read-only broadcast of one row).
     bpsk: amplitude * (+/-1) symbols, each held symbol_rate_divisor samples,
-    symbol signs drawn from (``seed``, else spec.seed, frame_index), or from ``rngs``, the
-    rows' ``_generators`` where the caller seeded them. none: zeros.
+    symbol signs drawn from (``seed``, else spec.seed, frame_index). none: zeros.
     """
     if n < 1:
         raise ValueError("n must be >= 1 (empty frames are not representable)")
@@ -285,8 +283,7 @@ def signal_rows(n: int, spec: SignalSpec, indices, seed: int | None = None,
     if spec.kind == "bpsk":
         n_sym = -(-n // spec.symbol_rate_divisor)
         seed = spec.seed if seed is None else seed
-        rngs = _generators(_frame_states(seed, _BPSK_STREAM, indices)) if rngs is None else rngs
-        for row, rng in zip(out, rngs):
+        for row, rng in zip(out, _generators(_frame_states(seed, _BPSK_STREAM, indices))):
             symbols = rng.integers(0, 2, size=n_sym) * 2 - 1
             row[:] = spec.amplitude * np.repeat(symbols, spec.symbol_rate_divisor)[:n]
     return out
@@ -335,9 +332,9 @@ def _scale(signal: SignalSpec, noise: NoiseSpec, snr_db: float) -> float:
 def trial_rows(n: int, signal: SignalSpec, noise: NoiseSpec, snr_dbs, trials):
     """Yield (i, h, rows) for each block of at most BLOCK_FRAMES paired trials from trials[i]:
     h = 0 and its noise (H0), then h = 1 + k and noise + alpha * signal at snr_dbs[k] (H1;
-    the noise where alpha is 0). Noise and BPSK symbols are seeded SEED_TRIALS trials at a
-    time. Blocks reuse one noise buffer and one mix buffer, or mix in place where one SNR is
-    asked for: use each block's rows before taking the next."""
+    the noise where alpha is 0). Noise is seeded SEED_TRIALS trials at a time. Blocks reuse
+    one noise buffer and one mix buffer, or mix in place where one SNR is asked for: use each
+    block's rows before taking the next."""
     alphas = [_scale(signal, noise, snr_db) for snr_db in snr_dbs]
     buffer = np.empty((min(len(trials), BLOCK_FRAMES), n), dtype=np.complex128)
     mix_buffer = np.empty_like(buffer) if len(alphas) > 1 and any(alphas) else None
@@ -345,8 +342,6 @@ def trial_rows(n: int, signal: SignalSpec, noise: NoiseSpec, snr_dbs, trials):
         if i % SEED_TRIALS == 0:  # a call's fixed cost is some hundreds of frames' seeding
             seeded = trials[i:i + SEED_TRIALS]
             noise_rngs = _generators(_frame_states(noise.seed, _NOISE_STREAM, seeded))
-            bpsk_rngs = (_generators(_frame_states(signal.seed, _BPSK_STREAM, seeded))
-                         if signal.kind == "bpsk" and any(alphas) else None)
         sig = None  # the last block's signal rows go before this block's are drawn
         block = trials[i:i + BLOCK_FRAMES]
         rows = buffer[:len(block)]
@@ -355,8 +350,7 @@ def trial_rows(n: int, signal: SignalSpec, noise: NoiseSpec, snr_dbs, trials):
         for h, alpha in enumerate([0.0, *alphas]):  # H0 is the noise rows, at scale 0
             if alpha:  # an overflowing mix leaves a non-finite energy, which the kernel reports
                 if sig is None:  # drawn after H0 is used; a tone's rows are one row
-                    sig = signal_rows(n, signal, block[:1] if signal.kind == "tone" else block,
-                                      rngs=bpsk_rngs and islice(bpsk_rngs, len(block)))
+                    sig = signal_rows(n, signal, block[:1] if signal.kind == "tone" else block)
                 with np.errstate(over="ignore", invalid="ignore"):
                     np.add(rows, np.multiply(sig, alpha, out=None if mixed is rows else mixed),
                            out=mixed)
