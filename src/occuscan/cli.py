@@ -98,7 +98,10 @@ def _map(fn, tasks, n_tasks: int, workers: int):
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OccuscanError(f"--out: {exc.strerror}: {exc.filename!r}") from exc
     return out
 
 
@@ -385,8 +388,11 @@ def main(argv=None) -> int:
     try:
         _check_options(args)
         return args.func(args)
-    except (OccuscanError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OccuscanError, OSError) as exc:  # an unusable input path is named by its option
+        paths = {getattr(args, k): k for k in ("records", "iq", "meta") if hasattr(args, k)}
+        option = paths.get(getattr(exc, "filename", None))
+        why = f"--{option}: {exc.strerror}: {exc.filename!r}" if option else exc
+        print(f"error: {why}", file=sys.stderr)
         return 1
 
 

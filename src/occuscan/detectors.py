@@ -280,7 +280,7 @@ def save_reference(vector: AcfVector, path) -> None:
 
 
 def load_reference(path) -> AcfVector:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("lags="):
         raise OccuscanError(f"{path}: first line must be lags=<L>")

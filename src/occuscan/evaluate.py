@@ -36,8 +36,9 @@ def shared_trial_statistics(
     H1 at snr_dbs[k] (noise frame i plus signal frame i at that SNR; H0 where
     the scale is 0), columns in DETECTOR_TABLE order. Frames are made once per
     trial, BLOCK_FRAMES trials at a time, by ``synth.trial_rows``: the blocks
-    share one noise buffer and one mix buffer, and a block's signal frames (one
-    row for a tone) are freed before the next block's are drawn.
+    share one noise buffer and one mix buffer, a block's H0 rows stay as drawn
+    until the next block and each H1's rows until the next H1, and a block's
+    signal frames (one row for a tone) are freed before the next block's are drawn.
     A frame whose energy is not finite raises SampleDataError naming its trial
     index as the frame.
     """

@@ -104,7 +104,7 @@ class RecordingMeta:
 def read_meta(meta_path) -> RecordingMeta:
     """Parse a sidecar file. Raises OccuscanError on malformed content."""
     values = {}
-    with open(meta_path, "r", encoding="utf-8") as fh:
+    with open(meta_path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         try:
             text = fh.read()  # newlines already translated to "\n"
         except UnicodeDecodeError as exc:

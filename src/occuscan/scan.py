@@ -184,7 +184,7 @@ def read_records(path, channels: list):
     """
     keys: dict = {}  # (band, index, freq) text -> channel id
     ids = {c: i for i, c in enumerate(channels)}  # Channel -> channel id
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # a leading BOM is dropped
         reader = csv.reader(fh)  # its line_num: the last physical line of the row read
         rows = _csv_rows(reader, path)
         header = next(rows, None)

@@ -253,13 +253,13 @@ def _normal_rows(rngs, out: np.ndarray, scale: float) -> None:
     flat *= scale
 
 
-def noise_rows(n: int, spec: NoiseSpec, indices, out: np.ndarray | None = None) -> np.ndarray:
-    """(len(indices), n) complex Gaussian noise, into ``out`` if given; row i draws indices[i].
+def noise_rows(n: int, spec: NoiseSpec, indices) -> np.ndarray:
+    """(len(indices), n) complex Gaussian noise; row i draws indices[i].
 
     A row is the 2n standard normal draws of (seed, frame index), taken as
     (re, im) pairs and scaled by sqrt(total_power / 2).
     """
-    out = np.empty((len(indices), n), dtype=np.complex128) if out is None else out
+    out = np.empty((len(indices), n), dtype=np.complex128)
     rngs = _generators(_frame_states(spec.seed, _NOISE_STREAM, indices))
     _normal_rows(rngs, out, math.sqrt(spec.total_power / 2.0))
     return out
@@ -333,27 +333,25 @@ def trial_rows(n: int, signal: SignalSpec, noise: NoiseSpec, snr_dbs, trials):
     """Yield (i, h, rows) for each block of at most BLOCK_FRAMES paired trials from trials[i]:
     h = 0 and its noise (H0), then h = 1 + k and noise + alpha * signal at snr_dbs[k] (H1;
     the noise where alpha is 0). Noise is seeded SEED_TRIALS trials at a time. Blocks reuse
-    one noise buffer and one mix buffer, or mix in place where one SNR is asked for: use each
-    block's rows before taking the next."""
+    one noise buffer and one mix buffer, and no mix writes to the noise: a block's H0 rows
+    stay as drawn until the next block is taken, and each H1's rows until the next H1."""
     alphas = [_scale(signal, noise, snr_db) for snr_db in snr_dbs]
     buffer = np.empty((min(len(trials), BLOCK_FRAMES), n), dtype=np.complex128)
-    mix_buffer = np.empty_like(buffer) if len(alphas) > 1 and any(alphas) else None
+    mix_buffer = np.empty_like(buffer)
     for i in range(0, len(trials), BLOCK_FRAMES):
         if i % SEED_TRIALS == 0:  # a call's fixed cost is some hundreds of frames' seeding
             seeded = trials[i:i + SEED_TRIALS]
             noise_rngs = _generators(_frame_states(noise.seed, _NOISE_STREAM, seeded))
         sig = None  # the last block's signal rows go before this block's are drawn
         block = trials[i:i + BLOCK_FRAMES]
-        rows = buffer[:len(block)]
+        rows, mixed = buffer[:len(block)], mix_buffer[:len(block)]
         _normal_rows(islice(noise_rngs, len(block)), rows, math.sqrt(noise.total_power / 2.0))
-        mixed = rows if mix_buffer is None else mix_buffer[:len(block)]
         for h, alpha in enumerate([0.0, *alphas]):  # H0 is the noise rows, at scale 0
             if alpha:  # an overflowing mix leaves a non-finite energy, which the kernel reports
-                if sig is None:  # drawn after H0 is used; a tone's rows are one row
-                    sig = signal_rows(n, signal, block[:1] if signal.kind == "tone" else block)
+                if sig is None:  # drawn after H0 is used
+                    sig = signal_rows(n, signal, block)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    np.add(rows, np.multiply(sig, alpha, out=None if mixed is rows else mixed),
-                           out=mixed)
+                    np.add(rows, np.multiply(sig, alpha, out=mixed), out=mixed)
             yield i, h, mixed if alpha else rows
 
 
@@ -400,12 +398,10 @@ def channel_windows(table, frame_len: int, frame_interval_s: float, frames: rang
             (signal, noise, _, _), on = used[s], labels[s]
             _normal_rows(islice(rngs, len(window)), rows, math.sqrt(noise.total_power / 2.0))
             if alphas[s] and on.any():
+                i = np.flatnonzero(on)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    if signal.kind == "tone":
-                        np.add(rows, tones[s], out=rows, where=on[:, None])
-                    else:
-                        i = np.flatnonzero(on)
-                        rows[i] += alphas[s] * signal_rows(frame_len, signal, k + i, seed)
+                    rows[i] += tones[s] if s in tones else alphas[s] * signal_rows(
+                        frame_len, signal, k + i, seed)
             yield times, rows, on
 
 

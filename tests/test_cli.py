@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from occuscan import (
     ComplexFrame,
+    SignalSpec,
     UsageError,
     acf1_statistic,
     acf_vector,
@@ -631,6 +632,33 @@ class TestBadInputs:
                              str(path), "--center-mhz", "100"], str(path)),
         }[name]
         self._fails_with(capsys, argv, field)
+
+    @pytest.mark.parametrize("argv, option", [
+        (["simulate", "--out", "F"], "--out"),
+        (["calibrate", "--out", "F"], "--out"),
+        (["eval", "--out", "F"], "--out"),
+        (["simulate", "--out", "F/sub"], "--out"),
+        (["report", "--records", "nope.csv", "--out", "o"], "--records"),
+        (["analyze", "--out", "o", "--iq", "nope.iq", "--meta", "cap.iq.meta"], "--iq"),
+        (["analyze", "--out", "o", "--iq", "cap.iq", "--meta", "nope.iq.meta"], "--meta"),
+    ], ids=["simulate-file", "calibrate-file", "eval-file", "simulate-under-file", "records",
+            "iq", "meta"])
+    def test_unusable_path_names_its_option(self, workspace, capsys, argv, option):
+        """An output directory that cannot be made, or an input file that cannot be opened,
+        is named by its option, and no --out is made."""
+        (workspace / "F").write_text("")
+        np.zeros(2 * 256, "<f4").tofile(workspace / "cap.iq")
+        write_meta(workspace / "cap.iq.meta", 256)
+        cmd, *rest = argv
+        paths = [str(workspace / a) if i % 2 else a for i, a in enumerate(rest)]
+        scenario = [] if cmd == "report" else ["--scenario", str(workspace / "scn.yaml")]
+        extra = ["--center-mhz", "100"] if cmd == "analyze" else []
+        assert main([cmd, *scenario, *paths, *extra]) == 1
+        err = capsys.readouterr().err
+        path = paths[paths.index(option) + 1]
+        assert err.startswith(f"error: {option}: ") and err.endswith(f": {path!r}\n"), err
+        assert err.count("\n") == 1
+        assert (workspace / "F").is_file() and not (workspace / "o").exists()
 
     @pytest.mark.parametrize("bins", ["0", "-1", "nan", "inf"])
     def test_report_bad_bins(self, workspace, capsys, bins):
@@ -1290,6 +1318,32 @@ class TestEval:
         rows = [ln.split(",") for ln in (out / "eval.csv").read_text().splitlines()[1:]]
         assert [r[1] for r in rows] == ["point"] * 6 + ["roc"] * 4
         assert [r[0] for r in rows[:6]] == ["ed", "ed", "acf1", "acf1", "cdist", "cdist"]
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("name", ["reference.txt", "cap.iq.meta", "records.csv"])
+    def test_leading_bom_changes_no_output(self, workspace, name):
+        """A UTF-8 byte-order mark at the start of reference.txt, an .iq.meta sidecar or a
+        records.csv is dropped: simulate, analyze and report write the same bytes as without."""
+        scenario = ["--scenario", str(workspace / "scn.yaml")]
+        assert main(["simulate", *scenario, "--out", str(workspace)]) == 0
+        tone = SignalSpec(kind="tone", normalized_freq=0.125)
+        frames = [ComplexFrame(gen_signal_frame(256, tone, 0).samples, 1e6, 100e6)] * 3
+        write_recording(frames, workspace / "cap.iq", workspace / "cap.iq.meta")
+        argv = {
+            "reference.txt": ["simulate", *scenario],
+            "cap.iq.meta": ["analyze", *scenario, "--iq", str(workspace / "cap.iq"),
+                            "--meta", str(workspace / "cap.iq.meta"), "--center-mhz", "100"],
+            "records.csv": ["report", "--records", str(workspace / "records.csv")],
+        }[name]
+        assert main([*argv, "--out", str(workspace / "plain")]) == 0
+        path = workspace / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main([*argv, "--out", str(workspace / "bom")]) == 0
+        outputs = {d: {p.relative_to(workspace / d): p.read_bytes()
+                       for p in (workspace / d).rglob("*") if p.is_file()}
+                   for d in ("plain", "bom")}
+        assert outputs["plain"] and outputs["bom"] == outputs["plain"]
 
 
 class TestErrors:

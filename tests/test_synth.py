@@ -420,6 +420,25 @@ class TestMix:
             np.testing.assert_array_equal(np.concatenate([r for _, r in got[h]]),
                                           alpha * signal_frames + noise_frames)
 
+    @pytest.mark.parametrize("signal", [
+        SignalSpec(kind="tone", normalized_freq=0.1),
+        SignalSpec(kind="bpsk", symbol_rate_divisor=3, seed=5),
+    ], ids=["tone", "bpsk"])
+    @pytest.mark.parametrize("snr_dbs", [[6.0], [6.0, -math.inf, -3.0]], ids=["one", "three"])
+    def test_trial_rows_keep_h0_as_drawn(self, signal, snr_dbs):
+        """A block's H0 rows, held without a copy, are still its noise frames once every H1 of
+        the block has been taken: no mix writes to the noise buffer."""
+        noise, trials = NoiseSpec(2.0, seed=4), range(60, 103)
+        checked = 0
+        for i, h, rows in trial_rows(16, signal, noise, snr_dbs, trials):
+            if h == 0:
+                h0 = rows  # the buffer itself
+            if h == len(snr_dbs):
+                np.testing.assert_array_equal(h0, [gen_noise_frame(16, noise, k).samples
+                                                   for k in trials[i:i + len(h0)]])
+                checked += len(h0)
+        assert checked == len(trials)
+
     def test_kind_none_scales_to_zero_at_any_snr(self):
         rows = [r.copy() for _, _, r in trial_rows(8, SignalSpec(kind="none"), NoiseSpec(1.0),
                                                     [10.0], range(3))]
