@@ -23,7 +23,7 @@ _MODULE_OF = {name: module for module, names in {
     "detectors": ("AcfVector", "DetectorConfig", "acf", "acf1_statistic", "acf_vector",
                   "block_statistics", "calibrate_ed_threshold", "correlation_distance",
                   "energy_statistic", "load_reference", "save_reference"),
-    "errors": ("OccuscanError", "SampleDataError", "UsageError"),
+    "errors": ("OccuscanError", "SampleDataError"),
     "iq": ("ComplexFrame", "RecordingMeta", "read_meta"),
     "report": ("write_occupancy_csv",),
     "scan": ("ScanRecord", "scan_channel"),

@@ -44,7 +44,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 # occuscan never asks numpy for OS entropy. A _hashlib already loaded stays.
 sys.modules.setdefault("_hashlib", None)
 
-from .errors import OccuscanError, SampleDataError, UsageError
+from .errors import OccuscanError, SampleDataError
 
 # The most worker processes --workers may ask for. All of them fork at the first task,
 # and on the example scenario each peaks near 29 MB, so 64 come to about 1.9 GB; a
@@ -57,23 +57,23 @@ def _check_options(args) -> None:
     """Reject out-of-range numeric options before any work starts."""
     seed = getattr(args, "seed", None)
     if seed is not None and not 0 <= seed <= 2**64 - 1:
-        raise UsageError(f"--seed: must lie in [0, 2**64 - 1], got {seed}")
+        raise OccuscanError(f"--seed: must lie in [0, 2**64 - 1], got {seed}")
     workers = getattr(args, "workers", 1)
     if workers < 1:
-        raise UsageError(f"--workers: must be >= 1, got {workers}")
+        raise OccuscanError(f"--workers: must be >= 1, got {workers}")
     if workers > MAX_WORKERS:
-        raise UsageError(f"--workers: must be at most {MAX_WORKERS}, got {workers}")
+        raise OccuscanError(f"--workers: must be at most {MAX_WORKERS}, got {workers}")
     if workers > 1 and not hasattr(os, "fork"):
-        raise UsageError(f"--workers: must be 1 where os.fork is missing, got {workers}")
+        raise OccuscanError(f"--workers: must be 1 where os.fork is missing, got {workers}")
     bins = getattr(args, "bins", 1.0)
     if not (math.isfinite(bins) and bins > 0):
-        raise UsageError(f"--bins: must be a finite number > 0, got {bins}")
+        raise OccuscanError(f"--bins: must be a finite number > 0, got {bins}")
     center = getattr(args, "center_mhz", 1.0)
     if not (math.isfinite(center) and center > 0):
-        raise UsageError(f"--center-mhz: must be a finite number > 0, got {center}")
+        raise OccuscanError(f"--center-mhz: must be a finite number > 0, got {center}")
     tol = getattr(args, "freq_tol_mhz", 0.0)
     if not (math.isfinite(tol) and tol >= 0):
-        raise UsageError(f"--freq-tol-mhz: must be a finite number >= 0, got {tol}")
+        raise OccuscanError(f"--freq-tol-mhz: must be a finite number >= 0, got {tol}")
 
 
 def _load_scenario(args):
@@ -151,7 +151,7 @@ def cmd_calibrate(args) -> int:
 
 # --- simulate ----------------------------------------------------------------
 
-RUN_CHANNELS = 32  # a pool task makes one frame window of this many consecutive plan channels
+RUN_CHANNELS = 32  # a task makes one frame window of this many consecutive plan channels
 
 
 def _sweep_window(table, config, n, interval, start, task):
@@ -276,7 +276,7 @@ def cmd_report(args) -> int:
     try:
         cells = aggregate_table(read_records(args.records, channels), channels, args.bins)
     except ValueError as exc:  # a bad record raises OccuscanError, so only the bin length is left
-        raise UsageError(f"--bins: {exc}") from exc
+        raise OccuscanError(f"--bins: {exc}") from exc
     out = _out_dir(args)
     plots = write_plot_data(cells, out / "plots")
     write_occupancy_csv(cells, out / "occupancy.csv")
@@ -389,7 +389,7 @@ def main(argv=None) -> int:
         _check_options(args)
         return args.func(args)
     except (OccuscanError, OSError) as exc:  # an unusable input path is named by its option
-        paths = {getattr(args, k): k for k in ("records", "iq", "meta") if hasattr(args, k)}
+        paths = {v: k for k, v in vars(args).items() if k in ("scenario", "records", "iq", "meta")}
         option = paths.get(getattr(exc, "filename", None))
         why = f"--{option}: {exc.strerror}: {exc.filename!r}" if option else exc
         print(f"error: {why}", file=sys.stderr)

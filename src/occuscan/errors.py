@@ -17,7 +17,3 @@ class SampleDataError(OccuscanError):
     def __init__(self, message: str, frame: int | None = None):
         super().__init__(message)
         self.frame = frame
-
-
-class UsageError(OccuscanError):
-    """A command-line option is out of range; the message names the option."""

@@ -81,7 +81,7 @@ def derive_seeds(master_seed: int, *tag_columns) -> list[int]:
     of the tag columns, each one int or a list of one int per row.
 
     ``synth._seed_states`` mixes the rows in one batch without numpy.random, so a process
-    that only derives seeds (simulate's, when pool workers draw) never loads it.
+    that only derives seeds (simulate's, when forked workers draw) never loads it.
     """
     from .synth import _seed_states
 
@@ -327,11 +327,11 @@ class Scenario:
 
     @classmethod
     def load(cls, path) -> "Scenario":
-        path = Path(path)
-        try:
-            data = yaml.load(path.read_text(encoding="utf-8"), Loader=_ScenarioLoader)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise OccuscanError(f"cannot read scenario {path}: {exc}") from exc
+        try:  # an OSError names the path as given, so cli.main can name its option
+            with open(path, encoding="utf-8") as fh:
+                data = yaml.load(fh.read(), Loader=_ScenarioLoader)
+        except UnicodeDecodeError as exc:
+            raise OccuscanError(f"{path}: {exc}") from exc
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)  # the line, where the reader knows it
             where, why = (path, exc) if mark is None else (f"{path}:{mark.line + 1}", exc.problem)

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from occuscan import (
     ComplexFrame,
+    OccuscanError,
     SignalSpec,
-    UsageError,
     acf1_statistic,
     acf_vector,
     correlation_distance,
@@ -624,7 +624,7 @@ class TestBadInputs:
         path.write_bytes(text.replace(b"\n", b"\n\xff", 1))
         scenario = ["--scenario", str(workspace / "scn.yaml"), "--out", str(workspace / "o")]
         argv, field = {
-            "scn.yaml": (["simulate", *scenario], f"cannot read scenario {path}"),
+            "scn.yaml": (["simulate", *scenario], str(path)),
             "reference.txt": (["simulate", *scenario], "detector.reference"),
             "records.csv": (["report", "--records", str(path), "--out", str(workspace / "o")],
                             f"{path}:2"),
@@ -641,18 +641,27 @@ class TestBadInputs:
         (["report", "--records", "nope.csv", "--out", "o"], "--records"),
         (["analyze", "--out", "o", "--iq", "nope.iq", "--meta", "cap.iq.meta"], "--iq"),
         (["analyze", "--out", "o", "--iq", "cap.iq", "--meta", "nope.iq.meta"], "--meta"),
+        *[([cmd, "--scenario", scenario, "--out", "o"], "--scenario")
+          for cmd in ("calibrate", "simulate", "eval", "analyze")
+          for scenario in ("nope.yaml", "./nope.yaml", "D")],
     ], ids=["simulate-file", "calibrate-file", "eval-file", "simulate-under-file", "records",
-            "iq", "meta"])
-    def test_unusable_path_names_its_option(self, workspace, capsys, argv, option):
+            "iq", "meta", *[f"{cmd}-scenario-{case}"
+                            for cmd in ("calibrate", "simulate", "eval", "analyze")
+                            for case in ("missing", "dot-missing", "directory")]])
+    def test_unusable_path_names_its_option(self, workspace, capsys, monkeypatch, argv,
+                                            option):
         """An output directory that cannot be made, or an input file that cannot be opened,
-        is named by its option, and no --out is made."""
+        is named by its option with the path as given, and no --out is made."""
         (workspace / "F").write_text("")
+        (workspace / "D").mkdir()
         np.zeros(2 * 256, "<f4").tofile(workspace / "cap.iq")
         write_meta(workspace / "cap.iq.meta", 256)
-        cmd, *rest = argv
-        paths = [str(workspace / a) if i % 2 else a for i, a in enumerate(rest)]
-        scenario = [] if cmd == "report" else ["--scenario", str(workspace / "scn.yaml")]
+        monkeypatch.chdir(workspace)  # paths as given: relative, some with a leading ./
+        cmd, *paths = argv
+        scenario = [] if cmd == "report" or option == "--scenario" else ["--scenario", "scn.yaml"]
         extra = ["--center-mhz", "100"] if cmd == "analyze" else []
+        if cmd == "analyze" and "--iq" not in paths:
+            extra += ["--iq", "cap.iq", "--meta", "cap.iq.meta"]
         assert main([cmd, *scenario, *paths, *extra]) == 1
         err = capsys.readouterr().err
         path = paths[paths.index(option) + 1]
@@ -677,8 +686,8 @@ class TestBadInputs:
 
     def test_workers_bound(self):
         _check_options(argparse.Namespace(workers=MAX_WORKERS))
-        with pytest.raises(UsageError, match=rf"^--workers: must be at most {MAX_WORKERS}, "
-                                             rf"got {MAX_WORKERS + 1}$"):
+        with pytest.raises(OccuscanError, match=rf"^--workers: must be at most {MAX_WORKERS}, "
+                                                rf"got {MAX_WORKERS + 1}$"):
             _check_options(argparse.Namespace(workers=MAX_WORKERS + 1))
 
     @pytest.mark.parametrize("cmd", ["simulate", "eval"])
@@ -1596,6 +1605,88 @@ class TestScenarioFuzz:
                 (cmd, path, value, rc, err.getvalue())
 
 
+def _mutate(data: bytes, edits) -> bytes:
+    """data with each (op, position, byte) edit applied in turn, the position taken modulo
+    the length: "flip" xors bit byte % 8 of the byte there, "delete" drops it and "insert"
+    puts byte before it."""
+    out = bytearray(data)
+    for op, position, byte in edits:
+        if op == "insert":
+            out.insert(position % (len(out) + 1), byte)
+        elif out:
+            position %= len(out)
+            if op == "flip":
+                out[position] ^= 1 << byte % 8
+            else:
+                del out[position]
+    return bytes(out)
+
+
+class TestByteFuzz:
+    """Text inputs with a few bytes flipped, deleted or inserted.
+
+    reference.txt, records.csv and an .iq.meta each go through the command that reads them:
+    it returns 0, or 1 with exactly one "error:" line, and never raises. Scenario bytes go
+    through Scenario.load and the readers the commands call, not through a command, so a
+    mutated count cannot start a long run: each returns, or raises OccuscanError or OSError.
+    """
+
+    EDITS = st.lists(st.tuples(st.sampled_from(["flip", "delete", "insert"]),
+                               st.integers(0, 2**16), st.integers(0, 255)),
+                     min_size=1, max_size=3)
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        """A calibrated SCENARIO, its simulate outputs, a 4-frame recording and a copy of the
+        example scenario; fuzz.yaml is SCENARIO with the reference file fuzz.txt."""
+        root = tmp_path_factory.mktemp("bytes")
+        (root / "scn.yaml").write_text(SCENARIO)
+        (root / "example.yaml").write_text(EXAMPLE.read_text())
+        (root / "fuzz.yaml").write_text(SCENARIO.replace("reference: reference.txt",
+                                                         "reference: fuzz.txt"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            for cmd in ("calibrate", "simulate"):
+                assert main([cmd, "--scenario", str(root / "scn.yaml"), "--out", str(root)]) == 0
+        np.random.default_rng(0).standard_normal(2 * 1024).astype("<f4").tofile(root / "cap.iq")
+        write_meta(root / "cap.iq.meta", 1024)
+        return root
+
+    @pytest.mark.parametrize("name", ["reference.txt", "records.csv", "cap.iq.meta"])
+    @settings(max_examples=100, deadline=None)
+    @given(edits=EDITS)
+    def test_command_input(self, root, name, edits):
+        fuzz = root / ("fuzz.txt" if name == "reference.txt" else f"fuzz-{name}")
+        fuzz.write_bytes(_mutate((root / name).read_bytes(), edits))
+        out = ["--out", str(root / "out")]
+        argv = {
+            "reference.txt": ["simulate", "--scenario", str(root / "fuzz.yaml"), *out],
+            "records.csv": ["report", "--records", str(fuzz), *out],
+            "cap.iq.meta": ["analyze", "--scenario", str(root / "scn.yaml"), *out, "--iq",
+                            str(root / "cap.iq"), "--meta", str(fuzz), "--center-mhz", "100"],
+        }[name]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+        lines = err.getvalue().splitlines()
+        assert rc == 0 or rc == 1 and len(lines) == 1 and lines[0].startswith("error: "), \
+            (rc, err.getvalue())
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(["scn.yaml", "example.yaml"]), edits=EDITS)
+    def test_scenario(self, root, name, edits):
+        (root / "fuzz-scn.yaml").write_bytes(_mutate((root / name).read_bytes(), edits))
+        try:
+            scenario = Scenario.load(root / "fuzz-scn.yaml")
+        except (OccuscanError, OSError):
+            return
+        for reader in ("plan", "sweep_frames", "sweep_params", "detector_config", "calibration",
+                       "eval_settings"):
+            try:
+                getattr(scenario, reader)()
+            except (OccuscanError, OSError):
+                pass
+
+
 class TestStartUp:
     """What a fresh interpreter loads, and what the BLAS thread count may change."""
 
@@ -1607,7 +1698,7 @@ class TestStartUp:
         "AcfVector", "BUILTIN_BANDS", "BandSpec", "Channel", "ComplexFrame", "DETECTORS",
         "DETECTOR_TABLE", "DetectorConfig", "NoiseSpec", "OccupancySchedule",
         "OccuscanError", "RecordingMeta", "SampleDataError", "ScanRecord", "Scenario",
-        "SignalSpec", "UsageError", "acf", "acf1_statistic", "acf_vector", "block_statistics",
+        "SignalSpec", "acf", "acf1_statistic", "acf_vector", "block_statistics",
         "build_channel_plan", "builtin_plan", "calibrate_ed_threshold", "channels",
         "correlation_distance", "detector_table", "detectors", "energy_statistic", "errors",
         "gen_channel_timeline", "gen_noise_frame", "gen_signal_frame", "iq", "load_reference",
@@ -1636,6 +1727,8 @@ class TestStartUp:
         assert set(occuscan.__all__) <= set(dir(occuscan))
         with pytest.raises(AttributeError):
             occuscan.no_such_name
+        with pytest.raises(AttributeError):  # folded into OccuscanError
+            occuscan.UsageError
 
     # numpy.random adds about 2.7 MB of peak RSS, and OpenSSL's _hashlib, which it would load
     # through secrets, 3.6 MB more; numpy.ma adds 1.3 MB, and np.unique imports it when

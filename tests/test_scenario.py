@@ -119,8 +119,10 @@ class TestParsing:
             Scenario.load(p)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(OccuscanError, match="cannot read"):
+        # the OSError goes through as it is, so cli.main names the path by its option
+        with pytest.raises(FileNotFoundError) as info:
             Scenario.load(tmp_path / "nope.yaml")
+        assert info.value.filename == str(tmp_path / "nope.yaml")
 
     def test_yaml_error_cites_line(self, tmp_path):
         p = tmp_path / "broken.yaml"

@@ -1,6 +1,7 @@
 """Static checks of the package source, with the standard library's ast module, and of
 the names its docs cite."""
 
+import argparse
 import ast
 import re
 import shlex
@@ -82,7 +83,7 @@ def test_only_synth_names_numpy_random():
     """numpy.random is named only in synth.py, where frames are drawn.
 
     Its import adds about 6 MB of peak RSS, so a process that draws nothing
-    (simulate's, when pool workers draw; analyze; report) must not load it.
+    (simulate's, when forked workers draw; analyze; report) must not load it.
     """
     uses = sorted((path.name, node.lineno) for path in SRC.glob("*.py")
                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
@@ -127,3 +128,27 @@ def test_every_documented_command_parses():
             build_parser().parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"the CLI refuses a documented command line: {line}")
+
+
+def _option_prefixes():
+    """(module, line, option) of each string constant in the package that starts a message
+    with "--<name>: ", an f-string's leading text included."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                match = re.match(r"--([a-z][a-z-]*): ", node.value)
+                if match:
+                    yield path.name, node.lineno, f"--{match[1]}"
+
+
+def test_every_option_prefix_names_an_option():
+    """Each "--<name>: " message prefix in the package names an option that
+    ``cli.build_parser()`` defines, so renaming an option cannot leave a stale prefix."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {option for sub in commands.choices.values() for action in sub._actions
+               for option in action.option_strings}
+    prefixes = sorted(set(_option_prefixes()))
+    assert {option for _, _, option in prefixes} >= {"--out", "--workers"}, prefixes
+    stale = [prefix for prefix in prefixes if prefix[2] not in options]
+    assert not stale, f"message prefixes that name no option (module, line, option): {stale}"
